@@ -16,37 +16,22 @@ from statefuse import (
     pad_frames,
 )
 from statefuse import MotionMask, PosEmbedParams, pos_embed
-from statefuse.queries import Query3D
 
 
-def query_at(center, category, frame):
-    pe = PosEmbedParams.seeded(8, seed=0)
-    q_pos = pos_embed(np.asarray(center, dtype=float), pe)
-    return Query3D(
-        q_sem=np.zeros(8),
-        q_pos=q_pos,
-        q_3d=q_pos,
-        center3d=np.asarray(center, dtype=float),
-        category=category,
-        source_frame=frame,
-        valid=True,
-    )
+def queries_at(centers, categories):
+    """One frame's queries as arrays: q_3d embeds each center."""
+    centers = np.asarray(centers, dtype=float)
+    return pos_embed(centers, PosEmbedParams.seeded(8, seed=0)), centers, categories
 
 
 def main():
     # frame 0 (past): a parked car, a moving truck, a pedestrian
     # frame 1 (now):  the car unmoved, the truck 3 m on, a new cyclist
-    past = [
-        query_at([10.0, 0.0, 0.5], category=0, frame=0),
-        query_at([20.0, 5.0, 0.8], category=1, frame=0),
-        query_at([4.0, -2.0, 0.9], category=2, frame=0),
-    ]
-    now = [
-        query_at([10.0, 0.05, 0.5], category=0, frame=1),
-        query_at([23.0, 5.0, 0.8], category=1, frame=1),
-        query_at([7.0, 3.0, 0.9], category=3, frame=1),
-    ]
-    seq = pad_frames([past, now])
+    past = queries_at([[10.0, 0.0, 0.5], [20.0, 5.0, 0.8], [4.0, -2.0, 0.9]], [0, 1, 2])
+    now = queries_at([[10.0, 0.05, 0.5], [23.0, 5.0, 0.8], [7.0, 3.0, 0.9]], [0, 1, 3])
+    seq = pad_frames(
+        *(np.concatenate([a, b]) for a, b in zip(past, now)), counts=[3, 3]
+    )
     print(f"padded to K={seq.k_queries} slots over {seq.n_frames} frames")
 
     validity = np.stack([seq.validity(1), seq.validity(0)], axis=1)

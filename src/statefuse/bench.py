@@ -5,7 +5,9 @@ shape of the real paths: the state-space kernel is the per-step gated
 recurrence (linear in sequence length), the cross-attention kernel is a
 full attention pass with an N x N score matrix (quadratic).  Timing uses
 the median of repeated ``perf_counter_ns`` runs after warmup; a row is
-flagged unreliable when the median is under 100 timer ticks.
+flagged unreliable when the median is under 100 timer ticks.  Timing pins
+numpy's bundled OpenBLAS to one thread: on a few cores, small threaded
+matmuls run 10-40x slower at random and bend the fitted slopes.
 
 Peak bytes default to an analytic allocation model of each kernel's
 dominant arrays (the state-space model is exactly affine in N).  Pass
@@ -14,7 +16,10 @@ dominant arrays (the state-space model is exactly affine in N).  Pass
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
 import statistics
 import time
 import tracemalloc
@@ -201,10 +206,41 @@ def _time_once(fn) -> int:
     return time.perf_counter_ns() - start
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS if it exports its thread-count calls, else None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("set", "get")):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+def blas_threads() -> int | None:
+    """Thread count of numpy's bundled OpenBLAS, or None if it is not found."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
 def _measure(fn, cfg: BenchConfig):
-    for _ in range(cfg.warmup):
-        fn()
-    samples = [_time_once(fn) for _ in range(cfg.repetitions)]
+    lib = _openblas()
+    if lib is not None:
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        for _ in range(cfg.warmup):
+            fn()
+        samples = [_time_once(fn) for _ in range(cfg.repetitions)]
+    finally:
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads64_(before)
     # a sub-tick zero median is clamped; timer_ok already flags it unreliable
     wall = max(int(statistics.median(samples)), 1)
     return wall, wall >= TIMER_MIN_TICKS * _timer_tick_nanos()

@@ -131,12 +131,14 @@ def project_point(cam: CameraModel, p_ego) -> tuple:
     return u, v, depth
 
 
-def lift_center(cam: CameraModel, c2d, depth) -> np.ndarray:
-    """Lift an image point at a known camera depth back to the ego frame.
+def lift_center(cam, c2d, depth, cam_index=None) -> np.ndarray:
+    """Lift image points at known camera depths back to the ego frame.
 
     Exact inverse of :func:`project_point`: the homogeneous pixel is scaled
     so the recovered camera-frame point sits at exactly ``depth``, then
-    mapped through the intrinsic and extrinsic inverses.
+    mapped through the intrinsic and extrinsic inverses.  ``cam`` is one
+    camera; with ``cam_index`` it is a sequence of cameras, and point j is
+    lifted through ``cam[cam_index[j]]``.
     """
     c = as_float_array(c2d, "c2d")
     if c.shape[-1] != 2:
@@ -146,13 +148,16 @@ def lift_center(cam: CameraModel, c2d, depth) -> np.ndarray:
         raise ValidationError("depth must be finite")
     if np.any(d <= 0.0):
         raise ValidationError("depth must be positive")
+    cams, idx = ((cam,), 0) if cam_index is None else (cam, np.asarray(cam_index, dtype=int))
+    k22 = np.array([m.intrinsic[2, 2] for m in cams])[idx]
+    k_inv = np.stack([m._intrinsic_inv for m in cams])[idx]
+    e_inv = np.stack([m._extrinsic_inv for m in cams])[idx]
     # With K upper triangular, the homogeneous scale that puts the camera
     # point at depth d is d * K[2, 2].
-    w = d * cam.intrinsic[2, 2]
+    w = d * k22
     pix = np.stack([c[..., 0] * w, c[..., 1] * w, np.broadcast_to(w, c[..., 0].shape)], axis=-1)
-    q = pix @ cam._intrinsic_inv.T
-    inv = cam._extrinsic_inv
-    return q @ inv[:3, :3].T + inv[:3, 3]
+    q = np.einsum("...ij,...j->...i", k_inv, pix)
+    return np.einsum("...ij,...j->...i", e_inv[..., :3, :3], q) + e_inv[..., :3, 3]
 
 
 def sinusoid_features(c3d, embed_dim: int, temperature: float) -> np.ndarray:

@@ -4,6 +4,10 @@ Past frames are padded to a common slot count K, their centers are aligned
 into the current ego frame, and a per-frame binary mask retains only slots
 whose aligned center is NOT within ``alpha`` meters of any same-category
 current object.  The current frame itself is always kept in full.
+
+The padded window is struct-of-arrays: q_3d embeddings (N, K, D), centers
+(N, K, 3), validity (N, K) and categories (N, K).  Padding and eliminated
+slots are zero, invalid and category -1.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import as_float_array, readonly
-from .queries import Query3D
 
 INVALID_COST = np.inf
 
@@ -36,47 +39,58 @@ class MotionElimConfig:
 class PaddedQuerySequence:
     """N frames of exactly K query slots each, oldest frame first.
 
-    Padding slots are zero-embedding queries with ``valid=False`` and
-    category -1.
+    ``embeddings`` holds q_3d (N, K, D), ``centers3d`` (N, K, 3), ``valid``
+    (N, K) and ``cats`` (N, K).  Padding slots are zero, invalid and
+    category -1.  The newest frame is the current one.
     """
 
-    frames: tuple
-    k_queries: int
-    current_index: int
+    embeddings: np.ndarray
+    centers3d: np.ndarray
+    valid: np.ndarray
+    cats: np.ndarray
 
     def __post_init__(self):
-        frames = tuple(tuple(frame) for frame in self.frames)
-        if not frames:
-            raise ValidationError("sequence needs at least one frame")
-        k = int(self.k_queries)
-        if any(len(frame) != k for frame in frames):
-            raise ValidationError("every frame must hold exactly k_queries slots")
-        cur = int(self.current_index)
-        if not (0 <= cur < len(frames)):
-            raise ValidationError("current_index out of range")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "k_queries", k)
-        object.__setattr__(self, "current_index", cur)
+        emb = as_float_array(self.embeddings, "embeddings")
+        if emb.ndim != 3 or 0 in emb.shape:
+            raise ValidationError("embeddings must be a non-empty (N, K, D) array")
+        n, k, _ = emb.shape
+        centers = as_float_array(self.centers3d, "centers3d", shape=(n, k, 3))
+        valid = np.asarray(self.valid, dtype=bool)
+        cats = np.asarray(self.cats, dtype=int)
+        if valid.shape != (n, k) or cats.shape != (n, k):
+            raise ValidationError("valid and cats must be (N, K) arrays")
+        object.__setattr__(self, "embeddings", readonly(emb))
+        object.__setattr__(self, "centers3d", readonly(centers))
+        object.__setattr__(self, "valid", readonly(valid))
+        object.__setattr__(self, "cats", readonly(cats))
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.embeddings.shape[0]
+
+    @property
+    def k_queries(self) -> int:
+        return self.embeddings.shape[1]
 
     @property
     def embed_dim(self) -> int:
-        return self.frames[0][0].embed_dim
+        return self.embeddings.shape[2]
+
+    @property
+    def current_index(self) -> int:
+        return self.n_frames - 1
 
     def centers(self, i: int) -> np.ndarray:
-        return np.stack([q.center3d for q in self.frames[i]])
+        return self.centers3d[i]
 
     def validity(self, i: int) -> np.ndarray:
-        return np.array([q.valid for q in self.frames[i]], dtype=bool)
+        return self.valid[i]
 
     def categories(self, i: int) -> np.ndarray:
-        return np.array([q.category for q in self.frames[i]], dtype=int)
+        return self.cats[i]
 
     def q3d(self, i: int) -> np.ndarray:
-        return np.stack([q.q_3d for q in self.frames[i]])
+        return self.embeddings[i]
 
 
 @dataclass(frozen=True)
@@ -141,48 +155,32 @@ class MotionMask:
         return np.array([int(v.sum()) for v in self.per_frame])
 
 
-def padding_query(embed_dim: int, frame_index: int) -> Query3D:
-    """Zero-filled invalid slot used to equalize per-frame query counts."""
-    zeros = np.zeros(int(embed_dim))
-    return Query3D(
-        q_sem=zeros,
-        q_pos=zeros,
-        q_3d=zeros,
-        center3d=np.zeros(3),
-        category=-1,
-        source_frame=frame_index,
-        valid=False,
-    )
+def pad_frames(q3d, centers, cats, counts) -> PaddedQuerySequence:
+    """Scatter per-query rows into N frames of K = max(counts) slots.
 
-
-def pad_frames(raw) -> PaddedQuerySequence:
-    """Pad per-frame query lists to the maximum count K.
-
-    Frames are given oldest to newest; the newest frame is current.  When
-    several frames tie for the maximum count, the most recent of them is
-    taken as the reference (the value of K is unaffected).
+    Rows come frame by frame, oldest first: the first ``counts[0]`` rows
+    belong to frame 0, the next ``counts[1]`` to frame 1, and so on.  A
+    frame's queries fill its first slots in order; the newest frame is
+    current.
     """
-    frames = [list(frame) for frame in raw]
-    if not frames:
-        raise ValidationError("need at least one frame")
-    counts = [len(frame) for frame in frames]
-    k = max(counts)
+    counts = np.asarray(counts, dtype=int)
+    if counts.ndim != 1 or counts.size == 0 or np.any(counts < 0):
+        raise ValidationError("need a non-negative query count for each of >= 1 frames")
+    k, total = int(counts.max()), int(counts.sum())
     if k == 0:
         raise ValidationError("all frames are empty")
-    embed_dim = None
-    for frame in frames:
-        for q in frame:
-            embed_dim = q.embed_dim
-            break
-        if embed_dim is not None:
-            break
-    padded = []
-    for i, frame in enumerate(frames):
-        if any(q.embed_dim != embed_dim for q in frame):
-            raise ValidationError("all queries must share one embedding width")
-        pad = [padding_query(embed_dim, i) for _ in range(k - len(frame))]
-        padded.append(tuple(frame) + tuple(pad))
-    return PaddedQuerySequence(tuple(padded), k, len(frames) - 1)
+    q = as_float_array(q3d, "q3d")
+    cats = np.asarray(cats, dtype=int)
+    if q.ndim != 2 or q.shape[0] != total or cats.shape != (total,):
+        raise ValidationError(f"q3d and cats need one row per counted query ({total})")
+    valid = np.arange(k) < counts[:, None]
+    embeddings = np.zeros(valid.shape + q.shape[1:])
+    embeddings[valid] = q
+    centers3d = np.zeros(valid.shape + (3,))
+    centers3d[valid] = as_float_array(centers, "centers", shape=(total, 3))
+    slot_cats = np.full(valid.shape, -1)
+    slot_cats[valid] = cats
+    return PaddedQuerySequence(embeddings, centers3d, valid, slot_cats)
 
 
 def motion_cost(
@@ -234,23 +232,17 @@ def motion_mask(
 
 
 def apply_motion_mask(seq: PaddedQuerySequence, mask: MotionMask) -> PaddedQuerySequence:
-    """Zero out eliminated past slots; retained slots pass through untouched.
+    """Turn eliminated past slots into padding; retained slots pass through.
 
     The current frame is never altered, whatever its mask row says.
     """
     if mask.n_frames != seq.n_frames or mask.k_queries != seq.k_queries:
         raise ValidationError("mask shape must match the padded sequence")
-    embed_dim = seq.embed_dim
-    frames = []
-    for i, frame in enumerate(seq.frames):
-        if i == seq.current_index:
-            frames.append(frame)
-            continue
-        row = mask.per_frame[i]
-        frames.append(
-            tuple(
-                q if row[s] == 1 else padding_query(embed_dim, i)
-                for s, q in enumerate(frame)
-            )
-        )
-    return PaddedQuerySequence(tuple(frames), seq.k_queries, seq.current_index)
+    keep = np.stack(mask.per_frame).astype(bool)
+    keep[seq.current_index] = True
+    return PaddedQuerySequence(
+        np.where(keep[..., None], seq.embeddings, 0.0),
+        np.where(keep[..., None], seq.centers3d, 0.0),
+        seq.valid & keep,
+        np.where(keep, seq.cats, -1),
+    )

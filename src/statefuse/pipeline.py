@@ -1,13 +1,14 @@
 """End-to-end multi-frame detection pipeline and its cost models.
 
-Per frame, 2D proposals become 3D queries; frames are padded to a common
-slot count, past centers are aligned into the current ego frame
-(compensating ego motion; this forward-only stack predicts no object
-velocities, so alignment extrapolates none), statically matched slots are
-eliminated, and the surviving sequence is channel-concatenated and run
-through the gated state-space fusion stack.  A single cross-attention
-decoder layer then refines the current frame's queries against sampled
-image features, and a box head reads out detections.
+The 2D proposals of all frames become 3D queries in one batched pass;
+frames are padded to a common slot count, past centers are aligned into
+the current ego frame (compensating ego motion; this forward-only stack
+predicts no object velocities, so alignment extrapolates none), statically
+matched slots are eliminated, and the surviving sequence is
+channel-concatenated and run through the gated state-space fusion stack.
+A single cross-attention decoder layer then refines the current frame's
+queries against sampled image features, and a box head reads out
+detections.
 
 The module also carries the analytic multiply-accumulate counts of the two
 temporal fusion mechanisms:
@@ -315,7 +316,7 @@ class PipelineResult:
 
 def channel_concat(seq: PaddedQuerySequence) -> FusedQuerySequence:
     """Lay the K query embeddings of each frame side by side, oldest first."""
-    rows = np.stack([seq.q3d(i).reshape(-1) for i in range(seq.n_frames)])
+    rows = seq.embeddings.reshape(seq.n_frames, seq.k_queries * seq.embed_dim)
     return FusedQuerySequence(
         rows, tuple(range(seq.n_frames)), seq.k_queries, seq.embed_dim
     )
@@ -332,10 +333,11 @@ def decode_current_frame(
     """One cross-attention decoder layer over the current frame's queries.
 
     The newest fused row, split back into K slot vectors, is the enriched
-    form of ``current_queries``.  Keys and values are projections of a
-    seeded subsample of feature-map positions; attention rows are softmax
-    normalized, and the attended value is added back through an output
-    projection (zero value projection leaves the queries untouched).
+    form of ``current_queries``, the current frame's (K, D) query rows.
+    Keys and values are projections of a seeded subsample of feature-map
+    positions; attention rows are softmax normalized, and the attended
+    value is added back through an output projection (zero value
+    projection leaves the queries untouched).
     """
     k, d = fused.k_queries, fused.embed_dim
     if len(current_queries) != k:
@@ -360,39 +362,18 @@ def decode_current_frame(
     return refined
 
 
-def _sigmoid(x: float) -> float:
-    return float(1.0 / (1.0 + np.exp(-x)))
-
-
-def _read_boxes(result_refined, current_frame, scores, w: PipelineWeights):
-    detections = []
-    for s, q in enumerate(current_frame):
-        if not q.valid:
-            continue
-        if w.box_mode == "bypass":
-            detections.append(
-                Detection(
-                    center3d=q.center3d,
-                    size=np.zeros(3),
-                    yaw=0.0,
-                    velocity=np.zeros(2),
-                    category=q.category,
-                    score=float(scores[s]),
-                )
-            )
-        else:
-            out = result_refined[s] @ w.box_w + w.box_b
-            detections.append(
-                Detection(
-                    center3d=out[0:3],
-                    size=np.exp(out[3:6]),
-                    yaw=float(out[6]),
-                    velocity=out[7:9],
-                    category=q.category,
-                    score=_sigmoid(out[9]),
-                )
-            )
-    return tuple(detections)
+def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
+    cur = seq.current_index
+    slots = np.flatnonzero(seq.valid[cur])
+    if w.box_mode == "bypass":
+        boxes = [(seq.centers3d[cur, s], np.zeros(3), 0.0, np.zeros(2), scores[s]) for s in slots]
+    else:
+        out = refined[slots] @ w.box_w + w.box_b
+        boxes = [(r[0:3], np.exp(r[3:6]), r[6], r[7:9], 1.0 / (1.0 + np.exp(-r[9]))) for r in out]
+    return tuple(
+        Detection(center, size, yaw, velocity, seq.cats[cur, s], score)
+        for s, (center, size, yaw, velocity, score) in zip(slots, boxes)
+    )
 
 
 def run_pipeline_detailed(
@@ -407,32 +388,19 @@ def run_pipeline_detailed(
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         raise ValidationError("frames must be ordered oldest to newest")
 
-    raw_frames = []
-    raw_scores = []
-    for fr in frames:
-        if len(fr.proposals) != len(cams):
-            raise ValidationError("per-camera proposals must match the camera list")
-        queries = []
-        scores = []
-        for cam_id, cam_props in enumerate(fr.proposals):
-            fmap = fr.feature_maps[cam_id]
-            for prop in cam_props:
-                queries.append(build_query(prop, fmap, cams[cam_id], w.attn, w.pos, w.sem_proj))
-                scores.append(prop.score)
-        raw_frames.append(queries)
-        raw_scores.append(scores)
-
-    padded = pad_frames(raw_frames)
+    proposals = [fr.proposals for fr in frames]
+    feature_maps = [fr.feature_maps for fr in frames]
+    q3d, centers, cats, scores, counts = build_query(
+        proposals, feature_maps, cams, w.attn, w.pos, w.sem_proj
+    )
+    padded = pad_frames(q3d, centers, cats, counts)
     k = padded.k_queries
     if k != w.dims.k_queries:
         raise ValidationError(
             f"weights were built for k_queries={w.dims.k_queries}, scene needs {k}"
         )
-    if padded.embed_dim != w.dims.embed_dim:
-        raise ValidationError("weights embed_dim does not match the built queries")
     slot_scores = np.zeros((padded.n_frames, k))
-    for i, scores in enumerate(raw_scores):
-        slot_scores[i, : len(scores)] = scores
+    slot_scores[padded.valid] = scores
 
     cur = padded.current_index
     pose_now = frames[cur].ego_pose
@@ -464,9 +432,9 @@ def run_pipeline_detailed(
     fused_output = query_mamba_stack(fused_input, w.stack)
     _stage_finite("fusion", fused_output.data)
     refined = decode_current_frame(
-        fused_output, surviving.frames[cur], frames[cur].feature_maps, w
+        fused_output, surviving.q3d(cur), frames[cur].feature_maps, w
     )
-    detections = _read_boxes(refined, surviving.frames[cur], slot_scores[cur], w)
+    detections = _read_boxes(refined, surviving, slot_scores[cur], w)
     report = OpCountReport.build(
         padded.n_frames, k, w.dims.embed_dim, w.dims.state_dim
     )
@@ -494,25 +462,14 @@ def run_report_csv(result: PipelineResult) -> str:
     Centers and categories come from the padded pre-elimination queries,
     so eliminated slots stay inspectable; padded slots carry category -1.
     """
+    seq = result.padded
+    retained = np.stack(result.motion_mask.per_frame).tolist()
+    centers, cats, scores = seq.centers3d.tolist(), seq.cats.tolist(), result.slot_scores.tolist()
     lines = [REPORT_HEADER]
-    for i in range(result.padded.n_frames):
-        mask_row = result.motion_mask.per_frame[i]
-        for s, q in enumerate(result.padded.frames[i]):
-            c = q.center3d
-            lines.append(
-                ",".join(
-                    (
-                        str(i),
-                        str(s),
-                        str(int(mask_row[s])),
-                        _fmt(c[0]),
-                        _fmt(c[1]),
-                        _fmt(c[2]),
-                        str(q.category),
-                        _fmt(result.slot_scores[i, s]),
-                    )
-                )
-            )
+    for i in range(seq.n_frames):
+        for s in range(seq.k_queries):
+            x, y, z = (_fmt(v) for v in centers[i][s])
+            lines.append(f"{i},{s},{retained[i][s]},{x},{y},{z},{cats[i][s]},{_fmt(scores[i][s])}")
     return "\n".join(lines) + "\n"
 
 

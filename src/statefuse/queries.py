@@ -1,9 +1,14 @@
-"""Per-frame 3D query construction from 2D proposals and image features.
+"""3D query construction from 2D proposals and image features.
 
 A proposal contributes two vectors of width D: a semantic embedding,
 gathered from its camera's feature map by a small deformable-attention
 read-out and projected C -> D, and a positional embedding of its lifted 3D
 center.  Their sum is the query embedding q_3d.
+
+Queries are built for a whole window at once, in struct-of-arrays form:
+the P proposals of all frames and cameras become a (P, D) q_3d array, a
+(P, 3) center array and (P,) category and score vectors, which
+:func:`statefuse.motion.pad_frames` scatters into (N, K, ...) slots.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CameraModel, PosEmbedParams, lift_center, pos_embed
+from .geometry import PosEmbedParams, lift_center, pos_embed
 from .numerics import as_float_array, readonly, softmax
 
 DEPTH_BIN_COUNT = 60
@@ -165,40 +170,27 @@ class DeformAttnParams:
         )
 
 
-@dataclass(frozen=True)
-class Query3D:
-    """One object query: semantic + positional embeddings and a 3D center."""
+def _bilinear_taps(pts: np.ndarray, h, w) -> tuple:
+    """Corner rows and columns, each (4, ...), and the (..., 1) fractional
+    offsets of sample points clamped to an h x w grid."""
+    x = np.minimum(np.maximum(pts[..., 0], 0.0), w - 1.0)
+    y = np.minimum(np.maximum(pts[..., 1], 0.0), h - 1.0)
+    # x, y >= 0, so truncation is the floor
+    x0 = np.minimum(x.astype(int), w - 2)
+    y0 = np.minimum(y.astype(int), h - 2)
+    ys = np.stack([y0, y0, y0 + 1, y0 + 1])
+    xs = np.stack([x0, x0 + 1, x0, x0 + 1])
+    return ys, xs, (x - x0)[..., None], (y - y0)[..., None]
 
-    q_sem: np.ndarray
-    q_pos: np.ndarray
-    q_3d: np.ndarray
-    center3d: np.ndarray
-    category: int
-    source_frame: int
-    valid: bool
 
-    def __post_init__(self):
-        q_sem = as_float_array(self.q_sem, "q_sem")
-        if q_sem.ndim != 1 or q_sem.size == 0:
-            raise ValidationError("q_sem must be a non-empty 1-d vector")
-        d = q_sem.size
-        q_pos = as_float_array(self.q_pos, "q_pos", shape=(d,))
-        q_3d = as_float_array(self.q_3d, "q_3d", shape=(d,))
-        center = as_float_array(self.center3d, "center3d", shape=(3,))
-        valid = bool(self.valid)
-        if valid and np.max(np.abs(q_3d - (q_pos + q_sem))) > 1e-12:
-            raise ValidationError("q_3d must equal q_pos + q_sem for a valid query")
-        object.__setattr__(self, "q_sem", readonly(q_sem))
-        object.__setattr__(self, "q_pos", readonly(q_pos))
-        object.__setattr__(self, "q_3d", readonly(q_3d))
-        object.__setattr__(self, "center3d", readonly(center))
-        object.__setattr__(self, "category", int(self.category))
-        object.__setattr__(self, "source_frame", int(self.source_frame))
-        object.__setattr__(self, "valid", valid)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.q_3d.size
+def _blend(corners: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    v00, v01, v10, v11 = corners.astype(np.float64)
+    return (
+        (1.0 - fx) * (1.0 - fy) * v00
+        + fx * (1.0 - fy) * v01
+        + (1.0 - fx) * fy * v10
+        + fx * fy * v11
+    )
 
 
 def bilinear_sample(f: FeatureMap, p) -> np.ndarray:
@@ -211,111 +203,131 @@ def bilinear_sample(f: FeatureMap, p) -> np.ndarray:
     pts = as_float_array(p, "p")
     if pts.shape[-1] != 2:
         raise ValidationError("p must have 2 components on the last axis")
-    h, w = f.height, f.width
-    x = np.clip(pts[..., 0], 0.0, w - 1.0)
-    y = np.clip(pts[..., 1], 0.0, h - 1.0)
-    x0 = np.clip(np.floor(x).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(y).astype(int), 0, h - 2)
-    fx = x - x0
-    fy = y - y0
-    data = f.data
-    v00 = data[y0, x0].astype(np.float64)
-    v01 = data[y0, x0 + 1].astype(np.float64)
-    v10 = data[y0 + 1, x0].astype(np.float64)
-    v11 = data[y0 + 1, x0 + 1].astype(np.float64)
-    fx = fx[..., None]
-    fy = fy[..., None]
-    return (
-        (1.0 - fx) * (1.0 - fy) * v00
-        + fx * (1.0 - fy) * v01
-        + (1.0 - fx) * fy * v10
-        + fx * fy * v11
-    )
+    ys, xs, fx, fy = _bilinear_taps(pts, f.height, f.width)
+    return _blend(f.data[ys, xs], fx, fy)
 
 
-def deformable_attention(
-    q: np.ndarray, c2d, f: FeatureMap, params: DeformAttnParams
-) -> np.ndarray:
-    """Sparse attention read-out around a normalized reference point.
+def deformable_attention(c2d, f, params: DeformAttnParams) -> np.ndarray:
+    """Sparse attention read-out around normalized reference points.
 
     out = sum_m W_m sum_n A[m, n] * W'_m F(pixel(c2d) + offset[m, n]).
     The reference point scales to pixels by (W - 1, H - 1); offsets are in
-    pixels; sample points clamp to the image rectangle.  ``q`` is the
-    query vector the pattern was predicted for; with the fixed patterns
-    used here it does not enter the arithmetic.
+    pixels; sample points clamp to the image rectangle.  ``c2d`` is one
+    (2,) point or a (P, 2) batch on the feature map ``f``, or ``f`` is a
+    sequence of maps and ``c2d`` one (P_j, 2) batch per map, stacked in map
+    order on output.  Only the corner gather runs per map; the rest runs
+    once over all points x heads x keys.
     """
-    if params.channels != f.channels:
-        raise ValidationError(
-            f"params expect {params.channels} channels, feature map has {f.channels}"
-        )
-    c = as_float_array(c2d, "c2d", shape=(2,))
-    base = np.array([c[0] * (f.width - 1.0), c[1] * (f.height - 1.0)])
-    out = np.zeros(f.channels)
-    for m in range(params.n_heads):
-        samples = bilinear_sample(f, base + params.offsets[m])  # (n_keys, C)
-        head = params.weights[m] @ (samples @ params.value_proj[m])  # (C_h,)
-        out += head @ params.out_proj[m]
-    return out
+    single = isinstance(f, FeatureMap)
+    maps, points = ((f,), (c2d,)) if single else (tuple(f), tuple(c2d))
+    points = [as_float_array(pts, "c2d") for pts in points]
+    if not maps or len(maps) != len(points) or any(p.shape[-1] != 2 for p in points):
+        raise ValidationError("need one batch of (x, y) points per feature map")
+    if any(fmap.channels != params.channels for fmap in maps):
+        raise ValidationError(f"params expect {params.channels} channels in every feature map")
+    sizes = [p.size // 2 for p in points]
+    hw = np.repeat([(fmap.height, fmap.width) for fmap in maps], sizes, axis=0)
+    base = np.concatenate([p.reshape(-1, 2) for p in points]) * (hw[:, ::-1] - 1.0)
+    taps = base[:, None, None, :] + params.offsets  # (P, heads, keys, 2)
+    ys, xs, fx, fy = _bilinear_taps(taps, hw[:, 0, None, None], hw[:, 1, None, None])
+    bounds = np.cumsum([0] + sizes)
+    corners = np.concatenate(
+        [fmap.data[ys[:, a:b], xs[:, a:b]] for fmap, a, b in zip(maps, bounds, bounds[1:])],
+        axis=1,
+    )  # (4, P, heads, keys, C)
+    heads = np.einsum("hk,phkc->phc", params.weights, _blend(corners, fx, fy))
+    values = np.einsum("phc,hcd->phd", heads, params.value_proj)
+    out = np.einsum("phd,hdc->pc", values, params.out_proj)
+    return out[0] if single and np.ndim(c2d) == 1 else out
 
 
-def expected_depth(dist, bin_centers) -> float:
-    """Expectation of a categorical depth distribution over bin centers."""
+def expected_depth(dist, bin_centers):
+    """Expectation of categorical depth distributions over bin centers.
+
+    A (B,) distribution gives a float; a (P, B) batch gives (P,) depths.
+    """
     d = as_float_array(dist, "dist")
     centers = as_float_array(bin_centers, "bin_centers")
-    if d.ndim != 1 or d.shape != centers.shape:
-        raise ValidationError("dist and bin_centers must be 1-d vectors of equal length")
-    if np.any(d < 0.0) or abs(d.sum() - 1.0) > 1e-9:
+    if d.ndim not in (1, 2) or centers.ndim != 1 or d.shape[-1] != centers.size:
+        raise ValidationError("dist rows and bin_centers must be vectors of equal length")
+    if np.any(d < 0.0) or np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-9):
         raise ValidationError("dist must be non-negative and sum to 1")
-    return float(d @ centers)
+    return d @ centers
 
 
 def build_query(
-    prop: Proposal2D,
-    f: FeatureMap,
-    cam: CameraModel,
+    proposals,
+    feature_maps,
+    cams,
     attn: DeformAttnParams,
     pe: PosEmbedParams,
     sem_proj: np.ndarray,
     *,
     bins: np.ndarray | None = None,
     depth_mode: str = "expected",
-) -> Query3D:
-    """Assemble one 3D query from a proposal.
+) -> tuple:
+    """Assemble the 3D queries of a window of frames in one batched pass.
 
-    The semantic embedding is the deformable read-out at the proposal
-    center projected C -> D; the depth estimate reduces the proposal's
-    depth distribution (expectation by default, argmax bin center with
-    ``depth_mode="argmax"``); the positional embedding encodes the lifted
-    center.  q_3d = q_pos + q_sem exactly.
+    ``proposals[i][c]`` holds the proposals of camera ``cams[c]`` at frame i
+    and ``feature_maps[i][c]`` its feature map.  Per (frame, camera) the
+    proposals are only packed and their features gathered; the depth
+    estimate (expectation by default, argmax bin center with
+    ``depth_mode="argmax"``), projections, lifting and the positional
+    embedding each run once over all P proposals.  Ids, shapes,
+    distributions and outputs are checked once, for the whole batch.
+
+    Returns ``(q3d, centers, cats, scores, counts)``: (P, D) embeddings
+    q_3d = q_pos + q_sem, (P, 3) lifted ego-frame centers, (P,) categories
+    and scores, all in frame, camera, proposal order, and the (N,)
+    per-frame proposal counts.
     """
-    if prop.camera_id != f.camera_id or prop.camera_id != cam.camera_id:
-        raise ValidationError("proposal, feature map, and camera ids must agree")
-    if prop.frame_index != f.frame_index:
-        raise ValidationError("proposal and feature map frame indices must agree")
     sem_proj = as_float_array(sem_proj, "sem_proj")
-    if sem_proj.shape != (f.channels, pe.embed_dim):
+    if sem_proj.shape != (attn.channels, pe.embed_dim):
         raise ValidationError(
-            f"sem_proj must be ({f.channels}, {pe.embed_dim}), got {sem_proj.shape}"
+            f"sem_proj must be ({attn.channels}, {pe.embed_dim}), got {sem_proj.shape}"
         )
-    centers = default_depth_bins() if bins is None else as_float_array(bins, "bins")
-    if depth_mode == "expected":
-        depth = expected_depth(prop.depth_dist, centers)
-    elif depth_mode == "argmax":
-        if prop.depth_dist.size != centers.size:
-            raise ValidationError("depth_dist length must match the bin layout")
-        depth = float(centers[int(np.argmax(prop.depth_dist))])
-    else:
+    if depth_mode not in ("expected", "argmax"):
         raise ValidationError(f"depth_mode must be 'expected' or 'argmax', got {depth_mode!r}")
-    reference = np.zeros(f.channels)
-    q_sem = deformable_attention(reference, prop.center, f, attn) @ sem_proj
-    center3d = lift_center(cam, prop.center, depth)
-    q_pos = pos_embed(center3d, pe)
-    return Query3D(
-        q_sem=q_sem,
-        q_pos=q_pos,
-        q_3d=q_pos + q_sem,
-        center3d=center3d,
-        category=prop.category,
-        source_frame=prop.frame_index,
-        valid=True,
-    )
+    centers = default_depth_bins() if bins is None else as_float_array(bins, "bins")
+    if len(proposals) != len(feature_maps) or any(
+        len(per_cam) != len(cams) for per_cam in (*proposals, *feature_maps)
+    ):
+        raise ValidationError("per-camera proposals and feature maps must match the camera list")
+    flat, maps, map_cams, sizes, counts = [], [], [], [], []
+    for frame_props, frame_maps in zip(proposals, feature_maps):
+        before = len(flat)
+        for cam_id, (props, fmap) in enumerate(zip(frame_props, frame_maps)):
+            if props:
+                flat.extend(props)
+                maps.append(fmap)
+                map_cams.append(cam_id)
+                sizes.append(len(props))
+        counts.append(len(flat) - before)
+    if not flat:
+        raise ValidationError("the window holds no proposals")
+
+    ids = np.array([(p.camera_id, p.frame_index) for p in flat])
+    map_ids = np.repeat([(f.camera_id, f.frame_index) for f in maps], sizes, axis=0)
+    cam_index = np.repeat(map_cams, sizes)
+    cam_ids = np.array([cam.camera_id for cam in cams])[cam_index]
+    if np.any(ids[:, 0] != map_ids[:, 0]) or np.any(ids[:, 0] != cam_ids):
+        raise ValidationError("proposal, feature map, and camera ids must agree")
+    if np.any(ids[:, 1] != map_ids[:, 1]):
+        raise ValidationError("proposal and feature map frame indices must agree")
+    if any(p.depth_dist.size != centers.size for p in flat):
+        raise ValidationError("depth_dist length must match the bin layout")
+    c2d = np.array([p.center for p in flat])
+    dists = np.array([p.depth_dist for p in flat])
+    cats = np.array([p.category for p in flat])
+    scores = np.array([p.score for p in flat])
+
+    depth = expected_depth(dists, centers)  # checks every distribution
+    if depth_mode == "argmax":
+        depth = centers[np.argmax(dists, axis=1)]
+    points = np.split(c2d, np.cumsum(sizes)[:-1])
+    q_sem = deformable_attention(points, maps, attn) @ sem_proj
+    center3d = lift_center(cams, c2d, depth, cam_index=cam_index)
+    q3d = pos_embed(center3d, pe) + q_sem
+    if not (np.all(np.isfinite(q3d)) and np.all(np.isfinite(center3d))):
+        raise ValidationError("query construction produced NaN or Inf")
+    return q3d, center3d, cats, scores, np.array(counts)

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from statefuse import bench
 from statefuse import (
     BenchConfig,
     BenchRow,
@@ -71,6 +72,22 @@ def test_run_bench_single_mechanism():
     cfg = BenchConfig(n_list=(16, 32), repetitions=3, warmup=0, mechanism="ssm")
     rows = run_bench(cfg)
     assert [r.mechanism for r in rows] == ["ssm", "ssm"]
+
+
+def test_run_bench_restores_blas_threads(monkeypatch):
+    """Timing runs on one BLAS thread and puts the old count back after."""
+    seen = []
+    workload = bench._ssm_workload
+
+    def recording(*args):
+        seen.append(bench.blas_threads())
+        return workload(*args)
+
+    monkeypatch.setattr(bench, "_ssm_workload", recording)
+    before = bench.blas_threads()
+    run_bench(BenchConfig(n_list=(16, 32), repetitions=3, warmup=1, mechanism="ssm"))
+    assert bench.blas_threads() == before
+    assert seen and set(seen) == ({None} if before is None else {1})
 
 
 def test_analytic_bytes_affine_in_n():

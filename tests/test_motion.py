@@ -12,23 +12,24 @@ from statefuse import (
     motion_cost,
     motion_mask,
     pad_frames,
-    padding_query,
 )
 from statefuse import PosEmbedParams, pos_embed
-from statefuse.queries import Query3D
 
 
-def query_at(center, category=0, frame=0, d=6, seed=0):
-    pe = PosEmbedParams.seeded(d, seed=seed)
-    q_pos = pos_embed(np.asarray(center, dtype=float), pe)
-    return Query3D(
-        q_sem=np.zeros(d),
-        q_pos=q_pos,
-        q_3d=q_pos,
-        center3d=np.asarray(center, dtype=float),
-        category=category,
-        source_frame=frame,
-        valid=True,
+def query_at(center, category=0, d=6, seed=0):
+    """One query as (q_3d, center, category); q_3d embeds the center."""
+    center = np.asarray(center, dtype=float)
+    return pos_embed(center, PosEmbedParams.seeded(d, seed=seed)), center, category
+
+
+def pad(frames):
+    """pad_frames over per-frame lists of query_at tuples."""
+    rows = [q for frame in frames for q in frame]
+    return pad_frames(
+        np.array([q3d for q3d, _, _ in rows]),
+        np.array([c for _, c, _ in rows]),
+        np.array([cat for _, _, cat in rows]),
+        [len(frame) for frame in frames],
     )
 
 
@@ -36,11 +37,11 @@ def query_at(center, category=0, frame=0, d=6, seed=0):
 
 def test_pad_counts():
     frames = [
-        [query_at([float(i), 0, 0], frame=0) for i in range(3)],
-        [query_at([float(i), 1, 0], frame=1) for i in range(5)],
-        [query_at([float(i), 2, 0], frame=2) for i in range(2)],
+        [query_at([float(i), 0, 0]) for i in range(3)],
+        [query_at([float(i), 1, 0]) for i in range(5)],
+        [query_at([float(i), 2, 0]) for i in range(2)],
     ]
-    seq = pad_frames(frames)
+    seq = pad(frames)
     assert seq.k_queries == 5
     assert seq.n_frames == 3
     assert seq.current_index == 2
@@ -49,33 +50,41 @@ def test_pad_counts():
 
 
 def test_pad_equal_counts_untouched():
-    frames = [[query_at([1.0, 0, 0])], [query_at([2.0, 0, 0], frame=1)]]
-    seq = pad_frames(frames)
+    frames = [[query_at([1.0, 0, 0])], [query_at([2.0, 0, 0])]]
+    seq = pad(frames)
     assert seq.k_queries == 1
     assert all(seq.validity(i).all() for i in range(2))
 
 
 def test_pad_single_frame():
-    seq = pad_frames([[query_at([float(i), 0, 0]) for i in range(7)]])
+    seq = pad([[query_at([float(i), 0, 0]) for i in range(7)]])
     assert seq.k_queries == 7
     assert seq.n_frames == 1
     assert seq.current_index == 0
 
 
 def test_padding_query_shape():
-    q = padding_query(8, 3)
-    assert not q.valid
-    assert q.category == -1
-    assert q.source_frame == 3
-    assert np.array_equal(q.q_3d, np.zeros(8))
-    assert np.array_equal(q.center3d, np.zeros(3))
+    """The padding slot of frame 3 is zero, invalid and category -1."""
+    frames = [[query_at([1.0, 2.0, 3.0], category=2, d=8)] for _ in range(3)] + [[]]
+    seq = pad(frames)
+    assert seq.n_frames == 4
+    assert not seq.validity(3)[0]
+    assert seq.categories(3)[0] == -1
+    assert np.array_equal(seq.q3d(3)[0], np.zeros(8))
+    assert np.array_equal(seq.centers(3)[0], np.zeros(3))
 
 
 def test_pad_rejects_empty():
     with pytest.raises(ValidationError):
-        pad_frames([])
+        pad_frames(np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), [])
     with pytest.raises(ValidationError):
-        pad_frames([[], []])
+        pad_frames(np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), [0, 0])
+
+
+def test_pad_rejects_row_count_mismatch():
+    q3d, center, cat = query_at([0.0, 0, 0])
+    with pytest.raises(ValidationError):
+        pad_frames(q3d[None], center[None], [cat], [2])
 
 
 # --- cost matrix ---
@@ -201,27 +210,31 @@ def test_mask_monotone_in_alpha():
 
 def test_apply_all_ones_identity():
     frames = [
-        [query_at([1.0, 0, 0], frame=0), query_at([4.0, 0, 0], frame=0)],
-        [query_at([1.5, 0, 0], frame=1), query_at([4.5, 0, 0], frame=1)],
+        [query_at([1.0, 0, 0]), query_at([4.0, 0, 0])],
+        [query_at([1.5, 0, 0]), query_at([4.5, 0, 0])],
     ]
-    seq = pad_frames(frames)
+    seq = pad(frames)
     mask = MotionMask((np.ones(2, dtype=np.int8), np.ones(2, dtype=np.int8)))
     out = apply_motion_mask(seq, mask)
     for i in range(2):
         assert np.array_equal(out.q3d(i), seq.q3d(i))
-        assert all(a is b for a, b in zip(out.frames[i], seq.frames[i]))
+        assert np.array_equal(out.centers(i), seq.centers(i))
+        assert np.array_equal(out.validity(i), seq.validity(i))
+        assert np.array_equal(out.categories(i), seq.categories(i))
 
 
 def test_apply_zeros_blanks_past_only():
     frames = [
-        [query_at([1.0, 0, 0], frame=0)],
-        [query_at([2.0, 0, 0], frame=1)],
+        [query_at([1.0, 0, 0])],
+        [query_at([2.0, 0, 0])],
     ]
-    seq = pad_frames(frames)
+    seq = pad(frames)
     mask = MotionMask((np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int8)))
     out = apply_motion_mask(seq, mask)
     assert np.array_equal(out.q3d(0), np.zeros((1, 6)))
+    assert np.array_equal(out.centers(0), np.zeros((1, 3)))
     assert not out.validity(0)[0]
+    assert out.categories(0)[0] == -1
     # the current frame ignores its mask row
     assert np.array_equal(out.q3d(1), seq.q3d(1))
     assert out.validity(1)[0]
@@ -230,10 +243,10 @@ def test_apply_zeros_blanks_past_only():
 def test_apply_survivor_count_matches_mask():
     rng = np.random.default_rng(151)
     frames = [
-        [query_at([float(j), float(i), 0], frame=i) for j in range(4)]
+        [query_at([float(j), float(i), 0]) for j in range(4)]
         for i in range(3)
     ]
-    seq = pad_frames(frames)
+    seq = pad(frames)
     rows = tuple(rng.integers(0, 2, size=4).astype(np.int8) for _ in range(3))
     mask = MotionMask(rows)
     out = apply_motion_mask(seq, mask)
@@ -243,7 +256,7 @@ def test_apply_survivor_count_matches_mask():
 
 
 def test_apply_shape_mismatch():
-    seq = pad_frames([[query_at([0.0, 0, 0])]])
+    seq = pad([[query_at([0.0, 0, 0])]])
     mask = MotionMask((np.ones(2, dtype=np.int8),))
     with pytest.raises(ValidationError):
         apply_motion_mask(seq, mask)

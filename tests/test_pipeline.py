@@ -1,5 +1,8 @@
 """End-to-end pipeline: op counts, fusion wiring, decode, serialization."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,25 +79,9 @@ def test_op_counts_reject_bad_dims():
 # --- fused layout ---
 
 def test_channel_concat_layout():
-    from statefuse.queries import Query3D
-
-    def q(vals, frame):
-        v = np.asarray(vals, dtype=float)
-        return Query3D(
-            q_sem=np.zeros(3),
-            q_pos=v,
-            q_3d=v,
-            center3d=np.zeros(3),
-            category=0,
-            source_frame=frame,
-            valid=True,
-        )
-
-    frames = [
-        [q([1.0, 2, 3], 0), q([4.0, 5, 6], 0)],
-        [q([7.0, 8, 9], 1), q([10.0, 11, 12], 1)],
-    ]
-    fused = channel_concat(pad_frames(frames))
+    q3d = np.array([[1.0, 2, 3], [4.0, 5, 6], [7.0, 8, 9], [10.0, 11, 12]])
+    seq = pad_frames(q3d, np.zeros((4, 3)), np.zeros(4, dtype=int), [2, 2])
+    fused = channel_concat(seq)
     assert fused.data.shape == (2, 6)
     assert np.array_equal(fused.data[0], [1, 2, 3, 4, 5, 6])
     assert np.array_equal(fused.data[1], [7, 8, 9, 10, 11, 12])
@@ -206,6 +193,36 @@ def test_pipeline_linear_box_mode():
         assert 0.0 <= det.score <= 1.0
 
 
+def test_default_scene_matches_recorded_outputs():
+    """Run report and detections of the default scene (weights seed 0,
+    linear head) against a recording made with the per-proposal query
+    path: flags and categories exactly, floats within 1e-12 relative."""
+    with open(Path(__file__).parent / "data" / "e2e_default_linear.json") as fh:
+        ref = json.load(fh)
+    scene = build_scene(SceneConfig())
+    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+    dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
+    result = run_pipeline_detailed(
+        scene.frames, scene.cameras, PipelineWeights.from_seed(0, dims, "linear")
+    )
+
+    def close(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        return got.shape == want.shape and np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    got_rows = [r.split(",") for r in run_report_csv(result).splitlines()]
+    want_rows = [r.split(",") for r in ref["report_csv"].splitlines()]
+    assert got_rows[0] == want_rows[0] and len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows[1:], want_rows[1:]):
+        assert got[:3] + got[6:7] == want[:3] + want[6:7]  # frame, slot, retained, category
+        assert close([float(v) for v in got[3:6] + got[7:]], [float(v) for v in want[3:6] + want[7:]])
+    assert len(result.detections) == len(ref["detections"])
+    for det, want in zip(result.detections, ref["detections"]):
+        assert det.category == want["category"]
+        for key in ("center3d", "size", "velocity", "yaw", "score"):
+            assert close(getattr(det, key), want[key]), key
+
+
 # --- decoder ---
 
 def test_decoder_zero_value_projection_is_identity():
@@ -229,7 +246,7 @@ def test_decoder_zero_value_projection_is_identity():
     cur = result.padded.current_index
     refined = decode_current_frame(
         result.fused_output,
-        result.padded.frames[cur],
+        result.padded.q3d(cur),
         scene.frames[cur].feature_maps,
         zeroed,
     )

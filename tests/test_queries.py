@@ -1,5 +1,7 @@
 """Feature sampling, deformable read-out, depth reduction, query assembly."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from statefuse import (
     ValidationError,
     bilinear_sample,
     build_query,
+    camera_ring,
     default_depth_bins,
     deformable_attention,
     expected_depth,
+    pad_frames,
     pos_embed,
 )
 
@@ -81,7 +85,7 @@ def test_deform_single_sample_collapse():
         weights=np.ones((1, 1)),
     )
     c2d = np.array([0.4, 0.7])
-    out = deformable_attention(np.zeros(1), c2d, f, params)
+    out = deformable_attention(c2d, f, params)
     want = bilinear_sample(f, [c2d[0] * 3.0, c2d[1] * 3.0])
     assert np.array_equal(out, want)
 
@@ -90,7 +94,7 @@ def test_deform_constant_field():
     data = np.full((5, 6, 3), 2.0)
     f = FeatureMap(data, camera_id=0, frame_index=0)
     params = DeformAttnParams.seeded(3, seed=2, n_heads=2, n_keys=4)
-    out = deformable_attention(np.zeros(3), [0.5, 0.5], f, params)
+    out = deformable_attention([0.5, 0.5], f, params)
     # every sample is the same vector, so the weights collapse to 1
     want = np.zeros(3)
     for m in range(2):
@@ -111,7 +115,7 @@ def test_deform_matches_naive_loops():
             sample = bilinear_sample(f, base + params.offsets[m, n])
             head += params.weights[m, n] * (sample @ params.value_proj[m])
         want += head @ params.out_proj[m]
-    got = deformable_attention(np.zeros(4), c2d, f, params)
+    got = deformable_attention(c2d, f, params)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -119,7 +123,7 @@ def test_deform_channel_mismatch():
     f = grid_map(4, 4, 2)
     params = DeformAttnParams.seeded(3, seed=0)
     with pytest.raises(ValidationError):
-        deformable_attention(np.zeros(3), [0.5, 0.5], f, params)
+        deformable_attention([0.5, 0.5], f, params)
 
 
 def test_deform_params_validate_weights():
@@ -172,6 +176,11 @@ def one_hot(i, n=60):
     return d
 
 
+def build_one(prop, f, cam, attn, pe, sem_proj, **kwargs):
+    """build_query over a window of one frame seen by one camera."""
+    return build_query([[(prop,)]], [[f]], [cam], attn, pe, sem_proj, **kwargs)
+
+
 def test_build_query_zero_sem_proj():
     rng = np.random.default_rng(107)
     f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)), camera_id=0, frame_index=0)
@@ -179,10 +188,10 @@ def test_build_query_zero_sem_proj():
     attn = DeformAttnParams.seeded(4, seed=1)
     pe = PosEmbedParams.seeded(12, seed=2)
     prop = make_proposal([0.5, 0.25], one_hot(9))
-    q = build_query(prop, f, cam, attn, pe, np.zeros((4, 12)))
-    assert np.array_equal(q.q_sem, np.zeros(12))
-    assert np.array_equal(q.q_3d, q.q_pos)
-    assert np.array_equal(q.q_pos, pos_embed(q.center3d, pe))
+    q3d, centers, _, _, _ = build_one(prop, f, cam, attn, pe, np.zeros((4, 12)))
+    q_pos = pos_embed(centers, pe)
+    assert np.array_equal(q3d - q_pos, np.zeros((1, 12)))
+    assert np.array_equal(q3d, q_pos)
 
 
 def test_build_query_center_from_depth():
@@ -194,10 +203,13 @@ def test_build_query_center_from_depth():
     pe = PosEmbedParams.seeded(12, seed=2)
     bins = np.array([5.0, 10.0, 20.0])
     prop = make_proposal([0.5, 0.25], [0.0, 1.0, 0.0])
-    q = build_query(prop, f, cam, attn, pe, np.zeros((4, 12)), bins=bins)
-    assert np.max(np.abs(q.center3d - [5.0, 2.5, 10.0])) <= 1e-12
-    assert q.category == prop.category
-    assert q.valid
+    _, centers, cats, scores, counts = build_one(
+        prop, f, cam, attn, pe, np.zeros((4, 12)), bins=bins
+    )
+    assert np.max(np.abs(centers[0] - [5.0, 2.5, 10.0])) <= 1e-12
+    assert cats[0] == prop.category
+    assert scores[0] == prop.score
+    assert np.array_equal(counts, [1])
 
 
 def test_build_query_deterministic():
@@ -208,11 +220,13 @@ def test_build_query_deterministic():
     pe = PosEmbedParams.seeded(12, seed=2)
     sem = np.random.default_rng(5).uniform(-0.1, 0.1, size=(4, 12))
     prop = make_proposal([0.3, 0.6], one_hot(20))
-    a = build_query(prop, f, cam, attn, pe, sem)
-    b = build_query(prop, f, cam, attn, pe, sem)
-    assert np.array_equal(a.q_3d, b.q_3d)
-    assert np.array_equal(a.center3d, b.center3d)
-    assert np.max(np.abs(a.q_3d - (a.q_pos + a.q_sem))) <= 1e-12
+    a = build_one(prop, f, cam, attn, pe, sem)
+    b = build_one(prop, f, cam, attn, pe, sem)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+    q_pos = pos_embed(a[1], pe)
+    q_sem = deformable_attention(prop.center, f, attn) @ sem
+    assert np.max(np.abs(a[0] - (q_pos + q_sem))) <= 1e-12
 
 
 def test_build_query_argmax_mode():
@@ -223,11 +237,11 @@ def test_build_query_argmax_mode():
     pe = PosEmbedParams.seeded(12, seed=2)
     bins = np.array([5.0, 10.0, 20.0])
     prop = make_proposal([0.5, 0.25], [0.2, 0.7, 0.1])
-    q = build_query(
+    _, centers, _, _, _ = build_one(
         prop, f, cam, attn, pe, np.zeros((4, 12)), bins=bins, depth_mode="argmax"
     )
     # argmax picks depth 10 even though the expectation is 9.5
-    assert np.max(np.abs(q.center3d - [5.0, 2.5, 10.0])) <= 1e-12
+    assert np.max(np.abs(centers[0] - [5.0, 2.5, 10.0])) <= 1e-12
 
 
 def test_build_query_id_mismatch():
@@ -238,7 +252,7 @@ def test_build_query_id_mismatch():
     pe = PosEmbedParams.seeded(12, seed=2)
     prop = make_proposal([0.5, 0.25], one_hot(9), cam=0)
     with pytest.raises(ValidationError):
-        build_query(prop, f, cam, attn, pe, np.zeros((4, 12)))
+        build_one(prop, f, cam, attn, pe, np.zeros((4, 12)))
 
 
 def test_proposal_validates_center_and_dist():
@@ -253,3 +267,137 @@ def test_feature_map_rejects_non_finite():
     data[0, 0, 0] = np.nan
     with pytest.raises(ValidationError):
         FeatureMap(data, camera_id=0, frame_index=0)
+
+
+# --- batched window build against a per-proposal reference ---
+
+def reference_query(prop, f, cam, attn, pe, sem_proj, bins, depth_mode):
+    """One proposal at a time: scalar samples per head and key, scalar lift."""
+    base = np.array([prop.center[0] * (f.width - 1.0), prop.center[1] * (f.height - 1.0)])
+    read = np.zeros(f.channels)
+    for m in range(attn.n_heads):
+        head = np.zeros(attn.value_proj.shape[2])
+        for n in range(attn.n_keys):
+            sample = bilinear_sample(f, base + attn.offsets[m, n])
+            head += attn.weights[m, n] * (sample @ attn.value_proj[m])
+        read += head @ attn.out_proj[m]
+    if depth_mode == "expected":
+        depth = float(prop.depth_dist @ bins)
+    else:
+        depth = float(bins[np.argmax(prop.depth_dist)])
+    ray = np.linalg.solve(cam.intrinsic, np.array([prop.center[0], prop.center[1], 1.0]))
+    p_cam = ray * (depth / ray[2])
+    r, t = cam.extrinsic[:3, :3], cam.extrinsic[:3, 3]
+    center = r.T @ (p_cam - t)
+    return pos_embed(center, pe) + read @ sem_proj, center
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+def window_fixture(counts_per_cam, seed=157):
+    """Frames of proposals over three cameras; camera 2 has K[2, 2] = 2."""
+    rng = np.random.default_rng(seed)
+    ring = camera_ring(3)
+    skewed = np.array([[1.6, 0.1, 1.0], [0.0, 1.6, 1.0], [0.0, 0.0, 2.0]])
+    cams = ring[:2] + (CameraModel(skewed, ring[2].extrinsic, camera_id=2),)
+    proposals, maps = [], []
+    for i, per_cam in enumerate(counts_per_cam):
+        frame_props, frame_maps = [], []
+        for c, n in enumerate(per_cam):
+            frame_maps.append(
+                FeatureMap(rng.uniform(-1, 1, size=(7, 9, 4)), camera_id=c, frame_index=i)
+            )
+            centers = rng.uniform(0.0, 1.0, size=(n, 2))
+            # corner proposals: offsets on both sides push samples off the image
+            centers[: min(n, 2)] = np.array([[0.0, 0.0], [1.0, 1.0]])[: min(n, 2)]
+            frame_props.append(
+                tuple(
+                    Proposal2D(
+                        center=ctr,
+                        box=np.array([0.1, 0.1]),
+                        category=int(rng.integers(0, 4)),
+                        score=float(rng.uniform()),
+                        depth_dist=rng.dirichlet(np.ones(60)),
+                        camera_id=c,
+                        frame_index=i,
+                    )
+                    for ctr in centers
+                )
+            )
+        proposals.append(tuple(frame_props))
+        maps.append(tuple(frame_maps))
+    attn = DeformAttnParams.seeded(4, seed=3, n_heads=2, n_keys=4)
+    assert np.any(attn.offsets < -0.5) and np.any(attn.offsets > 0.5)
+    pe = PosEmbedParams.seeded(12, seed=4)
+    sem = np.random.default_rng(seed + 1).uniform(-0.1, 0.1, size=(4, 12))
+    return proposals, maps, cams, attn, pe, sem
+
+
+@pytest.mark.parametrize("depth_mode", ["expected", "argmax"])
+def test_build_query_matches_per_proposal_reference(depth_mode):
+    # frame 0: camera 1 sees nothing; frame 1: fewer proposals, camera 0 empty
+    counts = [(3, 0, 2), (0, 1, 1)]
+    proposals, maps, cams, attn, pe, sem = window_fixture(counts)
+    bins = default_depth_bins()
+    q3d, centers, cats, scores, n_per_frame = build_query(
+        proposals, maps, cams, attn, pe, sem, depth_mode=depth_mode
+    )
+    assert np.array_equal(n_per_frame, [5, 2])
+    row = 0
+    for i, (frame_props, frame_maps) in enumerate(zip(proposals, maps)):
+        for c, (props, f) in enumerate(zip(frame_props, frame_maps)):
+            for prop in props:
+                want_q, want_c = reference_query(prop, f, cams[c], attn, pe, sem, bins, depth_mode)
+                assert rel_err(q3d[row], want_q) <= 1e-12
+                assert rel_err(centers[row], want_c) <= 1e-12
+                assert cats[row] == prop.category and scores[row] == prop.score
+                row += 1
+    assert row == len(q3d)
+
+    seq = pad_frames(q3d, centers, cats, n_per_frame)
+    assert seq.k_queries == 5
+    assert np.array_equal(seq.valid, [[True] * 5, [True] * 2 + [False] * 3])
+    assert np.array_equal(seq.q3d(1)[2:], np.zeros((3, 12)))
+    assert np.array_equal(seq.centers(1)[2:], np.zeros((3, 3)))
+    assert np.array_equal(seq.categories(1)[2:], [-1, -1, -1])
+    assert np.array_equal(seq.q3d(1)[:2], q3d[5:])
+
+
+def test_deform_window_matches_per_map_calls():
+    proposals, maps, _, attn, _, _ = window_fixture([(2, 3, 1)])
+    points = [np.array([p.center for p in props]) for props in proposals[0]]
+    got = deformable_attention(points, maps[0], attn)
+    want = np.concatenate([deformable_attention(p, f, attn) for p, f in zip(points, maps[0])])
+    assert got.shape == (6, 4)
+    assert rel_err(got, want) <= 1e-14
+
+
+def test_build_query_validation_cases():
+    proposals, maps, cams, attn, pe, sem = window_fixture([(1, 1, 0)])
+    build_query(proposals, maps, cams, attn, pe, sem)  # the untouched window builds
+    swapped = [(maps[0][1], maps[0][0], maps[0][2])]
+    with pytest.raises(ValidationError, match="ids must agree"):
+        build_query(proposals, swapped, cams, attn, pe, sem)
+    wrong_frame = [tuple(FeatureMap(f.data, f.camera_id, 5) for f in maps[0])]
+    with pytest.raises(ValidationError, match="frame indices"):
+        build_query(proposals, wrong_frame, cams, attn, pe, sem)
+    with pytest.raises(ValidationError, match="sem_proj"):
+        build_query(proposals, maps, cams, attn, pe, sem[:, :6])
+    with pytest.raises(ValidationError, match="depth_mode"):
+        build_query(proposals, maps, cams, attn, pe, sem, depth_mode="median")
+    with pytest.raises(ValidationError, match="camera list"):
+        build_query(proposals, maps, cams[:2], attn, pe, sem)
+    prop = proposals[0][0][0]
+    for bad in (np.full(60, 1 / 30), np.r_[-0.5, 1.5, np.zeros(58)]):
+        # stands in for a proposal that skipped Proposal2D's own checks
+        fake = types.SimpleNamespace(**{**vars(prop), "depth_dist": bad})
+        window = [((fake,),) + proposals[0][1:]]
+        for mode in ("expected", "argmax"):
+            with pytest.raises(ValidationError, match="sum to 1"):
+                build_query(window, maps, cams, attn, pe, sem, depth_mode=mode)
+    huge = PosEmbedParams(12, 10000.0, np.full((12, 12), 1e308), np.zeros(12), pe.w2, pe.b2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            build_query(proposals, maps, cams, attn, huge, sem)
