@@ -21,8 +21,8 @@ def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
-    """Return an owned, write-protected copy of ``arr``."""
-    out = np.array(arr, copy=True)
+    """Return an owned, write-protected, C-contiguous copy of ``arr``."""
+    out = np.array(arr, copy=True, order="C")
     out.setflags(write=False)
     return out
 

@@ -20,6 +20,8 @@ temporal fusion mechanisms:
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,20 @@ def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
     return 3 * n * (2 * d) * m + n * (2 * k * d) * m
 
 
+_INT_DIMS = (
+    "k_queries",
+    "embed_dim",
+    "feature_channels",
+    "state_dim",
+    "n_layers",
+    "n_heads",
+    "n_keys",
+    "dw_ksize",
+    "decoder_keys",
+)
+_FLOAT_DIMS = ("epsilon", "temperature", "delta")
+
+
 @dataclass(frozen=True)
 class PipelineDims:
     """Shape and hyper constants that, with a seed, fix every weight."""
@@ -94,37 +110,28 @@ class PipelineDims:
     delta: float = 0.1
 
     def __post_init__(self):
-        ints = (
-            self.k_queries,
-            self.embed_dim,
-            self.feature_channels,
-            self.state_dim,
-            self.n_layers,
-            self.n_heads,
-            self.n_keys,
-            self.dw_ksize,
-            self.decoder_keys,
-        )
-        if any(int(v) < 1 for v in ints):
+        for name in _INT_DIMS:
+            raw = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(raw))
+            except TypeError:
+                raise ValidationError(
+                    f"pipeline dimension {name} must be an integer, got {raw!r}"
+                ) from None
+        if any(getattr(self, name) < 1 for name in _INT_DIMS):
             raise ValidationError("all pipeline dimensions must be >= 1")
-        for name in (
-            "k_queries",
-            "embed_dim",
-            "feature_channels",
-            "state_dim",
-            "n_layers",
-            "n_heads",
-            "n_keys",
-            "dw_ksize",
-            "decoder_keys",
-        ):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.embed_dim % 2 != 0:
             raise ValidationError("embed_dim must be even")
-        for name in ("epsilon", "temperature", "delta"):
-            v = float(getattr(self, name))
+        for name in _FLOAT_DIMS:
+            raw = getattr(self, name)
+            try:
+                v = float(raw)
+            except (TypeError, ValueError):
+                v = float("nan")
             if not np.isfinite(v) or v <= 0.0:
-                raise ValidationError(f"{name} must be positive")
+                raise ValidationError(
+                    f"{name} must be a positive finite number, got {raw!r}"
+                )
             object.__setattr__(self, name, v)
 
     @property
@@ -136,9 +143,13 @@ class PipelineDims:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineDims":
+        if not isinstance(raw, dict):
+            raise ValidationError("pipeline dims must be a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValidationError(f"unknown pipeline dims keys: {sorted(unknown)}")
+        if "k_queries" not in raw:
+            raise ValidationError("pipeline dims lack k_queries")
         return cls(**raw)
 
 
@@ -510,6 +521,25 @@ def _weight_arrays(w: PipelineWeights):
         yield w.box_b
 
 
+def _weight_shapes(dims: PipelineDims, box_mode: str) -> tuple:
+    """Blob layout of :func:`_weight_arrays`, derived from dims alone.
+
+    Returns (shapes before the layers, shapes of one layer, shapes after);
+    the layer part repeats ``dims.n_layers`` times.
+    """
+    c, d, e, m = dims.feature_channels, dims.embed_dim, dims.n_channels, dims.state_dim
+    heads, keys = dims.n_heads, dims.n_keys
+    c_h = DeformAttnParams.head_width(c, heads)
+    head = [(heads, c, c_h), (heads, c_h, c), (heads, keys, 2), (heads, keys)]
+    head += [(d, d), (d,), (d, d), (d,), (c, d)]
+    layer = [(e,)] * 4 + [(e, dims.dw_ksize)] + [(e, m)] * 3 + [(e,)]
+    layer += [(e, e)] * 4 + [(e,)]
+    tail = [(d, d), (c, d), (c, d), (d, d)]
+    if box_mode == "linear":
+        tail += [(d, _BOX_FIELDS), (_BOX_FIELDS,)]
+    return head, layer, tail
+
+
 def _assemble_weights(seed: int, dims: PipelineDims, box_mode: str, arrays) -> PipelineWeights:
     it = iter(arrays)
 
@@ -566,7 +596,12 @@ def weights_to_bytes(w: PipelineWeights) -> bytes:
     return json.dumps(header).encode("utf-8") + b"\n" + blob
 
 
+def _n_values(shapes) -> int:
+    return sum(math.prod(shape) for shape in shapes)
+
+
 def weights_from_bytes(raw: bytes) -> PipelineWeights:
+    """Parse a weights file; the blob size is checked before any array is built."""
     newline = raw.find(b"\n")
     if newline < 0:
         raise ValidationError("weights data has no header line")
@@ -574,23 +609,34 @@ def weights_from_bytes(raw: bytes) -> PipelineWeights:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"weights header is not valid JSON ({exc})") from exc
-    if header.get("format") != WEIGHTS_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != WEIGHTS_FORMAT:
         raise ValidationError(f"not a weights file (expected format {WEIGHTS_FORMAT!r})")
-    dims = PipelineDims.from_dict(header["dims"])
-    box_mode = header["box_mode"]
-    seed = int(header["seed"])
-    flat = np.frombuffer(raw[newline + 1 :], dtype="<f8")
-    skeleton = PipelineWeights.from_seed(seed, dims, box_mode)
-    shapes = [a.shape for a in _weight_arrays(skeleton)]
-    total = sum(int(np.prod(s)) for s in shapes)
-    if flat.size != total:
+    missing = [key for key in ("seed", "box_mode", "dims") if key not in header]
+    if missing:
+        raise ValidationError(f"weights header lacks {', '.join(missing)}")
+    seed = header["seed"]
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ValidationError(
-            f"weights blob holds {flat.size} values, dims require {total}"
+            f"weights header seed must be an unsigned 64-bit integer, got {seed!r}"
         )
+    box_mode = header["box_mode"]
+    if box_mode not in BOX_MODES:
+        raise ValidationError(
+            f"weights header box_mode must be one of {BOX_MODES}, got {box_mode!r}"
+        )
+    dims = PipelineDims.from_dict(header["dims"])
+    head, layer, tail = _weight_shapes(dims, box_mode)
+    total = _n_values(head) + dims.n_layers * _n_values(layer) + _n_values(tail)
+    blob_bytes = len(raw) - (newline + 1)
+    if blob_bytes != 8 * total:
+        raise ValidationError(
+            f"weights blob holds {blob_bytes} bytes, dims require {8 * total}"
+        )
+    flat = np.frombuffer(raw, dtype="<f8", offset=newline + 1)
     arrays = []
     offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
+    for shape in head + layer * dims.n_layers + tail:
+        size = math.prod(shape)
         arrays.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return _assemble_weights(seed, dims, box_mode, arrays)

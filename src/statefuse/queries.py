@@ -150,6 +150,11 @@ class DeformAttnParams:
     def channels(self) -> int:
         return self.value_proj.shape[1]
 
+    @staticmethod
+    def head_width(channels: int, n_heads: int) -> int:
+        """Per-head value width C_h of seeded params."""
+        return max(1, int(channels) // int(n_heads))
+
     @classmethod
     def seeded(
         cls, channels: int, seed, *, n_heads: int = 2, n_keys: int = 4
@@ -160,7 +165,7 @@ class DeformAttnParams:
         keys = int(n_keys)
         if c < 1 or heads < 1 or keys < 1:
             raise ValidationError("channels, n_heads, n_keys must all be >= 1")
-        c_h = max(1, c // heads)
+        c_h = cls.head_width(c, heads)
         rng = np.random.default_rng(seed)
         return cls(
             value_proj=rng.uniform(-0.1, 0.1, size=(heads, c, c_h)),

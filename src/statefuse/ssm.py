@@ -146,19 +146,16 @@ def discretize_zoh(sys: ContinuousSsm, delta: float) -> DiscreteSsm:
 def scan_recurrent(sys: DiscreteSsm, x: np.ndarray) -> np.ndarray:
     """Run the step recurrence over a scalar input sequence.
 
-    The hidden state starts at zero, so y[k] depends on x[0..k] only.
+    The hidden state starts at zero, so y[k] depends on x[0..k] only.  The
+    channel runs as a width-1 bank through :func:`scan_bank`.
     """
     x = as_float_array(x, "x")
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("x must be a non-empty 1-d sequence")
-    h = np.zeros(sys.state_dim)
-    y = np.empty(x.size)
-    a, b, c, d = sys.a_bar, sys.b_bar, sys.c_bar, sys.d_bar
-    for k in range(x.size):
-        h = a * h + b * x[k]
-        # (c * h).sum() keeps the reduction order identical to scan_bank
-        y[k] = (c * h).sum() + d * x[k]
-    return y
+    bank = DiscreteSsmBank(
+        sys.a_bar[None], sys.b_bar[None], sys.c_bar[None], [sys.d_bar]
+    )
+    return scan_bank(bank, x[:, None])[:, 0]
 
 
 def materialize_kernel(sys: DiscreteSsm, length: int) -> SsmKernel:
@@ -256,6 +253,11 @@ class DiscreteSsmBank:
         )
 
 
+# Seeded channels draw c uniformly from _C_RANGE, then d from _D_RANGE.
+_C_RANGE = (-0.5, 0.5)
+_D_RANGE = (-0.1, 0.1)
+
+
 def seeded_continuous(state_dim: int, seed, d_feed: float | None = None) -> ContinuousSsm:
     """Deterministic stable init: a_diag[i] = -(i + 1), b all ones, c seeded."""
     state_dim = int(state_dim)
@@ -264,28 +266,45 @@ def seeded_continuous(state_dim: int, seed, d_feed: float | None = None) -> Cont
     rng = np.random.default_rng(seed)
     a = -np.arange(1.0, state_dim + 1.0)
     b = np.ones(state_dim)
-    c = rng.uniform(-0.5, 0.5, size=state_dim)
-    d = float(rng.uniform(-0.1, 0.1)) if d_feed is None else float(d_feed)
+    c = rng.uniform(*_C_RANGE, size=state_dim)
+    d = float(rng.uniform(*_D_RANGE)) if d_feed is None else float(d_feed)
     return ContinuousSsm(a, b, c, d)
 
 
 def seeded_bank(
     n_channels: int, state_dim: int, seed: int, delta: float = 0.1
 ) -> DiscreteSsmBank:
-    """Bank of ``n_channels`` seeded stable systems discretized at ``delta``."""
-    if int(n_channels) < 1:
+    """Bank of ``n_channels`` seeded stable systems discretized at ``delta``.
+
+    Channel e equals ``discretize_zoh(seeded_continuous(state_dim,
+    [seed, 0x5B, e]), delta)``.  Every channel shares a and b, so that pair
+    is discretized once; c and d come from each channel's own stream.
+    """
+    e_count, m, seed = int(n_channels), int(state_dim), int(seed)
+    if e_count < 1:
         raise ValidationError("n_channels must be >= 1")
-    systems = [
-        discretize_zoh(seeded_continuous(state_dim, [int(seed), 0x5B, e]), delta)
-        for e in range(int(n_channels))
-    ]
-    return DiscreteSsmBank.from_channels(systems)
+    if m < 1:
+        raise ValidationError("state_dim must be >= 1")
+    shared = discretize_zoh(
+        ContinuousSsm(-np.arange(1.0, m + 1.0), np.ones(m), np.zeros(m), 0.0), delta
+    )
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), so one
+    # random(m + 1) call per stream yields the m values of c, then d.
+    u = np.empty((e_count, m + 1))
+    for e in range(e_count):
+        u[e] = np.random.default_rng([seed, 0x5B, e]).random(m + 1)
+    (c_lo, c_hi), (d_lo, d_hi) = _C_RANGE, _D_RANGE
+    c = c_lo + (c_hi - c_lo) * u[:, :m]
+    d = d_lo + (d_hi - d_lo) * u[:, m]
+    return DiscreteSsmBank(
+        np.tile(shared.a_bar, (e_count, 1)), np.tile(shared.b_bar, (e_count, 1)), c, d
+    )
 
 
 def scan_bank(bank: DiscreteSsmBank, x: np.ndarray) -> np.ndarray:
     """Channel-parallel recurrence: column e of ``x`` runs through channel e.
 
-    Matches per-channel :func:`scan_recurrent` output exactly.
+    h[k] = a_bar * h[k-1] + b_bar * x[k];  y[k] = c_bar . h[k] + d_bar * x[k].
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] == 0:

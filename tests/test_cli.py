@@ -1,6 +1,7 @@
 """Command line verbs, exit codes, and byte-for-byte repeatability."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,59 @@ def test_run_with_weights_file(tmp_path):
         ["run", "--scene", str(scene_path), "--weights", "seed:11", "--out", str(seeded_out)]
     ) == 0
     assert out.read_bytes() == seeded_out.read_bytes()
+
+
+def write_weights(tmp_path, edit, blob=None):
+    """Seeded weights for k_queries=2 with an edited header (and blob)."""
+    from statefuse import PipelineDims, PipelineWeights
+    from statefuse.pipeline import weights_to_bytes
+
+    raw = weights_to_bytes(PipelineWeights.from_seed(11, PipelineDims(k_queries=2)))
+    header, seeded_blob = raw.split(b"\n", 1)
+    doc = json.loads(header)
+    edit(doc)
+    path = tmp_path / "bad.sfw"
+    blob = seeded_blob if blob is None else blob
+    path.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+    return str(path)
+
+
+def run_weights(tmp_path, capsys, weights_path):
+    scene = simulate(tmp_path)
+    capsys.readouterr()
+    code = cli_main(
+        ["run", "--scene", str(scene), "--weights", weights_path, "--out", str(tmp_path / "o.csv")]
+    )
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dims", "box_mode", "seed"])
+def test_run_weights_header_missing_key(tmp_path, capsys, key):
+    code, err = run_weights(tmp_path, capsys, write_weights(tmp_path, lambda h: h.pop(key)))
+    assert code == 3
+    assert err.startswith("error: ") and key in err
+    assert len(err.splitlines()) == 1
+
+
+def test_run_weights_non_integer_dimension(tmp_path, capsys):
+    path = write_weights(tmp_path, lambda h: h["dims"].update(k_queries="two"))
+    code, err = run_weights(tmp_path, capsys, path)
+    assert code == 3
+    assert "k_queries" in err and len(err.splitlines()) == 1
+
+
+def test_run_weights_oversized_dims_refused_before_allocation(tmp_path, capsys):
+    """A huge k_queries with a small blob is refused on the size check alone."""
+    path = write_weights(tmp_path, lambda h: h["dims"].update(k_queries=1000000), b"\0" * 64)
+    tracemalloc.start()
+    try:
+        code, err = run_weights(tmp_path, capsys, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "dims require" in err and len(err.splitlines()) == 1
+    assert peak < 16 * 2**20
 
 
 def test_run_missing_scene(tmp_path):

@@ -1,5 +1,7 @@
 """End-to-end pipeline: op counts, fusion wiring, decode, serialization."""
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,7 +27,12 @@ from statefuse import (
     run_report_csv,
     save_weights,
 )
-from statefuse.pipeline import weights_from_bytes, weights_to_bytes
+from statefuse.pipeline import (
+    _weight_arrays,
+    _weight_shapes,
+    weights_from_bytes,
+    weights_to_bytes,
+)
 
 SCENE = SceneConfig(
     n_frames=4, n_objects=4, n_cameras=3, image_size=(16, 24), depth_mode="exact"
@@ -321,6 +328,96 @@ def test_weights_blob_is_authoritative():
     edited = weights_from_bytes(header + b"\n" + arr.tobytes())
     first = edited.attn.value_proj.reshape(-1)[0]
     assert first == w.attn.value_proj.reshape(-1)[0] + 1.0
+
+
+@pytest.mark.parametrize(
+    "seed, k, box_mode, digest",
+    [
+        (11, 28, "linear", "e6af7fe86605ed70c7d21a92e58dc3ea0258da015afa67ad6f60594ff2f6844b"),
+        (0, 3, "bypass", "6d70d5c440fcff46b5fc52813f928921907ecfae341d36460521944cf4fa9c25"),
+    ],
+)
+def test_weights_bytes_digest_pinned(seed, k, box_mode, digest):
+    """Seeded weights stay byte-identical to the recorded files."""
+    raw = weights_to_bytes(PipelineWeights.from_seed(seed, PipelineDims(k_queries=k), box_mode))
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("box_mode", ["bypass", "linear"])
+def test_weight_shape_table_matches_seeded_arrays(box_mode):
+    grid = (
+        dict(k_queries=1),
+        dict(k_queries=3, embed_dim=4, feature_channels=3, state_dim=5, n_layers=2,
+             n_heads=4, n_keys=1, dw_ksize=1),
+        dict(k_queries=2, feature_channels=7, n_heads=3, n_keys=5, dw_ksize=4, n_layers=1),
+        dict(k_queries=2, embed_dim=2, feature_channels=1, state_dim=1, n_layers=3),
+    )
+    for kwargs in grid:
+        dims = PipelineDims(**kwargs)
+        head, layer, tail = _weight_shapes(dims, box_mode)
+        w = PipelineWeights.from_seed(3, dims, box_mode)
+        assert head + layer * dims.n_layers + tail == [a.shape for a in _weight_arrays(w)]
+
+
+def _reachable_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _reachable_arrays(getattr(obj, field.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _reachable_arrays(item)
+
+
+@pytest.mark.parametrize("box_mode", ["bypass", "linear"])
+def test_weights_arrays_c_contiguous(tmp_path, box_mode):
+    w = PipelineWeights.from_seed(4, PipelineDims(k_queries=3, n_layers=2), box_mode)
+    path = tmp_path / "weights.sfw"
+    save_weights(w, str(path))
+    for source in (w, load_weights(str(path))):
+        arrays = list(_reachable_arrays(source))
+        assert len(arrays) == len(list(_weight_arrays(w)))
+        assert all(a.flags.c_contiguous for a in arrays)
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    header, blob = raw.split(b"\n", 1)
+    doc = json.loads(header)
+    edit(doc)
+    return json.dumps(doc).encode("utf-8") + b"\n" + blob
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.pop("dims"),
+        lambda h: h.pop("box_mode"),
+        lambda h: h.pop("seed"),
+        lambda h: h.update(seed=-1),
+        lambda h: h.update(seed="7"),
+        lambda h: h.update(box_mode="cubic"),
+        lambda h: h.update(dims=[2]),
+        lambda h: h["dims"].pop("k_queries"),
+        lambda h: h["dims"].update(k_queries="two"),
+        lambda h: h["dims"].update(k_queries=2.5),
+        lambda h: h["dims"].update(delta="fast"),
+        lambda h: h["dims"].update(k_queries=10**6),
+        lambda h: h["dims"].update(n_layers=10**12),
+    ],
+)
+def test_weights_rejects_malformed_header(edit):
+    raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
+    with pytest.raises(ValidationError):
+        weights_from_bytes(_edit_header(raw, edit))
+
+
+def test_weights_rejects_ragged_blob():
+    raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
+    with pytest.raises(ValidationError):
+        weights_from_bytes(raw[:-3])
+    with pytest.raises(ValidationError):
+        weights_from_bytes(raw + b"\0")
 
 
 def test_weights_rejects_bad_header():

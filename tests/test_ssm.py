@@ -234,6 +234,40 @@ def test_bank_from_channels_round_trip():
         assert ch.d_bar == sys.d_bar
 
 
+def test_seeded_bank_matches_per_channel_reference():
+    """The one-pass bank equals a bank of separately seeded channels, bit for bit."""
+    for n_channels, state_dim, seed, delta in (
+        (1, 16, 0, 0.1),
+        (5, 7, 3, 0.25),
+        (12, 3, 2**63 - 1, 0.01),
+        (3, 20, 123456789, 1.7),
+    ):
+        got = seeded_bank(n_channels, state_dim, seed, delta)
+        want = DiscreteSsmBank.from_channels(
+            discretize_zoh(seeded_continuous(state_dim, [seed, 0x5B, e]), delta)
+            for e in range(n_channels)
+        )
+        for name in ("a_bar", "b_bar", "c_bar", "d_bar"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).flags.c_contiguous
+
+
+def test_bank_arrays_c_contiguous_from_broadcast_input():
+    row = np.array([0.5, 0.25, 0.125])
+    wide = np.broadcast_to(row, (4, 3))
+    bank = DiscreteSsmBank(wide, wide, np.asfortranarray(np.ones((4, 3))), np.zeros(4))
+    for arr in (bank.a_bar, bank.b_bar, bank.c_bar, bank.d_bar):
+        assert arr.flags.c_contiguous and arr.flags.owndata
+        assert not arr.flags.writeable
+
+
+def test_seeded_bank_rejects_empty_dims():
+    with pytest.raises(ValidationError):
+        seeded_bank(0, 4, seed=1)
+    with pytest.raises(ValidationError):
+        seeded_bank(4, 0, seed=1)
+
+
 def test_seeded_constructors_deterministic():
     a = seeded_continuous(16, 5)
     b = seeded_continuous(16, 5)
