@@ -1,7 +1,8 @@
-"""Two routes to the same sequence: recurrent scan vs kernel convolution.
+"""Two routes to the same sequence: scan vs kernel convolution.
 
-A stable diagonal state-space system can be run step by step (the scan) or
-materialized into an impulse-response kernel and convolved with the input.
+A stable diagonal state-space system can be scanned through its step
+recurrence (the library scan works in chunks of rows) or materialized into
+an impulse-response kernel and convolved with the input.
 Both views are exact up to rounding, and the convolution also has an FFT
 fast path. This script builds one system and walks the three routes.
 """

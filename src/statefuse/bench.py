@@ -1,13 +1,20 @@
 """Wall-time and memory scaling benchmarks for the two fusion mechanisms.
 
-Both workloads are dedicated benchmark kernels that mirror the arithmetic
-shape of the real paths: the state-space kernel is the per-step gated
-recurrence (linear in sequence length), the cross-attention kernel is a
-full attention pass with an N x N score matrix (quadratic).  Timing uses
-the median of repeated ``perf_counter_ns`` runs after warmup; a row is
-flagged unreliable when the median is under 100 timer ticks.  Timing pins
-numpy's bundled OpenBLAS to one thread: on a few cores, small threaded
-matmuls run 10-40x slower at random and bend the fitted slopes.
+The state-space rows time the library's chunked scan, ``ssm.scan_bank``,
+on a bank built before timing (linear in sequence length).  The
+cross-attention rows time a dedicated kernel: a full attention pass with an
+N x N score matrix (quadratic).  With ``dtype: float32`` only the scan's
+input is float32: the bank stores float64 and the scan computes in float64.
+
+Every grid point is warmed up first; then each round times one call per
+point, so a slow period of the machine is spread over every N rather than
+bending one of them.  A round runs from the largest N down: right after a
+2048-row attention pass, a sub-millisecond scan call ran 3x slower, so no
+point follows a much larger one.  A row reports the median of its rounds,
+measured with ``perf_counter_ns``, and is flagged unreliable when that
+median is under 100 timer ticks.  Timing pins numpy's bundled OpenBLAS to
+one thread: on a few cores, small threaded matmuls run 10-40x slower at
+random and bend the fitted slopes.
 
 Peak bytes default to an analytic allocation model of each kernel's
 dominant arrays (the state-space model is exactly affine in N).  Pass
@@ -30,6 +37,7 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import softmax
 from .pipeline import op_count_cross_attention, op_count_ssm
+from .ssm import DiscreteSsmBank, scan_bank
 
 MECHANISMS = ("ssm", "cross_attention")
 DTYPES = ("float64", "float32")
@@ -169,16 +177,6 @@ def _ssm_inputs(n: int, e: int, m: int, seed, dtype):
     return x, a, b, c, d
 
 
-def _ssm_workload(x, a, b, c, d):
-    n, e = x.shape
-    h = np.zeros_like(a)
-    out = np.empty((n, e), dtype=x.dtype)
-    for t in range(n):
-        h = a * h + b * x[t, :, None]
-        out[t] = (c * h).sum(axis=1) + d * x[t]
-    return out
-
-
 def _cross_inputs(n: int, e: int, seed, dtype):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, e)).astype(dtype)
@@ -229,21 +227,27 @@ def blas_threads() -> int | None:
     return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
-def _measure(fn, cfg: BenchConfig):
+def _measure(fns, cfg: BenchConfig) -> list:
+    """Median wall time and timer verdict per call, timed in interleaved rounds."""
     lib = _openblas()
     if lib is not None:
         before = lib.scipy_openblas_get_num_threads64_()
         lib.scipy_openblas_set_num_threads64_(1)
     try:
         for _ in range(cfg.warmup):
-            fn()
-        samples = [_time_once(fn) for _ in range(cfg.repetitions)]
+            for fn in fns:
+                fn()
+        samples = [[] for _ in fns]
+        for _ in range(cfg.repetitions):
+            for fn, times in zip(fns, samples):
+                times.append(_time_once(fn))
     finally:
         if lib is not None:
             lib.scipy_openblas_set_num_threads64_(before)
+    tick = _timer_tick_nanos()
     # a sub-tick zero median is clamped; timer_ok already flags it unreliable
-    wall = max(int(statistics.median(samples)), 1)
-    return wall, wall >= TIMER_MIN_TICKS * _timer_tick_nanos()
+    walls = [max(int(statistics.median(times)), 1) for times in samples]
+    return [(wall, wall >= TIMER_MIN_TICKS * tick) for wall in walls]
 
 
 def _tracemalloc_peak(fn) -> int:
@@ -261,13 +265,13 @@ def run_bench(cfg: BenchConfig | None = None) -> list:
     cfg = BenchConfig() if cfg is None else cfg
     dtype = np.dtype(cfg.dtype)
     e = cfg.k * cfg.d
-    rows = []
+    points = []
     for mech_idx, mech in enumerate(cfg.mechanisms):
-        for n in cfg.n_list:
+        for n in reversed(cfg.n_list):  # rounds run largest N first
             seed = [cfg.seed, mech_idx, n]
             if mech == "ssm":
-                args = _ssm_inputs(n, e, cfg.state_dim, seed, dtype)
-                fn = lambda a=args: _ssm_workload(*a)
+                x, *abcd = _ssm_inputs(n, e, cfg.state_dim, seed, dtype)
+                fn = lambda bank=DiscreteSsmBank(*abcd), x=x: scan_bank(bank, x)
                 analytic = ssm_peak_bytes(n, e, cfg.state_dim, dtype.itemsize)
                 ops = op_count_ssm(n, cfg.k, cfg.d, cfg.state_dim)
             else:
@@ -275,25 +279,28 @@ def run_bench(cfg: BenchConfig | None = None) -> list:
                 fn = lambda a=args: _cross_workload(*a)
                 analytic = cross_peak_bytes(n, e, dtype.itemsize)
                 ops = op_count_cross_attention(n, cfg.k, cfg.d)
-            wall, timer_ok = _measure(fn, cfg)
-            if cfg.measure_memory:
-                peak, source = _tracemalloc_peak(fn), "tracemalloc"
-            else:
-                peak, source = analytic, "analytic"
-            rows.append(
-                BenchRow(
-                    mechanism=mech,
-                    n=n,
-                    k=cfg.k,
-                    d=cfg.d,
-                    m=cfg.state_dim,
-                    wall_nanos=wall,
-                    peak_bytes=peak,
-                    peak_bytes_source=source,
-                    op_count=ops,
-                    timer_ok=timer_ok,
-                )
+            points.append((mech, n, fn, analytic, ops))
+    timings = _measure([fn for _, _, fn, _, _ in points], cfg)
+    rows = []
+    for (mech, n, fn, analytic, ops), (wall, timer_ok) in zip(points, timings):
+        if cfg.measure_memory:
+            peak, source = _tracemalloc_peak(fn), "tracemalloc"
+        else:
+            peak, source = analytic, "analytic"
+        rows.append(
+            BenchRow(
+                mechanism=mech,
+                n=n,
+                k=cfg.k,
+                d=cfg.d,
+                m=cfg.state_dim,
+                wall_nanos=wall,
+                peak_bytes=peak,
+                peak_bytes_source=source,
+                op_count=ops,
+                timer_ok=timer_ok,
             )
+        )
     rows.sort(key=lambda r: (r.mechanism, r.n))
     return rows
 

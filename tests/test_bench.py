@@ -77,17 +77,61 @@ def test_run_bench_single_mechanism():
 def test_run_bench_restores_blas_threads(monkeypatch):
     """Timing runs on one BLAS thread and puts the old count back after."""
     seen = []
-    workload = bench._ssm_workload
+    scan = bench.scan_bank
 
     def recording(*args):
         seen.append(bench.blas_threads())
-        return workload(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(bench, "_ssm_workload", recording)
+    monkeypatch.setattr(bench, "scan_bank", recording)
     before = bench.blas_threads()
     run_bench(BenchConfig(n_list=(16, 32), repetitions=3, warmup=1, mechanism="ssm"))
     assert bench.blas_threads() == before
     assert seen and set(seen) == ({None} if before is None else {1})
+
+
+def test_run_bench_interleaves_grid_points(monkeypatch):
+    """Every point is warmed up, then each round times every point once, largest first."""
+    calls = []
+    scan, cross = bench.scan_bank, bench._cross_workload
+
+    def scan_recording(bank, x):
+        calls.append(("ssm", x.shape[0]))
+        return scan(bank, x)
+
+    def cross_recording(x, *weights):
+        calls.append(("cross_attention", x.shape[0]))
+        return cross(x, *weights)
+
+    monkeypatch.setattr(bench, "scan_bank", scan_recording)
+    monkeypatch.setattr(bench, "_cross_workload", cross_recording)
+    run_bench(BenchConfig(n_list=(8, 16, 32), repetitions=4, warmup=2))
+    grid = [(mech, n) for mech in ("ssm", "cross_attention") for n in (32, 16, 8)]
+    assert calls == grid * (2 + 4)
+
+
+def test_ssm_rows_time_the_library_scan(monkeypatch):
+    """The ssm rows call scan_bank on a float64 bank built from the bench inputs."""
+    seen = []
+    scan = bench.scan_bank
+
+    def recording(bank, x):
+        seen.append((bank, x))
+        return scan(bank, x)
+
+    monkeypatch.setattr(bench, "scan_bank", recording)
+    cfg = BenchConfig(n_list=(8, 16, 32), repetitions=3, warmup=0, mechanism="ssm",
+                      dtype="float32")
+    run_bench(cfg)
+    e = cfg.k * cfg.d
+    for bank, x in seen[:3]:  # one round: N = 32, 16, 8
+        n = x.shape[0]
+        want_x, *want_abcd = bench._ssm_inputs(n, e, cfg.state_dim, [cfg.seed, 0, n],
+                                               np.float32)
+        assert x.dtype == np.float32 and np.array_equal(x, want_x)
+        for name, want in zip(("a_bar", "b_bar", "c_bar", "d_bar"), want_abcd):
+            got = getattr(bank, name)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_analytic_bytes_affine_in_n():

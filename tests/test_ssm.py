@@ -21,6 +21,26 @@ from statefuse import (
 )
 
 
+def step_scan(bank, x):
+    """Oracle: the step recurrence h[k] = a h[k-1] + b x[k], one row at a time."""
+    h = np.zeros(bank.a_bar.shape)
+    out = np.empty(x.shape)
+    for k in range(x.shape[0]):
+        h = bank.a_bar * h + bank.b_bar * x[k][:, None]
+        out[k] = (bank.c_bar * h).sum(axis=1) + bank.d_bar * x[k]
+    return out
+
+
+def edge_bank(rng, e, m):
+    """Random bank whose a_bar holds negative entries and exact 0, -1 and +1."""
+    a = rng.uniform(-1.0, 1.0, size=e * m)
+    a[: min(3, a.size)] = [0.0, -1.0, 1.0][: min(3, a.size)]
+    a = rng.permutation(a).reshape(e, m)
+    return DiscreteSsmBank(
+        a, rng.standard_normal((e, m)), rng.standard_normal((e, m)), rng.standard_normal(e)
+    )
+
+
 def random_stable(rng, m=4):
     return ContinuousSsm(
         a_diag=-rng.uniform(0.05, 3.0, size=m),
@@ -213,6 +233,41 @@ def test_bank_matches_per_channel_scan():
             [scan_recurrent(bank.channel(e), x[:, e]) for e in range(4)], axis=1
         )
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 257, 1024])
+def test_chunked_scan_matches_step_recurrence(n):
+    """Lengths on both sides of one, two and many chunk boundaries."""
+    rng = np.random.default_rng([53, n])
+    for e, m in ((1, 1), (2, 3), (3, 16), (6, 5)):
+        bank = edge_bank(rng, e, m)
+        x = rng.standard_normal((n, e))
+        got = scan_bank(bank, x)
+        want = step_scan(bank, x)
+        assert got.shape == (n, e) and got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+def test_chunked_scan_is_causal():
+    """A prefix scans to the prefix of the full scan, also mid-chunk."""
+    rng = np.random.default_rng(59)
+    bank = edge_bank(rng, 4, 6)
+    x = rng.standard_normal((100, 4))
+    full = scan_bank(bank, x)
+    for p in (1, 5, 15, 17, 30, 33, 63, 99):
+        head = scan_bank(bank, x[:p])
+        assert np.all(np.abs(head - full[:p]) <= 1e-12 * np.maximum(np.abs(full[:p]), 1.0))
+
+
+def test_chunked_scan_takes_non_contiguous_input():
+    rng = np.random.default_rng(61)
+    bank = edge_bank(rng, 5, 4)
+    x = rng.standard_normal((5, 40)).T  # a transposed view
+    assert not x.flags.c_contiguous
+    got = scan_bank(bank, x)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, scan_bank(bank, np.ascontiguousarray(x)))
+    assert np.all(np.abs(got - step_scan(bank, x)) <= 1e-12 * np.maximum(np.abs(got), 1.0))
 
 
 def test_bank_rejects_width_mismatch():
