@@ -16,6 +16,21 @@ where GS4 gates a bank of per-channel state-space scans:
 
 Every stage is causal along the frame axis, and the final residual makes an
 all-zero-weight layer an exact identity.
+
+The stack runs tiled along the frame axis: it cuts the sequence into tiles
+of ``_TILE_ROWS`` = 128 rows and runs every layer over one tile before it
+starts the next, so no stage allocates an array of length N.  Between
+tiles each layer carries two things: the last ksize - 1 rows of its LN1
+output, which the causal conv of the next tile reaches back to, and the
+c_bar-weighted state at the scan's last chunk boundary
+(:class:`~statefuse.ssm.ScanCarry`, whose chunk constants are built once
+per layer per call).  Inside a tile the stages update their arrays in
+place.  128 rows is a multiple of the scan's chunk, and a (128, 96)
+float64 tile is 96 KiB, under glibc's 128 KiB mmap threshold, so the
+temporaries of one tile reuse heap pages from the last instead of faulting
+in fresh ones.  A sequence of one tile carries nothing.  Each row goes
+through the same operations in the same order as in a pass of each layer
+over the whole sequence, and the tests pin the two as bit-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ import numpy as np
 
 from .errors import NumericOverflowError, ValidationError
 from .numerics import as_float_array, gelu, readonly
-from .ssm import DiscreteSsmBank, scan_bank, seeded_bank
+from .ssm import _CHUNK, DiscreteSsmBank, ScanCarry, scan_bank, seeded_bank
 
 
 @dataclass(frozen=True)
@@ -176,14 +191,20 @@ def layer_norm(x, scale, shift, epsilon) -> np.ndarray:
     if not np.isfinite(epsilon) or epsilon < 0.0:
         raise ValidationError("epsilon must be >= 0")
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return np.asarray(scale) * (x - mean) / np.sqrt(var + epsilon) + np.asarray(shift)
+    out = x - mean
+    var = np.square(out).sum(axis=-1, keepdims=True)  # as x.var() sums it
+    var /= x.shape[-1]
+    out *= scale
+    out /= np.sqrt(var + epsilon)
+    out += shift
+    return out
 
 
-def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray, history=None) -> np.ndarray:
     """Per-channel causal convolution with left zero padding.
 
-    y[k, e] = sum_i kernel[e, i] * x[k - i, e], taking x[<0] = 0.
+    y[k, e] = sum_i kernel[e, i] * x[k - i, e], taking x[<0] from the end of
+    ``history`` (the rows before x, oldest first) and 0 before those.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -191,51 +212,124 @@ def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValidationError("x must be an (N, E) array")
     if kernel.ndim != 2 or kernel.shape[0] != x.shape[1]:
         raise ValidationError("kernel must have shape (E, ksize)")
+    past = x[:0] if history is None else np.asarray(history)
+    if past.ndim != 2 or past.shape[1] != x.shape[1]:
+        raise ValidationError("history must be an (H, E) array")
+    n, h = x.shape[0], past.shape[0]
     out = kernel[:, 0] * x
     for i in range(1, kernel.shape[1]):
-        if i < x.shape[0]:
+        if i < n:
             out[i:] += kernel[:, i] * x[:-i]
+        lo, hi = max(0, i - h), min(i, n)  # rows reaching back into history
+        if lo < hi:
+            out[lo:hi] += kernel[:, i] * past[h - i + lo : h - i + hi]
     return out
 
 
-def gs4_layer(x: np.ndarray, params: Gs4Params) -> np.ndarray:
-    """Gated state-space sublayer over an (N, E) sequence."""
+def gs4_layer(x: np.ndarray, params: Gs4Params, carry: ScanCarry | None = None) -> np.ndarray:
+    """Gated state-space sublayer over an (N, E) sequence.
+
+    With a ``carry`` of ``params.bank``, x is the next tile of a longer
+    sequence and the scan continues from the previous tile.
+    """
     x = np.asarray(x)
     u = gelu(x @ params.w_u)
     v = gelu(x @ params.w_v)
-    s = scan_bank(params.bank, u)
-    y = (s * v) @ params.w_o
+    s = scan_bank(params.bank, u, carry)
+    s *= v
+    y = s @ params.w_o
     if not np.all(np.isfinite(y)):
         raise NumericOverflowError("gs4 produced a non-finite value")
     return y
 
 
-def _block_forward(data: np.ndarray, params: QueryMambaLayerParams) -> np.ndarray:
-    ln1 = layer_norm(data, params.ln1.scale, params.ln1.shift, params.ln1.epsilon)
-    z = depthwise_causal_conv(ln1, params.dw_kernel) + ln1
-    ln2 = layer_norm(z, params.ln2.scale, params.ln2.shift, params.ln2.epsilon)
-    zp = gs4_layer(ln2, params.gs4) + ln2
-    return zp @ params.out_weight + params.out_bias + data
+# Rows per tile of the stack (see the module docstring).  With 256-row tiles
+# the history_fusion op (N = 1024, E = 96) still took 160-1,960 minor page
+# faults; with 128 it takes none in a steady loop.
+_TILE_ROWS = 128
+
+
+def _tiles(n: int) -> list:
+    """(start, stop) rows of the tiles of an n-row sequence.
+
+    A tail of one scan chunk or less moves the last cut back one chunk, so
+    each tile of a split sequence holds two chunks or more (see ScanCarry).
+    """
+    starts = list(range(0, n, _TILE_ROWS))
+    if len(starts) > 1 and n - starts[-1] <= _CHUNK:
+        starts[-1] -= _CHUNK
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class _LayerPass:
+    """One layer run over the consecutive tiles of one sequence.
+
+    Between tiles it keeps the last ksize - 1 rows of its LN1 output, which
+    the causal conv of the next tile reaches back to, and the scan carry.
+    A pass over a single tile keeps neither.
+    """
+
+    def __init__(self, params: QueryMambaLayerParams, tiled: bool):
+        self.params = params
+        self.reach = params.dw_kernel.shape[1] - 1
+        self.history = None
+        self.scan = ScanCarry(params.gs4.bank) if tiled else None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        p = self.params
+        ln1 = layer_norm(x, p.ln1.scale, p.ln1.shift, p.ln1.epsilon)
+        z = depthwise_causal_conv(ln1, p.dw_kernel, self.history)
+        z += ln1
+        if self.scan is not None and self.reach:  # a later tile reads these rows
+            if ln1.shape[0] < self.reach and self.history is not None:
+                ln1 = np.concatenate([self.history, ln1])
+            self.history = ln1[-self.reach :]
+        ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+        zp = gs4_layer(ln2, p.gs4, self.scan)
+        zp += ln2
+        out = zp @ p.out_weight
+        out += p.out_bias
+        out += x
+        return out
+
+
+def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
+    """Run ``layers`` in order, each over one tile before the next tile.
+
+    Overflow names the lowest layer that overflows on any tile, as a pass of
+    each layer over the whole sequence would.
+    """
+    if x.n_channels != layers[0].n_channels:
+        raise ValidationError(
+            f"sequence width {x.n_channels} does not match layer width {layers[0].n_channels}"
+        )
+    spans = _tiles(x.n_frames)
+    passes = [_LayerPass(layer, len(spans) > 1) for layer in layers]
+    out = np.empty(x.data.shape) if len(spans) > 1 else None
+    failed, depth = None, len(passes)
+    for lo, hi in spans:
+        rows = x.data[lo:hi]
+        for index, run in enumerate(passes[:depth]):
+            try:
+                rows = run(rows)
+            except NumericOverflowError as exc:
+                failed, depth = exc, index
+                break
+        if failed is None and out is not None:
+            out[lo:hi] = rows
+    if failed is not None:
+        raise NumericOverflowError(f"layer {depth}: {failed}") from failed
+    return x.with_data(rows if out is None else out)
 
 
 def query_mamba_block(x: FusedQuerySequence, params: QueryMambaLayerParams) -> FusedQuerySequence:
     """One fusion layer; the final residual adds the untouched input back."""
-    if x.n_channels != params.n_channels:
-        raise ValidationError(
-            f"sequence width {x.n_channels} does not match layer width {params.n_channels}"
-        )
-    return x.with_data(_block_forward(x.data, params))
+    return _fuse(x, (params,))
 
 
 def query_mamba_stack(x: FusedQuerySequence, stack: QueryMambaStack) -> FusedQuerySequence:
     """Compose fusion layers in order; overflow reports the offending layer."""
-    out = x
-    for index, layer in enumerate(stack.layers):
-        try:
-            out = query_mamba_block(out, layer)
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(f"layer {index}: {exc}") from exc
-    return out
+    return _fuse(x, stack.layers)
 
 
 # === parameter construction ===

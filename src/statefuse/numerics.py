@@ -30,7 +30,10 @@ def readonly(arr: np.ndarray) -> np.ndarray:
 def gelu(x):
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + erf(x / SQRT2))
+    out = erf(x / SQRT2)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -23,7 +23,9 @@ precision for stable systems; the test suite pins that equivalence.
 The scan (:func:`scan_bank`) is chunked as in Mamba-2/SSD (Dao & Gu 2024):
 inside a chunk of ``_CHUNK`` rows it convolves with the first taps, and
 only the state at each chunk boundary is carried step by step, so the
-Python-level loop runs N / ``_CHUNK`` times instead of N.
+Python-level loop runs N / ``_CHUNK`` times instead of N.  A
+:class:`ScanCarry` continues one scan over consecutive row blocks, which
+is how the fusion stack runs tile by tile.
 
 All arithmetic is float64; inputs of any real dtype are cast on entry.
 """
@@ -315,7 +317,89 @@ def seeded_bank(
 _CHUNK = 8
 
 
-def scan_bank(bank: DiscreteSsmBank, x: np.ndarray) -> np.ndarray:
+def _chunk_constants(bank: DiscreteSsmBank, t: int, carries: bool) -> tuple:
+    """(powers, cb, hankel, from_start) of a chunked scan with t-row chunks.
+
+    powers[j] = a_bar**j for j <= t, cb = c_bar * b_bar, hankel[e] the
+    in-chunk matrix of channel e, and from_start[e, :, s] = a_bar**(s+1),
+    which only a scan that carries state across chunks needs.
+    """
+    a, b, c, d = bank.a_bar, bank.b_bar, bank.c_bar, bank.d_bar
+    e = a.shape[0]
+    powers = np.empty((t + 1,) + a.shape)
+    powers[0] = 1.0
+    for j in range(1, t + 1):
+        np.multiply(powers[j - 1], a, out=powers[j])
+    cb = c * b
+    # w[:, t - 1 + j] = taps[:, j], after t - 1 zero columns
+    w = np.zeros((e, 2 * t - 1))
+    np.einsum("tem,em->et", powers[:t], cb, out=w[:, t - 1 :])
+    w[:, t - 1] += d
+    # The window is copied to a C-ordered block per channel: a one-chunk
+    # product is a BLAS matrix-vector call, whose rounding depends on the
+    # matrix stride.  The products over strided views have two or more rows.
+    step = w.strides[1]
+    hankel = as_strided(w, (e, t, t), (w.strides[0], step, step), writeable=False).copy()
+    from_start = np.ascontiguousarray(powers[1:].transpose(1, 2, 0)) if carries else None
+    return powers, cb, hankel, from_start
+
+
+def _scan_chunks(x, powers, cb, hankel, from_start, state, carry_out: bool):
+    """Chunked scan of ``x`` from the c_bar-weighted state ``state`` (None
+    for zero); returns the rows and, if ``carry_out``, the state after the
+    last chunk.  Without ``from_start`` the rows must fit in one chunk."""
+    n, e = x.shape
+    t = hankel.shape[1]
+    chunks = -(-n // t)
+    if n < chunks * t:
+        x = np.concatenate([x, np.zeros((chunks * t - n, e))])
+    # Chunks hold their rows last to first, rev[e, i, s] = x[iT + T-1-s, e], so
+    # the in-chunk matrix is the Hankel window hankel[e, s, k] = w[e, s + k]
+    # and the end states take a_bar**s in order.
+    rev = np.empty((e, chunks, t))
+    rev[:, :, ::-1] = x.T.reshape(e, chunks, t)
+    y = np.matmul(rev, hankel)
+    if from_start is not None:
+        # carried[i + 1] = c_bar * (state after chunk i); carried[0] = state
+        carried = np.empty((chunks + 1,) + cb.shape)
+        carried[0] = 0.0 if state is None else state
+        np.matmul(rev, powers[:t].transpose(1, 0, 2), out=carried[1:].transpose(1, 0, 2))
+        del rev  # lowers the peak by N x E floats (see bench.ssm_peak_bytes)
+        carried[1:] *= cb
+        last = chunks + 1 if carry_out else chunks
+        for i in range(1 if state is not None else 2, last):
+            carried[i] += powers[t] * carried[i - 1]
+        y += np.matmul(carried[:-1].transpose(1, 0, 2), from_start)
+        state = carried[chunks].copy() if carry_out else None
+    return np.ascontiguousarray(y.reshape(e, chunks * t)[:, :n].T), state
+
+
+class ScanCarry:
+    """What :func:`scan_bank` hands from one row block of a sequence to the next.
+
+    Passing the same carry with consecutive blocks of one sequence,
+    ``scan_bank(bank, block, carry)``, yields the rows of a single call over
+    the whole sequence.  The carry builds the bank's chunk constants once,
+    runs every block in chunks of ``_CHUNK`` rows, and holds c_bar * h, the
+    c_bar-weighted state after the rows seen so far.  Every block but the
+    last must be a whole number of chunks.
+
+    Which splits are exact: the rows equal one call's bit for bit when the
+    sequence is longer than one chunk (a single call over at most ``_CHUNK``
+    rows uses a shorter chunk) and every block holds more than ``_CHUNK``
+    rows, so that its products have two or more chunk rows.  A block of one
+    chunk makes them BLAS matrix-vector calls, which round differently: up
+    to 5e-15 of max(|y|, 1) over 30 random banks with a_bar in [-1, 1].
+    """
+
+    def __init__(self, bank: DiscreteSsmBank):
+        self.bank = bank
+        self.constants = _chunk_constants(bank, _CHUNK, carries=True)
+        self.state = None  # c_bar * h after the rows scanned so far
+        self.closed = False  # a block ended inside a chunk
+
+
+def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = None) -> np.ndarray:
     """Channel-parallel scan: column e of ``x`` runs through channel e.
 
     Computes h[k] = a_bar * h[k-1] + b_bar * x[k], y[k] = c_bar . h[k] +
@@ -332,6 +416,12 @@ def scan_bank(bank: DiscreteSsmBank, x: np.ndarray) -> np.ndarray:
 
     The powers of a_bar come from repeated multiplication.  Row k depends on
     x[0..k] only; the result is a C-ordered float64 (N, E) array.
+
+    With a :class:`ScanCarry` of this bank, ``x`` is the next block of a
+    longer sequence: the scan starts from the carried c_bar * h (the
+    ``carried`` term of the chunk loop) instead of zero and stores the term
+    after its last chunk for the next block.  The carry's docstring says
+    which splits reproduce a single call bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -341,39 +431,14 @@ def scan_bank(bank: DiscreteSsmBank, x: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"x has {e} columns but the bank has {bank.n_channels} channels"
         )
-    a, b, c, d = bank.a_bar, bank.b_bar, bank.c_bar, bank.d_bar
-    t = min(_CHUNK, n)
-    chunks = -(-n // t)
-    powers = np.empty((t + 1,) + a.shape)  # powers[j] = a_bar**j
-    powers[0] = 1.0
-    for j in range(1, t + 1):
-        np.multiply(powers[j - 1], a, out=powers[j])
-    cb = c * b
-    # w[:, t - 1 + j] = taps[:, j], after t - 1 zero columns
-    w = np.zeros((e, 2 * t - 1))
-    np.einsum("tem,em->et", powers[:t], cb, out=w[:, t - 1 :])
-    w[:, t - 1] += d
-    # Chunks hold their rows last to first, rev[e, i, s] = x[iT + T-1-s, e], so
-    # the in-chunk matrix is the Hankel window hankel[e, s, k] = w[e, s + k]
-    # and the end states take a_bar**s in order.
-    if n < chunks * t:
-        x = np.concatenate([x, np.zeros((chunks * t - n, e))])
-    rev = np.empty((e, chunks, t))
-    rev[:, :, ::-1] = x.T.reshape(e, chunks, t)
-    # The window is copied to a C-ordered block per channel: a one-chunk
-    # product is a BLAS matrix-vector call, whose rounding depends on the
-    # matrix stride.  The products below have two or more rows.
-    step = w.strides[1]
-    hankel = as_strided(w, (e, t, t), (w.strides[0], step, step), writeable=False)
-    y = np.matmul(rev, hankel.copy())
-    if chunks > 1:
-        # carried[i + 1] = c_bar * (state after chunk i); carried[0] = 0
-        carried = np.empty((chunks + 1,) + a.shape)
-        carried[0] = 0.0
-        np.matmul(rev, powers[:t].transpose(1, 0, 2), out=carried[1:].transpose(1, 0, 2))
-        carried[1:] *= cb
-        for i in range(2, chunks):
-            carried[i] += powers[t] * carried[i - 1]
-        from_start = np.ascontiguousarray(powers[1:].transpose(1, 2, 0))
-        y += np.matmul(carried[:-1].transpose(1, 0, 2), from_start)
-    return np.ascontiguousarray(y.reshape(e, chunks * t)[:, :n].T)
+    if carry is None:
+        t = min(_CHUNK, n)
+        constants = _chunk_constants(bank, t, carries=n > t)
+        return _scan_chunks(x, *constants, state=None, carry_out=False)[0]
+    if carry.bank is not bank:
+        raise ValidationError("the carry belongs to another bank")
+    if carry.closed:
+        raise ValidationError("only the last block of a sequence may end inside a chunk")
+    y, carry.state = _scan_chunks(x, *carry.constants, state=carry.state, carry_out=True)
+    carry.closed = n % _CHUNK != 0
+    return y

@@ -145,6 +145,21 @@ def test_analytic_bytes_affine_in_n():
     assert all(r.peak_bytes_source == "analytic" for r in rows)
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_ssm_bytes_model_matches_tracemalloc(dtype):
+    """The analytic model is within 15% of the measured peak at every
+    default grid point."""
+    cfg = BenchConfig(repetitions=3, warmup=0, mechanism="ssm", dtype=dtype,
+                      measure_memory=True)
+    e = cfg.k * cfg.d
+    itemsize = np.dtype(dtype).itemsize
+    rows = run_bench(cfg)
+    assert [r.n for r in rows] == list(BenchConfig().n_list)
+    for r in rows:
+        model = ssm_peak_bytes(r.n, e, cfg.state_dim, itemsize)
+        assert 0.85 * r.peak_bytes <= model <= 1.15 * r.peak_bytes, (r.n, model, r.peak_bytes)
+
+
 def test_cross_bytes_model_quadratic():
     e = 64
     assert cross_peak_bytes(10, e) == 8 * (5 * 10 * e + 2 * 100)

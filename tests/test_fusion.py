@@ -1,6 +1,7 @@
 """Fusion stack: layer norm, causal conv, gated scan, residual blocks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from statefuse import (
     zero_layer_params,
     zero_stack,
 )
+from statefuse.fusion import _TILE_ROWS
 
 GELU_ONE = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
 
@@ -96,6 +98,24 @@ def test_dwconv_kernel_longer_than_sequence():
     x = np.array([[1.0], [2.0]])
     out = depthwise_causal_conv(x, np.array([[1.0, 1.0, 1.0, 1.0]]))
     assert np.array_equal(out, [[1.0], [3.0]])
+
+
+@pytest.mark.parametrize("split", [1, 2, 5, 9])
+def test_dwconv_history_continues_the_sequence(split):
+    """Rows after a split, given the rows before it as history, equal the
+    tail of one pass over the whole sequence."""
+    rng = np.random.default_rng([73, split])
+    x = rng.standard_normal((12, 3))
+    kernel = rng.standard_normal((3, 4))
+    whole = depthwise_causal_conv(x, kernel)
+    for past in {split, min(split, kernel.shape[1] - 1)}:  # all, or the reach
+        tail = depthwise_causal_conv(x[split:], kernel, x[split - past : split])
+        assert np.array_equal(tail, whole[split:])
+
+
+def test_dwconv_rejects_history_width_mismatch():
+    with pytest.raises(ValidationError):
+        depthwise_causal_conv(np.ones((3, 2)), np.ones((2, 2)), np.ones((1, 3)))
 
 
 # --- gated scan sublayer ---
@@ -217,3 +237,114 @@ def test_sequence_validates_frame_order():
 def test_sequence_validates_width():
     with pytest.raises(ValidationError):
         FusedQuerySequence(np.zeros((2, 5)), (0, 1), 2, 2)
+
+
+# --- tiled execution ---
+
+def whole_sequence_stack(x, stack):
+    """Oracle: every layer over the whole sequence before the next layer."""
+    data = x.data
+    for index, p in enumerate(stack.layers):
+        ln1 = layer_norm(data, p.ln1.scale, p.ln1.shift, p.ln1.epsilon)
+        z = depthwise_causal_conv(ln1, p.dw_kernel) + ln1
+        ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+        try:
+            zp = gs4_layer(ln2, p.gs4) + ln2
+        except NumericOverflowError as exc:
+            raise NumericOverflowError(f"layer {index}: {exc}") from exc
+        data = zp @ p.out_weight + p.out_bias + data
+    return data
+
+
+def history_seq(n, k=4, d=24, seed=0):
+    rng = np.random.default_rng([79, n, seed])
+    return FusedQuerySequence(rng.standard_normal((n, k * d)), tuple(range(n)), k, d)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 255, 256, 1031])
+def test_tiled_stack_equals_whole_sequence_layers(n):
+    assert _TILE_ROWS == 128
+    x = history_seq(n)
+    stack = seeded_stack(96, seed=11)
+    out = query_mamba_stack(x, stack)
+    assert np.array_equal(out.data, whole_sequence_stack(x, stack))
+    assert out.frame_order == x.frame_order
+
+
+def test_tiled_stack_conv_longer_than_a_tile():
+    x = history_seq(300, k=2, d=6)
+    stack = seeded_stack(12, seed=13, n_layers=2, ksize=200)
+    assert np.array_equal(query_mamba_stack(x, stack).data, whole_sequence_stack(x, stack))
+
+
+def test_block_is_the_one_layer_stack():
+    x = history_seq(300, k=2, d=6)
+    layer = seeded_layer_params(12, seed=17)
+    want = whole_sequence_stack(x, QueryMambaStack((layer,)))
+    assert np.array_equal(query_mamba_block(x, layer).data, want)
+
+
+def overflow_layer(shift):
+    """A zero layer whose gate overflows on rows that LN2 maps off zero."""
+    good = zero_layer_params(2)
+    big = np.diag([1e300, 1e300])
+    return type(good)(
+        ln1=good.ln1,
+        ln2=type(good.ln2)(np.ones(2), shift, 1e-6),
+        dw_kernel=good.dw_kernel,
+        gs4=Gs4Params(feed_through_bank(2), big, big, np.eye(2)),
+        out_weight=good.out_weight,
+        out_bias=good.out_bias,
+    )
+
+
+def test_overflow_in_the_last_tile_names_its_layer():
+    # constant rows normalize to zero; only the last row of the last tile
+    # reaches the 1e300 gains of layer 1
+    n = 3 * _TILE_ROWS + 20
+    data = np.zeros((n, 2))
+    data[-1] = (0.0, 2.0)
+    x = FusedQuerySequence(data, tuple(range(n)), 1, 2)
+    stack = QueryMambaStack((zero_layer_params(2), overflow_layer(np.zeros(2))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError, match="layer 1"):
+            whole_sequence_stack(x, stack)
+        with pytest.raises(NumericOverflowError, match="layer 1"):
+            query_mamba_stack(x, stack)
+
+
+def test_overflow_names_the_lowest_layer_across_tiles():
+    # layer 2 overflows on every row, so in the first tile; layer 1 only in
+    # the last tile.  A whole-sequence pass meets layer 1 first.
+    n = 2 * _TILE_ROWS + 30
+    data = np.zeros((n, 2))
+    data[-1] = (0.0, 2.0)
+    x = FusedQuerySequence(data, tuple(range(n)), 1, 2)
+    stack = QueryMambaStack(
+        (zero_layer_params(2), overflow_layer(np.zeros(2)), overflow_layer(np.array([1.0, 0.0])))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError, match="layer 1"):
+            whole_sequence_stack(x, stack)
+        with pytest.raises(NumericOverflowError, match="layer 1"):
+            query_mamba_stack(x, stack)
+
+
+def stack_peak_bytes(x, stack):
+    tracemalloc.start()
+    try:
+        query_mamba_stack(x, stack)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stack_memory_does_not_grow_with_layer_temporaries():
+    """From N = 1024 to 4096 the peak grows by at most three (N, E) float64
+    arrays: the output and the copy the result sequence takes, not a
+    temporary per layer."""
+    stack = seeded_stack(96, seed=11, n_layers=6)
+    small, large = history_seq(1024), history_seq(4096)
+    query_mamba_stack(small, stack)
+    grow = stack_peak_bytes(large, stack) - stack_peak_bytes(small, stack)
+    assert grow <= 3 * (4096 - 1024) * 96 * 8

@@ -9,6 +9,7 @@ from statefuse import (
     ContinuousSsm,
     DiscreteSsm,
     DiscreteSsmBank,
+    ScanCarry,
     SsmKernel,
     ValidationError,
     apply_convolution,
@@ -19,6 +20,7 @@ from statefuse import (
     seeded_bank,
     seeded_continuous,
 )
+from statefuse.ssm import _CHUNK
 
 
 def step_scan(bank, x):
@@ -268,6 +270,54 @@ def test_chunked_scan_takes_non_contiguous_input():
     assert got.flags.c_contiguous
     assert np.array_equal(got, scan_bank(bank, np.ascontiguousarray(x)))
     assert np.all(np.abs(got - step_scan(bank, x)) <= 1e-12 * np.maximum(np.abs(got), 1.0))
+
+
+def scan_in_blocks(bank, x, lengths):
+    carry = ScanCarry(bank)
+    stops = np.cumsum(lengths)
+    return np.concatenate(
+        [scan_bank(bank, x[stop - k : stop], carry) for k, stop in zip(lengths, stops)]
+    )
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [(16, 16), (16, 48), (48, 16), (32, 32, 16), (128, 128, 9), (16, 45), (120, 17)],
+)
+def test_carried_blocks_equal_one_call(lengths):
+    """Blocks of whole chunks, each over one chunk long, with the carry
+    passed across, give one call's rows bit for bit; the last may end
+    inside a chunk."""
+    assert _CHUNK == 8
+    rng = np.random.default_rng([67, *lengths])
+    for e, m in ((1, 1), (3, 16), (6, 5), (96, 16)):
+        bank = edge_bank(rng, e, m)
+        x = rng.standard_normal((sum(lengths), e))
+        assert np.array_equal(scan_in_blocks(bank, x, lengths), scan_bank(bank, x))
+
+
+def test_one_chunk_blocks_match_to_rounding():
+    """One-chunk blocks use matrix-vector products: equal up to rounding only."""
+    rng = np.random.default_rng(71)
+    bank = edge_bank(rng, 6, 5)
+    x = rng.standard_normal((40, 6))
+    got = scan_in_blocks(bank, x, (8, 16, 8, 8))
+    want = scan_bank(bank, x)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+def test_carry_refuses_a_block_after_a_partial_chunk():
+    bank = seeded_bank(3, 4, seed=5)
+    carry = ScanCarry(bank)
+    scan_bank(bank, np.ones((12, 3)), carry)
+    with pytest.raises(ValidationError):
+        scan_bank(bank, np.ones((16, 3)), carry)
+
+
+def test_carry_refuses_another_bank():
+    carry = ScanCarry(seeded_bank(3, 4, seed=5))
+    with pytest.raises(ValidationError):
+        scan_bank(seeded_bank(3, 4, seed=5), np.ones((16, 3)), carry)
 
 
 def test_bank_rejects_width_mismatch():
