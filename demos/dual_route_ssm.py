@@ -4,39 +4,41 @@ A stable diagonal state-space system can be scanned through its step
 recurrence (the library scan works in chunks of rows) or materialized into
 an impulse-response kernel and convolved with the input.
 Both views are exact up to rounding, and the convolution also has an FFT
-fast path. This script builds one system and walks the three routes.
+fast path. This script builds one system, a width-1 channel bank, and
+walks the three routes.
 """
 
 import numpy as np
 
 from statefuse import (
-    ContinuousSsm,
+    DiscreteSsmBank,
     apply_convolution,
     discretize_zoh,
     materialize_kernel,
-    scan_recurrent,
+    scan_bank,
 )
 
 
 def main():
     rng = np.random.default_rng(0)
     m = 16
-    sys_c = ContinuousSsm(
-        a_diag=-rng.uniform(0.1, 4.0, size=m),
-        b_in=rng.uniform(-1.0, 1.0, size=m),
-        c_out=rng.uniform(-1.0, 1.0, size=m),
-        d_feed=0.1,
-    )
-    sys_d = discretize_zoh(sys_c, delta=0.05)
-    print(f"state_dim={m}, |a_bar| in [{sys_d.a_bar.min():.4f}, {sys_d.a_bar.max():.4f}]")
+    a = -rng.uniform(0.1, 4.0, size=(1, m))
+    b = rng.uniform(-1.0, 1.0, size=(1, m))
+    c = rng.uniform(-1.0, 1.0, size=(1, m))
+    a_bar, b_bar = discretize_zoh(a, b, delta=0.05)
+    bank = DiscreteSsmBank(a_bar, b_bar, c, [0.1])
+    print(f"state_dim={m}, |a_bar| in [{a_bar.min():.4f}, {a_bar.max():.4f}]")
+
+    def scan(x):
+        return scan_bank(bank, x[:, None])[:, 0]
 
     n = 256
     x = rng.uniform(-1.0, 1.0, size=n)
 
-    y_scan = scan_recurrent(sys_d, x)
-    kernel = materialize_kernel(sys_d, n)
-    y_direct = apply_convolution(kernel, x, mode="direct")
-    y_fft = apply_convolution(kernel, x, mode="fft")
+    y_scan = scan(x)
+    taps = materialize_kernel(bank, n)[0]
+    y_direct = apply_convolution(taps, bank.d_bar[0], x, mode="direct")
+    y_fft = apply_convolution(taps, bank.d_bar[0], x, mode="fft")
 
     scale = np.max(np.abs(y_scan))
     print(f"scan vs direct conv: max rel err {np.max(np.abs(y_scan - y_direct)) / scale:.3e}")
@@ -44,13 +46,12 @@ def main():
 
     # linearity: the response to a weighted sum is the weighted sum of responses
     x2 = rng.uniform(-1.0, 1.0, size=n)
-    lhs = scan_recurrent(sys_d, 2.0 * x - 3.0 * x2)
-    rhs = 2.0 * scan_recurrent(sys_d, x) - 3.0 * scan_recurrent(sys_d, x2)
+    lhs = scan(2.0 * x - 3.0 * x2)
+    rhs = 2.0 * scan(x) - 3.0 * scan(x2)
     print(f"superposition:       max abs err {np.max(np.abs(lhs - rhs)):.3e}")
 
     # the kernel itself decays geometrically, which is why truncation works
-    taps = materialize_kernel(sys_d, 8).taps
-    print("first 8 kernel taps:", np.array2string(taps, precision=4))
+    print("first 8 kernel taps:", np.array2string(taps[:8], precision=4))
 
 
 if __name__ == "__main__":

@@ -290,14 +290,18 @@ class _LayerPass:
         out = zp @ p.out_weight
         out += p.out_bias
         out += x
+        if not np.all(np.isfinite(out)):
+            raise NumericOverflowError("output projection produced a non-finite value")
         return out
 
 
 def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
     """Run ``layers`` in order, each over one tile before the next tile.
 
-    Overflow names the lowest layer that overflows on any tile, as a pass of
-    each layer over the whole sequence would.
+    Each layer checks its output on every tile, and overflow names the
+    lowest layer that overflows on any tile, as a pass of each layer over
+    the whole sequence would.  The result sequence takes the array the
+    tiles fill, write-protected, without a copy.
     """
     if x.n_channels != layers[0].n_channels:
         raise ValidationError(
@@ -319,7 +323,9 @@ def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
             out[lo:hi] = rows
     if failed is not None:
         raise NumericOverflowError(f"layer {depth}: {failed}") from failed
-    return x.with_data(rows if out is None else out)
+    out = rows if out is None else out
+    out.setflags(write=False)
+    return x.with_data(out)
 
 
 def query_mamba_block(x: FusedQuerySequence, params: QueryMambaLayerParams) -> FusedQuerySequence:

@@ -21,7 +21,15 @@ def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
-    """Return an owned, write-protected, C-contiguous copy of ``arr``."""
+    """Return an owned, write-protected, C-contiguous form of ``arr``.
+
+    An array that already is all three comes back unchanged, so its owner
+    hands it over without a copy; anything else, a caller's writable array
+    included, is copied.
+    """
+    flags = getattr(arr, "flags", None)
+    if flags is not None and flags.owndata and flags.c_contiguous and not flags.writeable:
+        return arr
     out = np.array(arr, copy=True, order="C")
     out.setflags(write=False)
     return out

@@ -441,7 +441,6 @@ def run_pipeline_detailed(
     surviving = apply_motion_mask(padded, mask)
     fused_input = channel_concat(surviving)
     fused_output = query_mamba_stack(fused_input, w.stack)
-    _stage_finite("fusion", fused_output.data)
     refined = decode_current_frame(
         fused_output, surviving.q3d(cur), frames[cur].feature_maps, w
     )

@@ -683,7 +683,10 @@ def load_scene(path: str) -> Scene:
     if blob_path is not None:
         resolved = os.path.join(os.path.dirname(os.path.abspath(path)), blob_path)
         shape = tuple(int(s) for s in info["shape"])
-        raw = np.fromfile(resolved, dtype=info.get("dtype", FEATURE_DTYPE))
+        dtype = info.get("dtype", FEATURE_DTYPE)
+        if dtype != FEATURE_DTYPE:
+            raise ValidationError(f"feature blob dtype must be {FEATURE_DTYPE!r}, got {dtype!r}")
+        raw = np.fromfile(resolved, dtype=FEATURE_DTYPE)
         expected = int(np.prod(shape))
         if raw.size != expected:
             raise ValidationError(

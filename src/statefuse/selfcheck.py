@@ -28,13 +28,7 @@ from .pipeline import (
 )
 from .queries import default_depth_bins
 from .scene import SceneConfig, build_scene, camera_ring, feature_blob_bytes, scene_dumps
-from .ssm import (
-    ContinuousSsm,
-    apply_convolution,
-    discretize_zoh,
-    materialize_kernel,
-    scan_recurrent,
-)
+from .ssm import DiscreteSsmBank, apply_convolution, discretize_zoh, materialize_kernel, scan_bank
 
 SCAN_LENGTHS = tuple(2 ** i for i in range(9))  # 1 .. 256
 FFT_LENGTHS = (1, 2, 3, 5, 16, 100, 777, 1024, 2048, 4096)
@@ -57,14 +51,20 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
-def _random_stable_system(rng) -> ContinuousSsm:
+def _random_stable_channel(rng) -> DiscreteSsmBank:
+    """A 16-state stable system discretized at a random step, as a width-1 bank."""
     m = 16
-    return ContinuousSsm(
-        a_diag=-rng.uniform(0.01, 5.0, size=m),
-        b_in=rng.uniform(-1.0, 1.0, size=m),
-        c_out=rng.uniform(-1.0, 1.0, size=m),
-        d_feed=float(rng.uniform(-0.5, 0.5)),
-    )
+    a = -rng.uniform(0.01, 5.0, size=(1, m))
+    b = rng.uniform(-1.0, 1.0, size=(1, m))
+    c = rng.uniform(-1.0, 1.0, size=(1, m))
+    d = rng.uniform(-0.5, 0.5, size=1)
+    a_bar, b_bar = discretize_zoh(a, b, float(rng.uniform(0.01, 0.5)))
+    return DiscreteSsmBank(a_bar, b_bar, c, d)
+
+
+def _scan(bank: DiscreteSsmBank, x: np.ndarray) -> np.ndarray:
+    """Scan a 1-d sequence through a width-1 bank."""
+    return scan_bank(bank, x[:, None])[:, 0]
 
 
 def check_scan_kernel_equivalence() -> CheckResult:
@@ -72,12 +72,11 @@ def check_scan_kernel_equivalence() -> CheckResult:
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):
-        sys = discretize_zoh(_random_stable_system(rng), float(rng.uniform(0.01, 0.5)))
+        bank = _random_stable_channel(rng)
         for n in SCAN_LENGTHS:
             x = rng.standard_normal(n)
-            via_scan = scan_recurrent(sys, x)
-            via_conv = apply_convolution(materialize_kernel(sys, n), x)
-            worst = max(worst, _rel_err(via_conv, via_scan))
+            via_conv = apply_convolution(materialize_kernel(bank, n)[0], bank.d_bar[0], x)
+            worst = max(worst, _rel_err(via_conv, _scan(bank, x)))
     return CheckResult(
         name="scan_kernel_equivalence",
         passed=worst <= 1e-9,
@@ -90,11 +89,11 @@ def check_fft_direct_agreement() -> CheckResult:
     rng = np.random.default_rng(202)
     worst = 0.0
     for n in FFT_LENGTHS:
-        sys = discretize_zoh(_random_stable_system(rng), float(rng.uniform(0.01, 0.5)))
-        kernel = materialize_kernel(sys, n)
+        bank = _random_stable_channel(rng)
+        taps = materialize_kernel(bank, n)[0]
         x = rng.standard_normal(n)
-        direct = apply_convolution(kernel, x, mode="direct")
-        fft = apply_convolution(kernel, x, mode="fft")
+        direct = apply_convolution(taps, bank.d_bar[0], x, mode="direct")
+        fft = apply_convolution(taps, bank.d_bar[0], x, mode="fft")
         worst = max(worst, _rel_err(fft, direct))
     return CheckResult(
         name="fft_direct_agreement",
@@ -108,13 +107,13 @@ def check_ssm_linearity() -> CheckResult:
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
-        sys = discretize_zoh(_random_stable_system(rng), float(rng.uniform(0.01, 0.5)))
+        bank = _random_stable_channel(rng)
         n = int(rng.integers(1, 128))
         x1 = rng.standard_normal(n)
         x2 = rng.standard_normal(n)
         a, b = rng.uniform(-3.0, 3.0, size=2)
-        combined = scan_recurrent(sys, a * x1 + b * x2)
-        split = a * scan_recurrent(sys, x1) + b * scan_recurrent(sys, x2)
+        combined = _scan(bank, a * x1 + b * x2)
+        split = a * _scan(bank, x1) + b * _scan(bank, x2)
         worst = max(worst, _rel_err(combined, split))
     return CheckResult(
         name="ssm_linearity",

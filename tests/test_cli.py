@@ -164,6 +164,22 @@ def test_run_missing_scene(tmp_path):
     assert code == 3
 
 
+def test_run_rejects_feature_blob_dtype(tmp_path, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", SCENE_CFG)
+    scene = tmp_path / "scene.json"
+    args = ["simulate", "--config", cfg_path, "--out", str(scene)]
+    assert cli_main(args + ["--features-blob", str(tmp_path / "scene.f32")]) == 0
+    doc = json.loads(scene.read_text())
+    doc["features"]["dtype"] = "|O"
+    write_json(scene, doc)
+    code = cli_main(
+        ["run", "--scene", str(scene), "--weights", "seed:1", "--out", str(tmp_path / "o.csv")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "dtype" in err and len(err.splitlines()) == 1
+
+
 def test_run_bad_seed_argument(tmp_path):
     scene = simulate(tmp_path)
     code = cli_main(

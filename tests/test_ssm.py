@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 from statefuse import (
-    ContinuousSsm,
-    DiscreteSsm,
     DiscreteSsmBank,
     ScanCarry,
-    SsmKernel,
     ValidationError,
     apply_convolution,
     discretize_zoh,
     materialize_kernel,
     scan_bank,
-    scan_recurrent,
     seeded_bank,
-    seeded_continuous,
 )
 from statefuse.ssm import _CHUNK
 
@@ -43,159 +38,184 @@ def edge_bank(rng, e, m):
     )
 
 
-def random_stable(rng, m=4):
-    return ContinuousSsm(
-        a_diag=-rng.uniform(0.05, 3.0, size=m),
-        b_in=rng.uniform(-1.0, 1.0, size=m),
-        c_out=rng.uniform(-1.0, 1.0, size=m),
-        d_feed=float(rng.uniform(-0.5, 0.5)),
+def channel(a, b, c, d, delta):
+    """One continuous channel discretized at ``delta``, as a width-1 bank."""
+    a_bar, b_bar = discretize_zoh(np.atleast_2d(a), np.atleast_2d(b), delta)
+    return DiscreteSsmBank(a_bar, b_bar, np.atleast_2d(c), [d])
+
+
+def random_stable(rng, delta, m=4):
+    return channel(
+        -rng.uniform(0.05, 3.0, size=m),
+        rng.uniform(-1.0, 1.0, size=m),
+        rng.uniform(-1.0, 1.0, size=m),
+        float(rng.uniform(-0.5, 0.5)),
+        delta,
     )
+
+
+def scan1(bank, x):
+    """Scan a 1-d sequence through a width-1 bank."""
+    return scan_bank(bank, np.asarray(x, dtype=np.float64)[:, None])[:, 0]
+
+
+def width_one(bank, e):
+    """Channel e of a bank as a width-1 bank."""
+    arrays = (bank.a_bar, bank.b_bar, bank.c_bar, bank.d_bar)
+    return DiscreteSsmBank(*(arr[e : e + 1] for arr in arrays))
 
 
 # --- discretization ---
 
 def test_zoh_integrator_limit():
-    sys = ContinuousSsm([0.0], [1.0], [1.0], 0.0)
-    d = discretize_zoh(sys, 1.0)
-    assert d.a_bar[0] == 1.0
-    assert d.b_bar[0] == 1.0
+    a_bar, b_bar = discretize_zoh([0.0], [1.0], 1.0)
+    assert a_bar[0] == 1.0
+    assert b_bar[0] == 1.0
 
 
 def test_zoh_closed_form_half():
     # exp(-ln 2) and expm1(-ln 2) are both exact in float64
-    sys = ContinuousSsm([-1.0], [1.0], [1.0], 0.25)
-    d = discretize_zoh(sys, math.log(2.0))
-    assert d.a_bar[0] == 0.5
-    assert d.b_bar[0] == 0.5
-    assert d.c_bar[0] == 1.0
-    assert d.d_bar == 0.25
+    a_bar, b_bar = discretize_zoh([-1.0], [1.0], math.log(2.0))
+    assert a_bar[0] == 0.5
+    assert b_bar[0] == 0.5
 
 
 def test_zoh_small_rate_precision():
-    sys = ContinuousSsm([-1e-8], [1.0], [1.0], 0.0)
-    d = discretize_zoh(sys, 1.0)
-    assert abs(d.a_bar[0] - (1.0 - 1e-8)) < 1e-15
-    assert d.b_bar[0] == math.expm1(-1e-8) / (-1e-8)
+    a_bar, b_bar = discretize_zoh([-1e-8], [1.0], 1.0)
+    assert abs(a_bar[0] - (1.0 - 1e-8)) < 1e-15
+    assert b_bar[0] == math.expm1(-1e-8) / (-1e-8)
 
 
 def test_zoh_matches_exact_formula():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        sys = random_stable(rng)
+        a = -rng.uniform(0.05, 3.0, size=(2, 4))
+        b = rng.uniform(-1.0, 1.0, size=(2, 4))
         delta = float(rng.uniform(0.01, 2.0))
-        d = discretize_zoh(sys, delta)
-        a = np.asarray(sys.a_diag)
-        assert np.allclose(d.a_bar, np.exp(delta * a), rtol=0, atol=1e-15)
-        want_b = (np.exp(delta * a) - 1.0) / a * np.asarray(sys.b_in)
-        assert np.allclose(d.b_bar, want_b, rtol=1e-12, atol=1e-15)
+        a_bar, b_bar = discretize_zoh(a, b, delta)
+        assert np.allclose(a_bar, np.exp(delta * a), rtol=0, atol=1e-15)
+        want_b = (np.exp(delta * a) - 1.0) / a * b
+        assert np.allclose(b_bar, want_b, rtol=1e-12, atol=1e-15)
 
 
 def test_zoh_rejects_bad_delta():
-    sys = ContinuousSsm([-1.0], [1.0], [1.0], 0.0)
     for delta in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            discretize_zoh(sys, delta)
+            discretize_zoh([-1.0], [1.0], delta)
 
 
 def test_continuous_rejects_positive_rate():
     with pytest.raises(ValidationError):
-        ContinuousSsm([0.1], [1.0], [1.0], 0.0)
+        discretize_zoh([0.1], [1.0], 1.0)
+
+
+def test_zoh_rejects_bad_arrays():
+    nan, inf = float("nan"), float("inf")
+    for a, b in (([], []), ([nan], [1.0]), ([-1.0], [inf]), ([-1.0], [1.0, 2.0])):
+        with pytest.raises(ValidationError):
+            discretize_zoh(a, b, 1.0)
 
 
 def test_discrete_rejects_unstable_a_bar():
     with pytest.raises(ValidationError):
-        DiscreteSsm([1.5], [1.0], [1.0], 0.0)
+        DiscreteSsmBank([[1.5]], [[1.0]], [[1.0]], [0.0])
 
 
-# --- recurrent scan ---
+# --- scan of one channel ---
 
 def test_scan_integrator_is_cumsum():
-    d = discretize_zoh(ContinuousSsm([0.0], [1.0], [1.0], 0.0), 1.0)
-    y = scan_recurrent(d, [1.0, 2.0, 3.0])
+    y = scan1(channel([0.0], [1.0], [1.0], 0.0, 1.0), [1.0, 2.0, 3.0])
     assert np.array_equal(y, [1.0, 3.0, 6.0])
 
 
 def test_scan_single_step():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        sys = discretize_zoh(random_stable(rng), 0.3)
+        bank = random_stable(rng, 0.3)
         x1 = float(rng.uniform(-2.0, 2.0))
-        y = scan_recurrent(sys, [x1])
-        want = float((sys.c_bar * (sys.b_bar * x1)).sum() + sys.d_bar * x1)
+        y = scan1(bank, [x1])
+        want = float((bank.c_bar * (bank.b_bar * x1)).sum() + bank.d_bar[0] * x1)
         assert y.shape == (1,)
         assert math.isclose(y[0], want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_scan_rejects_empty_input():
-    d = discretize_zoh(ContinuousSsm([-1.0], [1.0], [1.0], 0.0), 0.5)
+    bank = channel([-1.0], [1.0], [1.0], 0.0, 0.5)
     with pytest.raises(ValidationError):
-        scan_recurrent(d, [])
+        scan_bank(bank, np.empty((0, 1)))
 
 
 # --- kernel materialization ---
 
 def test_kernel_taps_geometric():
-    sys = DiscreteSsm([0.5], [0.5], [2.0], 0.0)
-    k = materialize_kernel(sys, 3)
-    assert np.array_equal(k.taps, [1.0, 0.5, 0.25])
-    assert k.feed_through == 0.0
+    bank = DiscreteSsmBank([[0.5]], [[0.5]], [[2.0]], [0.0])
+    assert np.array_equal(materialize_kernel(bank, 3), [[1.0, 0.5, 0.25]])
 
 
 def test_kernel_nilpotent_channel():
-    sys = DiscreteSsm([0.0], [0.75], [4.0], 0.4)
-    k = materialize_kernel(sys, 4)
-    assert np.array_equal(k.taps, [3.0, 0.0, 0.0, 0.0])
-    assert k.feed_through == 0.4
+    bank = DiscreteSsmBank([[0.0]], [[0.75]], [[4.0]], [0.4])
+    assert np.array_equal(materialize_kernel(bank, 4), [[3.0, 0.0, 0.0, 0.0]])
 
 
 def test_kernel_length_one_is_cb():
-    sys = DiscreteSsm([0.9], [0.25], [4.0], 0.0)
-    k = materialize_kernel(sys, 1)
-    assert k.taps.shape == (1,)
-    assert k.taps[0] == 1.0
+    bank = DiscreteSsmBank([[0.9]], [[0.25]], [[4.0]], [0.0])
+    taps = materialize_kernel(bank, 1)
+    assert taps.shape == (1, 1)
+    assert taps[0, 0] == 1.0
 
 
 def test_kernel_rejects_zero_length():
-    sys = DiscreteSsm([0.5], [1.0], [1.0], 0.0)
+    bank = DiscreteSsmBank([[0.5]], [[1.0]], [[1.0]], [0.0])
     with pytest.raises(ValidationError):
-        materialize_kernel(sys, 0)
+        materialize_kernel(bank, 0)
+
+
+def test_kernel_rows_are_the_channels():
+    bank = edge_bank(np.random.default_rng(13), 5, 6)
+    taps = materialize_kernel(bank, 40)
+    assert taps.shape == (5, 40)
+    for e in range(5):
+        assert np.array_equal(taps[e], materialize_kernel(width_one(bank, e), 40)[0])
 
 
 # --- convolution ---
 
 def test_conv_delta_kernel_is_identity():
-    kernel = SsmKernel([1.0, 0.0, 0.0], 0.0)
     x = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(apply_convolution(kernel, x), x)
+    assert np.array_equal(apply_convolution([1.0, 0.0, 0.0], 0.0, x), x)
 
 
 def test_conv_pure_feed_through():
-    kernel = SsmKernel([0.0, 0.0, 0.0], 1.0)
     x = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(apply_convolution(kernel, x), x)
+    assert np.array_equal(apply_convolution([0.0, 0.0, 0.0], 1.0, x), x)
 
 
 def test_conv_rejects_length_mismatch():
-    kernel = SsmKernel([1.0, 0.0], 0.0)
     with pytest.raises(ValidationError):
-        apply_convolution(kernel, [1.0, 2.0, 3.0])
+        apply_convolution([1.0, 0.0], 0.0, [1.0, 2.0, 3.0])
 
 
 def test_conv_rejects_unknown_mode():
-    kernel = SsmKernel([1.0], 0.0)
     with pytest.raises(ValidationError):
-        apply_convolution(kernel, [1.0], mode="auto")
+        apply_convolution([1.0], 0.0, [1.0], mode="auto")
+
+
+def test_conv_rejects_bad_kernel():
+    nan, inf = float("nan"), float("inf")
+    for taps, feed_through in (([], 0.0), ([[1.0]], 0.0), ([nan], 0.0), ([1.0], inf)):
+        with pytest.raises(ValidationError):
+            apply_convolution(taps, feed_through, [1.0])
 
 
 def test_scan_matches_convolution():
     """Dual route agreement: recurrence and kernel convolution."""
     rng = np.random.default_rng(23)
     for _ in range(25):
-        sys = discretize_zoh(random_stable(rng, m=6), float(rng.uniform(0.05, 1.0)))
+        bank = random_stable(rng, float(rng.uniform(0.05, 1.0)), m=6)
         n = int(rng.integers(1, 96))
         x = rng.uniform(-2.0, 2.0, size=n)
-        via_scan = scan_recurrent(sys, x)
-        via_conv = apply_convolution(materialize_kernel(sys, n), x)
+        via_scan = scan1(bank, x)
+        via_conv = apply_convolution(materialize_kernel(bank, n)[0], bank.d_bar[0], x)
         scale = max(float(np.max(np.abs(via_scan))), 1e-12)
         assert np.max(np.abs(via_scan - via_conv)) / scale <= 1e-9
 
@@ -204,22 +224,22 @@ def test_fft_matches_direct():
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 5, 17, 64, 100, 513):
         taps = rng.uniform(-1.0, 1.0, size=n)
-        kernel = SsmKernel(taps, float(rng.uniform(-0.5, 0.5)))
+        feed_through = float(rng.uniform(-0.5, 0.5))
         x = rng.uniform(-1.0, 1.0, size=n)
-        direct = apply_convolution(kernel, x, mode="direct")
-        fft = apply_convolution(kernel, x, mode="fft")
+        direct = apply_convolution(taps, feed_through, x, mode="direct")
+        fft = apply_convolution(taps, feed_through, x, mode="fft")
         scale = max(float(np.max(np.abs(direct))), 1e-12)
         assert np.max(np.abs(direct - fft)) / scale <= 1e-9
 
 
 def test_scan_is_linear():
     rng = np.random.default_rng(37)
-    sys = discretize_zoh(random_stable(rng), 0.2)
+    bank = random_stable(rng, 0.2)
     x1 = rng.uniform(-1.0, 1.0, size=40)
     x2 = rng.uniform(-1.0, 1.0, size=40)
     a, b = 1.7, -0.6
-    combined = scan_recurrent(sys, a * x1 + b * x2)
-    split = a * scan_recurrent(sys, x1) + b * scan_recurrent(sys, x2)
+    combined = scan1(bank, a * x1 + b * x2)
+    split = a * scan1(bank, x1) + b * scan1(bank, x2)
     assert np.max(np.abs(combined - split)) <= 1e-12
 
 
@@ -231,9 +251,7 @@ def test_bank_matches_per_channel_scan():
     for _ in range(10):
         x = rng.standard_normal((int(rng.integers(1, 40)), 4))
         got = scan_bank(bank, x)
-        want = np.stack(
-            [scan_recurrent(bank.channel(e), x[:, e]) for e in range(4)], axis=1
-        )
+        want = np.stack([scan1(width_one(bank, e), x[:, e]) for e in range(4)], axis=1)
         assert np.array_equal(got, want)
 
 
@@ -326,17 +344,13 @@ def test_bank_rejects_width_mismatch():
         scan_bank(bank, np.zeros((5, 3)))
 
 
-def test_bank_from_channels_round_trip():
-    rng = np.random.default_rng(43)
-    systems = [discretize_zoh(random_stable(rng), 0.1) for _ in range(3)]
-    bank = DiscreteSsmBank.from_channels(systems)
-    assert bank.n_channels == 3
-    for e, sys in enumerate(systems):
-        ch = bank.channel(e)
-        assert np.array_equal(ch.a_bar, sys.a_bar)
-        assert np.array_equal(ch.b_bar, sys.b_bar)
-        assert np.array_equal(ch.c_bar, sys.c_bar)
-        assert ch.d_bar == sys.d_bar
+def seeded_channel(state_dim, seed, delta):
+    """Oracle: (a_bar, b_bar, c, d) of one channel drawn from its own generator."""
+    a = -np.arange(1.0, state_dim + 1.0)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-0.5, 0.5, size=state_dim)
+    d = rng.uniform(-0.1, 0.1)
+    return np.exp(delta * a), np.expm1(delta * a) / a, c, d
 
 
 def test_seeded_bank_matches_per_channel_reference():
@@ -348,12 +362,9 @@ def test_seeded_bank_matches_per_channel_reference():
         (3, 20, 123456789, 1.7),
     ):
         got = seeded_bank(n_channels, state_dim, seed, delta)
-        want = DiscreteSsmBank.from_channels(
-            discretize_zoh(seeded_continuous(state_dim, [seed, 0x5B, e]), delta)
-            for e in range(n_channels)
-        )
-        for name in ("a_bar", "b_bar", "c_bar", "d_bar"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        channels = [seeded_channel(state_dim, [seed, 0x5B, e], delta) for e in range(n_channels)]
+        for name, want in zip(("a_bar", "b_bar", "c_bar", "d_bar"), zip(*channels)):
+            assert np.array_equal(getattr(got, name), np.stack(want))
             assert getattr(got, name).flags.c_contiguous
 
 
@@ -374,12 +385,8 @@ def test_seeded_bank_rejects_empty_dims():
 
 
 def test_seeded_constructors_deterministic():
-    a = seeded_continuous(16, 5)
-    b = seeded_continuous(16, 5)
-    assert np.array_equal(a.c_out, b.c_out)
-    assert a.d_feed == b.d_feed
-    assert np.array_equal(a.a_diag, -np.arange(1.0, 17.0))
     bank1 = seeded_bank(3, 4, seed=9)
     bank2 = seeded_bank(3, 4, seed=9)
-    assert np.array_equal(bank1.a_bar, bank2.a_bar)
-    assert np.array_equal(bank1.c_bar, bank2.c_bar)
+    for name in ("a_bar", "b_bar", "c_bar", "d_bar"):
+        assert np.array_equal(getattr(bank1, name), getattr(bank2, name))
+    assert np.array_equal(bank1.a_bar[1], np.exp(-0.1 * np.arange(1.0, 5.0)))
