@@ -56,7 +56,7 @@ def main():
     past = pose(0.0, 0.0, 0.0, t=0.0)
     now = pose(3.0, 0.0, np.deg2rad(30.0), t=0.5)
     world_fixed = np.array([[10.0, 2.0, 0.5], [6.0, -4.0, 1.0]])
-    aligned = align_centers(world_fixed, np.zeros((2, 3)), 0.5, now, past)
+    aligned = align_centers(world_fixed[None], now, [past])[0]
     inv_r = now.world_from_ego[:3, :3].T
     direct = (world_fixed - now.world_from_ego[:3, 3]) @ inv_r.T
     print(f"alignment matches the direct world-to-ego map: "

@@ -49,7 +49,7 @@ def main():
     static_ids = {int(i) for i in np.where(current.static_labels)[0]}
     print(f"ground-truth static objects: {sorted(static_ids)}")
     for i, frame in enumerate(scene.frames[:-1]):
-        row = result.motion_mask.per_frame[i]
+        row = result.motion_mask[i]
         ids = [obj for cam_ids in frame.proposal_object_ids for obj in cam_ids]
         eliminated = {ids[s] for s in range(len(ids)) if row[s] == 0}
         print(f"frame {i}: eliminated objects {sorted(eliminated)}")

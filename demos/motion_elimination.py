@@ -15,7 +15,7 @@ from statefuse import (
     motion_mask,
     pad_frames,
 )
-from statefuse import MotionMask, PosEmbedParams, pos_embed
+from statefuse import PosEmbedParams, pos_embed
 
 
 def queries_at(centers, categories):
@@ -34,29 +34,29 @@ def main():
     )
     print(f"padded to K={seq.k_queries} slots over {seq.n_frames} frames")
 
-    validity = np.stack([seq.validity(1), seq.validity(0)], axis=1)
-    cost = motion_cost(seq.centers(1), seq.centers(0), validity)
+    # both frames share one ego pose, so the past centers need no alignment
+    cost = motion_cost(seq.centers3d[1], seq.centers3d[:1], seq.valid[1], seq.valid[:1])
     print("cost matrix (current x past):")
-    print(np.array2string(cost.cost, precision=3))
+    print(np.array2string(cost[0], precision=3))
 
     for alpha in (0.1, 0.5, 4.0):
-        row = motion_mask(
-            cost, seq.categories(1), seq.categories(0), MotionElimConfig(alpha=alpha)
+        mask = motion_mask(
+            cost, seq.cats[1], seq.cats[:1], seq.valid[:1], MotionElimConfig(alpha=alpha)
         )
         names = ["car", "truck", "pedestrian"]
-        kept = [n for n, keep in zip(names, row) if keep]
+        kept = [n for n, keep in zip(names, mask[0]) if keep]
         print(f"alpha={alpha:>4}: past survivors {kept}")
 
     # apply the alpha = 0.5 decision and show the zeroed slot
-    row = motion_mask(
-        cost, seq.categories(1), seq.categories(0), MotionElimConfig(alpha=0.5)
+    mask = motion_mask(
+        cost, seq.cats[1], seq.cats[:1], seq.valid[:1], MotionElimConfig(alpha=0.5)
     )
-    mask = MotionMask((row, np.ones(seq.k_queries, dtype=np.int8)))
     pruned = apply_motion_mask(seq, mask)
-    gone = np.where(row == 0)[0]
+    gone = np.where(mask[0] == 0)[0]
     print(f"slot {gone.tolist()} zeroed: "
-          f"{np.array_equal(pruned.q3d(0)[gone], np.zeros((gone.size, 8)))}")
-    print(f"current frame untouched: {np.array_equal(pruned.q3d(1), seq.q3d(1))}")
+          f"{np.array_equal(pruned.embeddings[0][gone], np.zeros((gone.size, 8)))}")
+    print(f"current frame untouched: "
+          f"{np.array_equal(pruned.embeddings[1], seq.embeddings[1])}")
 
 
 if __name__ == "__main__":

@@ -107,10 +107,10 @@ def _cmd_run(args) -> int:
         scene.frames, scene.cameras, weights, MotionElimConfig(alpha=args.alpha)
     )
     _write_text(args.out, run_report_csv(result))
-    survivors = result.motion_mask.survivor_counts()
+    survivors = result.motion_mask[:-1].sum(axis=1).tolist()
     print(
         f"wrote {args.out} ({len(result.detections)} detections, "
-        f"past-frame survivors {survivors[:-1].tolist()})"
+        f"past-frame survivors {survivors})"
     )
     return 0
 

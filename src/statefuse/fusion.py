@@ -284,7 +284,10 @@ class _LayerPass:
             if ln1.shape[0] < self.reach and self.history is not None:
                 ln1 = np.concatenate([self.history, ln1])
             self.history = ln1[-self.reach :]
-        ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+        try:  # LN1's input is finite, so a non-finite z comes from LN1 or the conv
+            ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+        except ValidationError as exc:
+            raise NumericOverflowError(f"layer norm or depthwise conv: {exc}") from exc
         zp = gs4_layer(ln2, p.gs4, self.scan)
         zp += ln2
         out = zp @ p.out_weight

@@ -190,23 +190,18 @@ def pos_embed(c3d, params: PosEmbedParams) -> np.ndarray:
     return hidden @ params.w2 + params.b2
 
 
-def align_centers(centers, velocities, dt: float, pose_now: EgoPose, pose_past: EgoPose) -> np.ndarray:
-    """Map past-ego centers into the current ego frame.
+def align_centers(centers, pose_now: EgoPose, poses_past) -> np.ndarray:
+    """Map the centers of P past frames into the current ego frame.
 
-    Each center is first advanced by velocity * dt inside the past ego
-    frame, then carried through the full rigid transform
+    ``centers`` is (P, K, 3), frame p in the ego frame of ``poses_past[p]``.
+    Each frame goes through the full rigid transform
     now_from_past = inv(world_from_ego_now) @ world_from_ego_past
-    (rotation and translation both apply).
+    (rotation and translation both apply); the transforms of all P frames
+    are stacked and applied in one pass.
     """
     c = as_float_array(centers, "centers")
-    v = as_float_array(velocities, "velocities")
-    if c.ndim != 2 or c.shape[1] != 3:
-        raise ValidationError("centers must be an (N, 3) array")
-    if v.shape != c.shape:
-        raise ValidationError("velocities must match the shape of centers")
-    dt = float(dt)
-    if not np.isfinite(dt):
-        raise ValidationError("dt must be finite")
-    now_from_past = rigid_inverse(pose_now.world_from_ego) @ pose_past.world_from_ego
-    predicted = c + v * dt
-    return predicted @ now_from_past[:3, :3].T + now_from_past[:3, 3]
+    past = np.array([pose.world_from_ego for pose in poses_past]).reshape(-1, 4, 4)
+    if c.ndim != 3 or c.shape[2] != 3 or c.shape[0] != past.shape[0]:
+        raise ValidationError("centers must be a (P, K, 3) array, one frame per past pose")
+    now_from_past = rigid_inverse(pose_now.world_from_ego) @ past
+    return c @ now_from_past[:, :3, :3].transpose(0, 2, 1) + now_from_past[:, None, :3, 3]

@@ -1,9 +1,11 @@
 """Motion elimination: drop past queries that match a current object.
 
-Past frames are padded to a common slot count K, their centers are aligned
-into the current ego frame, and a per-frame binary mask retains only slots
-whose aligned center is NOT within ``alpha`` meters of any same-category
-current object.  The current frame itself is always kept in full.
+Past frames are padded to a common slot count K, and the centers of all
+N - 1 past frames are aligned into the current ego frame in one batched
+pass.  One (N - 1, K, K) cost tensor holds every current-to-past center
+distance, and one (N, K) binary mask retains only past slots whose aligned
+center is NOT within ``alpha`` meters of any same-category current object.
+The current frame itself is always kept in full.
 
 The padded window is struct-of-arrays: q_3d embeddings (N, K, D), centers
 (N, K, 3), validity (N, K) and categories (N, K).  Padding and eliminated
@@ -80,80 +82,6 @@ class PaddedQuerySequence:
     def current_index(self) -> int:
         return self.n_frames - 1
 
-    def centers(self, i: int) -> np.ndarray:
-        return self.centers3d[i]
-
-    def validity(self, i: int) -> np.ndarray:
-        return self.valid[i]
-
-    def categories(self, i: int) -> np.ndarray:
-        return self.cats[i]
-
-    def q3d(self, i: int) -> np.ndarray:
-        return self.embeddings[i]
-
-
-@dataclass(frozen=True)
-class MotionCostMatrix:
-    """Pairwise current-to-past center distances for one past frame.
-
-    ``cost[m, n]`` is the Euclidean distance from current slot m to the
-    aligned past slot n; pairs touching an invalid slot carry +inf.
-    """
-
-    cost: np.ndarray
-    frame_offset: int
-    valid_current: np.ndarray
-    valid_past: np.ndarray
-
-    def __post_init__(self):
-        cost = np.asarray(self.cost, dtype=np.float64)
-        if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-            raise ValidationError("cost must be a square (K, K) matrix")
-        if np.any(np.isnan(cost)) or np.any(cost < 0.0):
-            raise ValidationError("costs must be non-negative (inf marks invalid pairs)")
-        k = cost.shape[0]
-        vc = np.asarray(self.valid_current, dtype=bool)
-        vp = np.asarray(self.valid_past, dtype=bool)
-        if vc.shape != (k,) or vp.shape != (k,):
-            raise ValidationError("validity vectors must have shape (K,)")
-        object.__setattr__(self, "cost", readonly(cost))
-        object.__setattr__(self, "frame_offset", int(self.frame_offset))
-        object.__setattr__(self, "valid_current", readonly(vc))
-        object.__setattr__(self, "valid_past", readonly(vp))
-
-
-@dataclass(frozen=True)
-class MotionMask:
-    """Per-frame binary retention vectors; 1 keeps a slot, 0 eliminates it."""
-
-    per_frame: tuple
-
-    def __post_init__(self):
-        vectors = tuple(
-            readonly(np.asarray(v, dtype=np.int8)) for v in self.per_frame
-        )
-        if not vectors:
-            raise ValidationError("mask needs at least one frame")
-        k = vectors[0].size
-        for v in vectors:
-            if v.ndim != 1 or v.size != k:
-                raise ValidationError("all mask vectors must share one length")
-            if np.any((v != 0) & (v != 1)):
-                raise ValidationError("mask entries must be 0 or 1")
-        object.__setattr__(self, "per_frame", vectors)
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.per_frame)
-
-    @property
-    def k_queries(self) -> int:
-        return self.per_frame[0].size
-
-    def survivor_counts(self) -> np.ndarray:
-        return np.array([int(v.sum()) for v in self.per_frame])
-
 
 def pad_frames(q3d, centers, cats, counts) -> PaddedQuerySequence:
     """Scatter per-query rows into N frames of K = max(counts) slots.
@@ -183,62 +111,67 @@ def pad_frames(q3d, centers, cats, counts) -> PaddedQuerySequence:
     return PaddedQuerySequence(embeddings, centers3d, valid, slot_cats)
 
 
-def motion_cost(
-    current_centers, past_aligned, validity, frame_offset: int = 1
-) -> MotionCostMatrix:
-    """Distance matrix between current slots and aligned past slots.
+def motion_cost(current_centers, past_aligned, current_valid, past_valid) -> np.ndarray:
+    """Distances between current slots and the aligned slots of P past frames.
 
-    ``validity`` is (K, 2) boolean: column 0 flags valid current slots,
-    column 1 valid past slots.  Any pair touching an invalid slot costs
-    +inf.
+    ``current_centers`` is (K, 3) and ``past_aligned`` (P, K, 3);
+    ``cost[p, m, n]`` is the Euclidean distance from current slot m to
+    slot n of past frame p.  ``current_valid`` (K,) and ``past_valid``
+    (P, K) flag valid slots; any pair touching an invalid slot costs +inf.
     """
     cur = as_float_array(current_centers, "current_centers")
     past = as_float_array(past_aligned, "past_aligned")
     if cur.ndim != 2 or cur.shape[1] != 3:
         raise ValidationError("current_centers must be (K, 3)")
-    if past.shape != cur.shape:
-        raise ValidationError("past_aligned must match current_centers in shape")
-    val = np.asarray(validity, dtype=bool)
-    if val.shape != (cur.shape[0], 2):
-        raise ValidationError("validity must be a (K, 2) boolean array")
-    diff = cur[:, None, :] - past[None, :, :]
-    cost = np.linalg.norm(diff, axis=-1)
-    cost[~val[:, 0], :] = INVALID_COST
-    cost[:, ~val[:, 1]] = INVALID_COST
-    return MotionCostMatrix(cost, frame_offset, val[:, 0], val[:, 1])
+    if past.ndim != 3 or past.shape[1:] != cur.shape:
+        raise ValidationError("past_aligned must be (P, K, 3), K as in current_centers")
+    cur_valid = np.asarray(current_valid, dtype=bool)
+    past_valid = np.asarray(past_valid, dtype=bool)
+    if cur_valid.shape != cur.shape[:1] or past_valid.shape != past.shape[:2]:
+        raise ValidationError("validity must be (K,) for the current and (P, K) for past slots")
+    cost = np.linalg.norm(cur[None, :, None, :] - past[:, None, :, :], axis=-1)
+    invalid = ~cur_valid[None, :, None] | ~past_valid[:, None, :]
+    np.copyto(cost, INVALID_COST, where=invalid)
+    return cost
 
 
-def motion_mask(
-    cost: MotionCostMatrix, cats_current, cats_past, cfg: MotionElimConfig
-) -> np.ndarray:
-    """Retention vector for one past frame.
+def motion_mask(cost, cats_current, cats_past, past_valid, cfg: MotionElimConfig) -> np.ndarray:
+    """Read-only (P + 1, K) int8 retention mask: P past rows, then the current.
 
-    Slot n is eliminated (0) exactly when some current slot m sits within
-    alpha of it (and shares its category, when required); padded or
-    invalid past slots are always 0.
+    Past slot n of frame p is eliminated (0) exactly when some current slot
+    m sits within alpha of it, ``cost[p, m, n] <= alpha``, and shares its
+    category when required; invalid past slots are always 0.  The current
+    row is all 1.
     """
-    k = cost.cost.shape[0]
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 3 or cost.shape[1] != cost.shape[2] or not np.all(cost >= 0.0):
+        raise ValidationError("cost must be (P, K, K) distances >= 0 (inf marks invalid pairs)")
+    p, k, _ = cost.shape
     cur = np.asarray(cats_current, dtype=int)
     past = np.asarray(cats_past, dtype=int)
-    if cur.shape != (k,) or past.shape != (k,):
-        raise ValidationError("category vectors must have shape (K,)")
-    close = cost.cost <= cfg.alpha
+    valid = np.asarray(past_valid, dtype=bool)
+    if cur.shape != (k,) or past.shape != (p, k) or valid.shape != (p, k):
+        raise ValidationError("categories must be (K,) and (P, K), past validity (P, K)")
+    close = cost <= cfg.alpha
     if cfg.require_same_category:
-        close &= cur[:, None] == past[None, :]
-    eliminated = close.any(axis=0)
-    mask = (~eliminated).astype(np.int8)
-    mask[~cost.valid_past] = 0
-    return mask
+        close &= cur[None, :, None] == past[:, None, :]
+    mask = np.ones((p + 1, k), dtype=np.int8)
+    mask[:p] = ~close.any(axis=1) & valid
+    return readonly(mask)
 
 
-def apply_motion_mask(seq: PaddedQuerySequence, mask: MotionMask) -> PaddedQuerySequence:
+def apply_motion_mask(seq: PaddedQuerySequence, mask) -> PaddedQuerySequence:
     """Turn eliminated past slots into padding; retained slots pass through.
 
-    The current frame is never altered, whatever its mask row says.
+    ``mask`` is an (N, K) array of 0 and 1.  The current frame is never
+    altered, whatever its mask row says.
     """
-    if mask.n_frames != seq.n_frames or mask.k_queries != seq.k_queries:
+    keep = np.asarray(mask)
+    if keep.shape != (seq.n_frames, seq.k_queries):
         raise ValidationError("mask shape must match the padded sequence")
-    keep = np.stack(mask.per_frame).astype(bool)
+    if np.any((keep != 0) & (keep != 1)):
+        raise ValidationError("mask entries must be 0 or 1")
+    keep = keep.astype(bool)
     keep[seq.current_index] = True
     return PaddedQuerySequence(
         np.where(keep[..., None], seq.embeddings, 0.0),

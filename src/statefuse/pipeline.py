@@ -1,11 +1,13 @@
 """End-to-end multi-frame detection pipeline and its cost models.
 
 The 2D proposals of all frames become 3D queries in one batched pass;
-frames are padded to a common slot count, past centers are aligned into
-the current ego frame (compensating ego motion; this forward-only stack
-predicts no object velocities, so alignment extrapolates none), statically
-matched slots are eliminated, and the surviving sequence is
-channel-concatenated and run through the gated state-space fusion stack.
+frames are padded to a common slot count, and the motion stage runs once
+over all past frames: their centers are aligned into the current ego frame
+(compensating ego motion; this forward-only stack predicts no object
+velocities, so alignment extrapolates none), one (N - 1, K, K) cost tensor
+compares them with the current centers, and one (N, K) mask eliminates the
+statically matched slots.  The surviving sequence is channel-concatenated
+and run through the gated state-space fusion stack.
 A single cross-attention decoder layer then refines the current frame's
 queries against sampled image features, and a box head reads out
 detections.
@@ -40,7 +42,6 @@ from .fusion import (
 from .geometry import PosEmbedParams, align_centers
 from .motion import (
     MotionElimConfig,
-    MotionMask,
     PaddedQuerySequence,
     apply_motion_mask,
     motion_cost,
@@ -317,7 +318,7 @@ class PipelineResult:
 
     detections: tuple
     op_report: OpCountReport
-    motion_mask: MotionMask
+    motion_mask: np.ndarray
     padded: PaddedQuerySequence
     slot_scores: np.ndarray
     fused_input: FusedQuerySequence
@@ -380,7 +381,12 @@ def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
         boxes = [(seq.centers3d[cur, s], np.zeros(3), 0.0, np.zeros(2), scores[s]) for s in slots]
     else:
         out = refined[slots] @ w.box_w + w.box_b
-        boxes = [(r[0:3], np.exp(r[3:6]), r[6], r[7:9], 1.0 / (1.0 + np.exp(-r[9]))) for r in out]
+        with np.errstate(over="ignore"):  # an overflow fails the stage check below
+            size = np.exp(out[:, 3:6])
+        _stage_finite("box_head", out)
+        _stage_finite("box_head", size)
+        score = 1.0 / (1.0 + np.exp(-out[:, 9]))
+        boxes = zip(out[:, 0:3], size, out[:, 6], out[:, 7:9], score)
     return tuple(
         Detection(center, size, yaw, velocity, seq.cats[cur, s], score)
         for s, (center, size, yaw, velocity, score) in zip(slots, boxes)
@@ -414,35 +420,18 @@ def run_pipeline_detailed(
     slot_scores[padded.valid] = scores
 
     cur = padded.current_index
-    pose_now = frames[cur].ego_pose
-    cur_centers = padded.centers(cur)
-    cur_valid = padded.validity(cur)
-    cur_cats = padded.categories(cur)
-    vectors = []
-    for i in range(padded.n_frames):
-        if i == cur:
-            vectors.append(np.ones(k, dtype=np.int8))
-            continue
-        pose_past = frames[i].ego_pose
-        dt = pose_now.timestamp - pose_past.timestamp
-        aligned = align_centers(
-            padded.centers(i), np.zeros((k, 3)), dt, pose_now, pose_past
-        )
-        _stage_finite("align", aligned)
-        cost = motion_cost(
-            cur_centers,
-            aligned,
-            np.stack([cur_valid, padded.validity(i)], axis=1),
-            frame_offset=cur - i,
-        )
-        vectors.append(motion_mask(cost, cur_cats, padded.categories(i), cfg))
-    mask = MotionMask(tuple(vectors))
+    aligned = align_centers(
+        padded.centers3d[:cur], frames[cur].ego_pose, [fr.ego_pose for fr in frames[:cur]]
+    )
+    _stage_finite("align", aligned)
+    cost = motion_cost(padded.centers3d[cur], aligned, padded.valid[cur], padded.valid[:cur])
+    mask = motion_mask(cost, padded.cats[cur], padded.cats[:cur], padded.valid[:cur], cfg)
 
     surviving = apply_motion_mask(padded, mask)
     fused_input = channel_concat(surviving)
     fused_output = query_mamba_stack(fused_input, w.stack)
     refined = decode_current_frame(
-        fused_output, surviving.q3d(cur), frames[cur].feature_maps, w
+        fused_output, surviving.embeddings[cur], frames[cur].feature_maps, w
     )
     detections = _read_boxes(refined, surviving, slot_scores[cur], w)
     report = OpCountReport.build(
@@ -473,7 +462,7 @@ def run_report_csv(result: PipelineResult) -> str:
     so eliminated slots stay inspectable; padded slots carry category -1.
     """
     seq = result.padded
-    retained = np.stack(result.motion_mask.per_frame).tolist()
+    retained = result.motion_mask.tolist()
     centers, cats, scores = seq.centers3d.tolist(), seq.cats.tolist(), result.slot_scores.tolist()
     lines = [REPORT_HEADER]
     for i in range(seq.n_frames):

@@ -276,9 +276,7 @@ def check_ego_alignment() -> CheckResult:
 
         in_past = to_ego(pose_past, world)
         in_now = to_ego(pose_now, world)
-        aligned = align_centers(
-            in_past, np.zeros_like(in_past), pose_now.timestamp, pose_now, pose_past
-        )
+        aligned = align_centers(in_past[None], pose_now, [pose_past])[0]
         worst_pos = max(worst_pos, float(np.max(np.abs(aligned - in_now))))
         before = np.linalg.norm(in_past[:, None] - in_past[None, :], axis=-1)
         after = np.linalg.norm(aligned[:, None] - aligned[None, :], axis=-1)
@@ -325,10 +323,11 @@ def check_motion_mask_oracle() -> CheckResult:
             alpha=float(rng.uniform(0.0, 15.0)),
             require_same_category=bool(rng.integers(0, 2)),
         )
-        cost = motion_cost(cur, past, valid)
-        got = motion_mask(cost, cats_cur, cats_past, cfg)
+        past_valid = valid[None, :, 1]
+        cost = motion_cost(cur, past[None], valid[:, 0], past_valid)
+        got = motion_mask(cost, cats_cur, cats_past[None], past_valid, cfg)[0]
         want = _brute_force_mask(
-            cost.cost, cats_cur, cats_past, valid[:, 0], valid[:, 1], cfg
+            cost[0], cats_cur, cats_past, valid[:, 0], valid[:, 1], cfg
         )
         if not np.array_equal(got, want):
             return CheckResult(
@@ -340,13 +339,13 @@ def check_motion_mask_oracle() -> CheckResult:
         past = rng.uniform(-10.0, 10.0, size=(k, 3))
         valid = np.ones((k, 2), dtype=bool)
         cats = rng.integers(0, 3, size=k)
-        cost = motion_cost(cur, past, valid)
+        cost = motion_cost(cur, past[None], valid[:, 0], valid[None, :, 1])
         alphas = np.sort(rng.uniform(0.0, 20.0, size=4))
         prev = None
         for alpha in alphas:
             mask = motion_mask(
-                cost, cats, cats, MotionElimConfig(alpha=float(alpha))
-            )
+                cost, cats, cats[None], valid[None, :, 1], MotionElimConfig(alpha=float(alpha))
+            )[0]
             if prev is not None and np.any(mask > prev):
                 return CheckResult(
                     "motion_mask_oracle",
@@ -448,7 +447,7 @@ def check_end_to_end_geometry() -> CheckResult:
     static_ids = {i for i in range(scene.config.n_objects) if now.static_labels[i]}
     for f in range(result.padded.n_frames - 1):
         ids = flat_ids[f]
-        mask_row = result.motion_mask.per_frame[f]
+        mask_row = result.motion_mask[f]
         eliminated = {ids[s] for s in range(len(ids)) if mask_row[s] == 0}
         retained = {ids[s] for s in range(len(ids)) if mask_row[s] == 1}
         if np.any(mask_row[len(ids) :] != 0):

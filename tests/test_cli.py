@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from statefuse.cli import build_parser, cli_main
@@ -178,6 +179,32 @@ def test_run_rejects_feature_blob_dtype(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "dtype" in err and len(err.splitlines()) == 1
+
+
+def test_run_box_head_overflow_is_numeric(tmp_path, capsys):
+    """A box head whose size logits overflow exp exits 4, naming the stage."""
+    import dataclasses
+
+    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights
+
+    scene_path = simulate(tmp_path)
+    scene = load_scene(str(scene_path))
+    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+    dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
+    w = PipelineWeights.from_seed(11, dims, "linear")
+    box_w, box_b = np.array(w.box_w), np.array(w.box_b)
+    box_w[:, 3], box_b[3] = 0.0, 1e3  # exp(1000) overflows for every slot
+    wpath = tmp_path / "w.sfw"
+    save_weights(dataclasses.replace(w, box_w=box_w, box_b=box_b), str(wpath))
+    capsys.readouterr()
+    code = cli_main(
+        ["run", "--scene", str(scene_path), "--weights", str(wpath),
+         "--out", str(tmp_path / "o.csv")]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "box_head" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_run_bad_seed_argument(tmp_path):

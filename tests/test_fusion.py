@@ -346,6 +346,26 @@ def test_output_projection_overflow_names_its_layer(n_layers, n):
             query_mamba_stack(x, QueryMambaStack(layers))
 
 
+def conv_overflow_layer():
+    """A seeded layer whose depthwise causal conv overflows on every input."""
+    return dataclasses.replace(seeded_layer_params(4, 1), dw_kernel=np.full((4, 3), 1e308))
+
+
+@pytest.mark.parametrize(
+    "bad_index, n", [(0, 6), (1, 6), (1, 3 * _TILE_ROWS + 5)]
+)
+def test_conv_overflow_names_its_layer(bad_index, n):
+    """One layer, the second of two, and the second of two over several tiles:
+    the overflow is numeric (not a layer norm input error) and names the
+    layer whose conv overflowed."""
+    layers = [seeded_layer_params(4, 2)] * (bad_index + 1)
+    layers[bad_index] = conv_overflow_layer()
+    x = history_seq(n, k=2, d=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError, match=f"layer {bad_index}: .*conv"):
+            query_mamba_stack(x, QueryMambaStack(tuple(layers)))
+
+
 def test_sequence_copies_a_writable_array():
     data = np.zeros((2, 4))
     x = FusedQuerySequence(data, (0, 1), 2, 2)

@@ -15,6 +15,7 @@ from statefuse import (
     project_point,
     sinusoid_features,
 )
+from statefuse.numerics import rigid_inverse
 
 
 def identity_camera():
@@ -149,29 +150,22 @@ def test_pos_embed_params_validated():
 
 def test_align_identical_poses_static():
     centers = np.array([[1.0, 2.0, 0.5], [-3.0, 0.0, 1.0]])
-    out = align_centers(centers, np.zeros((2, 3)), 0.5, pose_at(), pose_at(t=0.5))
+    out = align_centers(centers[None], pose_at(), [pose_at(t=0.5)])[0]
     assert np.max(np.abs(out - centers)) <= 1e-12
-
-
-def test_align_velocity_extrapolation():
-    centers = np.array([[0.0, 0.0, 0.0]])
-    vel = np.array([[1.0, 0.0, 0.0]])
-    out = align_centers(centers, vel, 0.5, pose_at(), pose_at())
-    assert np.allclose(out, [[0.5, 0.0, 0.0]], rtol=0, atol=1e-15)
 
 
 def test_align_quarter_turn():
     # the ego yawed +90 degrees between frames; a forward point swings right
     past = pose_at(yaw=0.0, t=0.0)
     now = pose_at(yaw=np.pi / 2.0, t=0.5)
-    out = align_centers(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)), 0.5, now, past)
+    out = align_centers(np.array([[[1.0, 0.0, 0.0]]]), now, [past])[0]
     assert np.max(np.abs(out - [[0.0, -1.0, 0.0]])) <= 1e-12
 
 
 def test_align_translation():
     past = pose_at(x=0.0, t=0.0)
     now = pose_at(x=2.0, t=1.0)
-    out = align_centers(np.array([[5.0, 1.0, 0.0]]), np.zeros((1, 3)), 1.0, now, past)
+    out = align_centers(np.array([[[5.0, 1.0, 0.0]]]), now, [past])[0]
     assert np.max(np.abs(out - [[3.0, 1.0, 0.0]])) <= 1e-12
 
 
@@ -187,17 +181,34 @@ def test_align_world_static_invariant():
             inv_r = pose.world_from_ego[:3, :3].T
             return (pts - pose.world_from_ego[:3, 3]) @ inv_r.T
 
-        aligned = align_centers(
-            to_ego(p_past, world), np.zeros((6, 3)), 1.0, p_now, p_past
-        )
+        aligned = align_centers(to_ego(p_past, world)[None], p_now, [p_past])[0]
         assert np.max(np.abs(aligned - to_ego(p_now, world))) <= 1e-9
+
+
+def test_align_stacks_past_frames():
+    """Each past frame goes through its own pose, bit for bit as a transform
+    of that frame alone; a window of no past frames aligns nothing."""
+    rng = np.random.default_rng(101)
+    now = pose_at(1.0, -2.0, yaw=0.7, t=3.0)
+    pasts = [
+        pose_at(*rng.uniform(-5, 5, size=2), yaw=rng.uniform(-3, 3), t=t) for t in range(3)
+    ]
+    centers = rng.uniform(-10, 10, size=(3, 5, 3))
+    out = align_centers(centers, now, pasts)
+    for i, past in enumerate(pasts):
+        now_from_past = rigid_inverse(now.world_from_ego) @ past.world_from_ego
+        want = centers[i] @ now_from_past[:3, :3].T + now_from_past[:3, 3]
+        assert np.array_equal(out[i], want)
+    assert align_centers(np.zeros((0, 5, 3)), now, []).shape == (0, 5, 3)
 
 
 def test_align_shape_checks():
     with pytest.raises(ValidationError):
-        align_centers(np.zeros((2, 2)), np.zeros((2, 2)), 0.5, pose_at(), pose_at())
+        align_centers(np.zeros((1, 2, 2)), pose_at(), [pose_at()])
     with pytest.raises(ValidationError):
-        align_centers(np.zeros((2, 3)), np.zeros((3, 3)), 0.5, pose_at(), pose_at())
+        align_centers(np.zeros((2, 3)), pose_at(), [pose_at()])
+    with pytest.raises(ValidationError):
+        align_centers(np.zeros((2, 2, 3)), pose_at(), [pose_at()])
 
 
 def test_pose_rejects_non_rigid():

@@ -6,7 +6,6 @@ import pytest
 from statefuse import (
     INVALID_COST,
     MotionElimConfig,
-    MotionMask,
     ValidationError,
     apply_motion_mask,
     motion_cost,
@@ -33,6 +32,21 @@ def pad(frames):
     )
 
 
+def cost_one(cur, past, validity):
+    """(K, K) cost against one past frame; ``validity`` columns are the
+    current and the past slot flags."""
+    validity = np.asarray(validity, dtype=bool)
+    return motion_cost(cur, np.asarray(past)[None], validity[:, 0], validity[None, :, 1])[0]
+
+
+def mask_one(cost, cats_cur, cats_past, valid_past, cfg):
+    """Past row of the mask against one past frame with (K, K) ``cost``."""
+    cats_past, valid_past = np.asarray(cats_past)[None], np.asarray(valid_past)[None]
+    mask = motion_mask(cost[None], cats_cur, cats_past, valid_past, cfg)
+    assert np.array_equal(mask[1], np.ones(cost.shape[0]))
+    return mask[0]
+
+
 # --- padding ---
 
 def test_pad_counts():
@@ -45,7 +59,7 @@ def test_pad_counts():
     assert seq.k_queries == 5
     assert seq.n_frames == 3
     assert seq.current_index == 2
-    invalid_counts = [int((~seq.validity(i)).sum()) for i in range(3)]
+    invalid_counts = [int((~seq.valid[i]).sum()) for i in range(3)]
     assert invalid_counts == [2, 0, 3]
 
 
@@ -53,7 +67,7 @@ def test_pad_equal_counts_untouched():
     frames = [[query_at([1.0, 0, 0])], [query_at([2.0, 0, 0])]]
     seq = pad(frames)
     assert seq.k_queries == 1
-    assert all(seq.validity(i).all() for i in range(2))
+    assert seq.valid.all()
 
 
 def test_pad_single_frame():
@@ -68,10 +82,10 @@ def test_padding_query_shape():
     frames = [[query_at([1.0, 2.0, 3.0], category=2, d=8)] for _ in range(3)] + [[]]
     seq = pad(frames)
     assert seq.n_frames == 4
-    assert not seq.validity(3)[0]
-    assert seq.categories(3)[0] == -1
-    assert np.array_equal(seq.q3d(3)[0], np.zeros(8))
-    assert np.array_equal(seq.centers(3)[0], np.zeros(3))
+    assert not seq.valid[3, 0]
+    assert seq.cats[3, 0] == -1
+    assert np.array_equal(seq.embeddings[3, 0], np.zeros(8))
+    assert np.array_equal(seq.centers3d[3, 0], np.zeros(3))
 
 
 def test_pad_rejects_empty():
@@ -92,30 +106,30 @@ def test_pad_rejects_row_count_mismatch():
 def test_cost_identical_centers_zero_diagonal():
     centers = np.array([[0.0, 0, 0], [3.0, 4.0, 0], [1.0, 1.0, 1.0]])
     validity = np.ones((3, 2), dtype=bool)
-    cost = motion_cost(centers, centers, validity)
-    assert np.array_equal(np.diag(cost.cost), np.zeros(3))
+    cost = cost_one(centers, centers, validity)
+    assert np.array_equal(np.diag(cost), np.zeros(3))
 
 
 def test_cost_345_triangle():
     cur = np.array([[0.0, 0.0, 0.0]])
     past = np.array([[3.0, 4.0, 0.0]])
-    cost = motion_cost(cur, past, np.ones((1, 2), dtype=bool))
-    assert cost.cost[0, 0] == 5.0
+    cost = cost_one(cur, past, np.ones((1, 2), dtype=bool))
+    assert cost[0, 0] == 5.0
 
 
 def test_cost_invalid_column_is_inf():
     cur = np.zeros((2, 3))
     past = np.zeros((2, 3))
     validity = np.array([[True, True], [True, False]])
-    cost = motion_cost(cur, past, validity)
-    assert np.all(cost.cost[:, 1] == INVALID_COST)
-    assert np.all(np.isfinite(cost.cost[:, 0]))
+    cost = cost_one(cur, past, validity)
+    assert np.all(cost[:, 1] == INVALID_COST)
+    assert np.all(np.isfinite(cost[:, 0]))
 
 
 def test_cost_invalid_row_is_inf():
     validity = np.array([[False, True], [True, True]])
-    cost = motion_cost(np.zeros((2, 3)), np.zeros((2, 3)), validity)
-    assert np.all(cost.cost[0, :] == INVALID_COST)
+    cost = cost_one(np.zeros((2, 3)), np.zeros((2, 3)), validity)
+    assert np.all(cost[0, :] == INVALID_COST)
 
 
 # --- elimination mask ---
@@ -125,8 +139,8 @@ def test_mask_example_two_slots():
     cur = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     past = np.array([[0.2, 0.0, 0.0], [4.0, 4.0, 0.0]])
     assert abs(np.linalg.norm(past[1]) - 5.656854249492381) < 1e-12
-    cost = motion_cost(cur, past, np.ones((2, 2), dtype=bool))
-    mask = motion_mask(cost, [0, 1], [0, 1], MotionElimConfig(alpha=0.5))
+    cost = cost_one(cur, past, np.ones((2, 2), dtype=bool))
+    mask = mask_one(cost, [0, 1], [0, 1], [True, True], MotionElimConfig(alpha=0.5))
     assert np.array_equal(mask, [0, 1])
 
 
@@ -134,19 +148,21 @@ def test_mask_alpha_zero_keeps_everything():
     rng = np.random.default_rng(137)
     cur = rng.uniform(-5, 5, size=(4, 3))
     past = cur + rng.uniform(0.01, 1.0, size=(4, 3))
-    cost = motion_cost(cur, past, np.ones((4, 2), dtype=bool))
-    mask = motion_mask(cost, np.zeros(4, int), np.zeros(4, int), MotionElimConfig(alpha=0.0))
+    cost = cost_one(cur, past, np.ones((4, 2), dtype=bool))
+    mask = mask_one(
+        cost, np.zeros(4, int), np.zeros(4, int), np.ones(4, bool), MotionElimConfig(alpha=0.0)
+    )
     assert np.array_equal(mask, np.ones(4, dtype=np.int8))
 
 
 def test_mask_category_veto():
     cur = np.array([[0.0, 0.0, 0.0]])
     past = np.array([[0.1, 0.0, 0.0]])
-    cost = motion_cost(cur, past, np.ones((1, 2), dtype=bool))
-    vetoed = motion_mask(cost, [0], [1], MotionElimConfig(alpha=0.5))
+    cost = cost_one(cur, past, np.ones((1, 2), dtype=bool))
+    vetoed = mask_one(cost, [0], [1], [True], MotionElimConfig(alpha=0.5))
     assert np.array_equal(vetoed, [1])
-    ignored = motion_mask(
-        cost, [0], [1], MotionElimConfig(alpha=0.5, require_same_category=False)
+    ignored = mask_one(
+        cost, [0], [1], [True], MotionElimConfig(alpha=0.5, require_same_category=False)
     )
     assert np.array_equal(ignored, [0])
 
@@ -155,8 +171,8 @@ def test_mask_invalid_past_slot_always_zero():
     cur = np.zeros((2, 3))
     past = np.full((2, 3), 100.0)
     validity = np.array([[True, True], [True, False]])
-    cost = motion_cost(cur, past, validity)
-    mask = motion_mask(cost, [0, 0], [0, 0], MotionElimConfig(alpha=0.5))
+    cost = cost_one(cur, past, validity)
+    mask = mask_one(cost, [0, 0], [0, 0], validity[:, 1], MotionElimConfig(alpha=0.5))
     assert mask[1] == 0
 
 
@@ -172,8 +188,8 @@ def test_mask_matches_brute_force():
         alpha = float(rng.uniform(0.0, 8.0))
         same_cat = bool(rng.integers(0, 2))
         cfg = MotionElimConfig(alpha=alpha, require_same_category=same_cat)
-        cost = motion_cost(cur, past, validity)
-        got = motion_mask(cost, cats_cur, cats_past, cfg)
+        cost = cost_one(cur, past, validity)
+        got = mask_one(cost, cats_cur, cats_past, validity[:, 1], cfg)
         want = np.ones(k, dtype=np.int8)
         for n in range(k):
             if not validity[n, 1]:
@@ -196,14 +212,85 @@ def test_mask_monotone_in_alpha():
         k = 5
         cur = rng.uniform(-4, 4, size=(k, 3))
         past = rng.uniform(-4, 4, size=(k, 3))
-        cost = motion_cost(cur, past, np.ones((k, 2), dtype=bool))
+        cost = cost_one(cur, past, np.ones((k, 2), dtype=bool))
         cats = np.zeros(k, dtype=int)
         prev = None
         for alpha in sorted(rng.uniform(0.0, 10.0, size=4)):
-            mask = motion_mask(cost, cats, cats, MotionElimConfig(alpha=alpha))
+            mask = mask_one(cost, cats, cats, np.ones(k, bool), MotionElimConfig(alpha=alpha))
             if prev is not None:
                 assert np.all(mask <= prev)
             prev = mask
+
+
+
+
+# --- one batch over all past frames ---
+
+def random_window(rng, p, k):
+    """Current centers, P past frames of aligned centers, flags and categories."""
+    return (
+        rng.uniform(-6, 6, size=(k, 3)),
+        rng.uniform(-6, 6, size=(p, k, 3)),
+        rng.uniform(size=k) < 0.8,
+        rng.uniform(size=(p, k)) < 0.8,
+        rng.integers(0, 3, size=k),
+        rng.integers(0, 3, size=(p, k)),
+    )
+
+
+@pytest.mark.parametrize("same_cat", [True, False])
+def test_batch_equals_one_frame_at_a_time(same_cat):
+    """The batched cost and mask equal a per-frame computation bit for bit."""
+    rng = np.random.default_rng(157)
+    for _ in range(40):
+        p, k = int(rng.integers(1, 16)), int(rng.integers(1, 12))
+        cur, past, cur_valid, past_valid, cats_cur, cats_past = random_window(rng, p, k)
+        cfg = MotionElimConfig(alpha=float(rng.uniform(0.5, 4.0)), require_same_category=same_cat)
+        cost = motion_cost(cur, past, cur_valid, past_valid)
+        mask = motion_mask(cost, cats_cur, cats_past, past_valid, cfg)
+        assert cost.shape == (p, k, k) and mask.shape == (p + 1, k)
+        for i in range(p):
+            want = np.linalg.norm(cur[:, None, :] - past[i][None, :, :], axis=-1)
+            want[~cur_valid, :] = INVALID_COST
+            want[:, ~past_valid[i]] = INVALID_COST
+            assert np.array_equal(cost[i], want)
+            close = want <= cfg.alpha
+            if same_cat:
+                close &= cats_cur[:, None] == cats_past[i][None, :]
+            assert np.array_equal(mask[i], ~close.any(axis=0) & past_valid[i])
+
+
+def test_mask_is_read_only_int8_with_current_row_kept():
+    rng = np.random.default_rng(163)
+    cur, past, cur_valid, past_valid, cats_cur, cats_past = random_window(rng, 3, 5)
+    cost = motion_cost(cur, past, cur_valid, past_valid)
+    mask = motion_mask(cost, cats_cur, cats_past, past_valid, MotionElimConfig(alpha=20.0))
+    assert mask.dtype == np.int8 and not mask.flags.writeable
+    assert np.array_equal(mask[-1], np.ones(5))
+
+
+def test_no_past_frames():
+    """A one-frame window has an empty cost tensor and keeps its current row."""
+    no_past = np.ones((0, 4), bool)
+    cost = motion_cost(np.zeros((4, 3)), np.zeros((0, 4, 3)), np.ones(4, bool), no_past)
+    assert cost.shape == (0, 4, 4)
+    mask = motion_mask(cost, np.zeros(4, int), np.zeros((0, 4), int), no_past, MotionElimConfig())
+    assert np.array_equal(mask, np.ones((1, 4)))
+
+
+def test_cost_and_mask_shape_checks():
+    cfg = MotionElimConfig()
+    with pytest.raises(ValidationError):
+        motion_cost(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2, bool), np.ones((1, 2), bool))
+    with pytest.raises(ValidationError):
+        motion_cost(np.zeros((2, 3)), np.zeros((1, 2, 3)), np.ones(2, bool), np.ones(2, bool))
+    with pytest.raises(ValidationError):
+        motion_mask(np.zeros((2, 2)), [0, 0], [[0, 0]], [[True, True]], cfg)
+    with pytest.raises(ValidationError):
+        motion_mask(np.zeros((1, 2, 2)), [0, 0], [0, 0], [[True, True]], cfg)
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValidationError):
+            motion_mask(np.full((1, 2, 2), bad), [0, 0], [[0, 0]], [[True, True]], cfg)
 
 
 # --- mask application ---
@@ -214,13 +301,11 @@ def test_apply_all_ones_identity():
         [query_at([1.5, 0, 0]), query_at([4.5, 0, 0])],
     ]
     seq = pad(frames)
-    mask = MotionMask((np.ones(2, dtype=np.int8), np.ones(2, dtype=np.int8)))
-    out = apply_motion_mask(seq, mask)
-    for i in range(2):
-        assert np.array_equal(out.q3d(i), seq.q3d(i))
-        assert np.array_equal(out.centers(i), seq.centers(i))
-        assert np.array_equal(out.validity(i), seq.validity(i))
-        assert np.array_equal(out.categories(i), seq.categories(i))
+    out = apply_motion_mask(seq, np.ones((2, 2), dtype=np.int8))
+    assert np.array_equal(out.embeddings, seq.embeddings)
+    assert np.array_equal(out.centers3d, seq.centers3d)
+    assert np.array_equal(out.valid, seq.valid)
+    assert np.array_equal(out.cats, seq.cats)
 
 
 def test_apply_zeros_blanks_past_only():
@@ -229,15 +314,14 @@ def test_apply_zeros_blanks_past_only():
         [query_at([2.0, 0, 0])],
     ]
     seq = pad(frames)
-    mask = MotionMask((np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int8)))
-    out = apply_motion_mask(seq, mask)
-    assert np.array_equal(out.q3d(0), np.zeros((1, 6)))
-    assert np.array_equal(out.centers(0), np.zeros((1, 3)))
-    assert not out.validity(0)[0]
-    assert out.categories(0)[0] == -1
+    out = apply_motion_mask(seq, np.zeros((2, 1), dtype=np.int8))
+    assert np.array_equal(out.embeddings[0], np.zeros((1, 6)))
+    assert np.array_equal(out.centers3d[0], np.zeros((1, 3)))
+    assert not out.valid[0, 0]
+    assert out.cats[0, 0] == -1
     # the current frame ignores its mask row
-    assert np.array_equal(out.q3d(1), seq.q3d(1))
-    assert out.validity(1)[0]
+    assert np.array_equal(out.embeddings[1], seq.embeddings[1])
+    assert out.valid[1, 0]
 
 
 def test_apply_survivor_count_matches_mask():
@@ -247,21 +331,20 @@ def test_apply_survivor_count_matches_mask():
         for i in range(3)
     ]
     seq = pad(frames)
-    rows = tuple(rng.integers(0, 2, size=4).astype(np.int8) for _ in range(3))
-    mask = MotionMask(rows)
-    out = apply_motion_mask(seq, mask)
+    rows = np.stack([rng.integers(0, 2, size=4).astype(np.int8) for _ in range(3)])
+    out = apply_motion_mask(seq, rows)
     for i in range(2):
-        assert int(out.validity(i).sum()) == int(rows[i].sum())
-    assert int(out.validity(2).sum()) == 4
+        assert int(out.valid[i].sum()) == int(rows[i].sum())
+    assert int(out.valid[2].sum()) == 4
 
 
 def test_apply_shape_mismatch():
     seq = pad([[query_at([0.0, 0, 0])]])
-    mask = MotionMask((np.ones(2, dtype=np.int8),))
     with pytest.raises(ValidationError):
-        apply_motion_mask(seq, mask)
+        apply_motion_mask(seq, np.ones((1, 2), dtype=np.int8))
 
 
-def test_mask_type_validates_entries():
+def test_apply_rejects_non_binary_mask():
+    seq = pad([[query_at([0.0, 0, 0]), query_at([1.0, 0, 0])]])
     with pytest.raises(ValidationError):
-        MotionMask((np.array([0, 2], dtype=np.int8),))
+        apply_motion_mask(seq, np.array([[0, 2]], dtype=np.int8))

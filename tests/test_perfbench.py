@@ -30,3 +30,69 @@ def test_every_traced_binding_resolves(monkeypatch):
     ]
     assert missing == []
     assert tracing._resolve("statefuse.fusion", "no_such_function") is None
+
+
+# Bound but not called on the real path: the stack has run its layers
+# through one tiled pass since the row-tiled rewrite, and query_mamba_block
+# is only a one-layer entry point.  Re-binding or dropping it is part of
+# the benchmark change in ROADMAP item 2.
+UNCALLED = {"fusion.query_mamba_block"}
+MOTION_LAYERS = (
+    "geometry.align_centers",
+    "motion.motion_cost",
+    "motion.motion_mask",
+    "motion.apply_motion_mask",
+)
+
+
+def test_every_op_binding_records_a_span(monkeypatch):
+    """A traced pipeline pass, its report and a multi-tile stack call reach
+    every op-phase binding; each pass runs the motion stage exactly once."""
+    import numpy as np
+
+    import statefuse.fusion as fusion
+    import statefuse.pipeline as pipeline
+    from statefuse import (
+        FusedQuerySequence,
+        PipelineDims,
+        PipelineWeights,
+        SceneConfig,
+        build_scene,
+    )
+
+    def scene_and_weights(n_frames):
+        cfg = SceneConfig(n_frames=n_frames, n_objects=4, n_cameras=3, image_size=(16, 24))
+        scene = build_scene(cfg)
+        k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+        dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
+        return scene, PipelineWeights.from_seed(5, dims)
+
+    tracing = load_tracing(monkeypatch)
+    windows = [scene_and_weights(3), scene_and_weights(1)]  # a one-frame window has no past
+    n = 3 * 128 + 5
+    data = np.random.default_rng(3).standard_normal((n, 8))
+    rows = FusedQuerySequence(data, tuple(range(n)), 2, 4)
+    stack = fusion.seeded_stack(8, 7, n_layers=2)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for index, (scene, w) in enumerate(windows):
+            tracer.begin("op", index)
+            result = pipeline.run_pipeline_detailed(scene.frames, scene.cameras, w)
+            pipeline.run_report_csv(result)
+            tracer.end()
+        tracer.begin("op", 2)
+        fusion.query_mamba_stack(rows, stack)
+        tracer.end()
+    finally:
+        tracer.uninstall()
+
+    assert tracer.absent == []
+    table, _, _ = tracer.per_root()
+    seen = {layer for cells in table.values() for layer in cells}
+    op_layers = set(tracing.LAYERS) - set(tracing.SETUP_LAYERS)
+    assert op_layers - seen == UNCALLED
+    for root in (0, 1):
+        calls = {layer: table[root][layer][1] for layer in MOTION_LAYERS}
+        assert calls == dict.fromkeys(MOTION_LAYERS, 1)

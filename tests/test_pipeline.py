@@ -113,7 +113,7 @@ def test_pipeline_current_frame_mask_all_ones():
     scene, w = scene_and_weights()
     _, _, mask = run_pipeline(scene.frames, scene.cameras, w)
     assert np.array_equal(
-        mask.per_frame[-1], np.ones(w.dims.k_queries, dtype=np.int8)
+        mask[-1], np.ones(w.dims.k_queries, dtype=np.int8)
     )
 
 
@@ -163,7 +163,7 @@ def test_pipeline_single_frame_runs():
     w = PipelineWeights.from_seed(1, dims)
     detections, report, mask = run_pipeline(scene.frames, scene.cameras, w)
     assert report.n_frames == 1
-    assert mask.n_frames == 1
+    assert np.array_equal(mask, np.ones((1, k)))
     assert len(detections) == k
 
 
@@ -253,7 +253,7 @@ def test_decoder_zero_value_projection_is_identity():
     cur = result.padded.current_index
     refined = decode_current_frame(
         result.fused_output,
-        result.padded.q3d(cur),
+        result.padded.embeddings[cur],
         scene.frames[cur].feature_maps,
         zeroed,
     )

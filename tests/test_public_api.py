@@ -1,0 +1,18 @@
+"""The package's public names: ``__all__`` lists each once and each resolves."""
+
+import statefuse
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from statefuse import *", namespace)
+    names = statefuse.__all__
+    assert len(names) == len(set(names))
+    assert all(name in namespace for name in names)
+    assert all(getattr(statefuse, name) is namespace[name] for name in names)
+
+
+def test_removed_motion_types_are_gone():
+    for name in ("MotionCostMatrix", "MotionMask"):
+        assert name not in statefuse.__all__
+        assert not hasattr(statefuse, name)
