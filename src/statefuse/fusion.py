@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, ValidationError
-from .numerics import as_float_array, gelu, readonly
+from .numerics import as_float_array, frozen, gelu, readonly
 from .ssm import _CHUNK, DiscreteSsmBank, ScanCarry, scan_bank, seeded_bank
 
 
@@ -360,10 +360,10 @@ def seeded_layer_params(
     if e < 1:
         raise ValidationError("n_channels must be >= 1")
     rng = np.random.default_rng(seed)
-    ones, zeros = np.ones(e), np.zeros(e)
+    ones, zeros = frozen(np.ones(e)), frozen(np.zeros(e))
 
-    def w(*shape):
-        return rng.uniform(-_WEIGHT_SCALE, _WEIGHT_SCALE, size=shape)
+    def w(*shape):  # write-protected, so the parameter types keep it uncopied
+        return frozen(rng.uniform(-_WEIGHT_SCALE, _WEIGHT_SCALE, size=shape))
 
     bank_seed = int(rng.integers(0, 2**63 - 1))
     return QueryMambaLayerParams(

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BehindCameraError, ValidationError
-from .numerics import as_float_array, gelu, readonly, require_rigid, rigid_inverse
+from .numerics import as_float_array, frozen, gelu, readonly, require_rigid, rigid_inverse
 
 MIN_PROJECT_DEPTH = 1e-6
 
@@ -96,13 +96,13 @@ class PosEmbedParams:
     def seeded(cls, embed_dim: int, seed, temperature: float = 10000.0) -> "PosEmbedParams":
         rng = np.random.default_rng(seed)
         d = int(embed_dim)
-        return cls(
+        return cls(  # fresh draws are write-protected, so they are kept uncopied
             embed_dim=d,
             temperature=temperature,
-            w1=rng.uniform(-0.1, 0.1, size=(d, d)),
-            b1=rng.uniform(-0.1, 0.1, size=d),
-            w2=rng.uniform(-0.1, 0.1, size=(d, d)),
-            b2=rng.uniform(-0.1, 0.1, size=d),
+            w1=frozen(rng.uniform(-0.1, 0.1, size=(d, d))),
+            b1=frozen(rng.uniform(-0.1, 0.1, size=d)),
+            w2=frozen(rng.uniform(-0.1, 0.1, size=(d, d))),
+            b2=frozen(rng.uniform(-0.1, 0.1, size=d)),
         )
 
 

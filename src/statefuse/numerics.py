@@ -21,18 +21,36 @@ def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
-    """Return an owned, write-protected, C-contiguous form of ``arr``.
+    """Return a write-protected, aligned, C-contiguous form of ``arr``.
 
-    An array that already is all three comes back unchanged, so its owner
-    hands it over without a copy; anything else, a caller's writable array
-    included, is copied.
+    ``arr`` comes back unchanged when it already is all three and its memory
+    belongs to an immutable owner: a write-protected array that owns its
+    data (``arr`` itself or the array it views), or a ``bytes`` object, as
+    behind the ``np.frombuffer`` views of a weights blob.  Its owner thus
+    hands it over without a copy.  Anything else, a view of a caller's
+    writable array included, is copied.
     """
     flags = getattr(arr, "flags", None)
-    if flags is not None and flags.owndata and flags.c_contiguous and not flags.writeable:
-        return arr
+    if flags is not None and flags.c_contiguous and flags.aligned and not flags.writeable:
+        owner = arr
+        while isinstance(owner, np.ndarray) and not owner.flags.owndata:
+            owner = owner.base
+        if isinstance(owner, bytes) or (
+            isinstance(owner, np.ndarray) and not owner.flags.writeable
+        ):
+            return arr
     out = np.array(arr, copy=True, order="C")
     out.setflags(write=False)
     return out
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Write-protect an array the caller has just made and owns, and return it.
+
+    :func:`readonly` then keeps it as it is instead of copying it.
+    """
+    arr.setflags(write=False)
+    return arr
 
 
 def gelu(x):

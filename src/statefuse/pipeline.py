@@ -48,13 +48,15 @@ from .motion import (
     motion_mask,
     pad_frames,
 )
-from .numerics import as_float_array, readonly, softmax
+from .numerics import as_float_array, frozen, readonly, softmax
 from .queries import DeformAttnParams, build_query
 from .ssm import DiscreteSsmBank
 
 WEIGHTS_FORMAT = "statefuse-weights/1"
 BOX_MODES = ("bypass", "linear")
 _BOX_FIELDS = 10
+# An unbuffered read takes a header line byte by byte, so it stops here.
+_HEADER_LIMIT = 1 << 16
 
 REPORT_HEADER = "frame,object_slot,retained,center_x,center_y,center_z,category,score"
 
@@ -222,16 +224,17 @@ class PipelineWeights:
             c, [seed, 1], n_heads=dims.n_heads, n_keys=dims.n_keys
         )
         pos = PosEmbedParams.seeded(d, [seed, 2], dims.temperature)
-        sem_proj = np.random.default_rng([seed, 3]).uniform(-0.1, 0.1, size=(c, d))
+        # Fresh draws are write-protected, so the constructor keeps them uncopied.
+        sem_proj = frozen(np.random.default_rng([seed, 3]).uniform(-0.1, 0.1, size=(c, d)))
         dec_rng = np.random.default_rng([seed, 4])
-        dec_q = dec_rng.uniform(-0.1, 0.1, size=(d, d))
-        dec_k = dec_rng.uniform(-0.1, 0.1, size=(c, d))
-        dec_v = dec_rng.uniform(-0.1, 0.1, size=(c, d))
-        dec_out = dec_rng.uniform(-0.1, 0.1, size=(d, d))
+        dec_q = frozen(dec_rng.uniform(-0.1, 0.1, size=(d, d)))
+        dec_k = frozen(dec_rng.uniform(-0.1, 0.1, size=(c, d)))
+        dec_v = frozen(dec_rng.uniform(-0.1, 0.1, size=(c, d)))
+        dec_out = frozen(dec_rng.uniform(-0.1, 0.1, size=(d, d)))
         if box_mode == "linear":
             box_rng = np.random.default_rng([seed, 5])
-            box_w = box_rng.uniform(-0.1, 0.1, size=(d, _BOX_FIELDS))
-            box_b = box_rng.uniform(-0.1, 0.1, size=_BOX_FIELDS)
+            box_w = frozen(box_rng.uniform(-0.1, 0.1, size=(d, _BOX_FIELDS)))
+            box_b = frozen(box_rng.uniform(-0.1, 0.1, size=_BOX_FIELDS))
         else:
             box_w = box_b = None
         stack_kwargs = dict(
@@ -385,7 +388,8 @@ def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
             size = np.exp(out[:, 3:6])
         _stage_finite("box_head", out)
         _stage_finite("box_head", size)
-        score = 1.0 / (1.0 + np.exp(-out[:, 9]))
+        with np.errstate(over="ignore"):  # a very negative logit scores 0.0
+            score = 1.0 / (1.0 + np.exp(-out[:, 9]))
         boxes = zip(out[:, 0:3], size, out[:, 6], out[:, 7:9], score)
     return tuple(
         Detection(center, size, yaw, velocity, seq.cats[cur, s], score)
@@ -588,13 +592,13 @@ def _n_values(shapes) -> int:
     return sum(math.prod(shape) for shape in shapes)
 
 
-def weights_from_bytes(raw: bytes) -> PipelineWeights:
-    """Parse a weights file; the blob size is checked before any array is built."""
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ValidationError("weights data has no header line")
+def _parse_header(line: bytes, blob_bytes: int) -> tuple:
+    """(seed, dims, box_mode, array shapes) of a weights header line.
+
+    The blob size is checked against the dims before any array is built.
+    """
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"weights header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != WEIGHTS_FORMAT:
@@ -615,19 +619,40 @@ def weights_from_bytes(raw: bytes) -> PipelineWeights:
     dims = PipelineDims.from_dict(header["dims"])
     head, layer, tail = _weight_shapes(dims, box_mode)
     total = _n_values(head) + dims.n_layers * _n_values(layer) + _n_values(tail)
-    blob_bytes = len(raw) - (newline + 1)
     if blob_bytes != 8 * total:
         raise ValidationError(
             f"weights blob holds {blob_bytes} bytes, dims require {8 * total}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", offset=newline + 1)
+    return seed, dims, box_mode, head + layer * dims.n_layers + tail
+
+
+def _weights_from_blob(header: tuple, flat: np.ndarray) -> PipelineWeights:
+    """Weights whose arrays are views of the flat ``<f8`` blob.
+
+    An aligned view of a ``bytes`` object is shared as it is
+    (:func:`readonly` keeps such views); any other blob is copied.
+    """
+    seed, dims, box_mode, shapes = header
     arrays = []
     offset = 0
-    for shape in head + layer * dims.n_layers + tail:
+    for shape in shapes:
         size = math.prod(shape)
         arrays.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return _assemble_weights(seed, dims, box_mode, arrays)
+
+
+def weights_from_bytes(raw: bytes) -> PipelineWeights:
+    """Parse a weights file; the blob size is checked before any array is built.
+
+    The arrays view ``raw`` when it is ``bytes`` and the blob starts on an
+    8-byte boundary; otherwise each one is copied.
+    """
+    newline = raw.find(b"\n")
+    if newline < 0:
+        raise ValidationError("weights data has no header line")
+    header = _parse_header(raw[:newline], len(raw) - (newline + 1))
+    return _weights_from_blob(header, np.frombuffer(raw, dtype="<f8", offset=newline + 1))
 
 
 def save_weights(w: PipelineWeights, path: str) -> None:
@@ -636,5 +661,15 @@ def save_weights(w: PipelineWeights, path: str) -> None:
 
 
 def load_weights(path: str) -> PipelineWeights:
-    with open(path, "rb") as fh:
-        return weights_from_bytes(fh.read())
+    """Read a weights file once: the blob after the header line is read into
+    one ``bytes`` object, which every parameter array views.
+
+    The header line must end within the first ``_HEADER_LIMIT`` bytes.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        line = fh.readline(_HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise ValidationError("weights data has no header line")
+        blob = fh.readall()
+    header = _parse_header(line[:-1], len(blob))
+    return _weights_from_blob(header, np.frombuffer(blob, dtype="<f8"))

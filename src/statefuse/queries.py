@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import PosEmbedParams, lift_center, pos_embed
-from .numerics import as_float_array, readonly, softmax
+from .numerics import as_float_array, frozen, readonly, softmax
 
 DEPTH_BIN_COUNT = 60
 DEPTH_RANGE = (1.0, 61.0)
@@ -167,11 +167,11 @@ class DeformAttnParams:
             raise ValidationError("channels, n_heads, n_keys must all be >= 1")
         c_h = cls.head_width(c, heads)
         rng = np.random.default_rng(seed)
-        return cls(
-            value_proj=rng.uniform(-0.1, 0.1, size=(heads, c, c_h)),
-            out_proj=rng.uniform(-0.1, 0.1, size=(heads, c_h, c)),
-            offsets=rng.uniform(-2.0, 2.0, size=(heads, keys, 2)),
-            weights=softmax(rng.uniform(-1.0, 1.0, size=(heads, keys)), axis=1),
+        return cls(  # fresh draws are write-protected, so they are kept uncopied
+            value_proj=frozen(rng.uniform(-0.1, 0.1, size=(heads, c, c_h))),
+            out_proj=frozen(rng.uniform(-0.1, 0.1, size=(heads, c_h, c))),
+            offsets=frozen(rng.uniform(-2.0, 2.0, size=(heads, keys, 2))),
+            weights=frozen(softmax(rng.uniform(-1.0, 1.0, size=(heads, keys)), axis=1)),
         )
 
 

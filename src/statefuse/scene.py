@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BehindCameraError, ValidationError
 from .geometry import CameraModel, EgoPose, project_point
-from .numerics import as_float_array, readonly
+from .numerics import as_float_array, frozen, readonly
 from .queries import FeatureMap, Proposal2D, default_depth_bins
 
 SCENE_FORMAT = "statefuse-scene/1"
@@ -332,8 +332,19 @@ def synth_features(frame_index: int, camera_id: int, cfg: SceneConfig) -> Featur
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(c, n_wave))
     ys = np.linspace(0.0, 1.0, h)[:, None, None, None]
     xs = np.linspace(0.0, 1.0, w)[None, :, None, None]
-    waves = np.sin(2.0 * np.pi * (ax * xs + ay * ys) + phase)
-    data = waves.mean(axis=-1).astype(np.float32)
+    # sin(2 pi (ax x + ay y) + phase), built in one (h, w, c, 4) buffer; the
+    # operations and their order are those of the plain expression, and the
+    # mean adds the four waves left to right as numpy's mean over them does.
+    waves = np.multiply(ax, xs, out=np.empty((h, w, c, n_wave)))
+    waves += ay * ys
+    waves *= 2.0 * np.pi
+    waves += phase
+    np.sin(waves, out=waves)
+    total = waves[..., 0] + waves[..., 1]
+    total += waves[..., 2]
+    total += waves[..., 3]
+    total /= n_wave
+    data = frozen(total.astype(np.float32))
     return FeatureMap(data, camera_id=camera_id, frame_index=frame_index)
 
 
@@ -692,5 +703,5 @@ def load_scene(path: str) -> Scene:
             raise ValidationError(
                 f"feature blob holds {raw.size} values, shape needs {expected}"
             )
-        features = raw.reshape(shape)
+        features = frozen(raw).reshape(shape)  # maps view it without a copy
     return scene_from_dict(doc, features)

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
-from .numerics import as_float_array, readonly
+from .numerics import as_float_array, frozen, readonly
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,113 @@ def apply_convolution(taps, feed_through: float, x, mode: str = "direct") -> np.
 # Seeded channels draw c uniformly from _C_RANGE, then d from _D_RANGE.
 _C_RANGE = (-0.5, 0.5)
 _D_RANGE = (-0.1, 0.1)
+# Word that separates a bank's channel streams from other uses of its seed.
+_BANK_SALT = 0x5B
+
+# numpy's SeedSequence (NEP 19) hash constants and its PCG64 multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
+
+
+def _limbs(values) -> list:
+    """128-bit integers as four little-endian 32-bit limbs, uint64 each."""
+    return [
+        np.array([(v >> (32 * k)) & _MASK32 for v in values], dtype=np.uint64)
+        for k in range(4)
+    ]
+
+
+def _channel_uniforms(seed: int, n_channels: int, n: int) -> np.ndarray:
+    """``default_rng([seed, _BANK_SALT, e]).random(n)`` for every channel e.
+
+    An (n_channels, n) array, equal bit for bit to one generator per channel
+    but computed for all channels at once; ``n_channels`` must be at most
+    2**32, so that e is one 32-bit word.  It follows numpy's algorithms:
+
+    * SeedSequence hashes the entropy words [seed words..., _BANK_SALT, e]
+      into a pool of four words and draws eight words from it.  Its uint32
+      arithmetic is held in uint64 lanes (Python ints while a value does
+      not depend on e) and masked after each product.
+    * PCG64 seeds a 128-bit LCG s -> a*s + inc from those words; the state
+      is held as four 32-bit limbs, so every limb product fits in 64 bits.
+      Draw j reads the state j + 1 steps on, which is affine in the seeding
+      words: a^(j+2)*initstate + (a^0 + ... + a^(j+2))*inc mod 2**128.  The
+      per-j constants make the number of array operations independent of n.
+    * Each draw is the XSL-RR output (high ^ low 64 bits, rotated right by
+      the top 6 state bits), as a double (x >> 11) * 2**-53.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    entropy = []
+    while True:  # a Python int becomes its 32-bit words, least significant first
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [_BANK_SALT, np.arange(n_channels, dtype=np.uint64)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _HASH_INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ (value >> 16))
+    # PCG64 takes uint64 words [w0|w1<<32, w2|w3<<32, ...] as (high, low)
+    # halves of initstate, then of the stream id; inc = 2 * id + 1.
+    initstate = [words[2], words[3], words[0], words[1]]
+    stream = [words[6], words[7], words[4], words[5]]
+    inc = [(stream[0] << 1 | 1) & _MASK32] + [
+        (stream[k] << 1 | stream[k - 1] >> 31) & _MASK32 for k in (1, 2, 3)
+    ]
+    scale, offset = [], []
+    power, total = _PCG_MULT * _PCG_MULT & _MASK128, 1 + _PCG_MULT
+    for _ in range(n):
+        total = (total + power) & _MASK128
+        scale.append(power)
+        offset.append(total)
+        power = power * _PCG_MULT & _MASK128
+    # Schoolbook limb products, split into 32-bit halves: each limb gathers
+    # at most 14 halves, so the sums stay far below 2**64 before the carry.
+    acc = [np.zeros((n_channels, n), dtype=np.uint64) for _ in range(4)]
+    for lanes, consts in ((initstate, _limbs(scale)), (inc, _limbs(offset))):
+        for i in range(4):
+            col = lanes[i][:, None]
+            for j in range(4 - i):
+                prod = col * consts[j]
+                acc[i + j] += prod & _MASK32
+                if i + j < 3:
+                    acc[i + j + 1] += prod >> 32
+    for k in range(3):
+        acc[k + 1] += acc[k] >> 32
+        acc[k] &= _MASK32
+    acc[3] &= _MASK32
+    xored = (acc[2] | acc[3] << 32) ^ (acc[0] | acc[1] << 32)
+    rot = acc[3] >> 26
+    out = xored >> rot | xored << ((64 - rot) & 63)
+    return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 def seeded_bank(
@@ -157,23 +264,27 @@ def seeded_bank(
 
     Every channel has a[i] = -(i + 1) and b = 1, so that pair is discretized
     once.  Channel e draws c uniformly from ``_C_RANGE``, then d from
-    ``_D_RANGE``, from its own stream ``default_rng([seed, 0x5B, e])``.
+    ``_D_RANGE``, from its own stream ``default_rng([seed, 0x5B, e])``; all
+    streams are computed in one vectorised pass (:func:`_channel_uniforms`).
     """
     e_count, m, seed = int(n_channels), int(state_dim), int(seed)
     if e_count < 1:
         raise ValidationError("n_channels must be >= 1")
     if m < 1:
         raise ValidationError("state_dim must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     a_bar, b_bar = discretize_zoh(-np.arange(1.0, m + 1.0), np.ones(m), delta)
-    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), so one
-    # random(m + 1) call per stream yields the m values of c, then d.
-    u = np.empty((e_count, m + 1))
-    for e in range(e_count):
-        u[e] = np.random.default_rng([seed, 0x5B, e]).random(m + 1)
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), so the m + 1
+    # draws of a stream yield the m values of c, then d.
+    u = _channel_uniforms(seed, e_count, m + 1)
     (c_lo, c_hi), (d_lo, d_hi) = _C_RANGE, _D_RANGE
-    c = c_lo + (c_hi - c_lo) * u[:, :m]
-    d = d_lo + (d_hi - d_lo) * u[:, m]
-    return DiscreteSsmBank(np.tile(a_bar, (e_count, 1)), np.tile(b_bar, (e_count, 1)), c, d)
+    return DiscreteSsmBank(
+        frozen(np.repeat(a_bar[None], e_count, axis=0)),
+        frozen(np.repeat(b_bar[None], e_count, axis=0)),
+        frozen(c_lo + (c_hi - c_lo) * u[:, :m]),
+        frozen(d_lo + (d_hi - d_lo) * u[:, m]),
+    )
 
 
 # Rows per chunk of the scan.  Each call builds (T + 1) x E x M powers and a

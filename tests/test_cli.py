@@ -207,6 +207,38 @@ def test_run_box_head_overflow_is_numeric(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_run_box_head_score_underflow_is_quiet(tmp_path, capsys):
+    """A very negative score logit saturates the score to 0.0 without a
+    warning; the report, which lists proposal scores, is unchanged."""
+    import dataclasses
+    import warnings
+
+    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights
+
+    scene_path = simulate(tmp_path, cfg={})
+    scene = load_scene(str(scene_path))
+    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+    dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
+    w = PipelineWeights.from_seed(11, dims, "linear")
+    box_b = np.array(w.box_b)
+    box_b[9] = -1e3  # exp(1000) overflows for every slot
+    reports = []
+    for name, weights in (("plain", w), ("low", dataclasses.replace(w, box_b=box_b))):
+        wpath = tmp_path / f"{name}.sfw"
+        save_weights(weights, str(wpath))
+        out = tmp_path / f"{name}.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(
+                ["run", "--scene", str(scene_path), "--weights", str(wpath), "--out", str(out)]
+            )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_run_bad_seed_argument(tmp_path):
     scene = simulate(tmp_path)
     code = cli_main(

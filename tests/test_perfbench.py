@@ -96,3 +96,34 @@ def test_every_op_binding_records_a_span(monkeypatch):
     for root in (0, 1):
         calls = {layer: table[root][layer][1] for layer in MOTION_LAYERS}
         assert calls == dict.fromkeys(MOTION_LAYERS, 1)
+
+
+def test_every_setup_binding_records_a_span(monkeypatch, tmp_path):
+    """A traced set-up, as ``statefuse run --weights seed:N`` pays it (a scene
+    document without a feature blob, then seeded weights), reaches every
+    set-up binding."""
+    import statefuse.pipeline as pipeline
+    import statefuse.scene as scene
+    from statefuse import PipelineDims, SceneConfig, build_scene, save_scene
+
+    cfg = SceneConfig(n_frames=2, n_objects=4, n_cameras=3, image_size=(16, 24))
+    doc = tmp_path / "scene.json"
+    save_scene(build_scene(cfg), str(doc))
+
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin("setup", 0)
+        loaded = scene.load_scene(str(doc))
+        k = max(sum(len(p) for p in fr.proposals) for fr in loaded.frames)
+        dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
+        pipeline.PipelineWeights.from_seed(5, dims)
+        tracer.end()
+    finally:
+        tracer.uninstall()
+
+    assert tracer.absent == []
+    table, _, _ = tracer.per_root()
+    assert set(tracing.SETUP_LAYERS) <= set(table[0])
+    assert table[0]["ssm.seeded_bank"][1] == dims.n_layers

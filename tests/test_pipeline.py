@@ -27,6 +27,7 @@ from statefuse import (
     run_report_csv,
     save_weights,
 )
+from statefuse.numerics import frozen, readonly
 from statefuse.pipeline import (
     _weight_arrays,
     _weight_shapes,
@@ -444,3 +445,135 @@ def test_dims_validation():
         PipelineDims(k_queries=2, embed_dim=7)
     with pytest.raises(ValidationError):
         PipelineDims.from_dict({"k_queries": 2, "bogus": 3})
+
+
+# --- weights memory: one read, no second copy ---
+
+def _owner(arr):
+    """The object whose memory ``arr`` views: an owning array, or a buffer."""
+    while isinstance(arr, np.ndarray) and not arr.flags.owndata:
+        arr = arr.base
+    return arr
+
+
+def test_readonly_keeps_frozen_memory_and_copies_writable():
+    owned = np.arange(12.0).reshape(3, 4)
+    view = owned[1:]
+    view.setflags(write=False)
+    kept = readonly(view)
+    assert kept is not view and kept.flags.owndata and not kept.flags.writeable
+    owned[1, 0] = -1.0  # the caller's writable array changes; the copy does not
+    assert kept[0, 0] == 4.0
+
+    frozen_owner = frozen(np.ones((3, 4)))
+    assert readonly(frozen_owner) is frozen_owner
+    assert readonly(frozen_owner[1:]).base is frozen_owner
+    assert readonly(frozen_owner[:, 1:]).flags.owndata  # not C-contiguous
+
+    raw = np.arange(6.0).tobytes()
+    assert _owner(readonly(np.frombuffer(raw))) is raw
+    for mutable in (bytearray(raw), memoryview(bytearray(raw))):
+        assert readonly(np.frombuffer(mutable)).flags.owndata
+    unaligned = np.frombuffer(b"\0" + raw, dtype="<f8", count=6, offset=1)
+    assert not unaligned.flags.aligned
+    assert readonly(unaligned).flags.aligned
+
+
+def test_weights_from_bytes_views_an_aligned_blob():
+    """Arrays view the ``bytes`` blob when it is 8-byte aligned and are
+    copied otherwise; either way the values are the blob's."""
+    w = PipelineWeights.from_seed(9, PipelineDims(k_queries=2), "linear")
+    header, blob = weights_to_bytes(w).split(b"\n", 1)
+    seen = set()
+    for pad in range(8):  # JSON whitespace moves the blob's start
+        raw = header + b" " * pad + b"\n" + blob
+        aligned = np.frombuffer(raw, dtype="<f8", offset=len(header) + pad + 1).flags.aligned
+        seen.add(aligned)
+        back = weights_from_bytes(raw)
+        assert weights_to_bytes(back).split(b"\n", 1)[1] == blob
+        for arr in _weight_arrays(back):
+            assert (_owner(arr) is raw) == aligned
+            assert arr.flags.aligned and not arr.flags.writeable
+    assert seen == {True, False}
+
+
+def test_load_weights_reads_the_file_once(tmp_path):
+    """The tracemalloc peak of a load stays within 1.1x the file size, and
+    every array views one ``bytes`` object."""
+    import tracemalloc
+
+    path = tmp_path / "weights.sfw"
+    save_weights(PipelineWeights.from_seed(3, PipelineDims(k_queries=8), "linear"), str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_weights(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size, (peak, size)
+    owners = {id(_owner(arr)) for arr in _weight_arrays(back)}
+    assert len(owners) == 1
+    assert isinstance(_owner(back.dec_q), bytes)
+    assert weights_to_bytes(back) == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda raw: raw.replace(b"\n", b" ", 1),
+        lambda raw: raw[:-3],
+        lambda raw: raw + b"\0" * 8,
+        lambda raw: b"not json" + raw[raw.index(b"\n"):],
+        lambda raw: b"",
+        lambda raw: b" " * (1 << 16) + raw,  # header line past the read limit
+    ],
+)
+def test_load_weights_rejects_malformed_files(tmp_path, edit):
+    raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
+    path = tmp_path / "weights.sfw"
+    path.write_bytes(edit(raw))
+    with pytest.raises(ValidationError):
+        load_weights(str(path))
+
+
+def test_load_weights_from_a_pipe(tmp_path):
+    """A FIFO, which has no size to read ahead of, loads as a file does."""
+    import os
+    import threading
+
+    raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
+    fifo = tmp_path / "weights.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        back = load_weights(str(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert weights_to_bytes(back) == raw
+
+
+def test_seeded_weights_keep_their_draws():
+    """Every array ``from_seed`` draws is write-protected where it is drawn,
+    so ``readonly`` copies none of them: no memory the weights hold was
+    allocated by its copy."""
+    import inspect
+    import tracemalloc
+
+    from statefuse import numerics
+
+    lines, first = inspect.getsourcelines(numerics.readonly)
+    copy_line = first + next(i for i, text in enumerate(lines) if "copy=True" in text)
+    tracemalloc.start()
+    try:
+        w = PipelineWeights.from_seed(3, PipelineDims(k_queries=4), "linear")
+        control = readonly(np.ones(1000))  # a writable array is copied
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    data = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    copies = data.filter_traces([tracemalloc.Filter(True, numerics.__file__, copy_line)])
+    assert sum(trace.size for trace in copies.traces) == control.nbytes
+    assert all(not arr.flags.writeable for arr in _weight_arrays(w))

@@ -1,5 +1,6 @@
 """Synthetic scene generation and its on-disk serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from statefuse import (
     scene_from_dict,
     synth_features,
 )
+from statefuse.scene import _FEATURE_SALT
 
 SMALL = SceneConfig(n_frames=3, n_objects=4, n_cameras=3, image_size=(16, 24))
 
@@ -165,6 +167,40 @@ def test_features_deterministic_and_bounded():
     assert float(np.max(np.abs(a.data))) <= 1.0
 
 
+def four_d_features(frame_index, camera_id, cfg):
+    """Oracle: the feature formula over a full (H, W, C, 4) wave array."""
+    rng = np.random.default_rng([cfg.seed, _FEATURE_SALT, frame_index, camera_id])
+    h, w = cfg.image_size
+    c = cfg.feature_channels
+    ax = rng.uniform(0.5, 2.5, size=(c, 4))
+    ay = rng.uniform(0.5, 2.5, size=(c, 4))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(c, 4))
+    ys = np.linspace(0.0, 1.0, h)[:, None, None, None]
+    xs = np.linspace(0.0, 1.0, w)[None, :, None, None]
+    waves = np.sin(2.0 * np.pi * (ax * xs + ay * ys) + phase)
+    return waves.mean(axis=-1).astype(np.float32)
+
+
+def test_features_match_four_d_formula():
+    for size in ((2, 2), (3, 5), (16, 24), (17, 31), (48, 64)):
+        for channels in (1, 3, 8, 13):
+            for seed in (0, 5, 2**40):
+                cfg = SceneConfig(image_size=size, feature_channels=channels, seed=seed)
+                for frame_index, camera_id in ((0, 0), (3, 2)):
+                    got = synth_features(frame_index, camera_id, cfg).data
+                    want = four_d_features(frame_index, camera_id, cfg)
+                    assert got.dtype == np.float32
+                    assert np.array_equal(got, want), (size, channels, seed)
+
+
+def test_default_scene_feature_blob_pinned():
+    """The default scene's feature maps stay byte-identical to the recorded ones."""
+    blob = feature_blob_bytes(build_scene(SceneConfig()))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c6e62b4babb9e9b8de413ff0265fadab0448fcd7cf7b6bf218ba53bf1e651792"
+    )
+
+
 def test_features_differ_across_cameras_and_frames():
     base = synth_features(0, 0, SMALL)
     assert not np.array_equal(base.data, synth_features(0, 1, SMALL).data)
@@ -203,6 +239,9 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_scene(str(path))
     assert scene_dumps(loaded) == scene_dumps(scene)
     assert feature_blob_bytes(loaded) == feature_blob_bytes(scene)
+    # every map views the one write-protected blob array, uncopied
+    bases = {id(fm.data.base) for fr in loaded.frames for fm in fr.feature_maps}
+    assert len(bases) == 1 and not loaded.frames[0].feature_maps[0].data.base.flags.writeable
 
 
 def test_load_without_blob_regenerates(tmp_path):

@@ -15,7 +15,7 @@ from statefuse import (
     scan_bank,
     seeded_bank,
 )
-from statefuse.ssm import _CHUNK
+from statefuse.ssm import _CHUNK, _channel_uniforms
 
 
 def step_scan(bank, x):
@@ -390,3 +390,35 @@ def test_seeded_constructors_deterministic():
     for name in ("a_bar", "b_bar", "c_bar", "d_bar"):
         assert np.array_equal(getattr(bank1, name), getattr(bank2, name))
     assert np.array_equal(bank1.a_bar[1], np.exp(-0.1 * np.arange(1.0, 5.0)))
+
+
+SEEDS = (0, 1, 11, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def default_rng_uniforms(seed, n_channels, n):
+    """Oracle: one ``default_rng([seed, 0x5B, e])`` stream per channel."""
+    out = np.empty((n_channels, n))
+    for e in range(n_channels):
+        out[e] = np.random.default_rng([seed, 0x5B, e]).random(n)
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vectorised_seeding_matches_default_rng(seed):
+    """The one-pass SeedSequence + PCG64 equals a generator per channel, bit for bit."""
+    for n_channels in (1, 2, 96, 672, 4032):
+        for state_dim in (1, 16, 20):
+            got = _channel_uniforms(seed, n_channels, state_dim + 1)
+            want = default_rng_uniforms(seed, n_channels, state_dim + 1)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want), (n_channels, state_dim)
+
+
+def test_vectorised_seeding_takes_seeds_of_three_words():
+    for seed in (2**64, 2**95 + 12345, 2**127 - 1):
+        assert np.array_equal(_channel_uniforms(seed, 7, 5), default_rng_uniforms(seed, 7, 5))
+
+
+def test_seeded_bank_rejects_negative_seed():
+    with pytest.raises(ValidationError):
+        seeded_bank(3, 4, seed=-1)
