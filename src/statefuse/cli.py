@@ -23,7 +23,7 @@ from .pipeline import (
     run_pipeline_detailed,
     run_report_csv,
 )
-from .scene import SceneConfig, build_scene, load_scene, save_scene
+from .scene import SceneConfig, build_scene, load_scene, save_scene, slot_count
 from .selfcheck import run_all_checks
 
 _EPILOG = """\
@@ -92,9 +92,8 @@ def _parse_weights_arg(value: str, scene, box_mode: str) -> PipelineWeights:
             raise ValidationError(f"weights seed must be an integer, got {value!r}")
         if not (0 <= seed < 2 ** 64):
             raise ValidationError("weights seed must fit an unsigned 64-bit integer")
-        k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
         dims = PipelineDims(
-            k_queries=k, feature_channels=scene.config.feature_channels
+            k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
         )
         return PipelineWeights.from_seed(seed, dims, box_mode)
     return load_weights(value)

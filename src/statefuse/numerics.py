@@ -12,10 +12,13 @@ SQRT2 = float(np.sqrt(2.0))
 
 def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
     """Coerce to a float64 ndarray, checking shape and finiteness."""
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # not numeric, or ragged
+        raise ValidationError(f"{name}: {exc}") from None
     if shape is not None and arr.shape != shape:
         raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():  # the method skips np.all's Python wrapper
         raise ValidationError(f"{name}: contains NaN or Inf")
     return arr
 
@@ -75,15 +78,18 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (3, 3) or not np.all(np.isfinite(r)):
         return False
-    if not np.allclose(r.T @ r, np.eye(3), rtol=0.0, atol=tol):
-        return False
+    # np.allclose with rtol=0 on finite input, ~10x cheaper; entries large
+    # enough to overflow fail the test without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.abs(r.T @ r - np.eye(3)) <= tol).all():
+            return False
     return abs(np.linalg.det(r) - 1.0) <= tol
 
 
 def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
     """Validate a 4x4 rigid transform (rotation + translation, unit bottom row)."""
     t = as_float_array(t, name, shape=(4, 4))
-    if not np.allclose(t[3], (0.0, 0.0, 0.0, 1.0), rtol=0.0, atol=tol):
+    if not (np.abs(t[3] - (0.0, 0.0, 0.0, 1.0)) <= tol).all():
         raise ValidationError(f"{name}: bottom row must be (0, 0, 0, 1)")
     if not is_rotation(t[:3, :3], tol):
         raise ValidationError(f"{name}: upper-left 3x3 block is not a rotation")

@@ -5,7 +5,9 @@ gathered from its camera's feature map by a small deformable-attention
 read-out and projected C -> D, and a positional embedding of its lifted 3D
 center.  Their sum is the query embedding q_3d.
 
-Queries are built for a whole window at once, in struct-of-arrays form:
+A camera's proposals at one frame form one read-only table
+(:func:`proposal_tables`).  Queries are built for a whole window at once, in
+struct-of-arrays form:
 the P proposals of all frames and cameras become a (P, D) q_3d array, a
 (P, 3) center array and (P,) category and score vectors, which
 :func:`statefuse.motion.pad_frames` scatters into (N, K, ...) slots.
@@ -13,7 +15,9 @@ the P proposals of all frames and cameras become a (P, D) q_3d array, a
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .numerics import as_float_array, frozen, readonly, softmax
 
 DEPTH_BIN_COUNT = 60
 DEPTH_RANGE = (1.0, 61.0)
+PROPOSAL_FIELDS = ("center", "box", "category", "score", "depth_dist")
 
 
 def default_depth_bins() -> np.ndarray:
@@ -37,8 +42,6 @@ class FeatureMap:
     """Dense (H, W, C) feature grid for one camera at one frame."""
 
     data: np.ndarray
-    camera_id: int
-    frame_index: int
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -46,11 +49,9 @@ class FeatureMap:
             raise ValidationError("feature map data must be (H, W, C)")
         if data.shape[0] < 2 or data.shape[1] < 2 or data.shape[2] < 1:
             raise ValidationError("feature map needs H >= 2, W >= 2, C >= 1")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValidationError("feature map contains NaN or Inf")
         object.__setattr__(self, "data", readonly(data))
-        object.__setattr__(self, "camera_id", int(self.camera_id))
-        object.__setattr__(self, "frame_index", int(self.frame_index))
 
     @property
     def height(self) -> int:
@@ -65,43 +66,114 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class Proposal2D:
-    """A detected 2D box with a depth distribution, in one camera image.
+def _column(values: list, key: str, shape: tuple | None, path) -> np.ndarray:
+    """One field of every row as a float64 (P, *shape) array.
 
-    ``center`` and ``box`` are normalized to [0, 1] image coordinates.
+    ``shape=None`` asks for vectors of the first row's length.  The first
+    row that is not numeric, or not of that shape, raises naming
+    ``path(j)``, the JSON path of row j.
     """
+    try:
+        col = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):  # a ragged or non-numeric row
+        col = None
+    if col is not None and (
+        col.shape[1:] == shape if shape is not None else col.ndim == 2 and col.shape[1] > 0
+    ):
+        return col
+    for j, value in enumerate(values):
+        try:
+            got = np.array(value, dtype=np.float64).shape
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path(j)}.{key}: {exc}") from None
+        if shape is None:
+            if len(got) != 1 or got[0] == 0:
+                raise ValidationError(f"{path(j)}.{key}: depth_dist must be a non-empty 1-d vector")
+            shape = got
+        elif got != shape:
+            raise ValidationError(f"{path(j)}.{key}: expected shape {shape}, got {got}")
 
-    center: np.ndarray
-    box: np.ndarray
-    category: int
-    score: float
-    depth_dist: np.ndarray
-    camera_id: int
-    frame_index: int
 
-    def __post_init__(self):
-        center = as_float_array(self.center, "center", shape=(2,))
-        if np.any(center < 0.0) or np.any(center > 1.0):
-            raise ValidationError("proposal center must lie inside [0, 1]^2")
-        box = as_float_array(self.box, "box", shape=(2,))
-        if np.any(box < 0.0):
-            raise ValidationError("box extents must be non-negative")
-        score = float(self.score)
-        if not (0.0 <= score <= 1.0):
-            raise ValidationError("score must lie in [0, 1]")
-        dist = as_float_array(self.depth_dist, "depth_dist")
-        if dist.ndim != 1 or dist.size == 0:
-            raise ValidationError("depth_dist must be a non-empty 1-d vector")
-        if np.any(dist < 0.0) or abs(dist.sum() - 1.0) > 1e-9:
-            raise ValidationError("depth_dist must be non-negative and sum to 1")
-        object.__setattr__(self, "center", readonly(center))
-        object.__setattr__(self, "box", readonly(box))
-        object.__setattr__(self, "category", int(self.category))
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "depth_dist", readonly(dist))
-        object.__setattr__(self, "camera_id", int(self.camera_id))
-        object.__setattr__(self, "frame_index", int(self.frame_index))
+def _table_dtype(n_bins: int) -> np.dtype:
+    return np.dtype((np.record, [
+        ("center", np.float64, (2,)),
+        ("box", np.float64, (2,)),
+        ("category", np.int64),
+        ("score", np.float64),
+        ("depth_dist", np.float64, (n_bins,)),
+    ]))
+
+
+_NO_PROPOSALS = frozen(np.empty(0, _table_dtype(DEPTH_BIN_COUNT))).view(np.recarray)
+
+
+def proposal_tables(per_camera, where: str = "proposals") -> tuple:
+    """A frame's proposals as one validated, read-only table per camera.
+
+    ``per_camera[c]`` lists camera c's proposals as mappings, the layout
+    of the scene JSON: ``center`` and ``box`` (x, y) normalized to [0, 1]
+    image coordinates, an integer ``category``, a ``score`` in [0, 1] and
+    a ``depth_dist`` of B bin probabilities.  Each table is an
+    ``np.recarray`` with these five fields, (P, 2), (P, 2), (P,), (P,) and
+    (P, B), and its rows are records with the same attributes.  The frame
+    is checked once, as a whole; the first malformed value raises
+    :class:`ValidationError` naming its path ``where[c][j].key``.
+    """
+    if not isinstance(per_camera, (list, tuple)):
+        raise ValidationError(f"{where}: expected an array of per-camera arrays")
+    for c, cam_rows in enumerate(per_camera):
+        if not isinstance(cam_rows, (list, tuple)):
+            raise ValidationError(f"{where}[{c}]: expected an array of proposals")
+    rows = [row for cam_rows in per_camera for row in cam_rows]
+    if not rows:
+        return (_NO_PROPOSALS,) * len(per_camera)
+    bounds = [0, *accumulate(map(len, per_camera))]
+
+    def path(j: int) -> str:
+        c = bisect_right(bounds, j) - 1
+        return f"{where}[{c}][{j - bounds[c]}]"
+
+    for j, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValidationError(f"{path(j)}: a proposal must be an object")
+    cols = {}
+    for key in PROPOSAL_FIELDS:
+        try:
+            cols[key] = [row[key] for row in rows]
+        except KeyError:
+            j = next(j for j, row in enumerate(rows) if key not in row)
+            raise ValidationError(f"{path(j)}.{key}: missing") from None
+    for j, cat in enumerate(cols["category"]):
+        if isinstance(cat, bool) or not (
+            isinstance(cat, (int, np.integer)) and -(2**63) <= cat < 2**63
+        ):
+            raise ValidationError(f"{path(j)}.category: expected an integer, got {cat!r:.40}")
+    for key, shape in (("center", (2,)), ("box", (2,)), ("score", ()), ("depth_dist", None)):
+        cols[key] = _column(cols[key], key, shape, path)
+    center, box, score, dist = (cols[k] for k in ("center", "box", "score", "depth_dist"))
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and Inf fail every test
+        checks = (
+            ("center", (center >= 0.0) & (center <= 1.0),
+             "proposal center must lie inside [0, 1]^2"),
+            ("box", (box >= 0.0) & (box < np.inf), "box extents must be non-negative"),
+            ("score", (score >= 0.0) & (score <= 1.0), "score must lie in [0, 1]"),
+            ("depth_dist",
+             (dist >= 0.0) & (np.abs(dist.sum(axis=1, keepdims=True) - 1.0) <= 1e-9),
+             "depth_dist must be non-negative and sum to 1"),
+        )
+    for key, ok, message in checks:
+        if not ok.all():
+            j = int(np.argmin(ok.reshape(len(rows), -1).all(axis=1)))
+            if not np.isfinite(cols[key][j]).all():
+                message = "contains NaN or Inf"
+            raise ValidationError(f"{path(j)}.{key}: {message}")
+    cols["category"] = np.array(cols["category"], dtype=np.int64)
+    frame = np.empty(len(rows), _table_dtype(dist.shape[1]))
+    for key in PROPOSAL_FIELDS:
+        frame[key] = cols[key]
+    frozen(frame)
+    # slice the plain array: slicing a recarray costs two more views a table
+    return tuple(frame[a:b].view(np.recarray) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -273,13 +345,14 @@ def build_query(
 ) -> tuple:
     """Assemble the 3D queries of a window of frames in one batched pass.
 
-    ``proposals[i][c]`` holds the proposals of camera ``cams[c]`` at frame i
-    and ``feature_maps[i][c]`` its feature map.  Per (frame, camera) the
-    proposals are only packed and their features gathered; the depth
-    estimate (expectation by default, argmax bin center with
-    ``depth_mode="argmax"``), projections, lifting and the positional
-    embedding each run once over all P proposals.  Ids, shapes,
-    distributions and outputs are checked once, for the whole batch.
+    ``proposals[i][c]`` is the proposal table of camera ``cams[c]``
+    at frame i and ``feature_maps[i][c]`` its feature map: a table's camera
+    and frame are its position.  Per (frame, camera) only the features are
+    gathered; the fields are concatenated once, and the depth estimate
+    (expectation by default, argmax bin center with ``depth_mode="argmax"``),
+    projections, lifting and the positional embedding each run once over
+    all P proposals.  Shapes, distributions and outputs are checked once,
+    for the whole batch.
 
     Returns ``(q3d, centers, cats, scores, counts)``: (P, D) embeddings
     q_3d = q_pos + q_sem, (P, 3) lifted ego-frame centers, (P,) categories
@@ -298,38 +371,31 @@ def build_query(
         len(per_cam) != len(cams) for per_cam in (*proposals, *feature_maps)
     ):
         raise ValidationError("per-camera proposals and feature maps must match the camera list")
-    flat, maps, map_cams, sizes, counts = [], [], [], [], []
+    tables, maps, map_cams, sizes, counts = [], [], [], [], []
     for frame_props, frame_maps in zip(proposals, feature_maps):
-        before = len(flat)
-        for cam_id, (props, fmap) in enumerate(zip(frame_props, frame_maps)):
-            if props:
-                flat.extend(props)
+        count = 0
+        for cam, (table, fmap) in enumerate(zip(frame_props, frame_maps)):
+            if len(table):
+                tables.append(np.asarray(table))  # a recarray's field access costs ~10x more
                 maps.append(fmap)
-                map_cams.append(cam_id)
-                sizes.append(len(props))
-        counts.append(len(flat) - before)
-    if not flat:
+                map_cams.append(cam)
+                sizes.append(len(table))
+                count += len(table)
+        counts.append(count)
+    if not tables:
         raise ValidationError("the window holds no proposals")
-
-    ids = np.array([(p.camera_id, p.frame_index) for p in flat])
-    map_ids = np.repeat([(f.camera_id, f.frame_index) for f in maps], sizes, axis=0)
-    cam_index = np.repeat(map_cams, sizes)
-    cam_ids = np.array([cam.camera_id for cam in cams])[cam_index]
-    if np.any(ids[:, 0] != map_ids[:, 0]) or np.any(ids[:, 0] != cam_ids):
-        raise ValidationError("proposal, feature map, and camera ids must agree")
-    if np.any(ids[:, 1] != map_ids[:, 1]):
-        raise ValidationError("proposal and feature map frame indices must agree")
-    if any(p.depth_dist.size != centers.size for p in flat):
+    if any(t.dtype["depth_dist"].shape != centers.shape for t in tables):
         raise ValidationError("depth_dist length must match the bin layout")
-    c2d = np.array([p.center for p in flat])
-    dists = np.array([p.depth_dist for p in flat])
-    cats = np.array([p.category for p in flat])
-    scores = np.array([p.score for p in flat])
+    points = [t["center"] for t in tables]
+    c2d, dists, cats, scores = (
+        np.concatenate([t[key] for t in tables])
+        for key in ("center", "depth_dist", "category", "score")
+    )
+    cam_index = np.repeat(map_cams, sizes)
 
     depth = expected_depth(dists, centers)  # checks every distribution
     if depth_mode == "argmax":
         depth = centers[np.argmax(dists, axis=1)]
-    points = np.split(c2d, np.cumsum(sizes)[:-1])
     q_sem = deformable_attention(points, maps, attn) @ sem_proj
     center3d = lift_center(cams, c2d, depth, cam_index=cam_index)
     q3d = pos_embed(center3d, pe) + q_sem

@@ -11,15 +11,17 @@ seed, so regeneration is bit-for-bit reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BehindCameraError, ValidationError
 from .geometry import CameraModel, EgoPose, project_point
 from .numerics import as_float_array, frozen, readonly
-from .queries import FeatureMap, Proposal2D, default_depth_bins
+from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
 
 SCENE_FORMAT = "statefuse-scene/1"
 FEATURE_DTYPE = "<f4"
@@ -78,6 +80,8 @@ class SceneConfig:
             raise ValidationError("radius_range must satisfy 0 < lo <= hi")
         if int(self.n_categories) < 1:
             raise ValidationError("n_categories must be >= 1")
+        if int(self.seed) < 0:
+            raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "n_frames", int(self.n_frames))
         object.__setattr__(self, "n_objects", int(self.n_objects))
         object.__setattr__(self, "n_cameras", int(self.n_cameras))
@@ -120,13 +124,29 @@ class SceneConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValidationError(f"unknown scene config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "image_size" in kwargs:
-            kwargs["image_size"] = tuple(kwargs["image_size"])
-        for key in ("speed_range", "radius_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        for key, value in raw.items():
+            default = cls.__dataclass_fields__[key].default
+            if not _fits(value, default):
+                raise ValidationError(
+                    f"{key}: expected a value like {default!r}, got {value!r:.40}"
+                )
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of the field's default; an
+    integer fits a float field, a boolean fits no number field."""
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(default)
+            and all(map(_fits, value, default))
+        )
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 @dataclass(frozen=True)
@@ -147,7 +167,7 @@ class ObjectTrack:
         p0 = as_float_array(self.p0, "p0", shape=(3,))
         v = as_float_array(self.velocity, "velocity", shape=(3,))
         static = bool(self.is_static)
-        if static != (float(np.linalg.norm(v)) == 0.0):
+        if static != (not v.any()):
             raise ValidationError("is_static must match a zero velocity exactly")
         object.__setattr__(self, "object_id", int(self.object_id))
         object.__setattr__(self, "category", int(self.category))
@@ -164,8 +184,10 @@ class ObjectTrack:
 class SceneFrame:
     """One time step: ego pose, ego-frame object states, proposals, features.
 
-    ``proposals`` and ``proposal_object_ids`` are per-camera tuples; the ids
-    record which track produced each proposal (ground-truth provenance).
+    ``proposals`` holds one proposal table per camera, as
+    :func:`~statefuse.queries.proposal_tables` builds them, kept as given;
+    ``proposal_object_ids`` holds one tuple per camera of the tracks that
+    produced each proposal (ground-truth provenance).
     """
 
     frame_index: int
@@ -194,6 +216,12 @@ class SceneFrame:
             self.proposal_object_ids
         ) != len(self.proposals):
             raise ValidationError("per-camera tuples must share one length")
+        ids = tuple(tuple(int(i) for i in cam_ids) for cam_ids in self.proposal_object_ids)
+        if any(
+            len(cam_ids) != len(table) or not all(0 <= i < n for i in cam_ids)
+            for cam_ids, table in zip(ids, self.proposals)
+        ):
+            raise ValidationError("proposal_object_ids must name one object per proposal")
         object.__setattr__(self, "frame_index", int(self.frame_index))
         object.__setattr__(self, "object_centers", readonly(centers))
         object.__setattr__(self, "object_velocities", readonly(vels))
@@ -201,14 +229,8 @@ class SceneFrame:
         object.__setattr__(self, "object_sizes", readonly(sizes))
         object.__setattr__(self, "static_labels", readonly(labels))
         object.__setattr__(self, "feature_maps", tuple(self.feature_maps))
-        object.__setattr__(
-            self, "proposals", tuple(tuple(p) for p in self.proposals)
-        )
-        object.__setattr__(
-            self,
-            "proposal_object_ids",
-            tuple(tuple(int(i) for i in ids) for ids in self.proposal_object_ids),
-        )
+        object.__setattr__(self, "proposals", tuple(self.proposals))
+        object.__setattr__(self, "proposal_object_ids", ids)
 
     @property
     def n_objects(self) -> int:
@@ -344,8 +366,7 @@ def synth_features(frame_index: int, camera_id: int, cfg: SceneConfig) -> Featur
     total += waves[..., 2]
     total += waves[..., 3]
     total /= n_wave
-    data = frozen(total.astype(np.float32))
-    return FeatureMap(data, camera_id=camera_id, frame_index=frame_index)
+    return FeatureMap(frozen(total.astype(np.float32)))
 
 
 def _depth_distribution(depth: float, bins: np.ndarray, mode: str) -> np.ndarray:
@@ -393,10 +414,10 @@ def _frame_proposals(
     if noise_sigma > 0.0 and image_size is None:
         raise ValidationError("pixel noise needs image_size to set its scale")
     rng = np.random.default_rng([int(seed), _PROPOSAL_SALT, int(frame_index)])
-    per_cam_props = []
+    per_cam_rows = []
     per_cam_ids = []
     for cam in cams:
-        props = []
+        rows = []
         ids = []
         for obj in range(centers.shape[0]):
             try:
@@ -415,21 +436,19 @@ def _frame_proposals(
                 min(1.0, sizes[obj, 0] * fx / depth),
                 min(1.0, sizes[obj, 2] * fy / depth),
             )
-            props.append(
-                Proposal2D(
-                    center=(u, v),
-                    box=box,
-                    category=int(categories[obj]),
-                    score=1.0,
-                    depth_dist=_depth_distribution(depth, bins, depth_mode),
-                    camera_id=cam.camera_id,
-                    frame_index=frame_index,
-                )
+            rows.append(
+                {
+                    "center": (u, v),
+                    "box": box,
+                    "category": int(categories[obj]),
+                    "score": 1.0,
+                    "depth_dist": _depth_distribution(depth, bins, depth_mode),
+                }
             )
             ids.append(obj)
-        per_cam_props.append(tuple(props))
+        per_cam_rows.append(rows)
         per_cam_ids.append(tuple(ids))
-    return tuple(per_cam_props), tuple(per_cam_ids)
+    return proposal_tables(per_cam_rows), tuple(per_cam_ids)
 
 
 def oracle_proposals(
@@ -441,8 +460,9 @@ def oracle_proposals(
     seed: int = 0,
     depth_mode: str = "peaked",
     bins: np.ndarray | None = None,
-) -> list:
-    """Recompute proposals for a frame: one per object visible in a camera.
+) -> tuple:
+    """Recompute a frame's proposal tables, one per camera, holding one
+    proposal per object visible in that camera.
 
     Visibility means positive camera depth and a true projected center
     inside the image.  Centers get seeded Gaussian pixel noise of scale
@@ -462,7 +482,13 @@ def oracle_proposals(
         depth_mode,
         bins,
     )
-    return [p for cam_props in per_cam for p in cam_props]
+    return per_cam
+
+
+def slot_count(frames) -> int:
+    """K, the query slots a window of frames needs: the most proposals that
+    any one of its frames holds."""
+    return max(sum(len(table) for table in fr.proposals) for fr in frames)
 
 
 def build_scene(cfg: SceneConfig) -> Scene:
@@ -560,16 +586,10 @@ def scene_to_dict(scene: Scene, features_path: str | None = None) -> dict:
                 "static_labels": fr.static_labels.tolist(),
                 "proposals": [
                     [
-                        {
-                            "center": p.center.tolist(),
-                            "box": p.box.tolist(),
-                            "category": p.category,
-                            "score": p.score,
-                            "depth_dist": p.depth_dist.tolist(),
-                        }
-                        for p in cam_props
+                        dict(zip(PROPOSAL_FIELDS, row))
+                        for row in zip(*(table[key].tolist() for key in PROPOSAL_FIELDS))
                     ]
-                    for cam_props in fr.proposals
+                    for table in fr.proposals
                 ],
                 "proposal_object_ids": [list(ids) for ids in fr.proposal_object_ids],
             }
@@ -614,91 +634,141 @@ def save_scene(scene: Scene, path: str, features_path: str | None = None) -> Non
         fh.write(scene_dumps(scene, rel))
 
 
+_TRACK_KEYS = ("object_id", "category", "size", "p0", "velocity", "is_static")
+_FRAME_KEYS = (
+    "timestamp",
+    "world_from_ego",
+    "object_centers",
+    "object_velocities",
+    "object_categories",
+    "object_sizes",
+    "static_labels",
+    "proposal_object_ids",
+)
+
+
+def _get(obj, key: str, path: str, kind: type = object):
+    """``obj[key]``, where ``obj`` is the JSON object at ``path`` ("" for the
+    document) and the value must be a ``kind``; anything else raises a
+    ValidationError naming the path."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path or 'document'}: expected an object, got {obj!r:.40}")
+    if key not in obj:
+        raise ValidationError(f"{where}: missing")
+    if not isinstance(obj[key], kind):
+        raise ValidationError(f"{where}: expected a {kind.__name__}, got {obj[key]!r:.40}")
+    return obj[key]
+
+
+@contextmanager
+def _at(path: str):
+    """Name the JSON path ``path`` in the error a malformed value raises."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:  # ValidationError is a ValueError
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def scene_from_dict(doc: dict, features: np.ndarray | None = None) -> Scene:
+    """The scene a document in :func:`scene_to_dict`'s layout describes.
+
+    ``features``, when given, holds every feature map as one
+    (n_frames, n_cameras, H, W, C) block; otherwise the maps are
+    regenerated from the config seed.  A malformed document raises
+    :class:`ValidationError` naming the JSON path of the first bad value.
+    """
     if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
         raise ValidationError(f"not a scene document (expected format {SCENE_FORMAT!r})")
-    cfg = SceneConfig.from_dict(doc["config"])
-    cams = tuple(
-        CameraModel(c["intrinsic"], c["extrinsic"], c["camera_id"])
-        for c in doc["cameras"]
-    )
-    tracks = tuple(
-        ObjectTrack(
-            object_id=t["object_id"],
-            category=t["category"],
-            size=t["size"],
-            p0=t["p0"],
-            velocity=t["velocity"],
-            is_static=t["is_static"],
-        )
-        for t in doc["tracks"]
-    )
+    raw_cfg = _get(doc, "config", "")
+    with _at("config"):
+        cfg = SceneConfig.from_dict(raw_cfg)
+    if features is not None:
+        shape = (cfg.n_frames, cfg.n_cameras, *cfg.image_size, cfg.feature_channels)
+        if features.shape != shape:
+            raise ValidationError(
+                f"features.shape: the config needs {list(shape)}, got {list(features.shape)}"
+            )
+    docs = {key: _get(doc, key, "", list) for key in ("cameras", "tracks", "frames")}
+    for key, n in (("cameras", cfg.n_cameras), ("frames", cfg.n_frames)):
+        if len(docs[key]) != n:  # refused before a feature map is made for them
+            raise ValidationError(f"{key}: {len(docs[key])} entries, the config says {n}")
+    cams = []
+    for c, cam in enumerate(docs["cameras"]):
+        at = f"cameras[{c}]"
+        camera_id = _get(cam, "camera_id", at)
+        if camera_id != c:
+            raise ValidationError(
+                f"{at}.camera_id: expected {c}, its position, got {camera_id!r:.40}"
+            )
+        intrinsic, extrinsic = _get(cam, "intrinsic", at), _get(cam, "extrinsic", at)
+        with _at(at):
+            cams.append(CameraModel(intrinsic, extrinsic, c))
+    tracks = []
+    for j, track in enumerate(docs["tracks"]):
+        at = f"tracks[{j}]"
+        fields = {key: _get(track, key, at) for key in _TRACK_KEYS}
+        with _at(at):
+            tracks.append(ObjectTrack(**fields))
     frames = []
-    for fr in doc["frames"]:
-        idx = int(fr["frame_index"])
-        if features is not None:
-            feature_maps = tuple(
-                FeatureMap(features[idx, cam_id], camera_id=cam_id, frame_index=idx)
-                for cam_id in range(cfg.n_cameras)
+    for i, fr in enumerate(docs["frames"]):
+        at = f"frames[{i}]"
+        idx = _get(fr, "frame_index", at)
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < cfg.n_frames:
+            raise ValidationError(
+                f"{at}.frame_index: expected an integer in [0, {cfg.n_frames}), got {idx!r}"
             )
-        else:
-            feature_maps = tuple(
-                synth_features(idx, cam_id, cfg) for cam_id in range(cfg.n_cameras)
-            )
-        proposals = tuple(
-            tuple(
-                Proposal2D(
-                    center=p["center"],
-                    box=p["box"],
-                    category=p["category"],
-                    score=p["score"],
-                    depth_dist=p["depth_dist"],
-                    camera_id=cam_id,
+        fields = {key: _get(fr, key, at) for key in _FRAME_KEYS}
+        proposals = proposal_tables(_get(fr, "proposals", at), f"{at}.proposals")
+        with _at(at):
+            if features is not None:
+                maps = tuple(FeatureMap(features[idx, c]) for c in range(cfg.n_cameras))
+            else:
+                maps = tuple(synth_features(idx, c, cfg) for c in range(cfg.n_cameras))
+            pose = EgoPose(fields.pop("world_from_ego"), fields.pop("timestamp"))
+            frames.append(
+                SceneFrame(
                     frame_index=idx,
+                    ego_pose=pose,
+                    feature_maps=maps,
+                    proposals=proposals,
+                    **fields,
                 )
-                for p in cam_props
             )
-            for cam_id, cam_props in enumerate(fr["proposals"])
-        )
-        frames.append(
-            SceneFrame(
-                frame_index=idx,
-                ego_pose=EgoPose(fr["world_from_ego"], fr["timestamp"]),
-                object_centers=fr["object_centers"],
-                object_velocities=fr["object_velocities"],
-                object_categories=fr["object_categories"],
-                object_sizes=fr["object_sizes"],
-                static_labels=fr["static_labels"],
-                feature_maps=feature_maps,
-                proposals=proposals,
-                proposal_object_ids=fr["proposal_object_ids"],
-            )
-        )
-    return Scene(cfg, cams, tracks, tuple(frames))
+    return Scene(cfg, cams, tracks, frames)
 
 
 def load_scene(path: str) -> Scene:
     """Read a scene JSON; features come from the blob when one is referenced.
 
     Without a blob the maps are regenerated from the config seed, which
-    produces identical values.
+    produces identical values.  The blob must hold the config's
+    (n_frames, n_cameras, H, W, C) float32 maps.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     features = None
-    info = doc.get("features") or {}
-    blob_path = info.get("path")
+    info = doc.get("features") if isinstance(doc, dict) else None
+    if info is not None and not isinstance(info, dict):
+        raise ValidationError(f"features: expected an object, got {info!r:.40}")
+    blob_path = (info or {}).get("path")
     if blob_path is not None:
-        resolved = os.path.join(os.path.dirname(os.path.abspath(path)), blob_path)
-        shape = tuple(int(s) for s in info["shape"])
+        if not isinstance(blob_path, str):
+            raise ValidationError(f"features.path: expected a string, got {blob_path!r:.40}")
+        shape = _get(info, "shape", "features", list)
+        if not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
+        ):
+            raise ValidationError(f"features.shape: expected a list of sizes, got {shape!r:.40}")
         dtype = info.get("dtype", FEATURE_DTYPE)
         if dtype != FEATURE_DTYPE:
             raise ValidationError(f"feature blob dtype must be {FEATURE_DTYPE!r}, got {dtype!r}")
+        resolved = os.path.join(os.path.dirname(os.path.abspath(path)), blob_path)
         raw = np.fromfile(resolved, dtype=FEATURE_DTYPE)
-        expected = int(np.prod(shape))
+        expected = math.prod(shape)
         if raw.size != expected:
             raise ValidationError(
                 f"feature blob holds {raw.size} values, shape needs {expected}"

@@ -27,7 +27,9 @@ from .pipeline import (
     weights_to_bytes,
 )
 from .queries import default_depth_bins
-from .scene import SceneConfig, build_scene, camera_ring, feature_blob_bytes, scene_dumps
+from .scene import (
+    SceneConfig, build_scene, camera_ring, feature_blob_bytes, scene_dumps, slot_count,
+)
 from .ssm import DiscreteSsmBank, apply_convolution, discretize_zoh, materialize_kernel, scan_bank
 
 SCAN_LENGTHS = tuple(2 ** i for i in range(9))  # 1 .. 256
@@ -399,9 +401,8 @@ def _scene_preconditions(scene, alpha: float):
 
 def _accept_run(box_mode: str = "bypass", zero_fusion: bool = False):
     scene = build_scene(ACCEPT_SCENE)
-    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
     dims = PipelineDims(
-        k_queries=k, feature_channels=scene.config.feature_channels
+        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
     )
     w = PipelineWeights.from_seed(
         ACCEPT_WEIGHT_SEED, dims, box_mode, zero_fusion=zero_fusion
@@ -500,8 +501,8 @@ def check_residual_identity() -> CheckResult:
     scene = build_scene(ACCEPT_SCENE)
     last = scene.frames[-1]
     for box_mode in ("bypass", "linear"):
-        k_multi = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
-        k_single = sum(len(p) for p in last.proposals)
+        k_multi = slot_count(scene.frames)
+        k_single = slot_count([last])
         multi = run_pipeline_detailed(
             scene.frames,
             scene.cameras,

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,12 +85,13 @@ def test_run_repeatable_csv(tmp_path):
 
 
 def test_run_with_weights_file(tmp_path):
-    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights
+    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights, slot_count
 
     scene_path = simulate(tmp_path)
     scene = load_scene(str(scene_path))
-    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
-    dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
+    dims = PipelineDims(
+        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
+    )
     wpath = tmp_path / "w.sfw"
     save_weights(PipelineWeights.from_seed(11, dims), str(wpath))
     out = tmp_path / "run.csv"
@@ -181,16 +183,76 @@ def test_run_rejects_feature_blob_dtype(tmp_path, capsys):
     assert "dtype" in err and len(err.splitlines()) == 1
 
 
+def first_proposal(doc):
+    """The first proposal of frame 0, as an object in the document."""
+    return next(cam for cam in doc["frames"][0]["proposals"] if cam)[0]
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d["frames"][0].pop("timestamp"), "frames[0].timestamp: missing"),
+        (lambda d: first_proposal(d).pop("box"), "].box: missing"),
+        (lambda d: d["frames"][0].update(world_from_ego="x"), "frames[0]: world_from_ego:"),
+        (lambda d: d["config"].update(n_frames="eight"), "config: n_frames: expected"),
+        (lambda d: first_proposal(d).update(category=[1]), "].category: expected an integer"),
+        (lambda d: d["cameras"].__setitem__(0, "front"), "cameras[0]: expected an object"),
+        (lambda d: d.pop("frames"), "frames: missing"),
+        (lambda d: d["frames"][0].update(proposals=5), "frames[0].proposals: expected an array"),
+        (lambda d: d["features"].pop("shape"), "features.shape: missing"),
+        (lambda d: d["frames"][0].update(frame_index=-1), "frames[0].frame_index: expected"),
+        (lambda d: d["frames"][0].update(frame_index=99), "frames[0].frame_index: expected"),
+        (lambda d: d["features"].update(shape=[3, 3, 24, 16, 8]), "features.shape: the config"),
+        (lambda d: d["cameras"][1]["extrinsic"][0].__setitem__(0, 1e300), "cameras[1]: extrinsic"),
+        (lambda d: d["tracks"][0].update(velocity=[1e300, 0, 0]), "tracks[0]: is_static"),
+    ],
+    ids=[
+        "no_timestamp", "no_box", "world_from_ego_string", "n_frames_string",
+        "category_list", "camera_string", "no_frames", "proposals_number", "blob_without_shape",
+        "frame_index_negative", "frame_index_past_end", "blob_shape_transposed",
+        "extrinsic_overflows", "velocity_overflows",
+    ],
+)
+def test_run_malformed_scene_names_the_json_path(tmp_path, capsys, edit, path):
+    """Each malformed document exits 3 with one line naming the bad value,
+    and no numpy warning."""
+    cfg_path = write_json(tmp_path / "cfg.json", SCENE_CFG)
+    scene = tmp_path / "scene.json"
+    args = ["simulate", "--config", cfg_path, "--out", str(scene)]
+    assert cli_main(args + ["--features-blob", str(tmp_path / "scene.f32")]) == 0
+    doc = json.loads(scene.read_text())
+    edit(doc)
+    write_json(scene, doc)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(
+            ["run", "--scene", str(scene), "--weights", "seed:1", "--out", str(tmp_path / "o.csv")]
+        )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and path in err and len(err.splitlines()) == 1
+
+
+def test_simulate_config_value_of_wrong_type(tmp_path, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", {"n_frames": "eight"})
+    code = cli_main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: n_frames: expected") and len(err.splitlines()) == 1
+
+
 def test_run_box_head_overflow_is_numeric(tmp_path, capsys):
     """A box head whose size logits overflow exp exits 4, naming the stage."""
     import dataclasses
 
-    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights
+    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights, slot_count
 
     scene_path = simulate(tmp_path)
     scene = load_scene(str(scene_path))
-    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
-    dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
+    dims = PipelineDims(
+        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
+    )
     w = PipelineWeights.from_seed(11, dims, "linear")
     box_w, box_b = np.array(w.box_w), np.array(w.box_b)
     box_w[:, 3], box_b[3] = 0.0, 1e3  # exp(1000) overflows for every slot
@@ -211,14 +273,14 @@ def test_run_box_head_score_underflow_is_quiet(tmp_path, capsys):
     """A very negative score logit saturates the score to 0.0 without a
     warning; the report, which lists proposal scores, is unchanged."""
     import dataclasses
-    import warnings
 
-    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights
+    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights, slot_count
 
     scene_path = simulate(tmp_path, cfg={})
     scene = load_scene(str(scene_path))
-    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
-    dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
+    dims = PipelineDims(
+        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
+    )
     w = PipelineWeights.from_seed(11, dims, "linear")
     box_b = np.array(w.box_b)
     box_b[9] = -1e3  # exp(1000) overflows for every slot

@@ -1,23 +1,43 @@
-"""The benchmark's tracer still finds every library function it binds to.
+"""The benchmark still reads the library: its tracer finds every function it
+binds to, and its workloads pass their stored reference checks.
 
 A binding whose function was renamed or deleted lands in ``Tracer.absent``,
-and its span silently disappears from traced runs.
+and its span silently disappears from traced runs.  A frame format the
+workloads cannot read fails their check set.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, name):
+    """Load ``perfbench/<name>.py`` by path, writing no bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing(monkeypatch):
-    """Load ``perfbench/tracing.py`` by path, writing no bytecode next to it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench(monkeypatch, "tracing")
+
+
+@pytest.mark.parametrize("name", ["offline_wide", "stream_window"])
+def test_workload_check_set_matches_refs(monkeypatch, tmp_path, name):
+    """The check set of a pipeline workload passes against ``refs.json``."""
+    run = load_perfbench(monkeypatch, "run")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    wl = workloads.WORKLOADS[name](run.DEFAULT_SEED, str(tmp_path))
+    bench = run.Run(wl, run.DEFAULT_SEED, run.load_refs(), workloads.compare)
+    assert bench.check_set() == (3, 3)
+    assert bench.problems == []
 
 
 def test_every_traced_binding_resolves(monkeypatch):
@@ -58,12 +78,13 @@ def test_every_op_binding_records_a_span(monkeypatch):
         PipelineWeights,
         SceneConfig,
         build_scene,
+        slot_count,
     )
 
     def scene_and_weights(n_frames):
         cfg = SceneConfig(n_frames=n_frames, n_objects=4, n_cameras=3, image_size=(16, 24))
         scene = build_scene(cfg)
-        k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+        k = slot_count(scene.frames)
         dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
         return scene, PipelineWeights.from_seed(5, dims)
 
@@ -104,7 +125,7 @@ def test_every_setup_binding_records_a_span(monkeypatch, tmp_path):
     set-up binding."""
     import statefuse.pipeline as pipeline
     import statefuse.scene as scene
-    from statefuse import PipelineDims, SceneConfig, build_scene, save_scene
+    from statefuse import PipelineDims, SceneConfig, build_scene, save_scene, slot_count
 
     cfg = SceneConfig(n_frames=2, n_objects=4, n_cameras=3, image_size=(16, 24))
     doc = tmp_path / "scene.json"
@@ -116,7 +137,7 @@ def test_every_setup_binding_records_a_span(monkeypatch, tmp_path):
     try:
         tracer.begin("setup", 0)
         loaded = scene.load_scene(str(doc))
-        k = max(sum(len(p) for p in fr.proposals) for fr in loaded.frames)
+        k = slot_count(loaded.frames)
         dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
         pipeline.PipelineWeights.from_seed(5, dims)
         tracer.end()

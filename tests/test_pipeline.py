@@ -26,6 +26,7 @@ from statefuse import (
     run_pipeline_detailed,
     run_report_csv,
     save_weights,
+    slot_count,
 )
 from statefuse.numerics import frozen, readonly
 from statefuse.pipeline import (
@@ -42,10 +43,7 @@ SCENE = SceneConfig(
 
 def scene_and_weights(cfg=SCENE, seed=5, box_mode="bypass", zero_fusion=False):
     scene = build_scene(cfg)
-    k = max(
-        sum(len(props) for props in frame.proposals) for frame in scene.frames
-    )
-    dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
+    dims = PipelineDims(k_queries=slot_count(scene.frames), feature_channels=cfg.feature_channels)
     w = PipelineWeights.from_seed(seed, dims, box_mode, zero_fusion=zero_fusion)
     return scene, w
 
@@ -129,7 +127,7 @@ def test_pipeline_all_static_scene_blanks_past():
         depth_mode="exact",
     )
     scene = build_scene(cfg)
-    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+    k = slot_count(scene.frames)
     dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
     w = PipelineWeights.from_seed(3, dims, zero_fusion=True)
     result = run_pipeline_detailed(
@@ -159,7 +157,7 @@ def test_pipeline_report_deterministic_csv():
 def test_pipeline_single_frame_runs():
     cfg = SceneConfig(n_frames=1, n_objects=3, n_cameras=3, image_size=(16, 24))
     scene = build_scene(cfg)
-    k = sum(len(p) for p in scene.frames[0].proposals)
+    k = slot_count(scene.frames[:1])
     dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
     w = PipelineWeights.from_seed(1, dims)
     detections, report, mask = run_pipeline(scene.frames, scene.cameras, w)
@@ -208,7 +206,7 @@ def test_default_scene_matches_recorded_outputs():
     with open(Path(__file__).parent / "data" / "e2e_default_linear.json") as fh:
         ref = json.load(fh)
     scene = build_scene(SceneConfig())
-    k = max(sum(len(p) for p in fr.proposals) for fr in scene.frames)
+    k = slot_count(scene.frames)
     dims = PipelineDims(k_queries=k, feature_channels=scene.config.feature_channels)
     result = run_pipeline_detailed(
         scene.frames, scene.cameras, PipelineWeights.from_seed(0, dims, "linear")

@@ -1,7 +1,5 @@
 """Feature sampling, deformable read-out, depth reduction, query assembly."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from statefuse import (
     DeformAttnParams,
     FeatureMap,
     PosEmbedParams,
-    Proposal2D,
     ValidationError,
     bilinear_sample,
     build_query,
@@ -20,24 +17,19 @@ from statefuse import (
     expected_depth,
     pad_frames,
     pos_embed,
+    proposal_tables,
 )
 
 
-def grid_map(h=2, w=2, c=1, frame=0, cam=0):
+def grid_map(h=2, w=2, c=1):
     data = np.arange(float(h * w * c)).reshape(h, w, c)
-    return FeatureMap(data, camera_id=cam, frame_index=frame)
+    return FeatureMap(data)
 
 
-def make_proposal(center, dist, bins_n=None, category=0, cam=0, frame=0):
-    return Proposal2D(
-        center=np.asarray(center, dtype=float),
-        box=np.array([0.1, 0.1]),
-        category=category,
-        score=1.0,
-        depth_dist=np.asarray(dist, dtype=float),
-        camera_id=cam,
-        frame_index=frame,
-    )
+def make_proposal(center, dist):
+    """A one-row proposal table for one camera."""
+    row = {"center": center, "box": [0.1, 0.1], "category": 0, "score": 1.0, "depth_dist": dist}
+    return proposal_tables([[row]])[0]
 
 
 # --- bilinear sampling ---
@@ -92,7 +84,7 @@ def test_deform_single_sample_collapse():
 
 def test_deform_constant_field():
     data = np.full((5, 6, 3), 2.0)
-    f = FeatureMap(data, camera_id=0, frame_index=0)
+    f = FeatureMap(data)
     params = DeformAttnParams.seeded(3, seed=2, n_heads=2, n_keys=4)
     out = deformable_attention([0.5, 0.5], f, params)
     # every sample is the same vector, so the weights collapse to 1
@@ -104,7 +96,7 @@ def test_deform_constant_field():
 
 def test_deform_matches_naive_loops():
     rng = np.random.default_rng(103)
-    f = FeatureMap(rng.uniform(-1, 1, size=(8, 8, 4)), camera_id=0, frame_index=0)
+    f = FeatureMap(rng.uniform(-1, 1, size=(8, 8, 4)))
     params = DeformAttnParams.seeded(4, seed=9, n_heads=2, n_keys=3)
     c2d = np.array([0.37, 0.81])
     base = np.array([c2d[0] * 7.0, c2d[1] * 7.0])
@@ -176,14 +168,14 @@ def one_hot(i, n=60):
     return d
 
 
-def build_one(prop, f, cam, attn, pe, sem_proj, **kwargs):
+def build_one(table, f, cam, attn, pe, sem_proj, **kwargs):
     """build_query over a window of one frame seen by one camera."""
-    return build_query([[(prop,)]], [[f]], [cam], attn, pe, sem_proj, **kwargs)
+    return build_query([[table]], [[f]], [cam], attn, pe, sem_proj, **kwargs)
 
 
 def test_build_query_zero_sem_proj():
     rng = np.random.default_rng(107)
-    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)), camera_id=0, frame_index=0)
+    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)))
     cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
     attn = DeformAttnParams.seeded(4, seed=1)
     pe = PosEmbedParams.seeded(12, seed=2)
@@ -197,7 +189,7 @@ def test_build_query_zero_sem_proj():
 def test_build_query_center_from_depth():
     """Identity camera, exact one-hot depth 10: the lifted center is known."""
     rng = np.random.default_rng(109)
-    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)), camera_id=0, frame_index=0)
+    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)))
     cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
     attn = DeformAttnParams.seeded(4, seed=1)
     pe = PosEmbedParams.seeded(12, seed=2)
@@ -207,14 +199,14 @@ def test_build_query_center_from_depth():
         prop, f, cam, attn, pe, np.zeros((4, 12)), bins=bins
     )
     assert np.max(np.abs(centers[0] - [5.0, 2.5, 10.0])) <= 1e-12
-    assert cats[0] == prop.category
-    assert scores[0] == prop.score
+    assert cats.dtype == np.int64 and np.array_equal(cats, prop.category)
+    assert np.array_equal(scores, prop.score)
     assert np.array_equal(counts, [1])
 
 
 def test_build_query_deterministic():
     rng = np.random.default_rng(113)
-    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)), camera_id=0, frame_index=0)
+    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)))
     cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
     attn = DeformAttnParams.seeded(4, seed=1)
     pe = PosEmbedParams.seeded(12, seed=2)
@@ -225,13 +217,13 @@ def test_build_query_deterministic():
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     q_pos = pos_embed(a[1], pe)
-    q_sem = deformable_attention(prop.center, f, attn) @ sem
+    q_sem = deformable_attention(prop.center[0], f, attn) @ sem
     assert np.max(np.abs(a[0] - (q_pos + q_sem))) <= 1e-12
 
 
 def test_build_query_argmax_mode():
     rng = np.random.default_rng(127)
-    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)), camera_id=0, frame_index=0)
+    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)))
     cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
     attn = DeformAttnParams.seeded(4, seed=1)
     pe = PosEmbedParams.seeded(12, seed=2)
@@ -244,29 +236,76 @@ def test_build_query_argmax_mode():
     assert np.max(np.abs(centers[0] - [5.0, 2.5, 10.0])) <= 1e-12
 
 
-def test_build_query_id_mismatch():
-    rng = np.random.default_rng(131)
-    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)), camera_id=1, frame_index=0)
-    cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
-    attn = DeformAttnParams.seeded(4, seed=1)
-    pe = PosEmbedParams.seeded(12, seed=2)
-    prop = make_proposal([0.5, 0.25], one_hot(9), cam=0)
-    with pytest.raises(ValidationError):
-        build_one(prop, f, cam, attn, pe, np.zeros((4, 12)))
-
-
 def test_proposal_validates_center_and_dist():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^proposals\[0\]\[0\]\.center: proposal center"):
         make_proposal([1.2, 0.5], one_hot(0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"\.depth_dist: depth_dist must be non-negative"):
         make_proposal([0.5, 0.5], np.full(60, 0.5))
+
+
+GOOD = {"center": [0.5, 0.5], "box": [0.1, 0.2], "category": 2, "score": 0.75,
+        "depth_dist": [0.25, 0.75]}
+
+
+def test_proposal_tables_hold_read_only_records():
+    rows = [[GOOD, {**GOOD, "center": [0.1, 0.9]}], [], [{**GOOD, "category": 0}]]
+    tables = proposal_tables(rows)
+    assert [len(t) for t in tables] == [2, 0, 1]
+    first = tables[0]
+    assert isinstance(first, np.recarray) and not first.flags.writeable
+    assert first.center.shape == (2, 2) and first.depth_dist.shape == (2, 2)
+    assert first.category.dtype == np.int64 and first.score.dtype == np.float64
+    records = list(first)
+    assert records[1].category == 2 and records[1].score == 0.75
+    assert np.array_equal(records[1].center, [0.1, 0.9])
+    assert records[0].depth_dist @ np.array([2.0, 4.0]) == 3.5
+    with pytest.raises(ValueError):
+        first.score[0] = 0.5
+    assert all(len(t) == 0 for t in proposal_tables([[], []]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: r.pop("box"), r"\.box: missing"),
+        (lambda r: r.update(category=[1]), r"\.category: expected an integer"),
+        (lambda r: r.update(category=True), r"\.category: expected an integer"),
+        (lambda r: r.update(category=1.0), r"\.category: expected an integer"),
+        (lambda r: r.update(center=[0.5]), r"\.center: expected shape \(2,\)"),
+        (lambda r: r.update(center="x"), r"\.center: could not convert"),
+        (lambda r: r.update(box=[0.1, float("nan")]), r"\.box: contains NaN or Inf"),
+        (lambda r: r.update(box=[0.1, float("inf")]), r"\.box: contains NaN or Inf"),
+        (lambda r: r.update(box=[-0.1, 0.1]), r"\.box: box extents must be non-negative"),
+        (lambda r: r.update(score=1.5), r"\.score: score must lie in \[0, 1\]"),
+        (lambda r: r.update(score=None), r"\.score: contains NaN or Inf"),
+        (lambda r: r.update(depth_dist=5), r"\.depth_dist: expected shape \(2,\), got \(\)"),
+        (lambda r: r.update(depth_dist=[0.5, 0.25, 0.25]), r"\.depth_dist: expected shape \(2,\)"),
+        (lambda r: r.update(depth_dist=[1.5, -0.5]), r"\.depth_dist: depth_dist must be non-neg"),
+    ],
+)
+def test_proposal_tables_name_the_bad_value(edit, message):
+    bad = dict(GOOD)
+    edit(bad)
+    with pytest.raises(ValidationError, match=r"^frames\[3\]\.proposals\[1\]\[0\]" + message):
+        proposal_tables([[GOOD], [bad, GOOD]], "frames[3].proposals")
+
+
+def test_proposal_tables_refuse_non_arrays():
+    with pytest.raises(ValidationError, match=r"^p: expected an array"):
+        proposal_tables(5, "p")
+    with pytest.raises(ValidationError, match=r"^p\[1\]: expected an array of proposals"):
+        proposal_tables([[], 5], "p")
+    with pytest.raises(ValidationError, match=r"^p\[0\]\[1\]: a proposal must be an object"):
+        proposal_tables([[GOOD, "x"]], "p")
+    with pytest.raises(ValidationError, match=r"^p\[0\]\[0\]\.depth_dist: .* non-empty 1-d"):
+        proposal_tables([[{**GOOD, "depth_dist": []}]], "p")
 
 
 def test_feature_map_rejects_non_finite():
     data = np.zeros((2, 2, 1))
     data[0, 0, 0] = np.nan
     with pytest.raises(ValidationError):
-        FeatureMap(data, camera_id=0, frame_index=0)
+        FeatureMap(data)
 
 
 # --- batched window build against a per-proposal reference ---
@@ -303,30 +342,26 @@ def window_fixture(counts_per_cam, seed=157):
     skewed = np.array([[1.6, 0.1, 1.0], [0.0, 1.6, 1.0], [0.0, 0.0, 2.0]])
     cams = ring[:2] + (CameraModel(skewed, ring[2].extrinsic, camera_id=2),)
     proposals, maps = [], []
-    for i, per_cam in enumerate(counts_per_cam):
-        frame_props, frame_maps = [], []
-        for c, n in enumerate(per_cam):
-            frame_maps.append(
-                FeatureMap(rng.uniform(-1, 1, size=(7, 9, 4)), camera_id=c, frame_index=i)
-            )
+    for per_cam in counts_per_cam:
+        frame_rows, frame_maps = [], []
+        for n in per_cam:
+            frame_maps.append(FeatureMap(rng.uniform(-1, 1, size=(7, 9, 4))))
             centers = rng.uniform(0.0, 1.0, size=(n, 2))
             # corner proposals: offsets on both sides push samples off the image
             centers[: min(n, 2)] = np.array([[0.0, 0.0], [1.0, 1.0]])[: min(n, 2)]
-            frame_props.append(
-                tuple(
-                    Proposal2D(
-                        center=ctr,
-                        box=np.array([0.1, 0.1]),
-                        category=int(rng.integers(0, 4)),
-                        score=float(rng.uniform()),
-                        depth_dist=rng.dirichlet(np.ones(60)),
-                        camera_id=c,
-                        frame_index=i,
-                    )
+            frame_rows.append(
+                [
+                    {
+                        "center": ctr,
+                        "box": np.array([0.1, 0.1]),
+                        "category": int(rng.integers(0, 4)),
+                        "score": float(rng.uniform()),
+                        "depth_dist": rng.dirichlet(np.ones(60)),
+                    }
                     for ctr in centers
-                )
+                ]
             )
-        proposals.append(tuple(frame_props))
+        proposals.append(proposal_tables(frame_rows))
         maps.append(tuple(frame_maps))
     attn = DeformAttnParams.seeded(4, seed=3, n_heads=2, n_keys=4)
     assert np.any(attn.offsets < -0.5) and np.any(attn.offsets > 0.5)
@@ -367,7 +402,7 @@ def test_build_query_matches_per_proposal_reference(depth_mode):
 
 def test_deform_window_matches_per_map_calls():
     proposals, maps, _, attn, _, _ = window_fixture([(2, 3, 1)])
-    points = [np.array([p.center for p in props]) for props in proposals[0]]
+    points = [table.center for table in proposals[0]]
     got = deformable_attention(points, maps[0], attn)
     want = np.concatenate([deformable_attention(p, f, attn) for p, f in zip(points, maps[0])])
     assert got.shape == (6, 4)
@@ -377,26 +412,22 @@ def test_deform_window_matches_per_map_calls():
 def test_build_query_validation_cases():
     proposals, maps, cams, attn, pe, sem = window_fixture([(1, 1, 0)])
     build_query(proposals, maps, cams, attn, pe, sem)  # the untouched window builds
-    swapped = [(maps[0][1], maps[0][0], maps[0][2])]
-    with pytest.raises(ValidationError, match="ids must agree"):
-        build_query(proposals, swapped, cams, attn, pe, sem)
-    wrong_frame = [tuple(FeatureMap(f.data, f.camera_id, 5) for f in maps[0])]
-    with pytest.raises(ValidationError, match="frame indices"):
-        build_query(proposals, wrong_frame, cams, attn, pe, sem)
     with pytest.raises(ValidationError, match="sem_proj"):
         build_query(proposals, maps, cams, attn, pe, sem[:, :6])
     with pytest.raises(ValidationError, match="depth_mode"):
         build_query(proposals, maps, cams, attn, pe, sem, depth_mode="median")
     with pytest.raises(ValidationError, match="camera list"):
         build_query(proposals, maps, cams[:2], attn, pe, sem)
-    prop = proposals[0][0][0]
     for bad in (np.full(60, 1 / 30), np.r_[-0.5, 1.5, np.zeros(58)]):
-        # stands in for a proposal that skipped Proposal2D's own checks
-        fake = types.SimpleNamespace(**{**vars(prop), "depth_dist": bad})
-        window = [((fake,),) + proposals[0][1:]]
+        # stands in for a table that skipped proposal_tables' own checks
+        fake = proposals[0][0].copy()
+        fake.depth_dist[0] = bad
+        window = [(fake,) + proposals[0][1:]]
         for mode in ("expected", "argmax"):
             with pytest.raises(ValidationError, match="sum to 1"):
                 build_query(window, maps, cams, attn, pe, sem, depth_mode=mode)
+    with pytest.raises(ValidationError, match="bin layout"):
+        build_query(proposals, maps, cams, attn, pe, sem, bins=np.arange(30.0))
     huge = PosEmbedParams(12, 10000.0, np.full((12, 12), 1e308), np.zeros(12), pe.w2, pe.b2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="NaN or Inf"):

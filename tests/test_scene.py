@@ -1,10 +1,17 @@
 """Synthetic scene generation and its on-disk serialization."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from statefuse import (
     SceneConfig,
@@ -21,6 +28,7 @@ from statefuse import (
     scene_from_dict,
     synth_features,
 )
+from statefuse.cli import cli_main
 from statefuse.scene import _FEATURE_SALT
 
 SMALL = SceneConfig(n_frames=3, n_objects=4, n_cameras=3, image_size=(16, 24))
@@ -83,7 +91,6 @@ def test_noise_free_proposal_centers_exact():
 def test_proposals_match_oracle_when_noise_free():
     scene = build_scene(SMALL)
     for frame in scene.frames:
-        flat = [p for cam_props in frame.proposals for p in cam_props]
         oracle = oracle_proposals(
             frame,
             scene.cameras,
@@ -92,11 +99,10 @@ def test_proposals_match_oracle_when_noise_free():
             seed=SMALL.seed,
             depth_mode=SMALL.depth_mode,
         )
-        assert len(flat) == len(oracle)
-        for a, b in zip(flat, oracle):
+        assert len(oracle) == len(frame.proposals)
+        for a, b in zip(frame.proposals, oracle):
             assert np.array_equal(a.center, b.center)
             assert np.array_equal(a.depth_dist, b.depth_dist)
-            assert a.camera_id == b.camera_id
 
 
 def test_proposal_depth_peak_brackets_truth():
@@ -201,6 +207,20 @@ def test_default_scene_feature_blob_pinned():
     )
 
 
+def test_default_scene_json_pinned():
+    """The default scene's JSON stays byte-identical to the recorded one."""
+    text = scene_dumps(build_scene(SceneConfig()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9cf63d583364abe08b3d30ad99899fc8298db126c0e37dc3a97e8fb9e0d235ba"
+    )
+
+
+def test_scene_json_round_trip_is_byte_equal():
+    cfg = SceneConfig(n_objects=24, center_noise_sigma=1.5, seed=3)
+    text = scene_dumps(build_scene(cfg))
+    assert scene_dumps(scene_from_dict(json.loads(text))) == text
+
+
 def test_features_differ_across_cameras_and_frames():
     base = synth_features(0, 0, SMALL)
     assert not np.array_equal(base.data, synth_features(0, 1, SMALL).data)
@@ -264,6 +284,143 @@ def test_scene_from_dict_rejects_bad_format():
     doc["format"] = "something-else"
     with pytest.raises(ValidationError):
         scene_from_dict(doc)
+
+
+def test_scene_from_dict_rejects_camera_ids_out_of_position():
+    """A proposal table's camera is its position, so each camera entry must
+    carry the id of its position."""
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    doc["cameras"][2]["camera_id"] = 0
+    with pytest.raises(ValidationError, match=r"^cameras\[2\]\.camera_id: expected 2"):
+        scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("index", [-1, 3, 99, 1.0, True])
+def test_scene_from_dict_rejects_frame_index_out_of_range(index):
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    doc["frames"][1]["frame_index"] = index
+    with pytest.raises(ValidationError, match=r"^frames\[1\]\.frame_index: expected an integer"):
+        scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit", [lambda ids: ids.pop(), lambda ids: ids.__setitem__(0, 99)])
+def test_scene_from_dict_rejects_object_ids_that_miss_proposals(edit):
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    edit(next(ids for ids in doc["frames"][0]["proposal_object_ids"] if ids))
+    with pytest.raises(ValidationError, match=r"^frames\[0\]: proposal_object_ids must name"):
+        scene_from_dict(doc)
+
+
+def test_scene_from_dict_rejects_features_of_another_shape():
+    scene = build_scene(SMALL)
+    doc = json.loads(scene_dumps(scene))
+    blob = np.frombuffer(feature_blob_bytes(scene), dtype="<f4")
+    h, w = SMALL.image_size
+    swapped = blob.reshape(3, 3, w, h, SMALL.feature_channels)
+    with pytest.raises(ValidationError, match=r"^features\.shape: the config needs \[3, 3, 16,"):
+        scene_from_dict(doc, swapped)
+    assert scene_dumps(scene_from_dict(doc, blob.reshape(3, 3, h, w, -1))) == scene_dumps(scene)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"n_frames": "eight"}, r"^n_frames: expected a value like 8, got 'eight'"),
+        ({"n_frames": 8.0}, r"^n_frames: expected"),
+        ({"n_cameras": True}, r"^n_cameras: expected"),
+        ({"frame_dt": "0.5"}, r"^frame_dt: expected"),
+        ({"image_size": [48]}, r"^image_size: expected a value like \(48, 64\)"),
+        ({"image_size": [48.0, 64]}, r"^image_size: expected"),
+        ({"depth_mode": 1}, r"^depth_mode: expected"),
+        ({"seed": -1}, r"^seed must be >= 0"),
+    ],
+)
+def test_config_from_dict_names_the_bad_key(raw, message):
+    with pytest.raises(ValidationError, match=message):
+        SceneConfig.from_dict(raw)
+
+
+def test_config_from_dict_takes_integers_for_float_fields():
+    cfg = SceneConfig.from_dict({"frame_dt": 1, "speed_range": [2, 6], "image_size": [8, 9]})
+    assert cfg.frame_dt == 1.0 and cfg.speed_range == (2.0, 6.0) and cfg.image_size == (8, 9)
+
+
+# --- fuzzed scene documents ---
+
+FUZZ_CFG = SceneConfig(n_frames=2, n_objects=3, n_cameras=2, image_size=(4, 6), feature_channels=2)
+FUZZ_SCENE = build_scene(FUZZ_CFG)
+FUZZ_DOC = json.loads(scene_dumps(FUZZ_SCENE, "fuzz.f32"))
+
+
+def doc_paths(node, path=()):
+    """Every path into a JSON document; of an array of numbers only the
+    array and its first entry."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from doc_paths(value, path + (key,))
+    elif isinstance(node, list):
+        numbers = all(isinstance(v, (int, float)) for v in node)
+        for i, value in enumerate(node[:1] if numbers else node):
+            yield from doc_paths(value, path + (i,))
+
+
+FUZZ_PATHS = list(doc_paths(FUZZ_DOC))
+DROP = "<drop>"
+# no large positive integers: a config count or size that large would
+# allocate (or loop) before any check that could refuse it
+REPLACEMENTS = [
+    DROP, None, True, "x", [], {}, [1], [[0.5]], 5, 0, -1, -(2**40), 0.5, -0.5,
+    2.5, 1e300, -1e300, math.nan, math.inf,
+]
+
+
+def mutate(doc, path, new):
+    """A copy of ``doc`` whose value at ``path`` is dropped or replaced."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(FUZZ_PATHS), new=st.sampled_from(REPLACEMENTS))
+def test_mutated_scene_documents_raise_only_validation_errors(path, new):
+    try:
+        scene_from_dict(mutate(FUZZ_DOC, path, new))
+    except ValidationError as exc:
+        assert "\n" not in str(exc)
+
+
+@settings(
+    max_examples=25, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(path=st.sampled_from(FUZZ_PATHS), new=st.sampled_from(REPLACEMENTS))
+def test_mutated_scene_documents_exit_0_or_3(tmp_path, path, new):
+    """Through ``statefuse run``: exit 0, or exit 3 with one line and no warning."""
+    (tmp_path / "fuzz.f32").write_bytes(feature_blob_bytes(FUZZ_SCENE))
+    doc = tmp_path / "scene.json"
+    doc.write_text(json.dumps(mutate(FUZZ_DOC, path, new)), encoding="utf-8")
+    err = io.StringIO()
+    with (
+        warnings.catch_warnings(),
+        contextlib.redirect_stderr(err),
+        contextlib.redirect_stdout(io.StringIO()),
+    ):
+        warnings.simplefilter("error")
+        code = cli_main(
+            ["run", "--scene", str(doc), "--weights", "seed:1", "--out", str(tmp_path / "o.csv")]
+        )
+    assert code in (0, 3), err.getvalue()
+    assert len(err.getvalue().splitlines()) == (code == 3)
 
 
 def test_generate_scene_returns_frames():
