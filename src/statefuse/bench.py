@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Config, ValidationError
 from .numerics import softmax
 from .pipeline import op_count_cross_attention, op_count_ssm
 from .ssm import _CHUNK, DiscreteSsmBank, scan_bank
@@ -50,8 +50,8 @@ BENCH_CSV_HEADER = (
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    n_list: tuple = (64, 128, 256, 512, 1024, 2048)
+class BenchConfig(Config):
+    n_list: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
     k: int = 4
     d: int = 16
     state_dim: int = 16
@@ -63,54 +63,29 @@ class BenchConfig:
     measure_memory: bool = False
 
     def __post_init__(self):
-        n_list = tuple(int(n) for n in self.n_list)
+        super().__post_init__()
+        n_list = self.n_list
         if len(n_list) < 1 or any(n < 1 for n in n_list):
             raise ValidationError("n_list must hold positive lengths")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValidationError("n_list must be strictly increasing")
-        object.__setattr__(self, "n_list", n_list)
         for name in ("k", "d", "state_dim"):
-            v = int(getattr(self, name))
-            if v < 1:
+            if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-            object.__setattr__(self, name, v)
-        if int(self.repetitions) < 3:
+        if self.repetitions < 3:
             raise ValidationError("repetitions must be >= 3 for a stable median")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
-        if int(self.warmup) < 0:
+        if self.warmup < 0:
             raise ValidationError("warmup must be >= 0")
-        object.__setattr__(self, "warmup", int(self.warmup))
         if self.mechanism not in MECHANISMS + ("both",):
             raise ValidationError(f"mechanism must be one of {MECHANISMS + ('both',)}")
         if self.dtype not in DTYPES:
             raise ValidationError(f"dtype must be one of {DTYPES}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "measure_memory", bool(self.measure_memory))
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def mechanisms(self) -> tuple:
         return MECHANISMS if self.mechanism == "both" else (self.mechanism,)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "k": self.k,
-            "d": self.d,
-            "state_dim": self.state_dim,
-            "repetitions": self.repetitions,
-            "warmup": self.warmup,
-            "mechanism": self.mechanism,
-            "seed": self.seed,
-            "dtype": self.dtype,
-            "measure_memory": self.measure_memory,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BenchConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown bench config keys: {sorted(unknown)}")
-        return cls(**raw)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BehindCameraError, ValidationError
-from .numerics import as_float_array, frozen, gelu, readonly, require_rigid, rigid_inverse
+from .numerics import (
+    _readonly_from,
+    as_float_array,
+    frozen,
+    gelu,
+    readonly,
+    require_rigid,
+    rigid_inverse,
+)
 
 MIN_PROJECT_DEPTH = 1e-6
 
@@ -36,8 +44,8 @@ class CameraModel:
         if np.any(np.diag(k) <= 0.0):
             raise ValidationError("intrinsic diagonal must be positive")
         t = require_rigid(self.extrinsic, "extrinsic")
-        object.__setattr__(self, "intrinsic", readonly(k))
-        object.__setattr__(self, "extrinsic", readonly(t))
+        object.__setattr__(self, "intrinsic", _readonly_from(k, self.intrinsic))
+        object.__setattr__(self, "extrinsic", _readonly_from(t, self.extrinsic))
         object.__setattr__(self, "camera_id", int(self.camera_id))
 
     @cached_property
@@ -59,7 +67,7 @@ class EgoPose:
         ts = float(self.timestamp)
         if not np.isfinite(ts):
             raise ValidationError("timestamp must be finite")
-        object.__setattr__(self, "world_from_ego", readonly(t))
+        object.__setattr__(self, "world_from_ego", _readonly_from(t, self.world_from_ego))
         object.__setattr__(self, "timestamp", ts)
 
 

@@ -18,23 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Config, ValidationError
 from .numerics import as_float_array, readonly
 
 INVALID_COST = np.inf
 
 
 @dataclass(frozen=True)
-class MotionElimConfig:
+class MotionElimConfig(Config):
     alpha: float = 0.5
     require_same_category: bool = True
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not np.isfinite(alpha) or alpha < 0.0:
+        super().__post_init__()
+        if self.alpha < 0.0:
             raise ValidationError("alpha must be a finite non-negative distance")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "require_same_category", bool(self.require_same_category))
 
 
 @dataclass(frozen=True)

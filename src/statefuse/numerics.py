@@ -47,6 +47,16 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _readonly_from(arr: np.ndarray, source) -> np.ndarray:
+    """:func:`readonly` of an ``arr`` that ``np.asarray`` made from ``source``.
+
+    Made from a list or tuple, as a loaded JSON value is, ``arr`` is a new
+    array that nothing else holds, so it is write-protected in place
+    instead of copied.
+    """
+    return frozen(arr) if isinstance(source, (list, tuple)) else readonly(arr)
+
+
 def frozen(arr: np.ndarray) -> np.ndarray:
     """Write-protect an array the caller has just made and owns, and return it.
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, ValidationError
+from .errors import Config, NumericOverflowError, ValidationError
 from .fusion import (
     FusedQuerySequence,
     Gs4Params,
@@ -81,22 +80,8 @@ def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
     return 3 * n * (2 * d) * m + n * (2 * k * d) * m
 
 
-_INT_DIMS = (
-    "k_queries",
-    "embed_dim",
-    "feature_channels",
-    "state_dim",
-    "n_layers",
-    "n_heads",
-    "n_keys",
-    "dw_ksize",
-    "decoder_keys",
-)
-_FLOAT_DIMS = ("epsilon", "temperature", "delta")
-
-
 @dataclass(frozen=True)
-class PipelineDims:
+class PipelineDims(Config):
     """Shape and hyper constants that, with a seed, fix every weight."""
 
     k_queries: int
@@ -113,47 +98,16 @@ class PipelineDims:
     delta: float = 0.1
 
     def __post_init__(self):
-        for name in _INT_DIMS:
-            raw = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(raw))
-            except TypeError:
-                raise ValidationError(
-                    f"pipeline dimension {name} must be an integer, got {raw!r}"
-                ) from None
-        if any(getattr(self, name) < 1 for name in _INT_DIMS):
-            raise ValidationError("all pipeline dimensions must be >= 1")
+        super().__post_init__()
+        for name, value in self.to_dict().items():  # every field is positive
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value!r}")
         if self.embed_dim % 2 != 0:
             raise ValidationError("embed_dim must be even")
-        for name in _FLOAT_DIMS:
-            raw = getattr(self, name)
-            try:
-                v = float(raw)
-            except (TypeError, ValueError):
-                v = float("nan")
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValidationError(
-                    f"{name} must be a positive finite number, got {raw!r}"
-                )
-            object.__setattr__(self, name, v)
 
     @property
     def n_channels(self) -> int:
         return self.k_queries * self.embed_dim
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineDims":
-        if not isinstance(raw, dict):
-            raise ValidationError("pipeline dims must be a JSON object")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown pipeline dims keys: {sorted(unknown)}")
-        if "k_queries" not in raw:
-            raise ValidationError("pipeline dims lack k_queries")
-        return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -317,7 +271,7 @@ class OpCountReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything run_pipeline computes, for reporting and inspection."""
+    """Everything a forward pass computes, for reporting and inspection."""
 
     detections: tuple
     op_report: OpCountReport
@@ -451,12 +405,6 @@ def run_pipeline_detailed(
         fused_output=fused_output,
         refined=refined,
     )
-
-
-def run_pipeline(frames, cams, w: PipelineWeights, cfg: MotionElimConfig | None = None):
-    """Forward pass returning (detections, op-count report, motion mask)."""
-    result = run_pipeline_detailed(frames, cams, w, cfg)
-    return list(result.detections), result.op_report, result.motion_mask
 
 
 def run_report_csv(result: PipelineResult) -> str:

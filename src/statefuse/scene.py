@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, ValidationError
+from .errors import BehindCameraError, Config, ValidationError
 from .geometry import CameraModel, EgoPose, project_point
-from .numerics import as_float_array, frozen, readonly
+from .numerics import _readonly_from, as_float_array, frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
 
 SCENE_FORMAT = "statefuse-scene/1"
@@ -37,116 +37,51 @@ EGO_SEGMENT_FRAMES = 4
 
 
 @dataclass(frozen=True)
-class SceneConfig:
+class SceneConfig(Config):
     n_frames: int = 8
     frame_dt: float = 0.5
     n_objects: int = 6
     n_cameras: int = 6
-    image_size: tuple = (48, 64)
+    image_size: tuple[int, int] = (48, 64)
     feature_channels: int = 8
-    speed_range: tuple = (2.0, 6.0)
+    speed_range: tuple[float, float] = (2.0, 6.0)
     static_fraction: float = 0.5
     center_noise_sigma: float = 0.0
     seed: int = 0
     depth_mode: str = "peaked"
     focal: float = 0.8
     camera_height: float = 1.5
-    radius_range: tuple = (8.0, 30.0)
+    radius_range: tuple[float, float] = (8.0, 30.0)
     n_categories: int = 4
 
     def __post_init__(self):
-        if int(self.n_frames) < 1 or int(self.n_objects) < 1 or int(self.n_cameras) < 1:
+        super().__post_init__()
+        if self.n_frames < 1 or self.n_objects < 1 or self.n_cameras < 1:
             raise ValidationError("n_frames, n_objects, n_cameras must all be >= 1")
-        if not np.isfinite(self.frame_dt) or self.frame_dt <= 0.0:
+        if self.frame_dt <= 0.0:
             raise ValidationError("frame_dt must be positive")
-        h, w = (int(self.image_size[0]), int(self.image_size[1]))
-        if h < 2 or w < 2:
+        if min(self.image_size) < 2:
             raise ValidationError("image_size entries must be >= 2")
-        if int(self.feature_channels) < 1:
+        if self.feature_channels < 1:
             raise ValidationError("feature_channels must be >= 1")
-        lo, hi = (float(self.speed_range[0]), float(self.speed_range[1]))
+        lo, hi = self.speed_range
         if not (0.0 <= lo <= hi):
             raise ValidationError("speed_range must satisfy 0 <= lo <= hi")
-        if not (0.0 <= float(self.static_fraction) <= 1.0):
+        if not (0.0 <= self.static_fraction <= 1.0):
             raise ValidationError("static_fraction must lie in [0, 1]")
-        if not np.isfinite(self.center_noise_sigma) or self.center_noise_sigma < 0.0:
+        if self.center_noise_sigma < 0.0:
             raise ValidationError("center_noise_sigma must be >= 0")
         if self.depth_mode not in ("peaked", "exact"):
             raise ValidationError("depth_mode must be 'peaked' or 'exact'")
-        if not np.isfinite(self.focal) or self.focal <= 0.0:
+        if self.focal <= 0.0:
             raise ValidationError("focal must be positive")
-        rlo, rhi = (float(self.radius_range[0]), float(self.radius_range[1]))
+        rlo, rhi = self.radius_range
         if not (0.0 < rlo <= rhi):
             raise ValidationError("radius_range must satisfy 0 < lo <= hi")
-        if int(self.n_categories) < 1:
+        if self.n_categories < 1:
             raise ValidationError("n_categories must be >= 1")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        object.__setattr__(self, "n_frames", int(self.n_frames))
-        object.__setattr__(self, "n_objects", int(self.n_objects))
-        object.__setattr__(self, "n_cameras", int(self.n_cameras))
-        object.__setattr__(self, "image_size", (h, w))
-        object.__setattr__(self, "feature_channels", int(self.feature_channels))
-        object.__setattr__(self, "speed_range", (lo, hi))
-        object.__setattr__(self, "frame_dt", float(self.frame_dt))
-        object.__setattr__(self, "static_fraction", float(self.static_fraction))
-        object.__setattr__(self, "center_noise_sigma", float(self.center_noise_sigma))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "focal", float(self.focal))
-        object.__setattr__(self, "camera_height", float(self.camera_height))
-        object.__setattr__(self, "radius_range", (rlo, rhi))
-        object.__setattr__(self, "n_categories", int(self.n_categories))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "frame_dt": self.frame_dt,
-            "n_objects": self.n_objects,
-            "n_cameras": self.n_cameras,
-            "image_size": list(self.image_size),
-            "feature_channels": self.feature_channels,
-            "speed_range": list(self.speed_range),
-            "static_fraction": self.static_fraction,
-            "center_noise_sigma": self.center_noise_sigma,
-            "seed": self.seed,
-            "depth_mode": self.depth_mode,
-            "focal": self.focal,
-            "camera_height": self.camera_height,
-            "radius_range": list(self.radius_range),
-            "n_categories": self.n_categories,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SceneConfig":
-        if not isinstance(raw, dict):
-            raise ValidationError("scene config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown scene config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            default = cls.__dataclass_fields__[key].default
-            if not _fits(value, default):
-                raise ValidationError(
-                    f"{key}: expected a value like {default!r}, got {value!r:.40}"
-                )
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-
-
-def _fits(value, default) -> bool:
-    """Whether a config value has the type of the field's default; an
-    integer fits a float field, a boolean fits no number field."""
-    if isinstance(default, tuple):
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == len(default)
-            and all(map(_fits, value, default))
-        )
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
 
 
 @dataclass(frozen=True)
@@ -171,9 +106,9 @@ class ObjectTrack:
             raise ValidationError("is_static must match a zero velocity exactly")
         object.__setattr__(self, "object_id", int(self.object_id))
         object.__setattr__(self, "category", int(self.category))
-        object.__setattr__(self, "size", readonly(size))
-        object.__setattr__(self, "p0", readonly(p0))
-        object.__setattr__(self, "velocity", readonly(v))
+        object.__setattr__(self, "size", _readonly_from(size, self.size))
+        object.__setattr__(self, "p0", _readonly_from(p0, self.p0))
+        object.__setattr__(self, "velocity", _readonly_from(v, self.velocity))
         object.__setattr__(self, "is_static", static)
 
     def position_at(self, t: float) -> np.ndarray:
@@ -223,11 +158,11 @@ class SceneFrame:
         ):
             raise ValidationError("proposal_object_ids must name one object per proposal")
         object.__setattr__(self, "frame_index", int(self.frame_index))
-        object.__setattr__(self, "object_centers", readonly(centers))
-        object.__setattr__(self, "object_velocities", readonly(vels))
-        object.__setattr__(self, "object_categories", readonly(cats))
-        object.__setattr__(self, "object_sizes", readonly(sizes))
-        object.__setattr__(self, "static_labels", readonly(labels))
+        object.__setattr__(self, "object_centers", _readonly_from(centers, self.object_centers))
+        object.__setattr__(self, "object_velocities", _readonly_from(vels, self.object_velocities))
+        object.__setattr__(self, "object_categories", _readonly_from(cats, self.object_categories))
+        object.__setattr__(self, "object_sizes", _readonly_from(sizes, self.object_sizes))
+        object.__setattr__(self, "static_labels", _readonly_from(labels, self.static_labels))
         object.__setattr__(self, "feature_maps", tuple(self.feature_maps))
         object.__setattr__(self, "proposals", tuple(self.proposals))
         object.__setattr__(self, "proposal_object_ids", ids)

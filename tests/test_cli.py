@@ -242,6 +242,46 @@ def test_simulate_config_value_of_wrong_type(tmp_path, capsys):
     assert err.startswith("error: n_frames: expected") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"k": "4"}, "k: expected"),
+        ({"k": 2.7}, "k: expected"),
+        ({"measure_memory": "false"}, "measure_memory: expected"),
+        ({"n_list": [8, "16", 32]}, "n_list: expected"),
+        ({"n_list": 64}, "n_list: expected"),
+        ({"n_list": "64"}, "n_list: expected"),
+        ({"k": None}, "k: expected"),
+        ({"warmup": "x"}, "warmup: expected"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+)
+def test_bench_config_value_of_wrong_kind(tmp_path, capsys, edit, message):
+    """Exit 3 with one line that names the field, before anything runs."""
+    cfg_path = write_json(tmp_path / "bench.json", {**BENCH_CFG, **edit})
+    code = cli_main(["bench", "--config", cfg_path, "--out", str(tmp_path / "b.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def test_env_seed_below_zero_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STATEFUSE_SEED", "-1")
+    cfg_path = write_json(tmp_path / "bench.json", BENCH_CFG)
+    code = cli_main(["bench", "--config", cfg_path, "--out", str(tmp_path / "b.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+def test_simulate_non_finite_config_value_names_the_key(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text('{"camera_height": NaN}', encoding="utf-8")
+    code = cli_main(
+        ["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "s.json")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: camera_height: expected a value like 1.5, got nan\n"
+
+
 def test_run_box_head_overflow_is_numeric(tmp_path, capsys):
     """A box head whose size logits overflow exp exits 4, naming the stage."""
     import dataclasses

@@ -29,12 +29,15 @@ def load_tracing(monkeypatch):
     return load_perfbench(monkeypatch, "tracing")
 
 
-@pytest.mark.parametrize("name", ["offline_wide", "stream_window"])
+@pytest.mark.parametrize("name", ["offline_wide", "stream_window", "history_fusion"])
 def test_workload_check_set_matches_refs(monkeypatch, tmp_path, name):
-    """The check set of a pipeline workload passes against ``refs.json``."""
+    """The check set of a workload passes against ``refs.json``, after the
+    set-up ``run.py`` makes."""
     run = load_perfbench(monkeypatch, "run")
     workloads = load_perfbench(monkeypatch, "workloads")
     wl = workloads.WORKLOADS[name](run.DEFAULT_SEED, str(tmp_path))
+    wl.simulate()
+    wl.setup()
     bench = run.Run(wl, run.DEFAULT_SEED, run.load_refs(), workloads.compare)
     assert bench.check_set() == (3, 3)
     assert bench.problems == []

@@ -22,7 +22,6 @@ from statefuse import (
     op_count_cross_attention,
     op_count_ssm,
     pad_frames,
-    run_pipeline,
     run_pipeline_detailed,
     run_report_csv,
     save_weights,
@@ -98,7 +97,7 @@ def test_channel_concat_layout():
 
 def test_pipeline_zero_noise_centers():
     scene, w = scene_and_weights()
-    detections, report, mask = run_pipeline(scene.frames, scene.cameras, w)
+    detections = run_pipeline_detailed(scene.frames, scene.cameras, w).detections
     current = scene.frames[-1]
     flat_ids = [obj for ids in current.proposal_object_ids for obj in ids]
     assert len(detections) == len(flat_ids)
@@ -110,7 +109,7 @@ def test_pipeline_zero_noise_centers():
 
 def test_pipeline_current_frame_mask_all_ones():
     scene, w = scene_and_weights()
-    _, _, mask = run_pipeline(scene.frames, scene.cameras, w)
+    mask = run_pipeline_detailed(scene.frames, scene.cameras, w).motion_mask
     assert np.array_equal(
         mask[-1], np.ones(w.dims.k_queries, dtype=np.int8)
     )
@@ -160,7 +159,8 @@ def test_pipeline_single_frame_runs():
     k = slot_count(scene.frames[:1])
     dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
     w = PipelineWeights.from_seed(1, dims)
-    detections, report, mask = run_pipeline(scene.frames, scene.cameras, w)
+    result = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    detections, report, mask = result.detections, result.op_report, result.motion_mask
     assert report.n_frames == 1
     assert np.array_equal(mask, np.ones((1, k)))
     assert len(detections) == k
@@ -170,7 +170,7 @@ def test_pipeline_rejects_unordered_frames():
     scene, w = scene_and_weights()
     frames = [scene.frames[1], scene.frames[0]]
     with pytest.raises(ValidationError):
-        run_pipeline(frames, scene.cameras, w)
+        run_pipeline_detailed(frames, scene.cameras, w)
 
 
 def test_pipeline_rejects_wrong_k():
@@ -178,12 +178,12 @@ def test_pipeline_rejects_wrong_k():
     dims = PipelineDims(k_queries=1, feature_channels=scene.config.feature_channels)
     w = PipelineWeights.from_seed(5, dims)
     with pytest.raises(ValidationError):
-        run_pipeline(scene.frames, scene.cameras, w)
+        run_pipeline_detailed(scene.frames, scene.cameras, w)
 
 
 def test_pipeline_op_report_matches_formulas():
     scene, w = scene_and_weights()
-    _, report, _ = run_pipeline(scene.frames, scene.cameras, w)
+    report = run_pipeline_detailed(scene.frames, scene.cameras, w).op_report
     n, k = report.n_frames, report.k_queries
     d, m = report.embed_dim, report.state_dim
     assert report.cross_attention_ops == op_count_cross_attention(n, k, d)
@@ -192,7 +192,7 @@ def test_pipeline_op_report_matches_formulas():
 
 def test_pipeline_linear_box_mode():
     scene, w = scene_and_weights(box_mode="linear")
-    detections, _, _ = run_pipeline(scene.frames, scene.cameras, w)
+    detections = run_pipeline_detailed(scene.frames, scene.cameras, w).detections
     assert detections
     for det in detections:
         assert np.all(det.size > 0.0)

@@ -279,6 +279,40 @@ def test_scene_json_shape():
     assert len(doc["cameras"]) == 3
 
 
+def test_loader_builds_each_array_once():
+    """The arrays that cameras, poses, tracks and frames build from JSON
+    lists are write-protected where they are built: ``readonly`` copies
+    none of them.  A caller's writable array is still copied."""
+    import inspect
+    import tracemalloc
+
+    from statefuse import numerics
+    from statefuse.geometry import EgoPose
+
+    lines, first = inspect.getsourcelines(numerics.readonly)
+    copy_line = first + next(i for i, text in enumerate(lines) if "copy=True" in text)
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    pose = np.eye(4)
+    tracemalloc.start()
+    try:
+        scene = scene_from_dict(doc)
+        kept = EgoPose(pose, 0.0)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    data = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    copies = data.filter_traces([tracemalloc.Filter(True, numerics.__file__, copy_line)])
+    assert [trace.size for trace in copies.traces] == [pose.nbytes]
+    assert kept.world_from_ego is not pose
+    fr, cam, track = scene.frames[0], scene.cameras[0], scene.tracks[0]
+    arrays = (
+        cam.intrinsic, cam.extrinsic, fr.ego_pose.world_from_ego, track.size, track.p0,
+        track.velocity, fr.object_centers, fr.object_velocities, fr.object_categories,
+        fr.object_sizes, fr.static_labels,
+    )
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
 def test_scene_from_dict_rejects_bad_format():
     doc = json.loads(scene_dumps(build_scene(SMALL)))
     doc["format"] = "something-else"
