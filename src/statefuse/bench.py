@@ -117,18 +117,22 @@ class BenchRow:
 def ssm_peak_bytes(n: int, e: int, m: int, itemsize: int = 8) -> int:
     """Affine-in-N model of the chunked scan's peak allocation, in bytes.
 
-    ``scan_bank`` peaks at its carry-in product.  It then holds, as float64
-    with T = ``_CHUNK``: the in-chunk rows and the product (2 N E), the
-    c_bar-weighted states at the chunk ends ((N / T + 1) E M), and the
-    chunk constants, that is T + 1 powers of a_bar, c_bar * b_bar and the
-    carry-in powers ((2 T + 2) E M) plus the Hankel windows (T^2 E).  An
-    input of another ``itemsize`` adds its float64 copy (N E).  For N not a
-    multiple of T it leaves out the zero-padded copy of the input.  On the
-    default grid it is within 10% of the tracemalloc peak.
+    The chunk constants belong to the bank and are built once, so a call
+    allocates only its rows and states.  ``scan_bank`` peaks at its
+    chunk-end product, holding as float64 with T = ``_CHUNK`` the reversed
+    chunks and the in-chunk product (2 N E) and the c_bar-weighted states
+    at the chunk ends ((N / T + 1) E M); the carry-in product holds as
+    much.  Between the two, the broadcast product by c_bar * b_bar holds
+    one N E block fewer but adds numpy's ufunc buffer of up to
+    ``np.getbufsize()`` floats, which sets the peak at small N E; the
+    model adds half that buffer, so that it stays affine.  An input of
+    another ``itemsize`` adds its float64 copy (N E).  For N not a multiple
+    of T it leaves out the zero-padded copy of the input.  On the default
+    grid it is within 12% of the tracemalloc peak.
     """
     rows = 2 if itemsize == 8 else 3
     t = _CHUNK
-    return 8 * (rows * n * e + (2 * t + 3) * e * m + t * t * e) + 8 * n * e * m // t
+    return 8 * (rows * n * e + e * m) + 8 * n * e * m // t + 4 * np.getbufsize()
 
 
 def cross_peak_bytes(n: int, e: int, itemsize: int = 8) -> int:

@@ -90,8 +90,6 @@ def _parse_weights_arg(value: str, scene, box_mode: str) -> PipelineWeights:
             seed = int(value[len("seed:") :])
         except ValueError:
             raise ValidationError(f"weights seed must be an integer, got {value!r}")
-        if not (0 <= seed < 2 ** 64):
-            raise ValidationError("weights seed must fit an unsigned 64-bit integer")
         dims = PipelineDims(
             k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
         )

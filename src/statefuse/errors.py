@@ -40,12 +40,8 @@ class Config:
 
     def __post_init__(self):
         for name, kind, default in _schema(type(self)):
-            value = getattr(self, name)
-            kept = _field_value(value, kind)
-            if kept is _BAD:
-                like = kind.__name__ if default is MISSING else repr(default)
-                raise ValidationError(f"{name}: expected a value like {like}, got {value!r:.40}")
-            object.__setattr__(self, name, kept)
+            like = kind.__name__ if default is MISSING else repr(default)
+            object.__setattr__(self, name, field_value(name, getattr(self, name), kind, like))
 
     @classmethod
     def from_dict(cls, raw: dict):
@@ -79,6 +75,18 @@ def _schema(cls) -> tuple:
     """(name, type, default) of each field of a config class, in order."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, hints[f.name], f.default) for f in fields(cls))
+
+
+def field_value(name: str, value, kind, like: str | None = None):
+    """``value`` as a field ``name`` of type ``kind`` under the rule of
+    :class:`Config`; any other value raises ``ValidationError("<name>:
+    expected a value like <like>, got <value>")``, ``like`` defaulting to
+    the type's name."""
+    kept = _field_value(value, kind)
+    if kept is _BAD:
+        like = kind.__name__ if like is None else like
+        raise ValidationError(f"{name}: expected a value like {like}, got {value!r:.40}")
+    return kept
 
 
 def _field_value(value, kind):

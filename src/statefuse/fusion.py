@@ -23,12 +23,12 @@ starts the next, so no stage allocates an array of length N.  Between
 tiles each layer carries two things: the last ksize - 1 rows of its LN1
 output, which the causal conv of the next tile reaches back to, and the
 c_bar-weighted state at the scan's last chunk boundary
-(:class:`~statefuse.ssm.ScanCarry`, whose chunk constants are built once
-per layer per call).  Inside a tile the stages update their arrays in
-place.  128 rows is a multiple of the scan's chunk, and a (128, 96)
-float64 tile is 96 KiB, under glibc's 128 KiB mmap threshold, so the
-temporaries of one tile reuse heap pages from the last instead of faulting
-in fresh ones.  A sequence of one tile carries nothing.  Each row goes
+(:class:`~statefuse.ssm.ScanCarry`; the chunk constants belong to the
+layer's bank, which builds them once).  Inside a tile the stages update
+their arrays in place.  128 rows is a multiple of the scan's chunk, and a
+(128, 96) float64 tile is 96 KiB, under glibc's 128 KiB mmap threshold, so
+the temporaries of one tile reuse heap pages from the last instead of
+faulting in fresh ones.  A sequence of one tile carries nothing.  Each row goes
 through the same operations in the same order as in a pass of each layer
 over the whole sequence, and the tests pin the two as bit-identical.
 """
@@ -41,7 +41,14 @@ import numpy as np
 
 from .errors import NumericOverflowError, ValidationError
 from .numerics import as_float_array, frozen, gelu, readonly
-from .ssm import _CHUNK, DiscreteSsmBank, ScanCarry, scan_bank, seeded_bank
+from .ssm import (  # the short scan's conv is the layer's conv too
+    _CHUNK,
+    DiscreteSsmBank,
+    ScanCarry,
+    depthwise_causal_conv,
+    scan_bank,
+    seeded_bank,
+)
 
 
 @dataclass(frozen=True)
@@ -197,32 +204,6 @@ def layer_norm(x, scale, shift, epsilon) -> np.ndarray:
     out *= scale
     out /= np.sqrt(var + epsilon)
     out += shift
-    return out
-
-
-def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray, history=None) -> np.ndarray:
-    """Per-channel causal convolution with left zero padding.
-
-    y[k, e] = sum_i kernel[e, i] * x[k - i, e], taking x[<0] from the end of
-    ``history`` (the rows before x, oldest first) and 0 before those.
-    """
-    x = np.asarray(x)
-    kernel = np.asarray(kernel)
-    if x.ndim != 2:
-        raise ValidationError("x must be an (N, E) array")
-    if kernel.ndim != 2 or kernel.shape[0] != x.shape[1]:
-        raise ValidationError("kernel must have shape (E, ksize)")
-    past = x[:0] if history is None else np.asarray(history)
-    if past.ndim != 2 or past.shape[1] != x.shape[1]:
-        raise ValidationError("history must be an (H, E) array")
-    n, h = x.shape[0], past.shape[0]
-    out = kernel[:, 0] * x
-    for i in range(1, kernel.shape[1]):
-        if i < n:
-            out[i:] += kernel[:, i] * x[:-i]
-        lo, hi = max(0, i - h), min(i, n)  # rows reaching back into history
-        if lo < hi:
-            out[lo:hi] += kernel[:, i] * past[h - i + lo : h - i + hi]
     return out
 
 

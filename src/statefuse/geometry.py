@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BehindCameraError, ValidationError
+from .errors import BehindCameraError, ValidationError, field_value
 from .numerics import (
     _readonly_from,
     as_float_array,
@@ -64,11 +64,8 @@ class EgoPose:
 
     def __post_init__(self):
         t = require_rigid(self.world_from_ego, "world_from_ego")
-        ts = float(self.timestamp)
-        if not np.isfinite(ts):
-            raise ValidationError("timestamp must be finite")
         object.__setattr__(self, "world_from_ego", _readonly_from(t, self.world_from_ego))
-        object.__setattr__(self, "timestamp", ts)
+        object.__setattr__(self, "timestamp", field_value("timestamp", self.timestamp, float))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -60,8 +61,7 @@ _HEADER_LIMIT = 1 << 16
 REPORT_HEADER = "frame,object_slot,retained,center_x,center_y,center_z,category,score"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_REPORT_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%d,%.17g\n"
 
 
 def op_count_cross_attention(n: int, k: int, d: int) -> int:
@@ -110,6 +110,13 @@ class PipelineDims(Config):
         return self.k_queries * self.embed_dim
 
 
+def _weights_seed(seed, name: str) -> int:
+    """``seed`` if it is an int in [0, 2**64), not a bool; else ValidationError."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValidationError(f"{name} must be an unsigned 64-bit integer, got {seed!r:.40}")
+    return seed
+
+
 @dataclass(frozen=True)
 class PipelineWeights:
     """Every learned parameter of the pipeline, fixed by seed + dims."""
@@ -142,7 +149,7 @@ class PipelineWeights:
         dk = as_float_array(self.dec_k, "dec_k", shape=(c, d))
         dv = as_float_array(self.dec_v, "dec_v", shape=(c, d))
         do = as_float_array(self.dec_out, "dec_out", shape=(d, d))
-        object.__setattr__(self, "seed", int(self.seed))
+        _weights_seed(self.seed, "weights seed")
         object.__setattr__(self, "sem_proj", readonly(sem))
         object.__setattr__(self, "dec_q", readonly(dq))
         object.__setattr__(self, "dec_k", readonly(dk))
@@ -170,7 +177,7 @@ class PipelineWeights:
         Components that do not depend on k_queries are identical across
         weights built for different slot counts with the same seed.
         """
-        seed = int(seed)
+        seed = _weights_seed(seed, "weights seed")
         if box_mode not in BOX_MODES:
             raise ValidationError(f"box_mode must be one of {BOX_MODES}")
         c, d = dims.feature_channels, dims.embed_dim
@@ -412,16 +419,22 @@ def run_report_csv(result: PipelineResult) -> str:
 
     Centers and categories come from the padded pre-elimination queries,
     so eliminated slots stay inspectable; padded slots carry category -1.
+    Floats are written with 17 significant digits, so they read back
+    exactly.  One format pass covers every row.
     """
     seq = result.padded
-    retained = result.motion_mask.tolist()
-    centers, cats, scores = seq.centers3d.tolist(), seq.cats.tolist(), result.slot_scores.tolist()
-    lines = [REPORT_HEADER]
-    for i in range(seq.n_frames):
-        for s in range(seq.k_queries):
-            x, y, z = (_fmt(v) for v in centers[i][s])
-            lines.append(f"{i},{s},{retained[i][s]},{x},{y},{z},{cats[i][s]},{_fmt(scores[i][s])}")
-    return "\n".join(lines) + "\n"
+    n, k = seq.n_frames, seq.k_queries
+    frame, slot = np.divmod(np.arange(n * k), k)
+    columns = (
+        frame,
+        slot,
+        result.motion_mask.ravel(),
+        *seq.centers3d.reshape(n * k, 3).T,
+        seq.cats.ravel(),
+        result.slot_scores.ravel(),
+    )
+    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    return f"{REPORT_HEADER}\n" + _REPORT_ROW * (n * k) % values
 
 
 # === weights serialization ===
@@ -554,11 +567,7 @@ def _parse_header(line: bytes, blob_bytes: int) -> tuple:
     missing = [key for key in ("seed", "box_mode", "dims") if key not in header]
     if missing:
         raise ValidationError(f"weights header lacks {', '.join(missing)}")
-    seed = header["seed"]
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError(
-            f"weights header seed must be an unsigned 64-bit integer, got {seed!r}"
-        )
+    seed = _weights_seed(header["seed"], "weights header seed")
     box_mode = header["box_mode"]
     if box_mode not in BOX_MODES:
         raise ValidationError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, Config, ValidationError
+from .errors import BehindCameraError, Config, ValidationError, field_value
 from .geometry import CameraModel, EgoPose, project_point
 from .numerics import _readonly_from, as_float_array, frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
@@ -101,11 +101,11 @@ class ObjectTrack:
             raise ValidationError("size extents must be positive")
         p0 = as_float_array(self.p0, "p0", shape=(3,))
         v = as_float_array(self.velocity, "velocity", shape=(3,))
-        static = bool(self.is_static)
+        static = field_value("is_static", self.is_static, bool)
         if static != (not v.any()):
             raise ValidationError("is_static must match a zero velocity exactly")
-        object.__setattr__(self, "object_id", int(self.object_id))
-        object.__setattr__(self, "category", int(self.category))
+        object.__setattr__(self, "object_id", field_value("object_id", self.object_id, int))
+        object.__setattr__(self, "category", field_value("category", self.category, int))
         object.__setattr__(self, "size", _readonly_from(size, self.size))
         object.__setattr__(self, "p0", _readonly_from(p0, self.p0))
         object.__setattr__(self, "velocity", _readonly_from(v, self.velocity))
@@ -632,7 +632,7 @@ def scene_from_dict(doc: dict, features: np.ndarray | None = None) -> Scene:
     for c, cam in enumerate(docs["cameras"]):
         at = f"cameras[{c}]"
         camera_id = _get(cam, "camera_id", at)
-        if camera_id != c:
+        if type(camera_id) is not int or camera_id != c:  # true and 1.0 are no ids
             raise ValidationError(
                 f"{at}.camera_id: expected {c}, its position, got {camera_id!r:.40}"
             )

@@ -26,9 +26,17 @@ M held as stacked (E, M) arrays, so a single channel is a width-1 bank.
 The scan (:func:`scan_bank`) is chunked as in Mamba-2/SSD (Dao & Gu 2024):
 inside a chunk of ``_CHUNK`` rows it convolves with the first taps, and
 only the state at each chunk boundary is carried step by step, so the
-Python-level loop runs N / ``_CHUNK`` times instead of N.  A
-:class:`ScanCarry` continues one scan over consecutive row blocks, which
+Python-level loop runs N / ``_CHUNK`` times instead of N.  A scan of at
+most ``_CHUNK`` rows is one chunk and carries nothing, so it is a single
+causal convolution with the bank's taps (:func:`depthwise_causal_conv`).
+A :class:`ScanCarry` continues one scan over consecutive row blocks, which
 is how the fusion stack runs tile by tile.
+
+The constants of the scan belong to the bank and are built once: the
+(E, ``_CHUNK``) taps on first use, and the chunk constants of a scan that
+carries (powers of a_bar, carry-in powers and Hankel windows, (2 T + 2) E M
++ T^2 E floats) on the first scan longer than a chunk.  A bank used only for
+short scans never builds the latter.
 
 All arithmetic is float64; inputs of any real dtype are cast on entry.
 """
@@ -36,6 +44,7 @@ All arithmetic is float64; inputs of any real dtype are cast on entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -74,6 +83,25 @@ class DiscreteSsmBank:
     @property
     def state_dim(self) -> int:
         return self.a_bar.shape[1]
+
+    @cached_property
+    def taps(self) -> np.ndarray:
+        """The first ``_CHUNK`` impulse-response taps, d_bar folded into lag 0.
+
+        taps[e, j] = c_bar[e] . a_bar[e]**j b_bar[e], plus d_bar[e] at j = 0:
+        a write-protected (E, ``_CHUNK``) array, built on first use and
+        stored column-major, so that the taps of one lag are contiguous.
+        """
+        taps = np.empty((self.n_channels, _CHUNK), order="F")
+        powers = _powers(self.a_bar, _CHUNK - 1)
+        np.einsum("tem,em->et", powers, self.c_bar * self.b_bar, out=taps)
+        taps[:, 0] += self.d_bar
+        return frozen(taps)
+
+    @cached_property
+    def _carry_constants(self) -> tuple:
+        """:func:`_chunk_constants`, built by the first scan longer than a chunk."""
+        return _chunk_constants(self)
 
 
 def discretize_zoh(a, b, delta: float) -> tuple:
@@ -287,45 +315,49 @@ def seeded_bank(
     )
 
 
-# Rows per chunk of the scan.  Each call builds (T + 1) x E x M powers and a
-# T x T matrix per channel, a cost fixed in N, against N / T carry steps.  At
-# E = 64, T = 16 pulled the log-log slope of scan time over N = 64-2048 to
-# 0.67-0.72 (``statefuse check`` wants 0.7-1.3); T = 8 gives 0.76-0.91 and
-# is ~25% slower per row at N = 1024.
+# Rows per chunk of the scan.  A call runs N / T carry steps; the chunk
+# constants, (T + 1) x E x M powers and a T x T matrix per channel, are
+# built once per bank.  At E = 64 the log-log slope of scan time over
+# N = 64-2048 reads 0.89-1.06 with T = 8 (``statefuse check`` wants
+# 0.7-1.3).  When every call built the constants, T = 16 pulled it to
+# 0.67-0.72; T = 8 is ~25% slower per row than T = 16 at N = 1024.
 _CHUNK = 8
 
 
-def _chunk_constants(bank: DiscreteSsmBank, t: int, carries: bool) -> tuple:
-    """(powers, cb, hankel, from_start) of a chunked scan with t-row chunks.
-
-    powers[j] = a_bar**j for j <= t, cb = c_bar * b_bar, hankel[e] the
-    in-chunk matrix of channel e, and from_start[e, :, s] = a_bar**(s+1),
-    which only a scan that carries state across chunks needs.
-    """
-    a, b, c, d = bank.a_bar, bank.b_bar, bank.c_bar, bank.d_bar
-    e = a.shape[0]
+def _powers(a: np.ndarray, t: int) -> np.ndarray:
+    """powers[j] = a**j for j <= t, by repeated multiplication."""
     powers = np.empty((t + 1,) + a.shape)
     powers[0] = 1.0
     for j in range(1, t + 1):
         np.multiply(powers[j - 1], a, out=powers[j])
-    cb = c * b
+    return powers
+
+
+def _chunk_constants(bank: DiscreteSsmBank) -> tuple:
+    """(powers, cb, hankel, from_start) of a scan that carries state across chunks.
+
+    With T = ``_CHUNK``: powers[j] = a_bar**j for j <= T, cb = c_bar *
+    b_bar, hankel[e] the in-chunk matrix of channel e, built from the taps,
+    and from_start[e, :, s] = a_bar**(s+1).  All are write-protected.
+    """
+    t, e = _CHUNK, bank.n_channels
+    powers = _powers(bank.a_bar, t)
     # w[:, t - 1 + j] = taps[:, j], after t - 1 zero columns
     w = np.zeros((e, 2 * t - 1))
-    np.einsum("tem,em->et", powers[:t], cb, out=w[:, t - 1 :])
-    w[:, t - 1] += d
+    w[:, t - 1 :] = bank.taps
     # The window is copied to a C-ordered block per channel: a one-chunk
     # product is a BLAS matrix-vector call, whose rounding depends on the
     # matrix stride.  The products over strided views have two or more rows.
     step = w.strides[1]
     hankel = as_strided(w, (e, t, t), (w.strides[0], step, step), writeable=False).copy()
-    from_start = np.ascontiguousarray(powers[1:].transpose(1, 2, 0)) if carries else None
-    return powers, cb, hankel, from_start
+    from_start = np.ascontiguousarray(powers[1:].transpose(1, 2, 0))
+    return frozen(powers), frozen(bank.c_bar * bank.b_bar), frozen(hankel), frozen(from_start)
 
 
 def _scan_chunks(x, powers, cb, hankel, from_start, state, carry_out: bool):
     """Chunked scan of ``x`` from the c_bar-weighted state ``state`` (None
     for zero); returns the rows and, if ``carry_out``, the state after the
-    last chunk.  Without ``from_start`` the rows must fit in one chunk."""
+    last chunk."""
     n, e = x.shape
     t = hankel.shape[1]
     chunks = -(-n // t)
@@ -337,18 +369,17 @@ def _scan_chunks(x, powers, cb, hankel, from_start, state, carry_out: bool):
     rev = np.empty((e, chunks, t))
     rev[:, :, ::-1] = x.T.reshape(e, chunks, t)
     y = np.matmul(rev, hankel)
-    if from_start is not None:
-        # carried[i + 1] = c_bar * (state after chunk i); carried[0] = state
-        carried = np.empty((chunks + 1,) + cb.shape)
-        carried[0] = 0.0 if state is None else state
-        np.matmul(rev, powers[:t].transpose(1, 0, 2), out=carried[1:].transpose(1, 0, 2))
-        del rev  # lowers the peak by N x E floats (see bench.ssm_peak_bytes)
-        carried[1:] *= cb
-        last = chunks + 1 if carry_out else chunks
-        for i in range(1 if state is not None else 2, last):
-            carried[i] += powers[t] * carried[i - 1]
-        y += np.matmul(carried[:-1].transpose(1, 0, 2), from_start)
-        state = carried[chunks].copy() if carry_out else None
+    # carried[i + 1] = c_bar * (state after chunk i); carried[0] = state
+    carried = np.empty((chunks + 1,) + cb.shape)
+    carried[0] = 0.0 if state is None else state
+    np.matmul(rev, powers[:t].transpose(1, 0, 2), out=carried[1:].transpose(1, 0, 2))
+    del rev  # lowers the peak by N x E floats (see bench.ssm_peak_bytes)
+    carried[1:] *= cb
+    last = chunks + 1 if carry_out else chunks
+    for i in range(1 if state is not None else 2, last):
+        carried[i] += powers[t] * carried[i - 1]
+    y += np.matmul(carried[:-1].transpose(1, 0, 2), from_start)
+    state = carried[chunks].copy() if carry_out else None
     return np.ascontiguousarray(y.reshape(e, chunks * t)[:, :n].T), state
 
 
@@ -357,33 +388,62 @@ class ScanCarry:
 
     Passing the same carry with consecutive blocks of one sequence,
     ``scan_bank(bank, block, carry)``, yields the rows of a single call over
-    the whole sequence.  The carry builds the bank's chunk constants once,
-    runs every block in chunks of ``_CHUNK`` rows, and holds c_bar * h, the
-    c_bar-weighted state after the rows seen so far.  Every block but the
-    last must be a whole number of chunks.
+    the whole sequence.  The carry holds only c_bar * h, the c_bar-weighted
+    state after the rows seen so far; every block runs in chunks of
+    ``_CHUNK`` rows with the chunk constants of the bank, which the bank
+    builds once.  Every block but the last must be a whole number of chunks.
 
     Which splits are exact: the rows equal one call's bit for bit when the
-    sequence is longer than one chunk (a single call over at most ``_CHUNK``
-    rows uses a shorter chunk) and every block holds more than ``_CHUNK``
-    rows, so that its products have two or more chunk rows.  A block of one
-    chunk makes them BLAS matrix-vector calls, which round differently: up
-    to 5e-15 of max(|y|, 1) over 30 random banks with a_bar in [-1, 1].
+    sequence is longer than one chunk (a single call over at most
+    ``_CHUNK`` rows is the convolution with the taps) and every block holds
+    more than ``_CHUNK`` rows, so that its products have two or more chunk
+    rows.  A block of one chunk makes them BLAS matrix-vector calls, which
+    round differently: up to 5e-15 of max(|y|, 1) over 30 random banks with
+    a_bar in [-1, 1].
     """
 
     def __init__(self, bank: DiscreteSsmBank):
         self.bank = bank
-        self.constants = _chunk_constants(bank, _CHUNK, carries=True)
         self.state = None  # c_bar * h after the rows scanned so far
         self.closed = False  # a block ended inside a chunk
+
+
+def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray, history=None) -> np.ndarray:
+    """Per-channel causal convolution with left zero padding.
+
+    y[k, e] = sum_i kernel[e, i] * x[k - i, e], taking x[<0] from the end of
+    ``history`` (the rows before x, oldest first) and 0 before those.
+    """
+    x = np.asarray(x)
+    kernel = np.asarray(kernel)
+    if x.ndim != 2:
+        raise ValidationError("x must be an (N, E) array")
+    if kernel.ndim != 2 or kernel.shape[0] != x.shape[1]:
+        raise ValidationError("kernel must have shape (E, ksize)")
+    past = x[:0] if history is None else np.asarray(history)
+    if past.ndim != 2 or past.shape[1] != x.shape[1]:
+        raise ValidationError("history must be an (H, E) array")
+    n, h = x.shape[0], past.shape[0]
+    out = kernel[:, 0] * x
+    for i in range(1, kernel.shape[1]):
+        if i < n:
+            out[i:] += kernel[:, i] * x[:-i]
+        lo, hi = max(0, i - h), min(i, n)  # rows reaching back into history
+        if lo < hi:
+            out[lo:hi] += kernel[:, i] * past[h - i + lo : h - i + hi]
+    return out
 
 
 def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = None) -> np.ndarray:
     """Channel-parallel scan: column e of ``x`` runs through channel e.
 
     Computes h[k] = a_bar * h[k-1] + b_bar * x[k], y[k] = c_bar . h[k] +
-    d_bar * x[k] from h[-1] = 0 as a chunked scan (Mamba-2/SSD, Dao & Gu
-    2024) over chunks of T = ``_CHUNK`` rows, or one chunk of N rows when
-    N <= T.  With x padded by zero rows to a multiple of T, per channel:
+    d_bar * x[k] from h[-1] = 0.  N <= T = ``_CHUNK`` rows carry no state
+    across a chunk, so the scan is the causal convolution with the bank's
+    taps, :func:`depthwise_causal_conv` with ``bank.taps[:, :N]``.  Longer
+    scans are chunked (Mamba-2/SSD, Dao & Gu 2024) with the chunk
+    constants the bank builds once.  With x padded by zero rows to a
+    multiple of T, per channel:
 
     * in-chunk: y[k] = sum_{j <= k mod T} taps[j] * x[k - j], where
       taps[j] = c_bar . a_bar**j b_bar plus d_bar at j = 0; one matrix
@@ -396,10 +456,11 @@ def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = No
     x[0..k] only; the result is a C-ordered float64 (N, E) array.
 
     With a :class:`ScanCarry` of this bank, ``x`` is the next block of a
-    longer sequence: the scan starts from the carried c_bar * h (the
-    ``carried`` term of the chunk loop) instead of zero and stores the term
-    after its last chunk for the next block.  The carry's docstring says
-    which splits reproduce a single call bit for bit.
+    longer sequence, scanned in chunks whatever its length: the scan starts
+    from the carried c_bar * h (the ``carried`` term of the chunk loop)
+    instead of zero and stores the term after its last chunk for the next
+    block.  The carry's docstring says which splits reproduce a single call
+    bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -410,13 +471,13 @@ def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = No
             f"x has {e} columns but the bank has {bank.n_channels} channels"
         )
     if carry is None:
-        t = min(_CHUNK, n)
-        constants = _chunk_constants(bank, t, carries=n > t)
-        return _scan_chunks(x, *constants, state=None, carry_out=False)[0]
+        if n <= _CHUNK:
+            return depthwise_causal_conv(np.ascontiguousarray(x), bank.taps[:, :n])
+        return _scan_chunks(x, *bank._carry_constants, state=None, carry_out=False)[0]
     if carry.bank is not bank:
         raise ValidationError("the carry belongs to another bank")
     if carry.closed:
         raise ValidationError("only the last block of a sequence may end inside a chunk")
-    y, carry.state = _scan_chunks(x, *carry.constants, state=carry.state, carry_out=True)
+    y, carry.state = _scan_chunks(x, *bank._carry_constants, state=carry.state, carry_out=True)
     carry.closed = n % _CHUNK != 0
     return y

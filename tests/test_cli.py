@@ -205,12 +205,18 @@ def first_proposal(doc):
         (lambda d: d["features"].update(shape=[3, 3, 24, 16, 8]), "features.shape: the config"),
         (lambda d: d["cameras"][1]["extrinsic"][0].__setitem__(0, 1e300), "cameras[1]: extrinsic"),
         (lambda d: d["tracks"][0].update(velocity=[1e300, 0, 0]), "tracks[0]: is_static"),
+        (lambda d: d["frames"][1].update(timestamp="0.5"), "frames[1]: timestamp: expected"),
+        (lambda d: d["frames"][1].update(timestamp=True), "frames[1]: timestamp: expected"),
+        (lambda d: d["tracks"][0].update(is_static="no"), "tracks[0]: is_static: expected"),
+        (lambda d: d["tracks"][0].update(object_id="3"), "tracks[0]: object_id: expected"),
+        (lambda d: d["tracks"][0].update(category=1.7), "tracks[0]: category: expected"),
     ],
     ids=[
         "no_timestamp", "no_box", "world_from_ego_string", "n_frames_string",
         "category_list", "camera_string", "no_frames", "proposals_number", "blob_without_shape",
         "frame_index_negative", "frame_index_past_end", "blob_shape_transposed",
-        "extrinsic_overflows", "velocity_overflows",
+        "extrinsic_overflows", "velocity_overflows", "timestamp_string", "timestamp_bool",
+        "is_static_string", "object_id_string", "category_float",
     ],
 )
 def test_run_malformed_scene_names_the_json_path(tmp_path, capsys, edit, path):
@@ -348,6 +354,20 @@ def test_run_bad_seed_argument(tmp_path):
          "--out", str(tmp_path / "o.csv")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["seed:-1", f"seed:{2**64}"])
+def test_run_seed_out_of_range(tmp_path, capsys, value):
+    """The range is checked by ``PipelineWeights.from_seed``, not by the CLI."""
+    scene = simulate(tmp_path)
+    capsys.readouterr()
+    code = cli_main(
+        ["run", "--scene", str(scene), "--weights", value, "--out", str(tmp_path / "o.csv")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: weights seed must be an unsigned 64-bit integer, got {value[5:]}\n"
+    )
 
 
 # --- bench ---

@@ -1,6 +1,7 @@
 """Fusion stack: layer norm, causal conv, gated scan, residual blocks."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -270,6 +271,20 @@ def test_tiled_stack_equals_whole_sequence_layers(n):
     out = query_mamba_stack(x, stack)
     assert np.array_equal(out.data, whole_sequence_stack(x, stack))
     assert out.frame_order == x.frame_order
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1024, "a4c6565f333d07a3b2f12c45bc0fd1e0be5fa4039b8c494aabce5eabac4ab7f1"),
+        (129, "f8d24620d5832f62588ac573bcc6613b9c495d82d879ad89edd9969f4103dfbf"),
+    ],
+)
+def test_seeded_stack_output_pinned(n, digest):
+    """The carried scan's arithmetic is pinned bit for bit (sha256 of the
+    little-endian float64 output of a seeded 6-layer stack at n x 96)."""
+    out = query_mamba_stack(history_seq(n), seeded_stack(96, seed=11)).data
+    assert hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest() == digest
 
 
 def test_tiled_stack_conv_longer_than_a_tile():

@@ -153,6 +153,60 @@ def test_pipeline_report_deterministic_csv():
     assert len(a.splitlines()) == 1 + scene.config.n_frames * w.dims.k_queries
 
 
+def report_per_field(result):
+    """Oracle: the report formatted one field at a time."""
+    seq = result.padded
+    retained = result.motion_mask.tolist()
+    centers, cats, scores = seq.centers3d.tolist(), seq.cats.tolist(), result.slot_scores.tolist()
+    lines = ["frame,object_slot,retained,center_x,center_y,center_z,category,score"]
+    for i in range(seq.n_frames):
+        for s in range(seq.k_queries):
+            x, y, z = (format(float(v), ".17g") for v in centers[i][s])
+            score = format(float(scores[i][s]), ".17g")
+            lines.append(f"{i},{s},{retained[i][s]},{x},{y},{z},{cats[i][s]},{score}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SCENE,
+        SceneConfig(n_frames=8, n_objects=24, seed=3),
+        SceneConfig(n_frames=1, n_objects=3, n_cameras=3, image_size=(16, 24)),
+        SceneConfig(n_frames=5, n_objects=9, center_noise_sigma=1.5, seed=8),
+    ],
+    ids=["small", "wide", "one_frame", "noisy"],
+)
+def test_report_csv_equals_per_field_formatting(cfg):
+    """The wide and noisy scenes have padded slots (category -1)."""
+    scene, w = scene_and_weights(cfg)
+    result = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    assert run_report_csv(result) == report_per_field(result)
+
+
+def test_report_csv_writes_signed_zero_and_padded_slots():
+    scene, w = scene_and_weights()
+    result = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    seq = result.padded
+    centers = seq.centers3d.copy()
+    centers[0, 0] = (-0.0, 0.0, -1e-300)
+    cats = seq.cats.copy()
+    cats[-1, -1] = -1
+    scores = result.slot_scores.copy()
+    scores[0, 0] = -0.0
+    edited = dataclasses.replace(
+        result,
+        padded=dataclasses.replace(seq, centers3d=centers, cats=cats),
+        slot_scores=scores,
+    )
+    text = run_report_csv(edited)
+    assert text == report_per_field(edited)
+    lines = text.splitlines()
+    assert lines[1].split(",")[3:6] == ["-0", "0", "-1e-300"]
+    assert lines[1].split(",")[7] == "-0"
+    assert lines[-1].split(",")[6] == "-1"
+
+
 def test_pipeline_single_frame_runs():
     cfg = SceneConfig(n_frames=1, n_objects=3, n_cameras=3, image_size=(16, 24))
     scene = build_scene(cfg)
@@ -395,6 +449,9 @@ def _edit_header(raw: bytes, edit) -> bytes:
         lambda h: h.pop("seed"),
         lambda h: h.update(seed=-1),
         lambda h: h.update(seed="7"),
+        lambda h: h.update(seed=True),
+        lambda h: h.update(seed=7.0),
+        lambda h: h.update(seed=2**64),
         lambda h: h.update(box_mode="cubic"),
         lambda h: h.update(dims=[2]),
         lambda h: h["dims"].pop("k_queries"),
@@ -409,6 +466,22 @@ def test_weights_rejects_malformed_header(edit):
     raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
     with pytest.raises(ValidationError):
         weights_from_bytes(_edit_header(raw, edit))
+
+
+@pytest.mark.parametrize(
+    "seed",
+    ["7", True, 7.9, -1, 2**64],
+    ids=["string", "bool", "float", "negative", "past_u64"],
+)
+def test_from_seed_takes_only_the_seeds_a_header_takes(seed):
+    """Each of these once built weights (or raised numpy's ValueError)."""
+    with pytest.raises(ValidationError, match=r"^weights seed must be an unsigned 64-bit"):
+        PipelineWeights.from_seed(seed, PipelineDims(k_queries=1))
+
+
+def test_from_seed_largest_seed_round_trips():
+    w = PipelineWeights.from_seed(2**64 - 1, PipelineDims(k_queries=1))
+    assert weights_from_bytes(weights_to_bytes(w)).seed == 2**64 - 1
 
 
 def test_weights_rejects_ragged_blob():

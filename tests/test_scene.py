@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from statefuse import (
     synth_features,
 )
 from statefuse.cli import cli_main
+from statefuse.errors import field_value
 from statefuse.scene import _FEATURE_SALT
 
 SMALL = SceneConfig(n_frames=3, n_objects=4, n_cameras=3, image_size=(16, 24))
@@ -337,6 +339,26 @@ def test_scene_from_dict_rejects_frame_index_out_of_range(index):
         scene_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("frames/1/timestamp", "0.5", r"^frames\[1\]: timestamp: expected a value like float"),
+        ("frames/1/timestamp", True, r"^frames\[1\]: timestamp: expected a value like float"),
+        ("tracks/0/is_static", "no", r"^tracks\[0\]: is_static: expected a value like bool"),
+        ("tracks/0/object_id", "3", r"^tracks\[0\]: object_id: expected a value like int"),
+        ("tracks/0/category", 1.7, r"^tracks\[0\]: category: expected a value like int"),
+        ("cameras/1/camera_id", True, r"^cameras\[1\]\.camera_id: expected 1, its position"),
+    ],
+)
+def test_scene_from_dict_coerces_no_scalar(key, value, message):
+    """Each of these once loaded as 0.5, 1.0, True, 3, 1 and 1."""
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    section, index, field = key.split("/")
+    doc[section][int(index)][field] = value
+    with pytest.raises(ValidationError, match=message + f", got {re.escape(repr(value))}$"):
+        scene_from_dict(doc)
+
+
 @pytest.mark.parametrize("edit", [lambda ids: ids.pop(), lambda ids: ids.__setitem__(0, 99)])
 def test_scene_from_dict_rejects_object_ids_that_miss_proposals(edit):
     doc = json.loads(scene_dumps(build_scene(SMALL)))
@@ -404,9 +426,26 @@ DROP = "<drop>"
 # no large positive integers: a config count or size that large would
 # allocate (or loop) before any check that could refuse it
 REPLACEMENTS = [
-    DROP, None, True, "x", [], {}, [1], [[0.5]], 5, 0, -1, -(2**40), 0.5, -0.5,
-    2.5, 1e300, -1e300, math.nan, math.inf,
+    DROP, None, True, "x", "0.5", "3", "no", [], {}, [1], [[0.5]], 5, 0, 1, -1, -(2**40),
+    0.5, -0.5, 1.0, 2.5, 1e300, -1e300, math.nan, math.inf,
 ]
+# Scalar fields of the document, (section, key) -> type under the config field rule
+SCALAR_FIELDS = {
+    ("cameras", "camera_id"): int,
+    ("tracks", "object_id"): int,
+    ("tracks", "category"): int,
+    ("tracks", "is_static"): bool,
+    ("frames", "frame_index"): int,
+    ("frames", "timestamp"): float,
+}
+
+
+def fits(value, kind) -> bool:
+    try:
+        field_value("value", value, kind)
+    except ValidationError:
+        return False
+    return True
 
 
 def mutate(doc, path, new):
@@ -427,10 +466,14 @@ def mutate(doc, path, new):
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(path=st.sampled_from(FUZZ_PATHS), new=st.sampled_from(REPLACEMENTS))
 def test_mutated_scene_documents_raise_only_validation_errors(path, new):
+    """A scalar field takes no value of another kind."""
+    kind = SCALAR_FIELDS.get((path[0], path[-1])) if len(path) == 3 else None
     try:
         scene_from_dict(mutate(FUZZ_DOC, path, new))
     except ValidationError as exc:
         assert "\n" not in str(exc)
+    else:
+        assert kind is None or fits(new, kind), (path, new)
 
 
 @settings(

@@ -10,6 +10,7 @@ from statefuse import (
     ScanCarry,
     ValidationError,
     apply_convolution,
+    depthwise_causal_conv,
     discretize_zoh,
     materialize_kernel,
     scan_bank,
@@ -266,6 +267,52 @@ def test_chunked_scan_matches_step_recurrence(n):
         want = step_scan(bank, x)
         assert got.shape == (n, e) and got.dtype == np.float64
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("e", [1, 96, 672])
+def test_short_scan_matches_step_recurrence(e):
+    """N <= _CHUNK rows: the causal convolution with the bank's taps."""
+    rng = np.random.default_rng([54, e])
+    bank = edge_bank(rng, e, 16)
+    for n in range(1, _CHUNK + 1):
+        x = rng.standard_normal((n, e))
+        got = scan_bank(bank, x)
+        want = step_scan(bank, x)
+        assert got.shape == (n, e) and got.flags.c_contiguous
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0)), n
+        assert np.array_equal(got, depthwise_causal_conv(x, bank.taps[:, :n]))
+
+
+def test_short_scan_of_a_wide_bank_equals_width_one_banks():
+    bank = edge_bank(np.random.default_rng(55), 4, 6)
+    x = np.random.default_rng(56).standard_normal((_CHUNK, 4))
+    for n in range(1, _CHUNK + 1):
+        want = np.stack([scan1(width_one(bank, e), x[:n, e]) for e in range(4)], axis=1)
+        assert np.array_equal(scan_bank(bank, x[:n]), want)
+
+
+def test_taps_are_built_once_and_write_protected():
+    bank = edge_bank(np.random.default_rng(57), 5, 3)
+    taps = bank.taps
+    assert taps is bank.taps and taps.shape == (5, _CHUNK)
+    assert not taps.flags.writeable
+    want = materialize_kernel(bank, _CHUNK)
+    want[:, 0] += bank.d_bar
+    assert np.allclose(taps, want, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError):
+        taps[0, 0] = 1.0
+
+
+def test_short_scans_build_no_carry_constants():
+    """The carry constants (~1.9 MB at E = 672) wait for a scan that carries."""
+    bank = seeded_bank(6, 4, seed=2)
+    scan_bank(bank, np.ones((_CHUNK, 6)))
+    assert "_carry_constants" not in vars(bank)
+    scan_bank(bank, np.ones((_CHUNK + 1, 6)))
+    constants = vars(bank)["_carry_constants"]
+    scan_bank(bank, np.ones((3 * _CHUNK, 6)), ScanCarry(bank))
+    assert bank._carry_constants is constants
+    assert not any(arr.flags.writeable for arr in constants)
 
 
 def test_chunked_scan_is_causal():
