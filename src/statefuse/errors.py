@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the field rule of its
-config types."""
+"""Exception types shared across the library, and the one field rule of its
+config and record types."""
 
 from __future__ import annotations
 
@@ -8,6 +8,9 @@ import numbers
 import typing
 from dataclasses import MISSING, fields
 from functools import cache
+from itertools import chain
+
+import numpy as np
 
 
 class StatefuseError(Exception):
@@ -26,22 +29,53 @@ class NumericOverflowError(StatefuseError, ArithmeticError):
     """A forward evaluation produced a non-finite intermediate value."""
 
 
-class Config:
-    """Base of the frozen config dataclasses: one rule turns a value into a field.
+class Array:
+    """The annotation of an array field: ``Array[float, "E", "M"]``.
+
+    Its first entry is the element kind, ``float``, ``int`` or ``bool``,
+    kept as float64, int64 or bool; the others are its shape, one entry an
+    axis: a fixed size, or a symbol.  A symbol binds at the first field of
+    an object that uses it, to a size of one or more, and every later field
+    of that object must agree with it.
+    """
+
+    def __init__(self, kind: type, shape: tuple):
+        self.kind, self.shape = kind, shape
+
+    def __class_getitem__(cls, params):
+        kind, *shape = params
+        return typing.Annotated[np.ndarray, cls(kind, tuple(shape))]
+
+    def describe(self, sizes: dict) -> str:
+        """The shape, with the size of each symbol that ``sizes`` binds."""
+        axes = [f"{s}={sizes[s]}" if s in sizes else str(s) for s in self.shape]
+        return f"({', '.join(axes)}{',' * (len(axes) == 1)})"
+
+
+class Record:
+    """Base of the frozen dataclasses whose fields one rule turns into values.
 
     A field's annotation is its type.  ``int`` takes an integer; ``float``
     an integer or a finite float, kept as a float; ``bool`` a bool; ``str``
     a string; ``tuple[T, T]`` and ``tuple[T, ...]`` a list or tuple of such
-    values, kept as a tuple.  A bool is no number.  Any other value raises
-    ``ValidationError("<field>: expected a value like <default>, got
-    <value>")``.  A subclass's ``__post_init__`` calls this one, then checks
-    ranges.
+    values, kept as a tuple; ``Array[...]`` an array (see :class:`Array`);
+    any other class an instance of it, a nested record for one; and ``T |
+    None`` None or a ``T``.  A bool is no number.  Any other value raises
+    ``ValidationError`` naming the field.  A subclass's ``__post_init__``
+    calls this one, then checks ranges and how its fields relate.
     """
 
     def __post_init__(self):
-        for name, kind, default in _schema(type(self)):
-            like = kind.__name__ if default is MISSING else repr(default)
-            object.__setattr__(self, name, field_value(name, getattr(self, name), kind, like))
+        sizes = {}  # the symbols of the array fields
+        for name, kind, _, like, optional in _schema(type(self)):
+            value = getattr(self, name)
+            if value is not None or not optional:
+                object.__setattr__(self, name, field_value(name, value, kind, like, sizes))
+
+
+class Config(Record):
+    """Base of the frozen config dataclasses: records of scalars and
+    tuples, read from and written to JSON objects."""
 
     @classmethod
     def from_dict(cls, raw: dict):
@@ -49,11 +83,11 @@ class Config:
         if not isinstance(raw, dict):
             raise ValidationError(f"{cls.__name__} must be a JSON object, got {raw!r:.40}")
         schema = _schema(cls)
-        names = {name for name, _, _ in schema}
+        names = {name for name, *_ in schema}
         unknown = [key for key in raw if key not in names]
         if unknown:
             raise ValidationError(f"unknown {cls.__name__} keys: {unknown}")
-        for name, _, default in schema:
+        for name, _, default, *_ in schema:
             if default is MISSING and name not in raw:
                 raise ValidationError(f"{name}: missing")
         return cls(**raw)
@@ -61,7 +95,7 @@ class Config:
     def to_dict(self) -> dict:
         """The fields in order, tuples as lists: what :meth:`from_dict` reads."""
         out = {}
-        for name, _, _ in _schema(type(self)):
+        for name, *_ in _schema(type(self)):
             value = getattr(self, name)
             out[name] = list(value) if isinstance(value, tuple) else value
         return out
@@ -72,28 +106,51 @@ _BAD = object()
 
 @cache
 def _schema(cls) -> tuple:
-    """(name, type, default) of each field of a config class, in order."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f.default) for f in fields(cls))
+    """(name, kind, default, like, optional) of each field of a record
+    class, in order: ``kind`` is a type or an :class:`Array`, ``like`` what
+    a message says the field expects, and ``optional`` whether it may be
+    None."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        args = typing.get_args(kind)
+        optional = type(None) in args and typing.get_origin(kind) is not tuple
+        if optional:  # kind | None
+            kind = next(arg for arg in args if arg is not type(None))
+        if typing.get_origin(kind) is typing.Annotated:  # Array[...]
+            kind = kind.__metadata__[0]
+        like = _like(kind) if f.default is MISSING else repr(f.default)
+        out.append((f.name, kind, f.default, like, optional))
+    return tuple(out)
 
 
-def field_value(name: str, value, kind, like: str | None = None):
+def _like(kind) -> str:
+    return str(kind) if typing.get_args(kind) else getattr(kind, "__name__", "an array")
+
+
+def field_value(name: str, value, kind, like: str | None = None, sizes: dict | None = None):
     """``value`` as a field ``name`` of type ``kind`` under the rule of
-    :class:`Config`; any other value raises ``ValidationError("<name>:
+    :class:`Record`; any other value raises ``ValidationError("<name>:
     expected a value like <like>, got <value>")``, ``like`` defaulting to
-    the type's name."""
+    the type's name.  ``sizes`` holds the symbols that the earlier array
+    fields of the same object bound."""
+    if isinstance(kind, Array):
+        return _array_value(name, value, kind, {} if sizes is None else sizes)
     kept = _field_value(value, kind)
     if kept is _BAD:
-        like = kind.__name__ if like is None else like
+        like = _like(kind) if like is None else like
         raise ValidationError(f"{name}: expected a value like {like}, got {value!r:.40}")
     return kept
 
 
 def _field_value(value, kind):
     """``value`` as a field of type ``kind``, or ``_BAD`` when it is none."""
-    if kind is bool:
-        return value if isinstance(value, bool) else _BAD
-    if isinstance(value, bool):  # a bool is no number
+    if type(value) is kind and kind is not float:  # the common case
+        return value
+    if kind is float and isinstance(value, float):  # a numpy float64 too
+        return float(value) if math.isfinite(value) else _BAD
+    if kind is bool or isinstance(value, bool):  # a bool is no number
         return _BAD
     if kind is int:
         return int(value) if isinstance(value, numbers.Integral) else _BAD
@@ -105,14 +162,85 @@ def _field_value(value, kind):
         except OverflowError:  # an integer beyond the float range
             return _BAD
         return value if math.isfinite(value) else _BAD
-    if kind is str:
-        return value if isinstance(value, str) else _BAD
+    kinds = getattr(kind, "__args__", ())  # (T, T) or (T, ...) of a tuple type
+    if not kinds:  # str, a record or any other class
+        return value if isinstance(value, kind) else _BAD
     if not isinstance(value, (list, tuple)):
         return _BAD
-    kinds = typing.get_args(kind)  # tuple[T, T] or tuple[T, ...]
-    if kinds[-1] is Ellipsis:
+    if kinds[-1] is Ellipsis:  # tuple[T, ...]
+        if type(value) is tuple and kinds[0] is not float and set(map(type, value)) <= {kinds[0]}:
+            return value  # the common case: of that type already
         kinds = kinds[:1] * len(value)
     elif len(value) != len(kinds):
         return _BAD
     out = tuple(map(_field_value, value, kinds))
     return _BAD if any(v is _BAD for v in out) else out
+
+
+_DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), bool: np.dtype(bool)}
+_SOURCE_KINDS = {float: "fiu", int: "iu", bool: "b"}  # the numpy dtype kinds each takes
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def number_array(value, kind: type = float) -> np.ndarray | None:
+    """``value``, an ndarray, a number or nested lists of them, as an array
+    of ``kind`` elements, or None when it holds any other value.
+
+    ``float`` takes integers and floats, kept as float64; ``int`` takes
+    integers, kept as int64; ``bool`` takes bools.  A str, a None or a bool
+    among numbers is refused.  An ndarray of the kept dtype comes back as
+    it is, anything else as a new array.
+    """
+    if isinstance(value, np.ndarray):
+        arr = value
+    else:
+        try:
+            arr = np.array(value)
+        except (TypeError, ValueError):  # ragged
+            return None
+        if arr.dtype.kind in "iuf" and arr.ndim:  # numpy reads a bool among numbers as one
+            leaves = value
+            for _ in range(arr.ndim - 1):
+                leaves = chain.from_iterable(leaves)
+            if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
+                return None
+    dtype = _DTYPES[kind]
+    if arr.dtype is dtype or arr.dtype == dtype:  # numpy's own float64 dtype is one object
+        return arr
+    if arr.dtype.kind not in _SOURCE_KINDS[kind] or not np.can_cast(arr.dtype, dtype):
+        return None
+    return arr.astype(dtype)
+
+
+def _array_value(name: str, value, spec: Array, sizes: dict) -> np.ndarray:
+    """``value`` as the array field ``name``, write-protected: an array
+    made here in place, an ndarray of the kept dtype by
+    :func:`~statefuse.numerics.readonly`, which copies it unless its
+    memory cannot change."""
+    arr = number_array(value, spec.kind)
+    if arr is None:
+        got = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
+        raise ValidationError(
+            f"{name}: expected an array of {spec.kind.__name__}s shaped {spec.describe(sizes)}, "
+            f"got {' '.join(got[:40].split())}"
+        )
+    shape = arr.shape
+    fits = len(shape) == len(spec.shape) and 0 not in shape
+    for size, want in zip(shape, spec.shape) if fits else ():
+        if type(want) is str:
+            want = sizes.setdefault(want, size)
+        if size != want:
+            fits = False
+            break
+    if not fits:
+        raise ValidationError(f"{name}: expected shape {spec.describe(sizes)}, got {shape}")
+    if spec.kind is float and not np.isfinite(arr).all():
+        raise ValidationError(f"{name}: contains NaN or Inf")
+    if arr is value:
+        return numerics.readonly(arr)
+    arr.setflags(write=False)
+    return arr
+
+
+# Last, so that numerics finds the errors above whichever module loads first.
+from . import numerics  # noqa: E402

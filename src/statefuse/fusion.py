@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, ValidationError
-from .numerics import as_float_array, frozen, gelu, readonly
+from .errors import Array, NumericOverflowError, Record, ValidationError
+from .numerics import frozen, gelu
 from .ssm import (  # the short scan's conv is the layer's conv too
     _CHUNK,
     DiscreteSsmBank,
@@ -52,41 +52,32 @@ from .ssm import (  # the short scan's conv is the layer's conv too
 
 
 @dataclass(frozen=True)
-class LayerNormParams:
-    scale: np.ndarray
-    shift: np.ndarray
+class LayerNormParams(Record):
+    scale: Array[float, "E"]
+    shift: Array[float, "E"]
     epsilon: float
 
     def __post_init__(self):
-        scale = as_float_array(self.scale, "scale")
-        if scale.ndim != 1 or scale.size == 0:
-            raise ValidationError("scale must be a non-empty 1-d vector")
-        shift = as_float_array(self.shift, "shift", shape=scale.shape)
-        eps = float(self.epsilon)
-        if not np.isfinite(eps) or eps <= 0.0:
+        super().__post_init__()
+        if self.epsilon <= 0.0:
             raise ValidationError("epsilon must be a positive finite number")
-        object.__setattr__(self, "scale", readonly(scale))
-        object.__setattr__(self, "shift", readonly(shift))
-        object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass(frozen=True)
-class Gs4Params:
+class Gs4Params(Record):
     """Gated state-space sublayer: channel bank plus gating projections."""
 
     bank: DiscreteSsmBank
-    w_u: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
+    w_u: Array[float, "E", "E"]
+    w_v: Array[float, "E", "E"]
+    w_o: Array[float, "E", "E"]
 
     def __post_init__(self):
-        e = self.bank.n_channels
-        w_u = as_float_array(self.w_u, "w_u", shape=(e, e))
-        w_v = as_float_array(self.w_v, "w_v", shape=(e, e))
-        w_o = as_float_array(self.w_o, "w_o", shape=(e, e))
-        object.__setattr__(self, "w_u", readonly(w_u))
-        object.__setattr__(self, "w_v", readonly(w_v))
-        object.__setattr__(self, "w_o", readonly(w_o))
+        super().__post_init__()
+        if self.w_u.shape[0] != self.bank.n_channels:
+            raise ValidationError(
+                f"w_u: width {self.w_u.shape[0]} does not match the bank's {self.bank.n_channels}"
+            )
 
     @property
     def n_channels(self) -> int:
@@ -94,26 +85,19 @@ class Gs4Params:
 
 
 @dataclass(frozen=True)
-class QueryMambaLayerParams:
+class QueryMambaLayerParams(Record):
     ln1: LayerNormParams
     ln2: LayerNormParams
-    dw_kernel: np.ndarray
+    dw_kernel: Array[float, "E", "S"]  # S: the conv's kernel size
     gs4: Gs4Params
-    out_weight: np.ndarray
-    out_bias: np.ndarray
+    out_weight: Array[float, "E", "E"]
+    out_bias: Array[float, "E"]
 
     def __post_init__(self):
-        e = self.gs4.n_channels
-        if self.ln1.scale.size != e or self.ln2.scale.size != e:
-            raise ValidationError("layer norm width must match the channel count")
-        kernel = as_float_array(self.dw_kernel, "dw_kernel")
-        if kernel.ndim != 2 or kernel.shape[0] != e or kernel.shape[1] < 1:
-            raise ValidationError("dw_kernel must have shape (E, ksize) with ksize >= 1")
-        w = as_float_array(self.out_weight, "out_weight", shape=(e, e))
-        b = as_float_array(self.out_bias, "out_bias", shape=(e,))
-        object.__setattr__(self, "dw_kernel", readonly(kernel))
-        object.__setattr__(self, "out_weight", readonly(w))
-        object.__setattr__(self, "out_bias", readonly(b))
+        super().__post_init__()
+        e = self.out_bias.size
+        if self.gs4.n_channels != e or self.ln1.scale.size != e or self.ln2.scale.size != e:
+            raise ValidationError("layer norm and gs4 widths must match the channel count")
 
     @property
     def n_channels(self) -> int:
@@ -121,17 +105,16 @@ class QueryMambaLayerParams:
 
 
 @dataclass(frozen=True)
-class QueryMambaStack:
-    layers: tuple
+class QueryMambaStack(Record):
+    layers: tuple[QueryMambaLayerParams, ...]
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        if not layers:
+        super().__post_init__()
+        if not self.layers:
             raise ValidationError("stack needs at least one layer")
-        e = layers[0].n_channels
-        if any(layer.n_channels != e for layer in layers):
+        e = self.layers[0].n_channels
+        if any(layer.n_channels != e for layer in self.layers):
             raise ValidationError("all stack layers must share one channel count")
-        object.__setattr__(self, "layers", layers)
 
     @property
     def n_channels(self) -> int:
@@ -143,33 +126,24 @@ class QueryMambaStack:
 
 
 @dataclass(frozen=True)
-class FusedQuerySequence:
+class FusedQuerySequence(Record):
     """Channel-concatenated query sequence: rows are frames, oldest first."""
 
-    data: np.ndarray
-    frame_order: tuple
+    data: Array[float, "N", "E"]
+    frame_order: tuple[int, ...]
     k_queries: int
     embed_dim: int
 
     def __post_init__(self):
-        data = as_float_array(self.data, "data")
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValidationError("data must be a non-empty (N, E) array")
-        k = int(self.k_queries)
-        d = int(self.embed_dim)
+        super().__post_init__()
+        n, e = self.data.shape
+        k, d = self.k_queries, self.embed_dim
         if k < 1 or d < 1:
             raise ValidationError("k_queries and embed_dim must be >= 1")
-        if data.shape[1] != k * d:
-            raise ValidationError(
-                f"row width {data.shape[1]} must equal k_queries * embed_dim = {k * d}"
-            )
-        order = tuple(int(i) for i in self.frame_order)
-        if len(order) != data.shape[0] or sorted(order) != list(range(data.shape[0])):
+        if e != k * d:
+            raise ValidationError(f"row width {e} must equal k_queries * embed_dim = {k * d}")
+        if len(self.frame_order) != n or sorted(self.frame_order) != list(range(n)):
             raise ValidationError("frame_order must index every frame exactly once")
-        object.__setattr__(self, "data", readonly(data))
-        object.__setattr__(self, "frame_order", order)
-        object.__setattr__(self, "k_queries", k)
-        object.__setattr__(self, "embed_dim", d)
 
     @property
     def n_frames(self) -> int:

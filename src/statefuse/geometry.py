@@ -16,37 +16,26 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BehindCameraError, ValidationError, field_value
-from .numerics import (
-    _readonly_from,
-    as_float_array,
-    frozen,
-    gelu,
-    readonly,
-    require_rigid,
-    rigid_inverse,
-)
+from .errors import Array, BehindCameraError, Record, ValidationError
+from .numerics import as_float_array, frozen, gelu, require_rigid, rigid_inverse
 
 MIN_PROJECT_DEPTH = 1e-6
 
 
 @dataclass(frozen=True)
-class CameraModel:
-    intrinsic: np.ndarray
-    extrinsic: np.ndarray
+class CameraModel(Record):
+    intrinsic: Array[float, 3, 3]
+    extrinsic: Array[float, 4, 4]
     camera_id: int
 
     def __post_init__(self):
-        k = as_float_array(self.intrinsic, "intrinsic", shape=(3, 3))
-        lower = np.tril(k, k=-1)
-        if np.any(lower != 0.0):
+        super().__post_init__()
+        k = self.intrinsic
+        if np.any(np.tril(k, k=-1) != 0.0):
             raise ValidationError("intrinsic must be upper triangular")
         if np.any(np.diag(k) <= 0.0):
             raise ValidationError("intrinsic diagonal must be positive")
-        t = require_rigid(self.extrinsic, "extrinsic")
-        object.__setattr__(self, "intrinsic", _readonly_from(k, self.intrinsic))
-        object.__setattr__(self, "extrinsic", _readonly_from(t, self.extrinsic))
-        object.__setattr__(self, "camera_id", int(self.camera_id))
+        require_rigid(self.extrinsic, "extrinsic")
 
     @cached_property
     def _intrinsic_inv(self) -> np.ndarray:
@@ -58,44 +47,35 @@ class CameraModel:
 
 
 @dataclass(frozen=True)
-class EgoPose:
-    world_from_ego: np.ndarray
+class EgoPose(Record):
+    world_from_ego: Array[float, 4, 4]
     timestamp: float
 
     def __post_init__(self):
-        t = require_rigid(self.world_from_ego, "world_from_ego")
-        object.__setattr__(self, "world_from_ego", _readonly_from(t, self.world_from_ego))
-        object.__setattr__(self, "timestamp", field_value("timestamp", self.timestamp, float))
+        super().__post_init__()
+        require_rigid(self.world_from_ego, "world_from_ego")
 
 
 @dataclass(frozen=True)
-class PosEmbedParams:
+class PosEmbedParams(Record):
     """Sinusoidal features followed by a two-layer GELU MLP, output width D."""
 
     embed_dim: int
     temperature: float
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    w1: Array[float, "D", "D"]
+    b1: Array[float, "D"]
+    w2: Array[float, "D", "D"]
+    b2: Array[float, "D"]
 
     def __post_init__(self):
-        d = int(self.embed_dim)
+        super().__post_init__()
+        d = self.embed_dim
         if d < 2 or d % 2 != 0:
             raise ValidationError("embed_dim must be a positive even integer")
-        temp = float(self.temperature)
-        if not np.isfinite(temp) or temp <= 0.0:
+        if self.temperature <= 0.0:
             raise ValidationError("temperature must be positive")
-        w1 = as_float_array(self.w1, "w1", shape=(d, d))
-        b1 = as_float_array(self.b1, "b1", shape=(d,))
-        w2 = as_float_array(self.w2, "w2", shape=(d, d))
-        b2 = as_float_array(self.b2, "b2", shape=(d,))
-        object.__setattr__(self, "embed_dim", d)
-        object.__setattr__(self, "temperature", temp)
-        object.__setattr__(self, "w1", readonly(w1))
-        object.__setattr__(self, "b1", readonly(b1))
-        object.__setattr__(self, "w2", readonly(w2))
-        object.__setattr__(self, "b2", readonly(b2))
+        if self.b1.size != d:
+            raise ValidationError(f"b1: width {self.b1.size} does not match embed_dim {d}")
 
     @classmethod
     def seeded(cls, embed_dim: int, seed, temperature: float = 10000.0) -> "PosEmbedParams":

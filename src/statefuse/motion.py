@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Config, ValidationError
-from .numerics import as_float_array, readonly
+from .errors import Array, Config, Record, ValidationError
+from .numerics import as_float_array, frozen
 
 INVALID_COST = np.inf
 
@@ -36,7 +36,7 @@ class MotionElimConfig(Config):
 
 
 @dataclass(frozen=True)
-class PaddedQuerySequence:
+class PaddedQuerySequence(Record):
     """N frames of exactly K query slots each, oldest frame first.
 
     ``embeddings`` holds q_3d (N, K, D), ``centers3d`` (N, K, 3), ``valid``
@@ -44,25 +44,10 @@ class PaddedQuerySequence:
     category -1.  The newest frame is the current one.
     """
 
-    embeddings: np.ndarray
-    centers3d: np.ndarray
-    valid: np.ndarray
-    cats: np.ndarray
-
-    def __post_init__(self):
-        emb = as_float_array(self.embeddings, "embeddings")
-        if emb.ndim != 3 or 0 in emb.shape:
-            raise ValidationError("embeddings must be a non-empty (N, K, D) array")
-        n, k, _ = emb.shape
-        centers = as_float_array(self.centers3d, "centers3d", shape=(n, k, 3))
-        valid = np.asarray(self.valid, dtype=bool)
-        cats = np.asarray(self.cats, dtype=int)
-        if valid.shape != (n, k) or cats.shape != (n, k):
-            raise ValidationError("valid and cats must be (N, K) arrays")
-        object.__setattr__(self, "embeddings", readonly(emb))
-        object.__setattr__(self, "centers3d", readonly(centers))
-        object.__setattr__(self, "valid", readonly(valid))
-        object.__setattr__(self, "cats", readonly(cats))
+    embeddings: Array[float, "N", "K", "D"]
+    centers3d: Array[float, "N", "K", 3]
+    valid: Array[bool, "N", "K"]
+    cats: Array[int, "N", "K"]
 
     @property
     def n_frames(self) -> int:
@@ -106,7 +91,7 @@ def pad_frames(q3d, centers, cats, counts) -> PaddedQuerySequence:
     centers3d[valid] = as_float_array(centers, "centers", shape=(total, 3))
     slot_cats = np.full(valid.shape, -1)
     slot_cats[valid] = cats
-    return PaddedQuerySequence(embeddings, centers3d, valid, slot_cats)
+    return PaddedQuerySequence(*map(frozen, (embeddings, centers3d, valid, slot_cats)))
 
 
 def motion_cost(current_centers, past_aligned, current_valid, past_valid) -> np.ndarray:
@@ -155,7 +140,7 @@ def motion_mask(cost, cats_current, cats_past, past_valid, cfg: MotionElimConfig
         close &= cur[None, :, None] == past[:, None, :]
     mask = np.ones((p + 1, k), dtype=np.int8)
     mask[:p] = ~close.any(axis=1) & valid
-    return readonly(mask)
+    return frozen(mask)
 
 
 def apply_motion_mask(seq: PaddedQuerySequence, mask) -> PaddedQuerySequence:
@@ -171,9 +156,10 @@ def apply_motion_mask(seq: PaddedQuerySequence, mask) -> PaddedQuerySequence:
         raise ValidationError("mask entries must be 0 or 1")
     keep = keep.astype(bool)
     keep[seq.current_index] = True
-    return PaddedQuerySequence(
+    arrays = (
         np.where(keep[..., None], seq.embeddings, 0.0),
         np.where(keep[..., None], seq.centers3d, 0.0),
         seq.valid & keep,
         np.where(keep, seq.cats, -1),
     )
+    return PaddedQuerySequence(*map(frozen, arrays))  # kept without a copy

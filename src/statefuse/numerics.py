@@ -47,16 +47,6 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _readonly_from(arr: np.ndarray, source) -> np.ndarray:
-    """:func:`readonly` of an ``arr`` that ``np.asarray`` made from ``source``.
-
-    Made from a list or tuple, as a loaded JSON value is, ``arr`` is a new
-    array that nothing else holds, so it is write-protected in place
-    instead of copied.
-    """
-    return frozen(arr) if isinstance(source, (list, tuple)) else readonly(arr)
-
-
 def frozen(arr: np.ndarray) -> np.ndarray:
     """Write-protect an array the caller has just made and owns, and return it.
 
@@ -96,14 +86,13 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
     return abs(np.linalg.det(r) - 1.0) <= tol
 
 
-def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
-    """Validate a 4x4 rigid transform (rotation + translation, unit bottom row)."""
-    t = as_float_array(t, name, shape=(4, 4))
+def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> None:
+    """Check that a finite float (4, 4) array is a rigid transform: a
+    rotation and a translation over a (0, 0, 0, 1) bottom row."""
     if not (np.abs(t[3] - (0.0, 0.0, 0.0, 1.0)) <= tol).all():
         raise ValidationError(f"{name}: bottom row must be (0, 0, 0, 1)")
     if not is_rotation(t[:3, :3], tol):
         raise ValidationError(f"{name}: upper-left 3x3 block is not a rotation")
-    return t
 
 
 def rigid_inverse(t: np.ndarray) -> np.ndarray:

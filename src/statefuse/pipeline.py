@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import Config, NumericOverflowError, ValidationError
+from .errors import Array, Config, NumericOverflowError, Record, ValidationError
 from .fusion import (
     FusedQuerySequence,
     Gs4Params,
@@ -48,7 +48,7 @@ from .motion import (
     motion_mask,
     pad_frames,
 )
-from .numerics import as_float_array, frozen, readonly, softmax
+from .numerics import frozen, softmax
 from .queries import DeformAttnParams, build_query
 from .ssm import DiscreteSsmBank
 
@@ -118,7 +118,7 @@ def _weights_seed(seed, name: str) -> int:
 
 
 @dataclass(frozen=True)
-class PipelineWeights:
+class PipelineWeights(Record):
     """Every learned parameter of the pipeline, fixed by seed + dims."""
 
     seed: int
@@ -127,41 +127,28 @@ class PipelineWeights:
     stack: QueryMambaStack
     attn: DeformAttnParams
     pos: PosEmbedParams
-    sem_proj: np.ndarray
-    dec_q: np.ndarray
-    dec_k: np.ndarray
-    dec_v: np.ndarray
-    dec_out: np.ndarray
-    box_w: np.ndarray | None
-    box_b: np.ndarray | None
+    sem_proj: Array[float, "C", "D"]
+    dec_q: Array[float, "D", "D"]
+    dec_k: Array[float, "C", "D"]
+    dec_v: Array[float, "C", "D"]
+    dec_out: Array[float, "D", "D"]
+    box_w: Array[float, "D", _BOX_FIELDS] | None
+    box_b: Array[float, _BOX_FIELDS] | None
 
     def __post_init__(self):
+        super().__post_init__()
+        _weights_seed(self.seed, "weights seed")
         if self.box_mode not in BOX_MODES:
             raise ValidationError(f"box_mode must be one of {BOX_MODES}")
         dims = self.dims
         c, d = dims.feature_channels, dims.embed_dim
         if self.stack.n_channels != dims.n_channels:
             raise ValidationError("stack width must equal k_queries * embed_dim")
-        if self.attn.channels != c or self.pos.embed_dim != d:
+        if self.attn.channels != c or self.pos.embed_dim != d or self.sem_proj.shape != (c, d):
             raise ValidationError("attention / embedding widths must match dims")
-        sem = as_float_array(self.sem_proj, "sem_proj", shape=(c, d))
-        dq = as_float_array(self.dec_q, "dec_q", shape=(d, d))
-        dk = as_float_array(self.dec_k, "dec_k", shape=(c, d))
-        dv = as_float_array(self.dec_v, "dec_v", shape=(c, d))
-        do = as_float_array(self.dec_out, "dec_out", shape=(d, d))
-        _weights_seed(self.seed, "weights seed")
-        object.__setattr__(self, "sem_proj", readonly(sem))
-        object.__setattr__(self, "dec_q", readonly(dq))
-        object.__setattr__(self, "dec_k", readonly(dk))
-        object.__setattr__(self, "dec_v", readonly(dv))
-        object.__setattr__(self, "dec_out", readonly(do))
-        if self.box_mode == "linear":
-            bw = as_float_array(self.box_w, "box_w", shape=(d, _BOX_FIELDS))
-            bb = as_float_array(self.box_b, "box_b", shape=(_BOX_FIELDS,))
-            object.__setattr__(self, "box_w", readonly(bw))
-            object.__setattr__(self, "box_b", readonly(bb))
-        elif self.box_w is not None or self.box_b is not None:
-            raise ValidationError("bypass mode takes no box head parameters")
+        linear = self.box_mode == "linear"
+        if (self.box_w is not None, self.box_b is not None) != (linear, linear):
+            raise ValidationError("box_w and box_b: given in linear box mode, and only there")
 
     @classmethod
     def from_seed(
@@ -227,32 +214,20 @@ class PipelineWeights:
 
 
 @dataclass(frozen=True)
-class Detection:
-    center3d: np.ndarray
-    size: np.ndarray
+class Detection(Record):
+    center3d: Array[float, 3]
+    size: Array[float, 3]
     yaw: float
-    velocity: np.ndarray
+    velocity: Array[float, 2]
     category: int
     score: float
 
     def __post_init__(self):
-        center = as_float_array(self.center3d, "center3d", shape=(3,))
-        size = as_float_array(self.size, "size", shape=(3,))
-        if np.any(size < 0.0):
+        super().__post_init__()
+        if np.any(self.size < 0.0):
             raise ValidationError("size extents must be non-negative")
-        vel = as_float_array(self.velocity, "velocity", shape=(2,))
-        yaw = float(self.yaw)
-        score = float(self.score)
-        if not np.isfinite(yaw):
-            raise ValidationError("yaw must be finite")
-        if not (0.0 <= score <= 1.0):
+        if not (0.0 <= self.score <= 1.0):
             raise ValidationError("score must lie in [0, 1]")
-        object.__setattr__(self, "center3d", readonly(center))
-        object.__setattr__(self, "size", readonly(size))
-        object.__setattr__(self, "yaw", yaw)
-        object.__setattr__(self, "velocity", readonly(vel))
-        object.__setattr__(self, "category", int(self.category))
-        object.__setattr__(self, "score", score)
 
 
 @dataclass(frozen=True)
@@ -341,12 +316,14 @@ def decode_current_frame(
 def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
     cur = seq.current_index
     slots = np.flatnonzero(seq.valid[cur])
+    # Fields are views of write-protected arrays, which Detection keeps uncopied.
     if w.box_mode == "bypass":
-        boxes = [(seq.centers3d[cur, s], np.zeros(3), 0.0, np.zeros(2), scores[s]) for s in slots]
+        size, velocity = frozen(np.zeros(3)), frozen(np.zeros(2))
+        boxes = [(seq.centers3d[cur, s], size, 0.0, velocity, scores[s]) for s in slots]
     else:
-        out = refined[slots] @ w.box_w + w.box_b
+        out = frozen(refined[slots] @ w.box_w + w.box_b)
         with np.errstate(over="ignore"):  # an overflow fails the stage check below
-            size = np.exp(out[:, 3:6])
+            size = frozen(np.exp(out[:, 3:6]))
         _stage_finite("box_head", out)
         _stage_finite("box_head", size)
         with np.errstate(over="ignore"):  # a very negative logit scores 0.0
@@ -587,7 +564,7 @@ def _weights_from_blob(header: tuple, flat: np.ndarray) -> PipelineWeights:
     """Weights whose arrays are views of the flat ``<f8`` blob.
 
     An aligned view of a ``bytes`` object is shared as it is
-    (:func:`readonly` keeps such views); any other blob is copied.
+    (the field rule keeps such views); any other blob is copied.
     """
     seed, dims, box_mode, shapes = header
     arrays = []

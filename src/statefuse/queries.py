@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Array, Record, ValidationError, number_array
 from .geometry import PosEmbedParams, lift_center, pos_embed
 from .numerics import as_float_array, frozen, readonly, softmax
 
@@ -43,10 +43,12 @@ class FeatureMap:
 
     data: np.ndarray
 
+    # Not a Record: the rule would cast the maps to float64, and they stay
+    # in the dtype they come in, a feature blob's float32 views included.
     def __post_init__(self):
         data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValidationError("feature map data must be (H, W, C)")
+        if data.dtype.kind != "f" or data.ndim != 3:
+            raise ValidationError("feature map data must be a float (H, W, C) array")
         if data.shape[0] < 2 or data.shape[1] < 2 or data.shape[2] < 1:
             raise ValidationError("feature map needs H >= 2, W >= 2, C >= 1")
         if not np.isfinite(data).all():
@@ -67,31 +69,27 @@ class FeatureMap:
 
 
 def _column(values: list, key: str, shape: tuple | None, path) -> np.ndarray:
-    """One field of every row as a float64 (P, *shape) array.
+    """One field of every row as a float64 (P, *shape) array of numbers.
 
     ``shape=None`` asks for vectors of the first row's length.  The first
-    row that is not numeric, or not of that shape, raises naming
-    ``path(j)``, the JSON path of row j.
+    row that is not numbers (see :func:`~statefuse.errors.number_array`),
+    or not of that shape, raises naming ``path(j)``, the JSON path of row j.
     """
-    try:
-        col = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):  # a ragged or non-numeric row
-        col = None
+    col = number_array(values)
     if col is not None and (
         col.shape[1:] == shape if shape is not None else col.ndim == 2 and col.shape[1] > 0
     ):
         return col
     for j, value in enumerate(values):
-        try:
-            got = np.array(value, dtype=np.float64).shape
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path(j)}.{key}: {exc}") from None
+        row = number_array(value)
+        if row is None:
+            raise ValidationError(f"{path(j)}.{key}: expected numbers, got {value!r:.40}")
         if shape is None:
-            if len(got) != 1 or got[0] == 0:
+            if row.ndim != 1 or row.size == 0:
                 raise ValidationError(f"{path(j)}.{key}: depth_dist must be a non-empty 1-d vector")
-            shape = got
-        elif got != shape:
-            raise ValidationError(f"{path(j)}.{key}: expected shape {shape}, got {got}")
+            shape = row.shape
+        elif row.shape != shape:
+            raise ValidationError(f"{path(j)}.{key}: expected shape {shape}, got {row.shape}")
 
 
 def _table_dtype(n_bins: int) -> np.dtype:
@@ -177,38 +175,25 @@ def proposal_tables(per_camera, where: str = "proposals") -> tuple:
 
 
 @dataclass(frozen=True)
-class DeformAttnParams:
+class DeformAttnParams(Record):
     """Fixed sampling pattern for the deformable feature read-out.
 
     Per head: a value projection (C, C_h), an output projection (C_h, C),
     ``n_keys`` pixel offsets, and convex attention weights over the keys.
     """
 
-    value_proj: np.ndarray
-    out_proj: np.ndarray
-    offsets: np.ndarray
-    weights: np.ndarray
+    value_proj: Array[float, "H", "C", "Ch"]
+    out_proj: Array[float, "H", "Ch", "C"]
+    offsets: Array[float, "H", "K", 2]
+    weights: Array[float, "H", "K"]
 
     def __post_init__(self):
-        vp = as_float_array(self.value_proj, "value_proj")
-        if vp.ndim != 3:
-            raise ValidationError("value_proj must be (n_heads, C, C_h)")
-        n_heads, c, c_h = vp.shape
-        op = as_float_array(self.out_proj, "out_proj", shape=(n_heads, c_h, c))
-        offsets = as_float_array(self.offsets, "offsets")
-        if offsets.ndim != 3 or offsets.shape[0] != n_heads or offsets.shape[2] != 2:
-            raise ValidationError("offsets must be (n_heads, n_keys, 2)")
-        weights = as_float_array(
-            self.weights, "weights", shape=(n_heads, offsets.shape[1])
-        )
-        if np.any(weights < 0.0):
+        super().__post_init__()
+        w = self.weights
+        if np.any(w < 0.0):
             raise ValidationError("attention weights must be non-negative")
-        if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9):
             raise ValidationError("attention weights must sum to 1 per head")
-        object.__setattr__(self, "value_proj", readonly(vp))
-        object.__setattr__(self, "out_proj", readonly(op))
-        object.__setattr__(self, "offsets", readonly(offsets))
-        object.__setattr__(self, "weights", readonly(weights))
 
     @property
     def n_heads(self) -> int:

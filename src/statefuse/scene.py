@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, Config, ValidationError, field_value
+from .errors import Array, BehindCameraError, Config, Record, ValidationError
 from .geometry import CameraModel, EgoPose, project_point
-from .numerics import _readonly_from, as_float_array, frozen
+from .numerics import as_float_array, frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
 
 SCENE_FORMAT = "statefuse-scene/1"
@@ -85,38 +85,29 @@ class SceneConfig(Config):
 
 
 @dataclass(frozen=True)
-class ObjectTrack:
+class ObjectTrack(Record):
     """Constant-velocity world-frame track; static means exactly zero velocity."""
 
     object_id: int
     category: int
-    size: np.ndarray
-    p0: np.ndarray
-    velocity: np.ndarray
+    size: Array[float, 3]
+    p0: Array[float, 3]
+    velocity: Array[float, 3]
     is_static: bool
 
     def __post_init__(self):
-        size = as_float_array(self.size, "size", shape=(3,))
-        if np.any(size <= 0.0):
+        super().__post_init__()
+        if np.any(self.size <= 0.0):
             raise ValidationError("size extents must be positive")
-        p0 = as_float_array(self.p0, "p0", shape=(3,))
-        v = as_float_array(self.velocity, "velocity", shape=(3,))
-        static = field_value("is_static", self.is_static, bool)
-        if static != (not v.any()):
+        if self.is_static != (not self.velocity.any()):
             raise ValidationError("is_static must match a zero velocity exactly")
-        object.__setattr__(self, "object_id", field_value("object_id", self.object_id, int))
-        object.__setattr__(self, "category", field_value("category", self.category, int))
-        object.__setattr__(self, "size", _readonly_from(size, self.size))
-        object.__setattr__(self, "p0", _readonly_from(p0, self.p0))
-        object.__setattr__(self, "velocity", _readonly_from(v, self.velocity))
-        object.__setattr__(self, "is_static", static)
 
     def position_at(self, t: float) -> np.ndarray:
         return self.p0 + self.velocity * float(t)
 
 
 @dataclass(frozen=True)
-class SceneFrame:
+class SceneFrame(Record):
     """One time step: ego pose, ego-frame object states, proposals, features.
 
     ``proposals`` holds one proposal table per camera, as
@@ -127,45 +118,26 @@ class SceneFrame:
 
     frame_index: int
     ego_pose: EgoPose
-    object_centers: np.ndarray
-    object_velocities: np.ndarray
-    object_categories: np.ndarray
-    object_sizes: np.ndarray
-    static_labels: np.ndarray
-    feature_maps: tuple
-    proposals: tuple
-    proposal_object_ids: tuple
+    object_centers: Array[float, "N", 3]
+    object_velocities: Array[float, "N", 3]
+    object_categories: Array[int, "N"]
+    object_sizes: Array[float, "N", 3]
+    static_labels: Array[bool, "N"]
+    feature_maps: tuple[FeatureMap, ...]
+    proposals: tuple[np.recarray, ...]
+    proposal_object_ids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        centers = as_float_array(self.object_centers, "object_centers")
-        if centers.ndim != 2 or centers.shape[1] != 3:
-            raise ValidationError("object_centers must be (n_objects, 3)")
-        n = centers.shape[0]
-        vels = as_float_array(self.object_velocities, "object_velocities", shape=(n, 3))
-        cats = np.asarray(self.object_categories, dtype=int)
-        sizes = as_float_array(self.object_sizes, "object_sizes", shape=(n, 3))
-        labels = np.asarray(self.static_labels, dtype=bool)
-        if cats.shape != (n,) or labels.shape != (n,):
-            raise ValidationError("per-object arrays must share one length")
-        if len(self.proposals) != len(self.feature_maps) or len(
-            self.proposal_object_ids
-        ) != len(self.proposals):
+        super().__post_init__()
+        ids, tables = self.proposal_object_ids, self.proposals
+        if not len(ids) == len(tables) == len(self.feature_maps):
             raise ValidationError("per-camera tuples must share one length")
-        ids = tuple(tuple(int(i) for i in cam_ids) for cam_ids in self.proposal_object_ids)
+        n = self.n_objects
         if any(
             len(cam_ids) != len(table) or not all(0 <= i < n for i in cam_ids)
-            for cam_ids, table in zip(ids, self.proposals)
+            for cam_ids, table in zip(ids, tables)
         ):
             raise ValidationError("proposal_object_ids must name one object per proposal")
-        object.__setattr__(self, "frame_index", int(self.frame_index))
-        object.__setattr__(self, "object_centers", _readonly_from(centers, self.object_centers))
-        object.__setattr__(self, "object_velocities", _readonly_from(vels, self.object_velocities))
-        object.__setattr__(self, "object_categories", _readonly_from(cats, self.object_categories))
-        object.__setattr__(self, "object_sizes", _readonly_from(sizes, self.object_sizes))
-        object.__setattr__(self, "static_labels", _readonly_from(labels, self.static_labels))
-        object.__setattr__(self, "feature_maps", tuple(self.feature_maps))
-        object.__setattr__(self, "proposals", tuple(self.proposals))
-        object.__setattr__(self, "proposal_object_ids", ids)
 
     @property
     def n_objects(self) -> int:
@@ -173,20 +145,34 @@ class SceneFrame:
 
 
 @dataclass(frozen=True)
-class Scene:
+class Scene(Record):
+    """Cameras, tracks and frames, as many of each as the config says, and
+    in each frame one row of object states per track."""
+
     config: SceneConfig
-    cameras: tuple
-    tracks: tuple
-    frames: tuple
+    cameras: tuple[CameraModel, ...]
+    tracks: tuple[ObjectTrack, ...]
+    frames: tuple[SceneFrame, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cameras", tuple(self.cameras))
-        object.__setattr__(self, "tracks", tuple(self.tracks))
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if len(self.frames) != self.config.n_frames:
-            raise ValidationError("frame count does not match the config")
-        if len(self.cameras) != self.config.n_cameras:
-            raise ValidationError("camera count does not match the config")
+        super().__post_init__()
+        cfg = self.config
+        _check_counts({"cameras": self.cameras, "tracks": self.tracks, "frames": self.frames}, cfg)
+        for i, frame in enumerate(self.frames):
+            if frame.n_objects != cfg.n_objects:
+                raise ValidationError(
+                    f"frames[{i}].object_centers: {frame.n_objects} rows, "
+                    f"the config says {cfg.n_objects} objects"
+                )
+
+
+def _check_counts(entries: dict, cfg: SceneConfig) -> None:
+    """Refuse a scene's ``entries`` when it holds other numbers of cameras,
+    tracks or frames than ``cfg`` says."""
+    counts = {"cameras": cfg.n_cameras, "tracks": cfg.n_objects, "frames": cfg.n_frames}
+    for key, n in counts.items():
+        if len(entries[key]) != n:
+            raise ValidationError(f"{key}: {len(entries[key])} entries, the config says {n}")
 
 
 def _yaw_rotation(yaw: float) -> np.ndarray:
@@ -625,9 +611,7 @@ def scene_from_dict(doc: dict, features: np.ndarray | None = None) -> Scene:
                 f"features.shape: the config needs {list(shape)}, got {list(features.shape)}"
             )
     docs = {key: _get(doc, key, "", list) for key in ("cameras", "tracks", "frames")}
-    for key, n in (("cameras", cfg.n_cameras), ("frames", cfg.n_frames)):
-        if len(docs[key]) != n:  # refused before a feature map is made for them
-            raise ValidationError(f"{key}: {len(docs[key])} entries, the config says {n}")
+    _check_counts(docs, cfg)  # before a feature map is made for the frames
     cams = []
     for c, cam in enumerate(docs["cameras"]):
         at = f"cameras[{c}]"
@@ -649,21 +633,21 @@ def scene_from_dict(doc: dict, features: np.ndarray | None = None) -> Scene:
     for i, fr in enumerate(docs["frames"]):
         at = f"frames[{i}]"
         idx = _get(fr, "frame_index", at)
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < cfg.n_frames:
+        if type(idx) is not int or idx != i:  # a frame's maps are those of its position
             raise ValidationError(
-                f"{at}.frame_index: expected an integer in [0, {cfg.n_frames}), got {idx!r}"
+                f"{at}.frame_index: expected an integer, its position {i}, got {idx!r:.40}"
             )
         fields = {key: _get(fr, key, at) for key in _FRAME_KEYS}
         proposals = proposal_tables(_get(fr, "proposals", at), f"{at}.proposals")
         with _at(at):
             if features is not None:
-                maps = tuple(FeatureMap(features[idx, c]) for c in range(cfg.n_cameras))
+                maps = tuple(FeatureMap(features[i, c]) for c in range(cfg.n_cameras))
             else:
-                maps = tuple(synth_features(idx, c, cfg) for c in range(cfg.n_cameras))
+                maps = tuple(synth_features(i, c, cfg) for c in range(cfg.n_cameras))
             pose = EgoPose(fields.pop("world_from_ego"), fields.pop("timestamp"))
             frames.append(
                 SceneFrame(
-                    frame_index=idx,
+                    frame_index=i,
                     ego_pose=pose,
                     feature_maps=maps,
                     proposals=proposals,

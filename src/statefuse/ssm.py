@@ -49,32 +49,23 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ValidationError
-from .numerics import as_float_array, frozen, readonly
+from .errors import Array, Record, ValidationError
+from .numerics import as_float_array, frozen
 
 
 @dataclass(frozen=True)
-class DiscreteSsmBank:
+class DiscreteSsmBank(Record):
     """A width-E bank of discrete channels stored as stacked (E, M) arrays."""
 
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-    c_bar: np.ndarray
-    d_bar: np.ndarray
+    a_bar: Array[float, "E", "M"]
+    b_bar: Array[float, "E", "M"]
+    c_bar: Array[float, "E", "M"]
+    d_bar: Array[float, "E"]
 
     def __post_init__(self):
-        a = as_float_array(self.a_bar, "a_bar")
-        if a.ndim != 2 or a.size == 0:
-            raise ValidationError("bank a_bar must be a non-empty (E, M) array")
-        if np.any(np.abs(a) > 1.0):
+        super().__post_init__()
+        if np.any(np.abs(self.a_bar) > 1.0):
             raise ValidationError("|a_bar| entries must be <= 1 (discrete stability)")
-        b = as_float_array(self.b_bar, "b_bar", shape=a.shape)
-        c = as_float_array(self.c_bar, "c_bar", shape=a.shape)
-        d = as_float_array(self.d_bar, "d_bar", shape=(a.shape[0],))
-        object.__setattr__(self, "a_bar", readonly(a))
-        object.__setattr__(self, "b_bar", readonly(b))
-        object.__setattr__(self, "c_bar", readonly(c))
-        object.__setattr__(self, "d_bar", readonly(d))
 
     @property
     def n_channels(self) -> int:

@@ -1,6 +1,7 @@
-"""The one field rule of the config types: SceneConfig, PipelineDims,
-BenchConfig and MotionElimConfig."""
+"""The one field rule of the config types (SceneConfig, PipelineDims,
+BenchConfig and MotionElimConfig) and of the record types."""
 
+import dataclasses
 import json
 import math
 
@@ -11,13 +12,21 @@ from hypothesis import strategies as st
 
 from statefuse import (
     BenchConfig,
+    Detection,
+    DiscreteSsmBank,
+    FusedQuerySequence,
+    LayerNormParams,
     MotionElimConfig,
+    PaddedQuerySequence,
     PipelineDims,
     PipelineWeights,
     SceneConfig,
     ValidationError,
+    build_scene,
+    query_mamba_stack,
 )
-from statefuse.pipeline import weights_from_bytes, weights_to_bytes
+from statefuse.numerics import frozen
+from statefuse.pipeline import _weight_arrays, weights_from_bytes, weights_to_bytes
 
 CONFIGS = [SceneConfig(), PipelineDims(k_queries=3), BenchConfig(), MotionElimConfig()]
 
@@ -142,3 +151,131 @@ def test_mutated_weights_header_dims_load_or_raise(name, value):
         assert "\n" not in str(exc)
         return
     assert PipelineDims.from_dict(w.dims.to_dict()) == w.dims
+
+
+# --- the record types ---
+
+TINY_LINEAR = PipelineWeights.from_seed(5, TINY_DIMS, "linear")
+TINY_SCENE = build_scene(SceneConfig(n_frames=2, n_objects=2, n_cameras=2, image_size=(4, 6),
+                                     feature_channels=1, static_fraction=0.0))
+TINY_LAYER = TINY_LINEAR.stack.layers[0]
+RECORDS = [
+    TINY_LAYER.gs4.bank,
+    TINY_LAYER.ln1,
+    TINY_LAYER.gs4,
+    TINY_LAYER,
+    TINY_LINEAR.stack,
+    FusedQuerySequence(np.zeros((2, 4)), (0, 1), 2, 2),
+    TINY_SCENE.cameras[0],
+    TINY_SCENE.frames[0].ego_pose,
+    TINY_LINEAR.pos,
+    TINY_LINEAR.attn,
+    PaddedQuerySequence(np.zeros((2, 3, 4)), np.zeros((2, 3, 3)), np.ones((2, 3), bool),
+                        np.zeros((2, 3), int)),
+    TINY_LINEAR,
+    Detection(np.zeros(3), np.ones(3), 0.0, np.zeros(2), 1, 0.5),
+    TINY_SCENE.tracks[0],  # a moving track, so that is_static=True fails
+    TINY_SCENE.frames[0],
+    TINY_SCENE,
+]
+RECORD_FIELDS = [(r, f.name) for r in RECORDS for f in dataclasses.fields(r)]
+
+
+def deeper(value):
+    """A list of a shape that ``value``'s field refuses: an array one axis
+    deeper, any other value [[0.5]]."""
+    return [value.tolist() if isinstance(value, np.ndarray) else [0.5]]
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, deeper], ids=["str", "true", "none", "shape"])
+@pytest.mark.parametrize(
+    "record, name", RECORD_FIELDS, ids=[f"{type(r).__name__}.{name}" for r, name in RECORD_FIELDS]
+)
+def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
+    """Never a TypeError, nor a value read as a number: one line naming the field."""
+    value = bad(getattr(record, name)) if callable(bad) else bad
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(record, **{name: value})
+    message = str(info.value)
+    assert name in message and "\n" not in message, message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FusedQuerySequence(np.zeros((2, 4)), (0, 1), k_queries=2.9, embed_dim=True),
+         r"^k_queries: expected a value like int, got 2.9$"),
+        (lambda: FusedQuerySequence(np.zeros((2, 4)), (0, 1), 2, True), r"^embed_dim: expected"),
+        (lambda: DiscreteSsmBank(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), [0.0]),
+         r"^b_bar: expected shape \(E=1, M=2\), got \(1, 3\)$"),
+        (lambda: DiscreteSsmBank(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)), []),
+         r"^a_bar: expected shape \(E, M\), got \(0, 2\)$"),
+        (lambda: LayerNormParams([1.0, np.nan], [0.0, 0.0], 1e-6), r"^scale: contains NaN or Inf$"),
+        (lambda: LayerNormParams([1.0, 1.0], [0.0, 0.0], "1e-6"), r"^epsilon: expected"),
+        (lambda: LayerNormParams(np.array(["1", "2"]), [0.0, 0.0], 1e-6),
+         r"^scale: expected an array of floats shaped \(E,\), got an array of <U1$"),
+        (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
+                                     np.ones((1, 1)), np.zeros((1, 1), int)),
+         r"^valid: expected an array of bools shaped \(N=1, K=1\), got an array of float64$"),
+        (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
+                                     [[True]], [[1.5]]), r"^cats: expected an array of ints"),
+        (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
+                                     [[True]], np.zeros((1, 1), np.uint64)), r"^cats: expected"),
+    ],
+)
+def test_record_messages_name_the_field_and_its_shape(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def test_record_arrays_keep_their_kind():
+    seq = PaddedQuerySequence([[[1]]], [[[1, 2, 3]]], [[True]], np.array([[2]], np.int32))
+    assert seq.embeddings.dtype == np.float64 and seq.centers3d.dtype == np.float64
+    assert seq.valid.dtype == bool and seq.cats.dtype == np.int64
+    det = Detection([1, 2, 3], np.ones(3, np.float32), np.float32(0.5), [0, 0], np.int64(2), 1)
+    assert type(det.yaw) is float and type(det.category) is int and type(det.score) is float
+    assert det.size.dtype == np.float64
+
+
+def rebuilt_arrays(record):
+    """(array, the same field of a copy of its record that the rule rebuilt)
+    for each array field of ``record`` and of the records it holds."""
+    again = dataclasses.replace(record)
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            yield value, getattr(again, f.name)
+        for held in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(held):
+                yield from rebuilt_arrays(held)
+
+
+def test_record_arrays_are_kept_without_a_copy_when_their_memory_cannot_change():
+    """A write-protected array that owns its data, a view of one and a view
+    of a ``bytes`` blob are kept; an array made from a list is
+    write-protected in place; a caller's writable array is copied."""
+    owned = frozen(np.arange(4.0))
+    assert LayerNormParams(owned, owned[::-1].copy(), 1e-6).scale is owned
+    blob = np.arange(8.0).tobytes()
+    view = np.frombuffer(blob)[:4]
+    assert LayerNormParams(view, view, 1e-6).shift is view
+    listed = LayerNormParams([1.0, 2.0], [0, 0], 1e-6)
+    assert listed.scale.flags.owndata and not listed.scale.flags.writeable
+    writable = np.ones(4)
+    kept = LayerNormParams(writable, writable, 1e-6)
+    assert not np.shares_memory(kept.scale, writable) and not kept.scale.flags.writeable
+
+    seeded = PipelineWeights.from_seed(3, TINY_DIMS, "linear")
+    raw = weights_to_bytes(seeded)
+    loaded = weights_from_bytes(raw)
+    for w in (seeded, loaded):
+        pairs = list(rebuilt_arrays(w))
+        assert len(pairs) == len(list(_weight_arrays(w))) and all(a is b for a, b in pairs)
+    blob_view = np.frombuffer(raw, dtype="<f8", offset=raw.index(b"\n") + 1)
+    if blob_view.flags.aligned:
+        assert all(np.shares_memory(a, blob_view) for a in _weight_arrays(loaded))
+
+    x = FusedQuerySequence(frozen(np.zeros((3, 2))), (0, 1, 2), 1, 2)
+    out = query_mamba_stack(x, TINY_LINEAR.stack)
+    assert out.with_data(out.data).data is out.data
+    assert x.with_data(x.data).data is x.data

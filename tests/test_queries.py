@@ -272,12 +272,12 @@ def test_proposal_tables_hold_read_only_records():
         (lambda r: r.update(category=True), r"\.category: expected an integer"),
         (lambda r: r.update(category=1.0), r"\.category: expected an integer"),
         (lambda r: r.update(center=[0.5]), r"\.center: expected shape \(2,\)"),
-        (lambda r: r.update(center="x"), r"\.center: could not convert"),
+        (lambda r: r.update(center="x"), r"\.center: expected numbers, got 'x'"),
         (lambda r: r.update(box=[0.1, float("nan")]), r"\.box: contains NaN or Inf"),
         (lambda r: r.update(box=[0.1, float("inf")]), r"\.box: contains NaN or Inf"),
         (lambda r: r.update(box=[-0.1, 0.1]), r"\.box: box extents must be non-negative"),
         (lambda r: r.update(score=1.5), r"\.score: score must lie in \[0, 1\]"),
-        (lambda r: r.update(score=None), r"\.score: contains NaN or Inf"),
+        (lambda r: r.update(score=None), r"\.score: expected numbers, got None"),
         (lambda r: r.update(depth_dist=5), r"\.depth_dist: expected shape \(2,\), got \(\)"),
         (lambda r: r.update(depth_dist=[0.5, 0.25, 0.25]), r"\.depth_dist: expected shape \(2,\)"),
         (lambda r: r.update(depth_dist=[1.5, -0.5]), r"\.depth_dist: depth_dist must be non-neg"),

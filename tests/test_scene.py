@@ -31,7 +31,7 @@ from statefuse import (
 )
 from statefuse.cli import cli_main
 from statefuse.errors import field_value
-from statefuse.scene import _FEATURE_SALT
+from statefuse.scene import _FEATURE_SALT, scene_to_dict
 
 SMALL = SceneConfig(n_frames=3, n_objects=4, n_cameras=3, image_size=(16, 24))
 
@@ -339,6 +339,64 @@ def test_scene_from_dict_rejects_frame_index_out_of_range(index):
         scene_from_dict(doc)
 
 
+def test_scene_from_dict_rejects_frame_indices_out_of_position():
+    """Both frames once got frame 0's feature maps."""
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    doc["frames"][1]["frame_index"] = 0
+    with pytest.raises(ValidationError, match=r"^frames\[1\]\.frame_index: expected .* its position 1, got 0$"):
+        scene_from_dict(doc)
+
+
+def test_scene_from_dict_rejects_fewer_tracks_than_objects():
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    doc["tracks"].pop()
+    with pytest.raises(ValidationError, match=r"^tracks: 3 entries, the config says 4$"):
+        scene_from_dict(doc)
+
+
+def test_scene_from_dict_rejects_frames_with_fewer_object_rows_than_objects():
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    frame = doc["frames"][2]
+    for key in ("object_centers", "object_velocities", "object_categories", "object_sizes",
+                "static_labels"):
+        frame[key].pop()
+    kept = [  # the proposals of objects 0 to 2, with their ids
+        [(p, i) for p, i in zip(props, ids) if i < 3]
+        for props, ids in zip(frame["proposals"], frame["proposal_object_ids"])
+    ]
+    frame["proposals"] = [[p for p, _ in cam] for cam in kept]
+    frame["proposal_object_ids"] = [[i for _, i in cam] for cam in kept]
+    with pytest.raises(
+        ValidationError, match=r"^frames\[2\]\.object_centers: 3 rows, the config says 4 objects$"
+    ):
+        scene_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("tracks/0/size/0", "0.5", r"^tracks\[0\]: size: expected an array of floats shaped \(3,\)"),
+        ("tracks/0/p0/0", True, r"^tracks\[0\]: p0: expected an array of floats"),
+        ("frames/0/object_categories/0", 0.5, r"^frames\[0\]: object_categories: expected an array of ints"),
+        ("frames/0/static_labels/0", None, r"^frames\[0\]: static_labels: expected an array of bools"),
+        ("cameras/0/intrinsic/0/0", "0.5", r"^cameras\[0\]: intrinsic: expected an array of floats"),
+        ("frames/0/proposal_object_ids/0/0", 0.5, r"^frames\[0\]: proposal_object_ids: expected"),
+        ("frames/0/proposals/0/0/score", "1.0", r"^frames\[0\]\.proposals\[0\]\[0\]\.score: expected numbers, got '1.0'$"),
+        ("frames/0/proposals/0/0/center/0", True, r"^frames\[0\]\.proposals\[0\]\[0\]\.center: expected numbers"),
+    ],
+)
+def test_scene_from_dict_takes_numbers_only_in_array_fields(path, value, message):
+    """Each of these once loaded as a number: 0.5, 1.0, 0, False, 0.5, 0, 1.0 and 1.0."""
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    parent[last] = value
+    with pytest.raises(ValidationError, match=message):
+        scene_from_dict(doc)
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -463,17 +521,33 @@ def mutate(doc, path, new):
     return doc
 
 
+def same(a, b) -> bool:
+    """Equal JSON values, where a bool equals only a bool."""
+    if isinstance(a, dict) or isinstance(b, dict):
+        return type(a) is type(b) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list) or isinstance(b, list):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(path=st.sampled_from(FUZZ_PATHS), new=st.sampled_from(REPLACEMENTS))
 def test_mutated_scene_documents_raise_only_validation_errors(path, new):
-    """A scalar field takes no value of another kind."""
+    """A scalar field takes no value of another kind, and a document that
+    loads writes back as itself: no field coerces a value into another."""
     kind = SCALAR_FIELDS.get((path[0], path[-1])) if len(path) == 3 else None
+    doc = mutate(FUZZ_DOC, path, new)
     try:
-        scene_from_dict(mutate(FUZZ_DOC, path, new))
+        scene = scene_from_dict(doc)
     except ValidationError as exc:
         assert "\n" not in str(exc)
     else:
         assert kind is None or fits(new, kind), (path, new)
+        back = scene_to_dict(scene)
+        back.pop("features")
+        doc.pop("features", None)
+        doc["config"] = {**SceneConfig().to_dict(), **doc["config"]}  # an absent key is its default
+        assert same(back, doc), (path, new)
 
 
 @settings(
