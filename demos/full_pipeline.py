@@ -14,6 +14,8 @@ from statefuse import (
     PipelineWeights,
     SceneConfig,
     build_scene,
+    op_count_cross_attention,
+    op_count_ssm,
     run_pipeline_detailed,
 )
 
@@ -54,10 +56,9 @@ def main():
         eliminated = {ids[s] for s in range(len(ids)) if row[s] == 0}
         print(f"frame {i}: eliminated objects {sorted(eliminated)}")
 
-    report = result.op_report
-    ratio = report.cross_attention_ops / report.ssm_ops
-    print(f"op counts for N={report.n_frames}, K={report.k_queries}, "
-          f"D={report.embed_dim}: attention/scan ratio {ratio:.1f}x")
+    n, d = cfg.n_frames, dims.embed_dim
+    ratio = op_count_cross_attention(n, k, d) / op_count_ssm(n, k, d, dims.state_dim)
+    print(f"op counts for N={n}, K={k}, D={d}: attention/scan ratio {ratio:.1f}x")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Config, ValidationError
+from .errors import Config, Record, ValidationError
 from .numerics import softmax
 from .pipeline import op_count_cross_attention, op_count_ssm
 from .ssm import _CHUNK, DiscreteSsmBank, scan_bank
@@ -89,7 +89,7 @@ class BenchConfig(Config):
 
 
 @dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Record):
     mechanism: str
     n: int
     k: int
@@ -102,6 +102,7 @@ class BenchRow:
     timer_ok: bool
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mechanism not in MECHANISMS:
             raise ValidationError(f"mechanism must be one of {MECHANISMS}")
         if self.peak_bytes_source not in ("analytic", "tracemalloc"):

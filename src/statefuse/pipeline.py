@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import Array, Config, NumericOverflowError, Record, ValidationError
+from .errors import Array, Config, NumericOverflowError, Record, ValidationError, field_value
 from .fusion import (
     FusedQuerySequence,
     Gs4Params,
@@ -64,19 +64,23 @@ REPORT_HEADER = "frame,object_slot,retained,center_x,center_y,center_z,category,
 _REPORT_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%d,%.17g\n"
 
 
+def _positive_ints(**values) -> tuple:
+    """The values, each an int under the field rule and all >= 1."""
+    out = tuple(field_value(name, value, int) for name, value in values.items())
+    if min(out) < 1:
+        raise ValidationError(f"{', '.join(values)} must all be >= 1")
+    return out
+
+
 def op_count_cross_attention(n: int, k: int, d: int) -> int:
     """Multiply-accumulates of cross-attention temporal fusion (exact integer)."""
-    n, k, d = int(n), int(k), int(d)
-    if n < 1 or k < 1 or d < 1:
-        raise ValidationError("n, k, d must all be >= 1")
+    n, k, d = _positive_ints(n=n, k=k, d=d)
     return 4 * n * (k * d) ** 2 + 2 * n * n * k * d
 
 
 def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
     """Multiply-accumulates of state-space temporal fusion (exact integer)."""
-    n, k, d, m = int(n), int(k), int(d), int(m)
-    if n < 1 or k < 1 or d < 1 or m < 1:
-        raise ValidationError("n, k, d, m must all be >= 1")
+    n, k, d, m = _positive_ints(n=n, k=k, d=d, m=m)
     return 3 * n * (2 * d) * m + n * (2 * k * d) * m
 
 
@@ -231,38 +235,19 @@ class Detection(Record):
 
 
 @dataclass(frozen=True)
-class OpCountReport:
-    n_frames: int
-    k_queries: int
-    embed_dim: int
-    state_dim: int
-    cross_attention_ops: int
-    ssm_ops: int
+class PipelineResult(Record):
+    """Everything a forward pass computes, for reporting and inspection:
+    the current frame's detections, the (N, K) retention mask, the padded
+    queries and their scores before elimination, the fused sequence before
+    and after the stack, and the decoder's (K, D) refined queries."""
 
-    @classmethod
-    def build(cls, n: int, k: int, d: int, m: int) -> "OpCountReport":
-        return cls(
-            n_frames=int(n),
-            k_queries=int(k),
-            embed_dim=int(d),
-            state_dim=int(m),
-            cross_attention_ops=op_count_cross_attention(n, k, d),
-            ssm_ops=op_count_ssm(n, k, d, m),
-        )
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    """Everything a forward pass computes, for reporting and inspection."""
-
-    detections: tuple
-    op_report: OpCountReport
-    motion_mask: np.ndarray
+    detections: tuple[Detection, ...]
+    motion_mask: Array[int, "N", "K"]
     padded: PaddedQuerySequence
-    slot_scores: np.ndarray
+    slot_scores: Array[float, "N", "K"]
     fused_input: FusedQuerySequence
     fused_output: FusedQuerySequence
-    refined: np.ndarray
+    refined: Array[float, "K", "D"]
 
 
 def channel_concat(seq: PaddedQuerySequence) -> FusedQuerySequence:
@@ -278,21 +263,18 @@ def _stage_finite(name: str, arr: np.ndarray) -> None:
         raise NumericOverflowError(f"stage {name}: non-finite values")
 
 
-def decode_current_frame(
-    fused: FusedQuerySequence, current_queries, feats, w: PipelineWeights
-) -> np.ndarray:
+def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -> np.ndarray:
     """One cross-attention decoder layer over the current frame's queries.
 
-    The newest fused row, split back into K slot vectors, is the enriched
-    form of ``current_queries``, the current frame's (K, D) query rows.
-    Keys and values are projections of a seeded subsample of feature-map
-    positions; attention rows are softmax normalized, and the attended
-    value is added back through an output projection (zero value
-    projection leaves the queries untouched).
+    The newest fused row, split back into its K (D,) slot vectors, holds
+    the current frame's queries after fusion.  Keys and values are
+    projections of a seeded subsample of the feature-map positions of
+    ``feats``, the current frame's maps; attention rows are softmax
+    normalized, and the attended value is added back through an output
+    projection (a zero value projection leaves the queries untouched).
+    Returns the (K, D) refined queries, write-protected.
     """
     k, d = fused.k_queries, fused.embed_dim
-    if len(current_queries) != k:
-        raise ValidationError(f"expected {k} current queries, got {len(current_queries)}")
     if not feats:
         raise ValidationError("need at least one feature map")
     row = fused.data[-1].reshape(k, d)
@@ -310,7 +292,7 @@ def decode_current_frame(
     attn = softmax(logits, axis=1)
     refined = row + (attn @ values) @ w.dec_out
     _stage_finite("decode", refined)
-    return refined
+    return frozen(refined)
 
 
 def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
@@ -360,6 +342,7 @@ def run_pipeline_detailed(
         )
     slot_scores = np.zeros((padded.n_frames, k))
     slot_scores[padded.valid] = scores
+    frozen(slot_scores)  # so that the result keeps it uncopied, as it does ``refined``
 
     cur = padded.current_index
     aligned = align_centers(
@@ -372,16 +355,10 @@ def run_pipeline_detailed(
     surviving = apply_motion_mask(padded, mask)
     fused_input = channel_concat(surviving)
     fused_output = query_mamba_stack(fused_input, w.stack)
-    refined = decode_current_frame(
-        fused_output, surviving.embeddings[cur], frames[cur].feature_maps, w
-    )
+    refined = decode_current_frame(fused_output, frames[cur].feature_maps, w)
     detections = _read_boxes(refined, surviving, slot_scores[cur], w)
-    report = OpCountReport.build(
-        padded.n_frames, k, w.dims.embed_dim, w.dims.state_dim
-    )
     return PipelineResult(
         detections=detections,
-        op_report=report,
         motion_mask=mask,
         padded=padded,
         slot_scores=slot_scores,

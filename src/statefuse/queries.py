@@ -324,17 +324,14 @@ def build_query(
     attn: DeformAttnParams,
     pe: PosEmbedParams,
     sem_proj: np.ndarray,
-    *,
-    bins: np.ndarray | None = None,
-    depth_mode: str = "expected",
 ) -> tuple:
     """Assemble the 3D queries of a window of frames in one batched pass.
 
     ``proposals[i][c]`` is the proposal table of camera ``cams[c]``
     at frame i and ``feature_maps[i][c]`` its feature map: a table's camera
     and frame are its position.  Per (frame, camera) only the features are
-    gathered; the fields are concatenated once, and the depth estimate
-    (expectation by default, argmax bin center with ``depth_mode="argmax"``),
+    gathered; the fields are concatenated once, and the depth estimate (the
+    expectation of each distribution over :func:`default_depth_bins`),
     projections, lifting and the positional embedding each run once over
     all P proposals.  Shapes, distributions and outputs are checked once,
     for the whole batch.
@@ -349,9 +346,7 @@ def build_query(
         raise ValidationError(
             f"sem_proj must be ({attn.channels}, {pe.embed_dim}), got {sem_proj.shape}"
         )
-    if depth_mode not in ("expected", "argmax"):
-        raise ValidationError(f"depth_mode must be 'expected' or 'argmax', got {depth_mode!r}")
-    centers = default_depth_bins() if bins is None else as_float_array(bins, "bins")
+    centers = default_depth_bins()
     if len(proposals) != len(feature_maps) or any(
         len(per_cam) != len(cams) for per_cam in (*proposals, *feature_maps)
     ):
@@ -379,8 +374,6 @@ def build_query(
     cam_index = np.repeat(map_cams, sizes)
 
     depth = expected_depth(dists, centers)  # checks every distribution
-    if depth_mode == "argmax":
-        depth = centers[np.argmax(dists, axis=1)]
     q_sem = deformable_attention(points, maps, attn) @ sem_proj
     center3d = lift_center(cams, c2d, depth, cam_index=cam_index)
     q3d = pos_embed(center3d, pe) + q_sem

@@ -464,11 +464,6 @@ def build_scene(cfg: SceneConfig) -> Scene:
     return Scene(cfg, cams, tracks, tuple(frames))
 
 
-def generate_scene(cfg: SceneConfig) -> list:
-    """Frames of the deterministic scene for ``cfg`` (oldest first)."""
-    return list(build_scene(cfg).frames)
-
-
 # === serialization ===
 
 def scene_to_dict(scene: Scene, features_path: str | None = None) -> dict:

@@ -1,17 +1,21 @@
 """The one field rule of the config types (SceneConfig, PipelineDims,
-BenchConfig and MotionElimConfig) and of the record types."""
+BenchConfig and MotionElimConfig) and of the record and result types."""
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statefuse
 from statefuse import (
     BenchConfig,
+    BenchRow,
     Detection,
     DiscreteSsmBank,
     FusedQuerySequence,
@@ -23,10 +27,16 @@ from statefuse import (
     SceneConfig,
     ValidationError,
     build_scene,
+    op_count_cross_attention,
+    op_count_ssm,
     query_mamba_stack,
+    run_pipeline_detailed,
 )
+from statefuse.errors import Record
 from statefuse.numerics import frozen
 from statefuse.pipeline import _weight_arrays, weights_from_bytes, weights_to_bytes
+from statefuse.queries import FeatureMap
+from statefuse.selfcheck import CheckResult
 
 CONFIGS = [SceneConfig(), PipelineDims(k_queries=3), BenchConfig(), MotionElimConfig()]
 
@@ -159,6 +169,10 @@ TINY_LINEAR = PipelineWeights.from_seed(5, TINY_DIMS, "linear")
 TINY_SCENE = build_scene(SceneConfig(n_frames=2, n_objects=2, n_cameras=2, image_size=(4, 6),
                                      feature_channels=1, static_fraction=0.0))
 TINY_LAYER = TINY_LINEAR.stack.layers[0]
+TINY_RESULT = run_pipeline_detailed(
+    TINY_SCENE.frames, TINY_SCENE.cameras,
+    PipelineWeights.from_seed(5, dataclasses.replace(TINY_DIMS, k_queries=2), "linear"),
+)
 RECORDS = [
     TINY_LAYER.gs4.bank,
     TINY_LAYER.ln1,
@@ -177,6 +191,8 @@ RECORDS = [
     TINY_SCENE.tracks[0],  # a moving track, so that is_static=True fails
     TINY_SCENE.frames[0],
     TINY_SCENE,
+    TINY_RESULT,
+    BenchRow("ssm", 64, 4, 16, 16, 10_000, 0, "analytic", 1_024, True),
 ]
 RECORD_FIELDS = [(r, f.name) for r in RECORDS for f in dataclasses.fields(r)]
 
@@ -194,6 +210,8 @@ def deeper(value):
 def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
     """Never a TypeError, nor a value read as a number: one line naming the field."""
     value = bad(getattr(record, name)) if callable(bad) else bad
+    if value is True and getattr(record, name) is True:  # no change: probe the bool field with 1
+        value = 1
     with pytest.raises(ValidationError) as info:
         dataclasses.replace(record, **{name: value})
     message = str(info.value)
@@ -221,6 +239,22 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
                                      [[True]], [[1.5]]), r"^cats: expected an array of ints"),
         (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
                                      [[True]], np.zeros((1, 1), np.uint64)), r"^cats: expected"),
+        (lambda: op_count_ssm("3", True, 2.9), r"^n: expected a value like int, got '3'$"),
+        (lambda: op_count_ssm(3, True, 2.9), r"^k: expected a value like int, got True$"),
+        (lambda: op_count_cross_attention(2.5, "4", True), r"^n: expected a value like int, got 2.5$"),
+        (lambda: op_count_cross_attention(2, 4, 0), r"^n, k, d must all be >= 1$"),
+        (lambda: BenchRow("ssm", True, 2.5, 4, 1, 10.7, 0, "analytic", 1.5, "yes"),
+         r"^n: expected a value like int, got True$"),
+        (lambda: BenchRow("ssm", 2, 4, 4, 1, 10.7, 0, "analytic", 1.5, "yes"),
+         r"^wall_nanos: expected a value like int, got 10.7$"),
+        (lambda: BenchRow("ssm", 2, 4, 4, 1, 10, 0, "analytic", 15, "yes"),
+         r"^timer_ok: expected a value like bool, got 'yes'$"),
+        (lambda: BenchRow("ssm", "3", 1, 1, 1, 10, 0, "analytic", 1, True),
+         r"^n: expected a value like int, got '3'$"),
+        (lambda: dataclasses.replace(TINY_RESULT, motion_mask=TINY_RESULT.motion_mask[0]),
+         r"^motion_mask: expected shape \(N, K\), got \(2,\)$"),
+        (lambda: dataclasses.replace(TINY_RESULT, slot_scores=np.zeros((1, 2))),
+         r"^slot_scores: expected shape \(N=2, K=2\), got \(1, 2\)$"),
     ],
 )
 def test_record_messages_name_the_field_and_its_shape(make, message):
@@ -228,10 +262,28 @@ def test_record_messages_name_the_field_and_its_shape(make, message):
         make()
 
 
+def test_every_dataclass_is_a_record():
+    """Every dataclass of the package takes its fields through the one rule,
+    but two: a FeatureMap keeps the dtype its maps come in (a feature blob's
+    float32 views), and a CheckResult is a verdict only the checks build."""
+    classes = set()
+    for info in pkgutil.iter_modules(statefuse.__path__):
+        module = importlib.import_module(f"statefuse.{info.name}")
+        classes |= {
+            cls for cls in vars(module).values()
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        }
+    assert {PipelineDims, PipelineWeights, Detection, BenchRow} <= classes
+    assert {cls for cls in classes if not issubclass(cls, Record)} == {FeatureMap, CheckResult}
+
+
 def test_record_arrays_keep_their_kind():
     seq = PaddedQuerySequence([[[1]]], [[[1, 2, 3]]], [[True]], np.array([[2]], np.int32))
     assert seq.embeddings.dtype == np.float64 and seq.centers3d.dtype == np.float64
     assert seq.valid.dtype == bool and seq.cats.dtype == np.int64
+    # the int8 retention mask is kept as int64 of the same 0/1 values
+    assert TINY_RESULT.motion_mask.dtype == np.int64
+    assert set(TINY_RESULT.motion_mask.ravel().tolist()) <= {0, 1}
     det = Detection([1, 2, 3], np.ones(3, np.float32), np.float32(0.5), [0, 0], np.int64(2), 1)
     assert type(det.yaw) is float and type(det.category) is int and type(det.score) is float
     assert det.size.dtype == np.float64

@@ -214,8 +214,8 @@ def test_pipeline_single_frame_runs():
     dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
     w = PipelineWeights.from_seed(1, dims)
     result = run_pipeline_detailed(scene.frames, scene.cameras, w)
-    detections, report, mask = result.detections, result.op_report, result.motion_mask
-    assert report.n_frames == 1
+    detections, mask = result.detections, result.motion_mask
+    assert result.padded.n_frames == 1
     assert np.array_equal(mask, np.ones((1, k)))
     assert len(detections) == k
 
@@ -233,15 +233,6 @@ def test_pipeline_rejects_wrong_k():
     w = PipelineWeights.from_seed(5, dims)
     with pytest.raises(ValidationError):
         run_pipeline_detailed(scene.frames, scene.cameras, w)
-
-
-def test_pipeline_op_report_matches_formulas():
-    scene, w = scene_and_weights()
-    report = run_pipeline_detailed(scene.frames, scene.cameras, w).op_report
-    n, k = report.n_frames, report.k_queries
-    d, m = report.embed_dim, report.state_dim
-    assert report.cross_attention_ops == op_count_cross_attention(n, k, d)
-    assert report.ssm_ops == op_count_ssm(n, k, d, m)
 
 
 def test_pipeline_linear_box_mode():
@@ -304,12 +295,7 @@ def test_decoder_zero_value_projection_is_identity():
         box_b=None,
     )
     cur = result.padded.current_index
-    refined = decode_current_frame(
-        result.fused_output,
-        result.padded.embeddings[cur],
-        scene.frames[cur].feature_maps,
-        zeroed,
-    )
+    refined = decode_current_frame(result.fused_output, scene.frames[cur].feature_maps, zeroed)
     k, d = w.dims.k_queries, w.dims.embed_dim
     assert np.array_equal(refined, result.fused_output.data[-1].reshape(k, d))
 

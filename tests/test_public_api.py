@@ -13,6 +13,8 @@ def test_star_import_resolves_every_public_name():
 
 
 def test_removed_motion_types_are_gone():
-    for name in ("MotionCostMatrix", "MotionMask", "Proposal2D", "run_pipeline"):
+    gone = ("MotionCostMatrix", "MotionMask", "Proposal2D", "run_pipeline", "OpCountReport",
+            "generate_scene")
+    for name in gone:
         assert name not in statefuse.__all__
         assert not hasattr(statefuse, name)

@@ -168,9 +168,9 @@ def one_hot(i, n=60):
     return d
 
 
-def build_one(table, f, cam, attn, pe, sem_proj, **kwargs):
+def build_one(table, f, cam, attn, pe, sem_proj):
     """build_query over a window of one frame seen by one camera."""
-    return build_query([[table]], [[f]], [cam], attn, pe, sem_proj, **kwargs)
+    return build_query([[table]], [[f]], [cam], attn, pe, sem_proj)
 
 
 def test_build_query_zero_sem_proj():
@@ -187,18 +187,16 @@ def test_build_query_zero_sem_proj():
 
 
 def test_build_query_center_from_depth():
-    """Identity camera, exact one-hot depth 10: the lifted center is known."""
+    """Identity camera, one-hot depth on the 9.5 m bin: the lifted center is known."""
     rng = np.random.default_rng(109)
     f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)))
     cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
     attn = DeformAttnParams.seeded(4, seed=1)
     pe = PosEmbedParams.seeded(12, seed=2)
-    bins = np.array([5.0, 10.0, 20.0])
-    prop = make_proposal([0.5, 0.25], [0.0, 1.0, 0.0])
-    _, centers, cats, scores, counts = build_one(
-        prop, f, cam, attn, pe, np.zeros((4, 12)), bins=bins
-    )
-    assert np.max(np.abs(centers[0] - [5.0, 2.5, 10.0])) <= 1e-12
+    prop = make_proposal([0.5, 0.25], one_hot(8))
+    assert default_depth_bins()[8] == 9.5
+    _, centers, cats, scores, counts = build_one(prop, f, cam, attn, pe, np.zeros((4, 12)))
+    assert np.max(np.abs(centers[0] - [4.75, 2.375, 9.5])) <= 1e-12
     assert cats.dtype == np.int64 and np.array_equal(cats, prop.category)
     assert np.array_equal(scores, prop.score)
     assert np.array_equal(counts, [1])
@@ -219,21 +217,6 @@ def test_build_query_deterministic():
     q_pos = pos_embed(a[1], pe)
     q_sem = deformable_attention(prop.center[0], f, attn) @ sem
     assert np.max(np.abs(a[0] - (q_pos + q_sem))) <= 1e-12
-
-
-def test_build_query_argmax_mode():
-    rng = np.random.default_rng(127)
-    f = FeatureMap(rng.uniform(-1, 1, size=(6, 6, 4)))
-    cam = CameraModel(np.eye(3), np.eye(4), camera_id=0)
-    attn = DeformAttnParams.seeded(4, seed=1)
-    pe = PosEmbedParams.seeded(12, seed=2)
-    bins = np.array([5.0, 10.0, 20.0])
-    prop = make_proposal([0.5, 0.25], [0.2, 0.7, 0.1])
-    _, centers, _, _, _ = build_one(
-        prop, f, cam, attn, pe, np.zeros((4, 12)), bins=bins, depth_mode="argmax"
-    )
-    # argmax picks depth 10 even though the expectation is 9.5
-    assert np.max(np.abs(centers[0] - [5.0, 2.5, 10.0])) <= 1e-12
 
 
 def test_proposal_validates_center_and_dist():
@@ -310,7 +293,7 @@ def test_feature_map_rejects_non_finite():
 
 # --- batched window build against a per-proposal reference ---
 
-def reference_query(prop, f, cam, attn, pe, sem_proj, bins, depth_mode):
+def reference_query(prop, f, cam, attn, pe, sem_proj, bins):
     """One proposal at a time: scalar samples per head and key, scalar lift."""
     base = np.array([prop.center[0] * (f.width - 1.0), prop.center[1] * (f.height - 1.0)])
     read = np.zeros(f.channels)
@@ -320,10 +303,7 @@ def reference_query(prop, f, cam, attn, pe, sem_proj, bins, depth_mode):
             sample = bilinear_sample(f, base + attn.offsets[m, n])
             head += attn.weights[m, n] * (sample @ attn.value_proj[m])
         read += head @ attn.out_proj[m]
-    if depth_mode == "expected":
-        depth = float(prop.depth_dist @ bins)
-    else:
-        depth = float(bins[np.argmax(prop.depth_dist)])
+    depth = float(prop.depth_dist @ bins)
     ray = np.linalg.solve(cam.intrinsic, np.array([prop.center[0], prop.center[1], 1.0]))
     p_cam = ray * (depth / ray[2])
     r, t = cam.extrinsic[:3, :3], cam.extrinsic[:3, 3]
@@ -370,21 +350,18 @@ def window_fixture(counts_per_cam, seed=157):
     return proposals, maps, cams, attn, pe, sem
 
 
-@pytest.mark.parametrize("depth_mode", ["expected", "argmax"])
-def test_build_query_matches_per_proposal_reference(depth_mode):
+def test_build_query_matches_per_proposal_reference():
     # frame 0: camera 1 sees nothing; frame 1: fewer proposals, camera 0 empty
     counts = [(3, 0, 2), (0, 1, 1)]
     proposals, maps, cams, attn, pe, sem = window_fixture(counts)
     bins = default_depth_bins()
-    q3d, centers, cats, scores, n_per_frame = build_query(
-        proposals, maps, cams, attn, pe, sem, depth_mode=depth_mode
-    )
+    q3d, centers, cats, scores, n_per_frame = build_query(proposals, maps, cams, attn, pe, sem)
     assert np.array_equal(n_per_frame, [5, 2])
     row = 0
     for i, (frame_props, frame_maps) in enumerate(zip(proposals, maps)):
         for c, (props, f) in enumerate(zip(frame_props, frame_maps)):
             for prop in props:
-                want_q, want_c = reference_query(prop, f, cams[c], attn, pe, sem, bins, depth_mode)
+                want_q, want_c = reference_query(prop, f, cams[c], attn, pe, sem, bins)
                 assert rel_err(q3d[row], want_q) <= 1e-12
                 assert rel_err(centers[row], want_c) <= 1e-12
                 assert cats[row] == prop.category and scores[row] == prop.score
@@ -414,8 +391,6 @@ def test_build_query_validation_cases():
     build_query(proposals, maps, cams, attn, pe, sem)  # the untouched window builds
     with pytest.raises(ValidationError, match="sem_proj"):
         build_query(proposals, maps, cams, attn, pe, sem[:, :6])
-    with pytest.raises(ValidationError, match="depth_mode"):
-        build_query(proposals, maps, cams, attn, pe, sem, depth_mode="median")
     with pytest.raises(ValidationError, match="camera list"):
         build_query(proposals, maps, cams[:2], attn, pe, sem)
     for bad in (np.full(60, 1 / 30), np.r_[-0.5, 1.5, np.zeros(58)]):
@@ -423,11 +398,11 @@ def test_build_query_validation_cases():
         fake = proposals[0][0].copy()
         fake.depth_dist[0] = bad
         window = [(fake,) + proposals[0][1:]]
-        for mode in ("expected", "argmax"):
-            with pytest.raises(ValidationError, match="sum to 1"):
-                build_query(window, maps, cams, attn, pe, sem, depth_mode=mode)
+        with pytest.raises(ValidationError, match="sum to 1"):
+            build_query(window, maps, cams, attn, pe, sem)
+    coarse = proposal_tables([[{**GOOD, "depth_dist": one_hot(3, 30)}], [], []])
     with pytest.raises(ValidationError, match="bin layout"):
-        build_query(proposals, maps, cams, attn, pe, sem, bins=np.arange(30.0))
+        build_query([coarse], maps, cams, attn, pe, sem)
     huge = PosEmbedParams(12, 10000.0, np.full((12, 12), 1e308), np.zeros(12), pe.w2, pe.b2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="NaN or Inf"):

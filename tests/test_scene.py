@@ -20,7 +20,6 @@ from statefuse import (
     build_scene,
     camera_ring,
     feature_blob_bytes,
-    generate_scene,
     load_scene,
     oracle_proposals,
     project_point,
@@ -572,12 +571,6 @@ def test_mutated_scene_documents_exit_0_or_3(tmp_path, path, new):
         )
     assert code in (0, 3), err.getvalue()
     assert len(err.getvalue().splitlines()) == (code == 3)
-
-
-def test_generate_scene_returns_frames():
-    frames = generate_scene(SMALL)
-    assert len(frames) == 3
-    assert frames[0].frame_index == 0
 
 
 def test_config_validation():
