@@ -2,9 +2,9 @@
 
 The state-space rows time the library's chunked scan, ``ssm.scan_bank``,
 on a bank built before timing (linear in sequence length).  The
-cross-attention rows time a dedicated kernel: a full attention pass with an
-N x N score matrix (quadratic).  With ``dtype: float32`` only the scan's
-input is float32: the bank stores float64 and the scan computes in float64.
+cross-attention rows time the decoder's kernel, ``pipeline.cross_attention``,
+as self-attention over the N input rows, with an N x N score matrix
+(quadratic).  Everything is float64.
 
 Every grid point is warmed up first; then each round times one call per
 point, so a slow period of the machine is spread over every N rather than
@@ -16,10 +16,9 @@ median is under 100 timer ticks.  Timing pins numpy's bundled OpenBLAS to
 one thread: on a few cores, small threaded matmuls run 10-40x slower at
 random and bend the fitted slopes.
 
-Peak bytes default to an analytic allocation model of each kernel's
+Peak bytes come from an analytic allocation model of each kernel's
 dominant arrays (the state-space model counts the arrays the chunked scan
-holds at its peak and is exactly affine in N).  Pass ``measure_memory`` to
-use tracemalloc instead.
+holds at its peak and is exactly affine in N), so they are deterministic.
 """
 
 from __future__ import annotations
@@ -30,23 +29,18 @@ import json
 import os
 import statistics
 import time
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Config, Record, ValidationError
-from .numerics import softmax
-from .pipeline import op_count_cross_attention, op_count_ssm
+from .pipeline import cross_attention, op_count_cross_attention, op_count_ssm
 from .ssm import _CHUNK, DiscreteSsmBank, scan_bank
 
 MECHANISMS = ("ssm", "cross_attention")
-DTYPES = ("float64", "float32")
 TIMER_MIN_TICKS = 100
 
-BENCH_CSV_HEADER = (
-    "mechanism,n,k,d,m,wall_nanos,peak_bytes,peak_bytes_source,op_count,timer_ok"
-)
+BENCH_CSV_HEADER = "mechanism,n,k,d,m,wall_nanos,peak_bytes,op_count,timer_ok"
 
 
 @dataclass(frozen=True)
@@ -59,8 +53,6 @@ class BenchConfig(Config):
     warmup: int = 2
     mechanism: str = "both"
     seed: int = 0
-    dtype: str = "float64"
-    measure_memory: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -78,8 +70,6 @@ class BenchConfig(Config):
             raise ValidationError("warmup must be >= 0")
         if self.mechanism not in MECHANISMS + ("both",):
             raise ValidationError(f"mechanism must be one of {MECHANISMS + ('both',)}")
-        if self.dtype not in DTYPES:
-            raise ValidationError(f"dtype must be one of {DTYPES}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
 
@@ -97,7 +87,6 @@ class BenchRow(Record):
     m: int
     wall_nanos: int
     peak_bytes: int
-    peak_bytes_source: str
     op_count: int
     timer_ok: bool
 
@@ -105,8 +94,6 @@ class BenchRow(Record):
         super().__post_init__()
         if self.mechanism not in MECHANISMS:
             raise ValidationError(f"mechanism must be one of {MECHANISMS}")
-        if self.peak_bytes_source not in ("analytic", "tracemalloc"):
-            raise ValidationError("peak_bytes_source must be analytic or tracemalloc")
         if min(self.n, self.k, self.d, self.m) < 1:
             raise ValidationError("n, k, d, m must all be >= 1")
         if self.wall_nanos <= 0:
@@ -115,7 +102,7 @@ class BenchRow(Record):
             raise ValidationError("peak_bytes and op_count must be non-negative")
 
 
-def ssm_peak_bytes(n: int, e: int, m: int, itemsize: int = 8) -> int:
+def ssm_peak_bytes(n: int, e: int, m: int) -> int:
     """Affine-in-N model of the chunked scan's peak allocation, in bytes.
 
     The chunk constants belong to the bank and are built once, so a call
@@ -126,19 +113,16 @@ def ssm_peak_bytes(n: int, e: int, m: int, itemsize: int = 8) -> int:
     much.  Between the two, the broadcast product by c_bar * b_bar holds
     one N E block fewer but adds numpy's ufunc buffer of up to
     ``np.getbufsize()`` floats, which sets the peak at small N E; the
-    model adds half that buffer, so that it stays affine.  An input of
-    another ``itemsize`` adds its float64 copy (N E).  For N not a multiple
-    of T it leaves out the zero-padded copy of the input.  On the default
-    grid it is within 12% of the tracemalloc peak.
+    model adds half that buffer, so that it stays affine.  For N not a
+    multiple of T it leaves out the zero-padded copy of the input.  On the
+    default grid it is within 12% of the tracemalloc peak of a float64 scan.
     """
-    rows = 2 if itemsize == 8 else 3
-    t = _CHUNK
-    return 8 * (rows * n * e + e * m) + 8 * n * e * m // t + 4 * np.getbufsize()
+    return 8 * (2 * n * e + e * m) + 8 * n * e * m // _CHUNK + 4 * np.getbufsize()
 
 
-def cross_peak_bytes(n: int, e: int, itemsize: int = 8) -> int:
+def cross_peak_bytes(n: int, e: int) -> int:
     """Allocation model of the attention pass; the N x N scores dominate."""
-    return itemsize * (5 * n * e + 2 * n * n)
+    return 8 * (5 * n * e + 2 * n * n)
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -159,32 +143,21 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.dot(dx, ly - ly.mean()) / np.dot(dx, dx))
 
 
-def _ssm_inputs(n: int, e: int, m: int, seed, dtype):
+def _ssm_inputs(n: int, e: int, m: int, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, e)).astype(dtype)
-    a = (-rng.uniform(0.05, 0.95, size=(e, m))).astype(dtype)
-    a = np.exp(a)  # decay factors in (0, 1)
-    b = rng.standard_normal((e, m)).astype(dtype)
-    c = rng.standard_normal((e, m)).astype(dtype)
-    d = rng.standard_normal(e).astype(dtype)
+    x = rng.standard_normal((n, e))
+    a = np.exp(-rng.uniform(0.05, 0.95, size=(e, m)))  # decay factors in (0, 1)
+    b = rng.standard_normal((e, m))
+    c = rng.standard_normal((e, m))
+    d = rng.standard_normal(e)
     return x, a, b, c, d
 
 
-def _cross_inputs(n: int, e: int, seed, dtype):
+def _cross_inputs(n: int, e: int, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, e)).astype(dtype)
-    wq, wk, wv, wo = (rng.standard_normal((e, e)).astype(dtype) for _ in range(4))
+    x = rng.standard_normal((n, e))
+    wq, wk, wv, wo = (rng.standard_normal((e, e)) for _ in range(4))
     return x, wq, wk, wv, wo
-
-
-def _cross_workload(x, wq, wk, wv, wo):
-    e = x.shape[1]
-    q = x @ wq
-    k = x @ wk
-    v = x @ wv
-    scores = (q @ k.T) / np.sqrt(np.asarray(e, dtype=x.dtype))
-    attn = softmax(scores, axis=1)
-    return (attn.astype(x.dtype) @ v) @ wo
 
 
 def _timer_tick_nanos() -> float:
@@ -243,43 +216,28 @@ def _measure(fns, cfg: BenchConfig) -> list:
     return [(wall, wall >= TIMER_MIN_TICKS * tick) for wall in walls]
 
 
-def _tracemalloc_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return int(peak)
-
-
 def run_bench(cfg: BenchConfig | None = None) -> list:
     """Run the configured benchmark grid and return one row per point."""
     cfg = BenchConfig() if cfg is None else cfg
-    dtype = np.dtype(cfg.dtype)
     e = cfg.k * cfg.d
     points = []
     for mech_idx, mech in enumerate(cfg.mechanisms):
         for n in reversed(cfg.n_list):  # rounds run largest N first
             seed = [cfg.seed, mech_idx, n]
             if mech == "ssm":
-                x, *abcd = _ssm_inputs(n, e, cfg.state_dim, seed, dtype)
+                x, *abcd = _ssm_inputs(n, e, cfg.state_dim, seed)
                 fn = lambda bank=DiscreteSsmBank(*abcd), x=x: scan_bank(bank, x)
-                analytic = ssm_peak_bytes(n, e, cfg.state_dim, dtype.itemsize)
+                peak = ssm_peak_bytes(n, e, cfg.state_dim)
                 ops = op_count_ssm(n, cfg.k, cfg.d, cfg.state_dim)
             else:
-                args = _cross_inputs(n, e, seed, dtype)
-                fn = lambda a=args: _cross_workload(*a)
-                analytic = cross_peak_bytes(n, e, dtype.itemsize)
+                x, *w = _cross_inputs(n, e, seed)
+                fn = lambda x=x, w=w: cross_attention(x, x, *w)
+                peak = cross_peak_bytes(n, e)
                 ops = op_count_cross_attention(n, cfg.k, cfg.d)
-            points.append((mech, n, fn, analytic, ops))
+            points.append((mech, n, fn, peak, ops))
     timings = _measure([fn for _, _, fn, _, _ in points], cfg)
     rows = []
-    for (mech, n, fn, analytic, ops), (wall, timer_ok) in zip(points, timings):
-        if cfg.measure_memory:
-            peak, source = _tracemalloc_peak(fn), "tracemalloc"
-        else:
-            peak, source = analytic, "analytic"
+    for (mech, n, _, peak, ops), (wall, timer_ok) in zip(points, timings):
         rows.append(
             BenchRow(
                 mechanism=mech,
@@ -289,7 +247,6 @@ def run_bench(cfg: BenchConfig | None = None) -> list:
                 m=cfg.state_dim,
                 wall_nanos=wall,
                 peak_bytes=peak,
-                peak_bytes_source=source,
                 op_count=ops,
                 timer_ok=timer_ok,
             )
@@ -311,7 +268,6 @@ def bench_csv(rows) -> str:
                     str(r.m),
                     str(r.wall_nanos),
                     str(r.peak_bytes),
-                    r.peak_bytes_source,
                     str(r.op_count),
                     "1" if r.timer_ok else "0",
                 )

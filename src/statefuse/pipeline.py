@@ -12,8 +12,9 @@ A single cross-attention decoder layer then refines the current frame's
 queries against sampled image features, and a box head reads out
 detections.
 
-The module also carries the analytic multiply-accumulate counts of the two
-temporal fusion mechanisms:
+The module also carries the attention kernel that the decoder and the
+scaling benchmark share, ``cross_attention``, and the analytic
+multiply-accumulate counts of the two temporal fusion mechanisms:
 
     cross-attention: 4 * N * (K * D)**2 + 2 * N**2 * K * D
     state-space:     3 * N * (2 * D) * M + N * (2 * K * D) * M
@@ -76,6 +77,20 @@ def op_count_cross_attention(n: int, k: int, d: int) -> int:
     """Multiply-accumulates of cross-attention temporal fusion (exact integer)."""
     n, k, d = _positive_ints(n=n, k=k, d=d)
     return 4 * n * (k * d) ** 2 + 2 * n * n * k * d
+
+
+def cross_attention(queries, context, wq, wk, wv, wo) -> np.ndarray:
+    """Scaled dot-product attention of ``queries`` over ``context``, output
+    projected: softmax(Q K^T / sqrt(D)) V wo with Q = queries wq, K = context
+    wk, V = context wv, and D the query projection width.  The four
+    projections, Q K^T and the attention-weighted values are the
+    multiply-accumulates that :func:`op_count_cross_attention` counts.
+    """
+    q = queries @ wq
+    k = context @ wk
+    v = context @ wv
+    attn = softmax((q @ k.T) / np.sqrt(q.shape[1]), axis=1)
+    return (attn @ v) @ wo
 
 
 def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
@@ -249,6 +264,19 @@ class PipelineResult(Record):
     fused_output: FusedQuerySequence
     refined: Array[float, "K", "D"]
 
+    def __post_init__(self):
+        super().__post_init__()
+        n, k = self.motion_mask.shape
+        fused_in, fused_out = self.fused_input, self.fused_output
+        for name, label, want, got in (
+            ("padded", "frames x slots", (n, k), self.padded.embeddings.shape[:2]),
+            ("fused_input", "rows x slots", (n, k), (fused_in.n_frames, fused_in.k_queries)),
+            ("fused_output", "rows x slots", (n, k), (fused_out.n_frames, fused_out.k_queries)),
+            ("refined", "slots x embed_dim", (k, self.padded.embed_dim), self.refined.shape),
+        ):
+            if got != want:
+                raise ValidationError(f"{name}: expected {label} {want}, got {got}")
+
 
 def channel_concat(seq: PaddedQuerySequence) -> FusedQuerySequence:
     """Lay the K query embeddings of each frame side by side, oldest first."""
@@ -267,12 +295,11 @@ def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -
     """One cross-attention decoder layer over the current frame's queries.
 
     The newest fused row, split back into its K (D,) slot vectors, holds
-    the current frame's queries after fusion.  Keys and values are
-    projections of a seeded subsample of the feature-map positions of
-    ``feats``, the current frame's maps; attention rows are softmax
-    normalized, and the attended value is added back through an output
-    projection (a zero value projection leaves the queries untouched).
-    Returns the (K, D) refined queries, write-protected.
+    the current frame's queries after fusion.  They attend, through
+    :func:`cross_attention`, over a seeded subsample of the feature-map
+    positions of ``feats``, the current frame's maps, and the attended
+    value is added back to them (a zero value projection leaves the
+    queries untouched).  Returns the (K, D) refined queries, write-protected.
     """
     k, d = fused.k_queries, fused.embed_dim
     if not feats:
@@ -286,11 +313,7 @@ def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -
     gathered = np.stack(
         [feats[c].data[y, x] for c, y, x in zip(cams_idx, ys, xs)]
     ).astype(np.float64)
-    keys = gathered @ w.dec_k
-    values = gathered @ w.dec_v
-    logits = (row @ w.dec_q) @ keys.T / np.sqrt(d)
-    attn = softmax(logits, axis=1)
-    refined = row + (attn @ values) @ w.dec_out
+    refined = row + cross_attention(row, gathered, w.dec_q, w.dec_k, w.dec_v, w.dec_out)
     _stage_finite("decode", refined)
     return frozen(refined)
 

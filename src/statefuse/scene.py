@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import Array, BehindCameraError, Config, Record, ValidationError
 from .geometry import CameraModel, EgoPose, project_point
-from .numerics import as_float_array, frozen
+from .numerics import frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
 
 SCENE_FORMAT = "statefuse-scene/1"
@@ -327,13 +327,11 @@ def _frame_proposals(
     cams: tuple,
     frame_index: int,
     noise_sigma: float,
-    image_size: tuple | None,
+    image_size: tuple,
     seed: int,
     depth_mode: str,
     bins: np.ndarray,
 ):
-    if noise_sigma > 0.0 and image_size is None:
-        raise ValidationError("pixel noise needs image_size to set its scale")
     rng = np.random.default_rng([int(seed), _PROPOSAL_SALT, int(frame_index)])
     per_cam_rows = []
     per_cam_ids = []
@@ -370,40 +368,6 @@ def _frame_proposals(
         per_cam_rows.append(rows)
         per_cam_ids.append(tuple(ids))
     return proposal_tables(per_cam_rows), tuple(per_cam_ids)
-
-
-def oracle_proposals(
-    frame: SceneFrame,
-    cams: tuple,
-    noise_sigma: float,
-    *,
-    image_size: tuple | None = None,
-    seed: int = 0,
-    depth_mode: str = "peaked",
-    bins: np.ndarray | None = None,
-) -> tuple:
-    """Recompute a frame's proposal tables, one per camera, holding one
-    proposal per object visible in that camera.
-
-    Visibility means positive camera depth and a true projected center
-    inside the image.  Centers get seeded Gaussian pixel noise of scale
-    ``noise_sigma`` (zero keeps the exact projection); the depth
-    distribution encodes the true camera depth.
-    """
-    bins = default_depth_bins() if bins is None else as_float_array(bins, "bins")
-    per_cam, _ = _frame_proposals(
-        frame.object_centers,
-        frame.object_categories,
-        frame.object_sizes,
-        cams,
-        frame.frame_index,
-        float(noise_sigma),
-        image_size,
-        seed,
-        depth_mode,
-        bins,
-    )
-    return per_cam
 
 
 def slot_count(frames) -> int:

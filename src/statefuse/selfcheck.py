@@ -8,11 +8,11 @@ checks back both the test suite and the ``check`` command line verb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bench import BenchConfig, fit_loglog_slope, run_bench
+from .bench import BenchConfig, BenchRow, fit_loglog_slope, run_bench
 from .fusion import FusedQuerySequence, query_mamba_block, query_mamba_stack, zero_layer_params, zero_stack
 from .geometry import CameraModel, EgoPose, align_centers, lift_center, project_point
 from .motion import MotionElimConfig, motion_cost, motion_mask
@@ -399,14 +399,12 @@ def _scene_preconditions(scene, alpha: float):
     return None
 
 
-def _accept_run(box_mode: str = "bypass", zero_fusion: bool = False):
+def _accept_run():
     scene = build_scene(ACCEPT_SCENE)
     dims = PipelineDims(
         k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
     )
-    w = PipelineWeights.from_seed(
-        ACCEPT_WEIGHT_SEED, dims, box_mode, zero_fusion=zero_fusion
-    )
+    w = PipelineWeights.from_seed(ACCEPT_WEIGHT_SEED, dims, "bypass")
     return scene, run_pipeline_detailed(scene.frames, scene.cameras, w)
 
 
@@ -419,7 +417,7 @@ def check_end_to_end_geometry() -> CheckResult:
         return CheckResult(
             "end_to_end_geometry", False, f"scene precondition violated: {why}"
         )
-    scene, result = _accept_run(box_mode="bypass")
+    scene, result = _accept_run()
     now = scene.frames[-1]
     flat_ids = [
         [i for ids in fr.proposal_object_ids for i in ids] for fr in scene.frames
@@ -556,16 +554,14 @@ def check_determinism() -> CheckResult:
     if report_a != report_b:
         return CheckResult("determinism", False, "run report differs across two runs")
     bench_cfg = BenchConfig(n_list=(8, 16, 32), repetitions=3, warmup=0)
+    untimed = [f.name for f in fields(BenchRow) if f.name not in ("wall_nanos", "timer_ok")]
 
     def stable(rows):
-        return [
-            (r.mechanism, r.n, r.k, r.d, r.m, r.peak_bytes, r.peak_bytes_source, r.op_count)
-            for r in rows
-        ]
+        return [[getattr(r, name) for name in untimed] for r in rows]
 
     if stable(run_bench(bench_cfg)) != stable(run_bench(bench_cfg)):
         return CheckResult(
-            "determinism", False, "bench op-count columns differ across two runs"
+            "determinism", False, "bench untimed columns differ across two runs"
         )
     dims = PipelineDims(k_queries=3)
     w = PipelineWeights.from_seed(7, dims, "linear")
@@ -576,7 +572,7 @@ def check_determinism() -> CheckResult:
     return CheckResult(
         "determinism",
         True,
-        "scene JSON, feature blob, run report, bench op-count columns, and the "
+        "scene JSON, feature blob, run report, bench untimed columns, and the "
         "weights file all byte-identical across repeated runs",
     )
 

@@ -1,14 +1,16 @@
 """Benchmark harness: rows, CSV and SVG rendering, slope fitting."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from statefuse import bench
+from statefuse import bench, pipeline
 from statefuse import (
     BenchConfig,
     BenchRow,
+    DiscreteSsmBank,
     ValidationError,
     bench_csv,
     bench_svg,
@@ -17,6 +19,7 @@ from statefuse import (
     op_count_cross_attention,
     op_count_ssm,
     run_bench,
+    scan_bank,
     ssm_peak_bytes,
 )
 
@@ -91,20 +94,22 @@ def test_run_bench_restores_blas_threads(monkeypatch):
 
 
 def test_run_bench_interleaves_grid_points(monkeypatch):
-    """Every point is warmed up, then each round times every point once, largest first."""
+    """Every point is warmed up, then each round times every point once, largest
+    first; the cross-attention points call the decoder's kernel."""
     calls = []
-    scan, cross = bench.scan_bank, bench._cross_workload
+    scan, cross = bench.scan_bank, bench.cross_attention
+    assert cross is pipeline.cross_attention
 
     def scan_recording(bank, x):
         calls.append(("ssm", x.shape[0]))
         return scan(bank, x)
 
-    def cross_recording(x, *weights):
-        calls.append(("cross_attention", x.shape[0]))
-        return cross(x, *weights)
+    def cross_recording(queries, context, *weights):
+        calls.append(("cross_attention", queries.shape[0]))
+        return cross(queries, context, *weights)
 
     monkeypatch.setattr(bench, "scan_bank", scan_recording)
-    monkeypatch.setattr(bench, "_cross_workload", cross_recording)
+    monkeypatch.setattr(bench, "cross_attention", cross_recording)
     run_bench(BenchConfig(n_list=(8, 16, 32), repetitions=4, warmup=2))
     grid = [(mech, n) for mech in ("ssm", "cross_attention") for n in (32, 16, 8)]
     assert calls == grid * (2 + 4)
@@ -120,18 +125,40 @@ def test_ssm_rows_time_the_library_scan(monkeypatch):
         return scan(bank, x)
 
     monkeypatch.setattr(bench, "scan_bank", recording)
-    cfg = BenchConfig(n_list=(8, 16, 32), repetitions=3, warmup=0, mechanism="ssm",
-                      dtype="float32")
+    cfg = BenchConfig(n_list=(8, 16, 32), repetitions=3, warmup=0, mechanism="ssm")
     run_bench(cfg)
     e = cfg.k * cfg.d
     for bank, x in seen[:3]:  # one round: N = 32, 16, 8
         n = x.shape[0]
-        want_x, *want_abcd = bench._ssm_inputs(n, e, cfg.state_dim, [cfg.seed, 0, n],
-                                               np.float32)
-        assert x.dtype == np.float32 and np.array_equal(x, want_x)
+        want_x, *want_abcd = bench._ssm_inputs(n, e, cfg.state_dim, [cfg.seed, 0, n])
+        assert x.dtype == np.float64 and np.array_equal(x, want_x)
         for name, want in zip(("a_bar", "b_bar", "c_bar", "d_bar"), want_abcd):
             got = getattr(bank, name)
             assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def test_cross_attention_rows_time_the_decoder_kernel(monkeypatch):
+    """The cross-attention rows call pipeline.cross_attention as self-attention
+    over the bench inputs, the second mechanism's seeds."""
+    seen = []
+    kernel = bench.cross_attention
+    assert kernel is pipeline.cross_attention
+
+    def recording(queries, context, *weights):
+        seen.append((queries, context, weights))
+        return kernel(queries, context, *weights)
+
+    monkeypatch.setattr(bench, "cross_attention", recording)
+    cfg = BenchConfig(n_list=(8, 16, 32), repetitions=3, warmup=0)
+    run_bench(cfg)
+    e = cfg.k * cfg.d
+    assert [q.shape[0] for q, _, _ in seen[:3]] == [32, 16, 8]  # one round
+    for queries, context, weights in seen[:3]:
+        n = queries.shape[0]
+        want_x, *want_w = bench._cross_inputs(n, e, [cfg.seed, 1, n])
+        assert context is queries and np.array_equal(queries, want_x)
+        assert len(weights) == 4
+        assert all(np.array_equal(got, want) for got, want in zip(weights, want_w))
 
 
 def test_analytic_bytes_affine_in_n():
@@ -142,22 +169,26 @@ def test_analytic_bytes_affine_in_n():
     assert (b[1] - b[0]) * (n[2] - n[0]) == (b[2] - b[0]) * (n[1] - n[0])
     e = cfg.k * cfg.d
     assert b[0] == ssm_peak_bytes(n[0], e, cfg.state_dim)
-    assert all(r.peak_bytes_source == "analytic" for r in rows)
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_ssm_bytes_model_matches_tracemalloc(dtype):
-    """The analytic model is within 15% of the measured peak at every
-    default grid point."""
-    cfg = BenchConfig(repetitions=3, warmup=0, mechanism="ssm", dtype=dtype,
-                      measure_memory=True)
+def test_ssm_bytes_model_matches_tracemalloc():
+    """The analytic model is within 15% of the tracemalloc peak of a
+    float64 scan_bank call at every default grid point, on a bank whose
+    constants an earlier call built, as in the timed rounds."""
+    cfg = BenchConfig()
     e = cfg.k * cfg.d
-    itemsize = np.dtype(dtype).itemsize
-    rows = run_bench(cfg)
-    assert [r.n for r in rows] == list(BenchConfig().n_list)
-    for r in rows:
-        model = ssm_peak_bytes(r.n, e, cfg.state_dim, itemsize)
-        assert 0.85 * r.peak_bytes <= model <= 1.15 * r.peak_bytes, (r.n, model, r.peak_bytes)
+    for n in cfg.n_list:
+        x, *abcd = bench._ssm_inputs(n, e, cfg.state_dim, [cfg.seed, 0, n])
+        bank = DiscreteSsmBank(*abcd)
+        scan_bank(bank, x)
+        tracemalloc.start()
+        try:
+            scan_bank(bank, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = ssm_peak_bytes(n, e, cfg.state_dim)
+        assert 0.85 * peak <= model <= 1.15 * peak, (n, model, peak)
 
 
 def test_cross_bytes_model_quadratic():
@@ -171,16 +202,6 @@ def test_cross_bytes_model_quadratic():
     assert gaps[1] == -8 * (5 * 16 * e * 2)
 
 
-def test_tracemalloc_source():
-    cfg = BenchConfig(
-        n_list=(8, 16), repetitions=3, warmup=0, mechanism="cross_attention",
-        measure_memory=True,
-    )
-    rows = run_bench(cfg)
-    assert all(r.peak_bytes_source == "tracemalloc" for r in rows)
-    assert all(r.peak_bytes > 0 for r in rows)
-
-
 # --- rendering ---
 
 def test_csv_layout():
@@ -188,7 +209,7 @@ def test_csv_layout():
     text = bench_csv(rows)
     lines = text.split("\n")
     assert lines[0] == (
-        "mechanism,n,k,d,m,wall_nanos,peak_bytes,peak_bytes_source,op_count,timer_ok"
+        "mechanism,n,k,d,m,wall_nanos,peak_bytes,op_count,timer_ok"
     )
     assert lines[-1] == ""
     assert len(lines) == 2 + len(rows)
@@ -220,11 +241,11 @@ def test_svg_well_formed():
 
 def test_bench_row_validation():
     with pytest.raises(ValidationError):
-        BenchRow("warp", 1, 1, 1, 1, 10, 0, "analytic", 1, True)
+        BenchRow("warp", 1, 1, 1, 1, 10, 0, 1, True)
     with pytest.raises(ValidationError):
-        BenchRow("ssm", 1, 1, 1, 1, 0, 0, "analytic", 1, True)
+        BenchRow("ssm", 1, 1, 1, 1, 0, 0, 1, True)
     with pytest.raises(ValidationError):
-        BenchRow("ssm", 1, 1, 1, 1, 10, -1, "analytic", 1, True)
+        BenchRow("ssm", 1, 1, 1, 1, 10, -1, 1, True)
 
 
 def test_bench_config_validation():
@@ -241,12 +262,6 @@ def test_bench_config_validation():
 
 
 def test_bench_config_round_trip():
-    cfg = BenchConfig(n_list=(8, 16), repetitions=4, mechanism="ssm", dtype="float32")
+    cfg = BenchConfig(n_list=(8, 16), repetitions=4, mechanism="ssm", seed=3)
     again = BenchConfig.from_dict(cfg.to_dict())
     assert again == cfg
-
-
-def test_float32_dtype_runs():
-    cfg = BenchConfig(n_list=(8, 16), repetitions=3, warmup=0, dtype="float32")
-    rows = run_bench(cfg)
-    assert len(rows) == 4

@@ -253,7 +253,7 @@ def test_simulate_config_value_of_wrong_type(tmp_path, capsys):
     [
         ({"k": "4"}, "k: expected"),
         ({"k": 2.7}, "k: expected"),
-        ({"measure_memory": "false"}, "measure_memory: expected"),
+        ({"mechanism": 1}, "mechanism: expected"),
         ({"n_list": [8, "16", 32]}, "n_list: expected"),
         ({"n_list": 64}, "n_list: expected"),
         ({"n_list": "64"}, "n_list: expected"),
@@ -269,6 +269,16 @@ def test_bench_config_value_of_wrong_kind(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [("dtype", "float32"), ("measure_memory", True)])
+def test_bench_config_refuses_the_removed_modes(tmp_path, capsys, key, value):
+    """The float32 and tracemalloc modes are gone: their keys are unknown."""
+    cfg_path = write_json(tmp_path / "bench.json", {**BENCH_CFG, key: value})
+    code = cli_main(["bench", "--config", cfg_path, "--out", str(tmp_path / "b.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: unknown BenchConfig keys: ['{key}']\n"
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_env_seed_below_zero_is_refused(tmp_path, monkeypatch, capsys):
@@ -382,7 +392,7 @@ def test_bench_writes_csv_and_svg(tmp_path):
     assert code == 0
     lines = out.read_text().split("\n")
     assert lines[0] == (
-        "mechanism,n,k,d,m,wall_nanos,peak_bytes,peak_bytes_source,op_count,timer_ok"
+        "mechanism,n,k,d,m,wall_nanos,peak_bytes,op_count,timer_ok"
     )
     assert len(lines) == 2 + 4
     assert svg.read_text().startswith("<svg")
@@ -398,7 +408,7 @@ def test_bench_stable_columns_repeatable(tmp_path):
 
     def stable(text):
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
-        return [(r[0], r[1], r[2], r[3], r[4], r[6], r[7], r[8]) for r in rows]
+        return [(r[0], r[1], r[2], r[3], r[4], r[6], r[7]) for r in rows]
 
     assert stable(outs[0]) == stable(outs[1])
 

@@ -56,7 +56,7 @@ CONFIGS = [SceneConfig(), PipelineDims(k_queries=3), BenchConfig(), MotionElimCo
         (MotionElimConfig, {"alpha": True}, r"^alpha: expected a value like 0.5, got True$"),
         (MotionElimConfig, {"require_same_category": "no"}, r"^require_same_category: expected"),
         (MotionElimConfig, {"require_same_category": 0}, r"^require_same_category: expected"),
-        (BenchConfig, {"measure_memory": "false"}, r"^measure_memory: expected a value like False"),
+        (BenchConfig, {"mechanism": 1}, r"^mechanism: expected a value like 'both', got 1$"),
         (BenchConfig, {"k": 2.7}, r"^k: expected a value like 4, got 2.7$"),
         (BenchConfig, {"n_list": "64"}, r"^n_list: expected a value like \(64, 128,"),
         (BenchConfig, {"n_list": [8, "16", 32]}, r"^n_list: expected"),
@@ -192,7 +192,7 @@ RECORDS = [
     TINY_SCENE.frames[0],
     TINY_SCENE,
     TINY_RESULT,
-    BenchRow("ssm", 64, 4, 16, 16, 10_000, 0, "analytic", 1_024, True),
+    BenchRow("ssm", 64, 4, 16, 16, 10_000, 0, 1_024, True),
 ]
 RECORD_FIELDS = [(r, f.name) for r in RECORDS for f in dataclasses.fields(r)]
 
@@ -243,18 +243,31 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
         (lambda: op_count_ssm(3, True, 2.9), r"^k: expected a value like int, got True$"),
         (lambda: op_count_cross_attention(2.5, "4", True), r"^n: expected a value like int, got 2.5$"),
         (lambda: op_count_cross_attention(2, 4, 0), r"^n, k, d must all be >= 1$"),
-        (lambda: BenchRow("ssm", True, 2.5, 4, 1, 10.7, 0, "analytic", 1.5, "yes"),
+        (lambda: BenchRow("ssm", True, 2.5, 4, 1, 10.7, 0, 1.5, "yes"),
          r"^n: expected a value like int, got True$"),
-        (lambda: BenchRow("ssm", 2, 4, 4, 1, 10.7, 0, "analytic", 1.5, "yes"),
+        (lambda: BenchRow("ssm", 2, 4, 4, 1, 10.7, 0, 1.5, "yes"),
          r"^wall_nanos: expected a value like int, got 10.7$"),
-        (lambda: BenchRow("ssm", 2, 4, 4, 1, 10, 0, "analytic", 15, "yes"),
+        (lambda: BenchRow("ssm", 2, 4, 4, 1, 10, 0, 15, "yes"),
          r"^timer_ok: expected a value like bool, got 'yes'$"),
-        (lambda: BenchRow("ssm", "3", 1, 1, 1, 10, 0, "analytic", 1, True),
+        (lambda: BenchRow("ssm", "3", 1, 1, 1, 10, 0, 1, True),
          r"^n: expected a value like int, got '3'$"),
         (lambda: dataclasses.replace(TINY_RESULT, motion_mask=TINY_RESULT.motion_mask[0]),
          r"^motion_mask: expected shape \(N, K\), got \(2,\)$"),
         (lambda: dataclasses.replace(TINY_RESULT, slot_scores=np.zeros((1, 2))),
          r"^slot_scores: expected shape \(N=2, K=2\), got \(1, 2\)$"),
+        # nested records must agree with the result's own (N, K) and D
+        (lambda: dataclasses.replace(TINY_RESULT, padded=PaddedQuerySequence(
+            np.zeros((3, 2, 2)), np.zeros((3, 2, 3)), np.ones((3, 2), bool),
+            np.zeros((3, 2), int))),
+         r"^padded: expected frames x slots \(2, 2\), got \(3, 2\)$"),
+        (lambda: dataclasses.replace(
+            TINY_RESULT, fused_input=FusedQuerySequence(np.zeros((2, 6)), (0, 1), 3, 2)),
+         r"^fused_input: expected rows x slots \(2, 2\), got \(2, 3\)$"),
+        (lambda: dataclasses.replace(
+            TINY_RESULT, fused_output=FusedQuerySequence(np.zeros((1, 4)), (0,), 2, 2)),
+         r"^fused_output: expected rows x slots \(2, 2\), got \(1, 2\)$"),
+        (lambda: dataclasses.replace(TINY_RESULT, refined=np.zeros((2, 3))),
+         r"^refined: expected slots x embed_dim \(2, 2\), got \(2, 3\)$"),
     ],
 )
 def test_record_messages_name_the_field_and_its_shape(make, message):

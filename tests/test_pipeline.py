@@ -27,7 +27,7 @@ from statefuse import (
     save_weights,
     slot_count,
 )
-from statefuse.numerics import frozen, readonly
+from statefuse.numerics import frozen, readonly, softmax
 from statefuse.pipeline import (
     _weight_arrays,
     _weight_shapes,
@@ -321,6 +321,32 @@ def test_decoder_single_key_full_weight():
     # softmax over one key is exactly 1, so every slot adds the same vector
     want = row + value @ w.dec_out
     assert np.max(np.abs(result.refined - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_decoder_equals_inline_attention_reference(seed):
+    """The decoder through ``cross_attention`` gives, bit for bit, the
+    attention it once wrote inline, kept here as the reference."""
+    scene, w = scene_and_weights(seed=seed)
+    result = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    feats = scene.frames[result.padded.current_index].feature_maps
+    k, d = w.dims.k_queries, w.dims.embed_dim
+    row = result.fused_output.data[-1].reshape(k, d)
+    rng = np.random.default_rng([w.seed, 7])
+    n_keys = w.dims.decoder_keys
+    cams_idx = rng.integers(0, len(feats), size=n_keys)
+    ys = rng.integers(0, feats[0].height, size=n_keys)
+    xs = rng.integers(0, feats[0].width, size=n_keys)
+    gathered = np.stack(
+        [feats[c].data[y, x] for c, y, x in zip(cams_idx, ys, xs)]
+    ).astype(np.float64)
+    keys = gathered @ w.dec_k
+    values = gathered @ w.dec_v
+    logits = (row @ w.dec_q) @ keys.T / np.sqrt(d)
+    attn = softmax(logits, axis=1)
+    want = row + (attn @ values) @ w.dec_out
+    assert np.array_equal(decode_current_frame(result.fused_output, feats, w), want)
+    assert np.array_equal(result.refined, want)
 
 
 # --- weights serialization ---

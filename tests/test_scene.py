@@ -21,7 +21,6 @@ from statefuse import (
     camera_ring,
     feature_blob_bytes,
     load_scene,
-    oracle_proposals,
     project_point,
     save_scene,
     scene_dumps,
@@ -87,23 +86,6 @@ def test_noise_free_proposal_centers_exact():
                 assert abs(prop.center[0] - u) <= 1e-12
                 assert abs(prop.center[1] - v) <= 1e-12
                 assert prop.category == frame.object_categories[obj]
-
-
-def test_proposals_match_oracle_when_noise_free():
-    scene = build_scene(SMALL)
-    for frame in scene.frames:
-        oracle = oracle_proposals(
-            frame,
-            scene.cameras,
-            0.0,
-            image_size=SMALL.image_size,
-            seed=SMALL.seed,
-            depth_mode=SMALL.depth_mode,
-        )
-        assert len(oracle) == len(frame.proposals)
-        for a, b in zip(frame.proposals, oracle):
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.depth_dist, b.depth_dist)
 
 
 def test_proposal_depth_peak_brackets_truth():
