@@ -260,6 +260,10 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
             np.zeros((3, 2, 2)), np.zeros((3, 2, 3)), np.ones((3, 2), bool),
             np.zeros((3, 2), int))),
          r"^padded: expected frames x slots \(2, 2\), got \(3, 2\)$"),
+        (lambda: dataclasses.replace(TINY_RESULT, padded=PaddedQuerySequence(
+            np.zeros((2, 3, 2)), np.zeros((2, 3, 3)), np.ones((2, 3), bool),
+            np.zeros((2, 3), int))),
+         r"^padded: expected frames x slots \(2, 2\), got \(2, 3\)$"),
         (lambda: dataclasses.replace(
             TINY_RESULT, fused_input=FusedQuerySequence(np.zeros((2, 6)), (0, 1), 3, 2)),
          r"^fused_input: expected rows x slots \(2, 2\), got \(2, 3\)$"),

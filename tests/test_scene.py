@@ -88,6 +88,24 @@ def test_noise_free_proposal_centers_exact():
                 assert prop.category == frame.object_categories[obj]
 
 
+def test_pixel_noise_moves_centers_within_the_image():
+    """Noise perturbs each visible center on the image_size pixel scale,
+    keeps it inside the image, and leaves the visible set unchanged."""
+    sigma = 1.5
+    noisy = build_scene(SceneConfig(**{**SMALL.to_dict(), "center_noise_sigma": sigma}))
+    exact = build_scene(SMALL)
+    h, w = SMALL.image_size
+    shifts = []
+    for f_noisy, f_exact in zip(noisy.frames, exact.frames):
+        assert f_noisy.proposal_object_ids == f_exact.proposal_object_ids
+        for props, truth in zip(f_noisy.proposals, f_exact.proposals):
+            assert np.all((props.center >= 0.0) & (props.center <= 1.0))
+            pixels = (props.center - truth.center) * np.array([w - 1, h - 1])
+            assert np.all(np.abs(pixels) <= 6.0 * sigma)
+            shifts.extend(np.abs(pixels).ravel())
+    assert shifts and max(shifts) > 0.0
+
+
 def test_proposal_depth_peak_brackets_truth():
     """Peaked mode puts the argmax bin at the true camera depth."""
     scene = build_scene(SMALL)
