@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Config, Record, ValidationError
+from .errors import Array, Config, Record, ValidationError, checked
 from .pipeline import cross_attention, op_count_cross_attention, op_count_ssm
 from .ssm import _CHUNK, DiscreteSsmBank, scan_bank
 
@@ -125,12 +125,9 @@ def cross_peak_bytes(n: int, e: int) -> int:
     return 8 * (5 * n * e + 2 * n * n)
 
 
-def fit_loglog_slope(xs, ys) -> float:
+@checked
+def fit_loglog_slope(xs: Array[float, "N"], ys: Array[float, "N"]) -> float:
     """Least-squares slope of ln(y) against ln(x)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValidationError("xs and ys must be 1-d arrays of equal length")
     if xs.size < 3:
         raise ValidationError("need at least 3 points to fit a slope")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
@@ -221,9 +218,9 @@ def run_bench(cfg: BenchConfig | None = None) -> list:
     cfg = BenchConfig() if cfg is None else cfg
     e = cfg.k * cfg.d
     points = []
-    for mech_idx, mech in enumerate(cfg.mechanisms):
+    for mech in cfg.mechanisms:
         for n in reversed(cfg.n_list):  # rounds run largest N first
-            seed = [cfg.seed, mech_idx, n]
+            seed = [cfg.seed, MECHANISMS.index(mech), n]  # whichever mechanisms cfg runs
             if mech == "ssm":
                 x, *abcd = _ssm_inputs(n, e, cfg.state_dim, seed)
                 fn = lambda bank=DiscreteSsmBank(*abcd), x=x: scan_bank(bank, x)

@@ -1,8 +1,11 @@
-"""Exception types shared across the library, and the one field rule of its
-config and record types."""
+"""Exception types shared across the library, and the one rule for the
+fields of its config and record types and the array arguments of its
+functions."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import numbers
 import typing
@@ -29,27 +32,42 @@ class NumericOverflowError(StatefuseError, ArithmeticError):
     """A forward evaluation produced a non-finite intermediate value."""
 
 
-class Array:
-    """The annotation of an array field: ``Array[float, "E", "M"]``.
+class Extended(float):
+    """The :class:`Array` kind of float64 values not checked to be finite."""
 
-    Its first entry is the element kind, ``float``, ``int`` or ``bool``,
-    kept as float64, int64 or bool; the others are its shape, one entry an
-    axis: a fixed size, or a symbol.  A symbol binds at the first field of
-    an object that uses it, to a size of one or more, and every later field
-    of that object must agree with it.
+
+_DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), bool: np.dtype(bool)}
+_DTYPES[Extended] = _DTYPES[float]
+_SOURCE_KINDS = {float: "fiu", Extended: "fiu", int: "iu", bool: "b"}  # the dtype kinds each takes
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+class Array:
+    """The annotation of an array field or argument: ``Array[float, "E", "M"]``.
+
+    Its first entry is the element kind, ``float`` (finite), ``int`` or
+    ``bool``, kept as float64, int64 or bool, or :class:`Extended`; the
+    others are its shape, one entry an axis: a fixed size, or a symbol.  A
+    symbol binds at the first field of an object, or argument of a call,
+    that uses it, and every later one must agree with it.  A leading
+    ``...`` binds any number of leading axes as one symbol: ``Array[float,
+    ..., 3]`` takes a point or a batch of them.  A field's axes hold one
+    entry or more; an argument's may be empty.
     """
 
     def __init__(self, kind: type, shape: tuple):
-        self.kind, self.shape = kind, shape
+        self.kind, self.shape, self.dtype = kind, shape, _DTYPES[kind]
+        self.lead = shape[:1] == ("...",)  # whether the shape starts with ...
+        self.axes = shape[self.lead :]  # the axes after it
 
     def __class_getitem__(cls, params):
-        kind, *shape = params
+        kind, *shape = ("..." if s is ... else s for s in params)  # ... binds as one symbol
         return typing.Annotated[np.ndarray, cls(kind, tuple(shape))]
 
     def describe(self, sizes: dict) -> str:
         """The shape, with the size of each symbol that ``sizes`` binds."""
         axes = [f"{s}={sizes[s]}" if s in sizes else str(s) for s in self.shape]
-        return f"({', '.join(axes)}{',' * (len(axes) == 1)})"
+        return f"({', '.join(axes)}{',' * (len(axes) == 1 and not self.lead)})"
 
 
 class Record:
@@ -113,16 +131,21 @@ def _schema(cls) -> tuple:
     hints = typing.get_type_hints(cls, include_extras=True)
     out = []
     for f in fields(cls):
-        kind = hints[f.name]
-        args = typing.get_args(kind)
-        optional = type(None) in args and typing.get_origin(kind) is not tuple
-        if optional:  # kind | None
-            kind = next(arg for arg in args if arg is not type(None))
-        if typing.get_origin(kind) is typing.Annotated:  # Array[...]
-            kind = kind.__metadata__[0]
+        kind, optional = _kind(hints[f.name])
         like = _like(kind) if f.default is MISSING else repr(f.default)
         out.append((f.name, kind, f.default, like, optional))
     return tuple(out)
+
+
+def _kind(hint) -> tuple:
+    """(type or :class:`Array`, whether ``T | None``) of an annotation."""
+    args = typing.get_args(hint)
+    optional = type(None) in args and typing.get_origin(hint) is not tuple
+    if optional:  # kind | None
+        hint = next(arg for arg in args if arg is not type(None))
+    if typing.get_origin(hint) is typing.Annotated:  # Array[...]
+        hint = hint.__metadata__[0]
+    return hint, optional
 
 
 def _like(kind) -> str:
@@ -135,8 +158,9 @@ def field_value(name: str, value, kind, like: str | None = None, sizes: dict | N
     expected a value like <like>, got <value>")``, ``like`` defaulting to
     the type's name.  ``sizes`` holds the symbols that the earlier array
     fields of the same object bound."""
-    if isinstance(kind, Array):
-        return _array_value(name, value, kind, {} if sizes is None else sizes)
+    if isinstance(kind, Array):  # write-protected: in place when made here
+        arr = checked_array(name, value, kind, {} if sizes is None else sizes, empty=False)
+        return numerics.readonly(arr) if arr is value else numerics.frozen(arr)
     kept = _field_value(value, kind)
     if kept is _BAD:
         like = _like(kind) if like is None else like
@@ -177,11 +201,6 @@ def _field_value(value, kind):
     return _BAD if any(v is _BAD for v in out) else out
 
 
-_DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), bool: np.dtype(bool)}
-_SOURCE_KINDS = {float: "fiu", int: "iu", bool: "b"}  # the numpy dtype kinds each takes
-_BOOL_TYPES = frozenset((bool, np.bool_))
-
-
 def number_array(value, kind: type = float) -> np.ndarray | None:
     """``value``, an ndarray, a number or nested lists of them, as an array
     of ``kind`` elements, or None when it holds any other value.
@@ -212,34 +231,71 @@ def number_array(value, kind: type = float) -> np.ndarray | None:
     return arr.astype(dtype)
 
 
-def _array_value(name: str, value, spec: Array, sizes: dict) -> np.ndarray:
-    """``value`` as the array field ``name``, write-protected: an array
-    made here in place, an ndarray of the kept dtype by
-    :func:`~statefuse.numerics.readonly`, which copies it unless its
-    memory cannot change."""
-    arr = number_array(value, spec.kind)
-    if arr is None:
-        got = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
-        raise ValidationError(
-            f"{name}: expected an array of {spec.kind.__name__}s shaped {spec.describe(sizes)}, "
-            f"got {' '.join(got[:40].split())}"
-        )
-    shape = arr.shape
-    fits = len(shape) == len(spec.shape) and 0 not in shape
-    for size, want in zip(shape, spec.shape) if fits else ():
-        if type(want) is str:
-            want = sizes.setdefault(want, size)
-        if size != want:
+def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np.ndarray:
+    """``value`` as the array ``name`` declared ``spec`` (an ``int``,
+    ``float`` or ``bool`` one takes a scalar as a field does): an ndarray of
+    the kept dtype as it is, anything else as a new array.  ``sizes`` holds
+    the symbols bound so far, and ``empty`` says whether an axis may be
+    empty.  Any other value raises ``ValidationError`` naming ``name``."""
+    if not isinstance(spec, Array):  # a scalar argument
+        return field_value(name, value, spec)
+    arr = value
+    if type(arr) is not np.ndarray or arr.dtype is not spec.dtype:
+        arr = number_array(value, spec.kind)
+        if arr is None:
+            got = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
+            kind = "float" if issubclass(spec.kind, float) else spec.kind.__name__
+            raise ValidationError(
+                f"{name}: expected an array of {kind}s shaped {spec.describe(sizes)}, "
+                f"got {' '.join(got[:40].split())}"
+            )
+    shape, axes = arr.shape, spec.axes
+    lead = len(shape) - len(axes) if spec.lead else 0
+    fits = lead >= 0 and len(shape) - lead == len(axes) and (empty or 0 not in shape)
+    if fits and spec.lead:  # the leading axes bind as one symbol
+        fits = sizes.setdefault("...", shape[:lead]) == shape[:lead]
+    for size, axis in zip(shape[lead:], axes) if fits else ():
+        if size != (sizes.setdefault(axis, size) if type(axis) is str else axis):
             fits = False
             break
     if not fits:
         raise ValidationError(f"{name}: expected shape {spec.describe(sizes)}, got {shape}")
-    if spec.kind is float and not np.isfinite(arr).all():
+    if spec.kind is float and not numerics.all_finite(arr):
         raise ValidationError(f"{name}: contains NaN or Inf")
-    if arr is value:
-        return numerics.readonly(arr)
-    arr.setflags(write=False)
     return arr
+
+
+def checked(fn):
+    """Decorate ``fn`` so that every call checks its ``Array[...]``
+    parameters, in order, under the rule of :class:`Array`, and its
+    ``int``, ``float`` and ``bool`` ones as :class:`Record` fields; one
+    declared ``T | None`` also takes None.  ``fn`` receives each checked
+    array: the caller's ndarray itself, neither copied nor write-protected,
+    when it holds the kept dtype, else a new array.  Any other value raises
+    ``ValidationError`` naming the parameter.
+    """
+    hints = typing.get_type_hints(fn, include_extras=True)
+    specs = []  # (position, name, kind, optional) of each parameter checked
+    for position, name in enumerate(inspect.signature(fn).parameters):
+        spec, optional = _kind(hints.get(name))
+        if isinstance(spec, Array) or spec in (int, float, bool):
+            specs.append((position, name, spec, optional))
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        args, sizes = list(args), {}
+        for position, name, spec, optional in specs:
+            if position < len(args):
+                given, key = args, position
+            elif name in kwargs:
+                given, key = kwargs, name
+            else:  # left to its default
+                continue
+            if given[key] is not None or not optional:
+                given[key] = checked_array(name, given[key], spec, sizes, empty=True)
+        return fn(*args, **kwargs)
+
+    return call
 
 
 # Last, so that numerics finds the errors above whichever module loads first.

@@ -18,15 +18,15 @@ Every stage is causal along the frame axis, and the final residual makes an
 all-zero-weight layer an exact identity.
 
 The stack runs tiled along the frame axis: it cuts the sequence into tiles
-of ``_TILE_ROWS`` = 128 rows and runs every layer over one tile before it
+of ``_TILE_ROWS`` = 160 rows and runs every layer over one tile before it
 starts the next, so no stage allocates an array of length N.  Between
 tiles each layer carries two things: the last ksize - 1 rows of its LN1
 output, which the causal conv of the next tile reaches back to, and the
 c_bar-weighted state at the scan's last chunk boundary
 (:class:`~statefuse.ssm.ScanCarry`; the chunk constants belong to the
 layer's bank, which builds them once).  Inside a tile the stages update
-their arrays in place.  128 rows is a multiple of the scan's chunk, and a
-(128, 96) float64 tile is 96 KiB, under glibc's 128 KiB mmap threshold, so
+their arrays in place.  160 rows is a multiple of the scan's chunk, and a
+(160, 96) float64 tile is 120 KiB, under glibc's 128 KiB mmap threshold, so
 the temporaries of one tile reuse heap pages from the last instead of
 faulting in fresh ones.  A sequence of one tile carries nothing.  Each row goes
 through the same operations in the same order as in a pass of each layer
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, NumericOverflowError, Record, ValidationError
-from .numerics import frozen, gelu
+from .errors import Array, NumericOverflowError, Record, ValidationError, checked
+from .numerics import all_finite, frozen, gelu
 from .ssm import (  # the short scan's conv is the layer's conv too
     _CHUNK,
     DiscreteSsmBank,
@@ -157,19 +157,18 @@ class FusedQuerySequence(Record):
         return FusedQuerySequence(data, self.frame_order, self.k_queries, self.embed_dim)
 
 
-def layer_norm(x, scale, shift, epsilon) -> np.ndarray:
+@checked
+def layer_norm(
+    x: Array[float, ..., "E"], scale: Array[float, "E"], shift: Array[float, "E"], epsilon: float
+) -> np.ndarray:
     """Normalize the last axis to zero mean / unit population variance.
 
     The epsilon = 0 limit is accepted so exact hand values stay expressible;
     callers guarding degenerate inputs should pass a positive epsilon.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] == 0:
-        raise ValidationError("layer_norm input must have a non-empty last axis")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("layer_norm input contains NaN or Inf")
-    epsilon = float(epsilon)
-    if not np.isfinite(epsilon) or epsilon < 0.0:
+    if x.shape[-1] == 0:
+        raise ValidationError("x: the last axis must be non-empty")
+    if epsilon < 0.0:
         raise ValidationError("epsilon must be >= 0")
     mean = x.mean(axis=-1, keepdims=True)
     out = x - mean
@@ -181,27 +180,36 @@ def layer_norm(x, scale, shift, epsilon) -> np.ndarray:
     return out
 
 
-def gs4_layer(x: np.ndarray, params: Gs4Params, carry: ScanCarry | None = None) -> np.ndarray:
+@checked
+def gs4_layer(
+    x: Array[float, "N", "E"], params: Gs4Params, carry: ScanCarry | None = None
+) -> np.ndarray:
     """Gated state-space sublayer over an (N, E) sequence.
 
     With a ``carry`` of ``params.bank``, x is the next tile of a longer
     sequence and the scan continues from the previous tile.
     """
-    x = np.asarray(x)
     u = gelu(x @ params.w_u)
     v = gelu(x @ params.w_v)
-    s = scan_bank(params.bank, u, carry)
+    try:
+        s = scan_bank(params.bank, u, carry)
+    except ValidationError as exc:  # x is finite, so a non-finite u overflowed
+        if all_finite(u):
+            raise
+        raise NumericOverflowError(f"gs4 produced a non-finite value ({exc})") from exc
     s *= v
     y = s @ params.w_o
-    if not np.all(np.isfinite(y)):
+    if not all_finite(y):
         raise NumericOverflowError("gs4 produced a non-finite value")
     return y
 
 
-# Rows per tile of the stack (see the module docstring).  With 256-row tiles
-# the history_fusion op (N = 1024, E = 96) still took 160-1,960 minor page
-# faults; with 128 it takes none in a steady loop.
-_TILE_ROWS = 128
+# Rows per tile of the stack (see the module docstring).  256-row tiles took
+# 160-1,960 minor page faults per history_fusion op (N = 1024, E = 96); 160
+# takes none, as 128 does, in 7 tiles of calls instead of 8.
+_TILE_ROWS = 160
+
+_OUTPUT_OVERFLOW = "output projection produced a non-finite value"
 
 
 def _tiles(n: int) -> list:
@@ -233,33 +241,31 @@ class _LayerPass:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         p = self.params
         ln1 = layer_norm(x, p.ln1.scale, p.ln1.shift, p.ln1.epsilon)
-        z = depthwise_causal_conv(ln1, p.dw_kernel, self.history)
-        z += ln1
+        try:  # LN1's input is finite, so a non-finite value comes from LN1 or the conv
+            z = depthwise_causal_conv(ln1, p.dw_kernel, self.history)
+            z += ln1
+            ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+        except ValidationError as exc:
+            raise NumericOverflowError(f"layer norm or depthwise conv: {exc}") from exc
         if self.scan is not None and self.reach:  # a later tile reads these rows
             if ln1.shape[0] < self.reach and self.history is not None:
                 ln1 = np.concatenate([self.history, ln1])
             self.history = ln1[-self.reach :]
-        try:  # LN1's input is finite, so a non-finite z comes from LN1 or the conv
-            ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
-        except ValidationError as exc:
-            raise NumericOverflowError(f"layer norm or depthwise conv: {exc}") from exc
         zp = gs4_layer(ln2, p.gs4, self.scan)
         zp += ln2
         out = zp @ p.out_weight
         out += p.out_bias
         out += x
-        if not np.all(np.isfinite(out)):
-            raise NumericOverflowError("output projection produced a non-finite value")
-        return out
+        return out  # unchecked: the next layer's LN1 checks it, or _fuse
 
 
 def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
     """Run ``layers`` in order, each over one tile before the next tile.
 
-    Each layer checks its output on every tile, and overflow names the
-    lowest layer that overflows on any tile, as a pass of each layer over
-    the whole sequence would.  The result sequence takes the array the
-    tiles fill, write-protected, without a copy.
+    The next layer's LN1, or here the last, checks a layer's output on every
+    tile, and overflow names the lowest layer that overflows on any tile, as
+    a pass of each layer over the whole sequence would.  The result sequence
+    takes the array the tiles fill, write-protected, without a copy.
     """
     if x.n_channels != layers[0].n_channels:
         raise ValidationError(
@@ -277,6 +283,12 @@ def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
             except NumericOverflowError as exc:
                 failed, depth = exc, index
                 break
+            except ValidationError:  # LN1 refused the output of the layer below
+                failed, depth = NumericOverflowError(_OUTPUT_OVERFLOW), index - 1
+                break
+        else:  # the output of the last layer run
+            if not all_finite(rows):
+                failed, depth = NumericOverflowError(_OUTPUT_OVERFLOW), depth - 1
         if failed is None and out is not None:
             out[lo:hi] = rows
     if failed is not None:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Record, ValidationError
-from .numerics import as_float_array, frozen, gelu, require_rigid, rigid_inverse
+from .errors import Array, BehindCameraError, Record, ValidationError, checked
+from .numerics import frozen, gelu, require_rigid, rigid_inverse
 
 MIN_PROJECT_DEPTH = 1e-6
 
@@ -91,18 +91,16 @@ class PosEmbedParams(Record):
         )
 
 
-def project_point(cam: CameraModel, p_ego) -> tuple:
+@checked
+def project_point(cam: CameraModel, p_ego: Array[float, ..., 3]) -> tuple:
     """Project an ego-frame point: returns (u, v, camera-frame depth).
 
     Accepts a single 3-vector or an (..., 3) batch.  Raises
     :class:`BehindCameraError` when any point has camera depth <= 1e-6.
     """
-    p = as_float_array(p_ego, "p_ego")
-    if p.shape[-1] != 3:
-        raise ValidationError("p_ego must have 3 components on the last axis")
     r = cam.extrinsic[:3, :3]
     t = cam.extrinsic[:3, 3]
-    q = p @ r.T + t
+    q = p_ego @ r.T + t
     depth = q[..., 2]
     if np.any(depth <= MIN_PROJECT_DEPTH):
         raise BehindCameraError(
@@ -111,59 +109,55 @@ def project_point(cam: CameraModel, p_ego) -> tuple:
     ph = q @ cam.intrinsic.T
     u = ph[..., 0] / ph[..., 2]
     v = ph[..., 1] / ph[..., 2]
-    if p.ndim == 1:
+    if p_ego.ndim == 1:
         return float(u), float(v), float(depth)
     return u, v, depth
 
 
-def lift_center(cam, c2d, depth, cam_index=None) -> np.ndarray:
+@checked
+def lift_center(
+    cam, c2d: Array[float, ..., 2], depth: Array[float, ...],
+    cam_index: Array[int, ...] | None = None,
+) -> np.ndarray:
     """Lift image points at known camera depths back to the ego frame.
 
     Exact inverse of :func:`project_point`: the homogeneous pixel is scaled
     so the recovered camera-frame point sits at exactly ``depth``, then
-    mapped through the intrinsic and extrinsic inverses.  ``cam`` is one
-    camera; with ``cam_index`` it is a sequence of cameras, and point j is
-    lifted through ``cam[cam_index[j]]``.
+    mapped through the intrinsic and extrinsic inverses.  ``c2d`` is one
+    (2,) point or an (..., 2) batch, with one depth per point.  ``cam`` is
+    one camera; with ``cam_index`` it is a sequence of cameras, and point j
+    is lifted through ``cam[cam_index[j]]``.
     """
-    c = as_float_array(c2d, "c2d")
-    if c.shape[-1] != 2:
-        raise ValidationError("c2d must have 2 components on the last axis")
-    d = np.asarray(depth, dtype=np.float64)
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("depth must be finite")
-    if np.any(d <= 0.0):
+    if np.any(depth <= 0.0):
         raise ValidationError("depth must be positive")
-    cams, idx = ((cam,), 0) if cam_index is None else (cam, np.asarray(cam_index, dtype=int))
+    cams, idx = ((cam,), 0) if cam_index is None else (cam, cam_index)
     k22 = np.array([m.intrinsic[2, 2] for m in cams])[idx]
     k_inv = np.stack([m._intrinsic_inv for m in cams])[idx]
     e_inv = np.stack([m._extrinsic_inv for m in cams])[idx]
     # With K upper triangular, the homogeneous scale that puts the camera
     # point at depth d is d * K[2, 2].
-    w = d * k22
-    pix = np.stack([c[..., 0] * w, c[..., 1] * w, np.broadcast_to(w, c[..., 0].shape)], axis=-1)
+    w = depth * k22
+    pix = np.stack([c2d[..., 0] * w, c2d[..., 1] * w, w], axis=-1)
     q = np.einsum("...ij,...j->...i", k_inv, pix)
     return np.einsum("...ij,...j->...i", e_inv[..., :3, :3], q) + e_inv[..., :3, 3]
 
 
-def sinusoid_features(c3d, embed_dim: int, temperature: float) -> np.ndarray:
+@checked
+def sinusoid_features(c3d: Array[float, ..., 3], embed_dim: int, temperature: float) -> np.ndarray:
     """Per-axis interleaved sin/cos features, zero padded to ``embed_dim``.
 
     Each axis gets floor(D / 6) frequencies temperature**(-2i / F) with
     F = 2 * floor(D / 6); the remaining channels stay zero.
     """
-    c = as_float_array(c3d, "c3d")
-    if c.shape[-1] != 3:
-        raise ValidationError("c3d must have 3 components on the last axis")
-    d = int(embed_dim)
-    n_freq = d // 6
-    out = np.zeros(c.shape[:-1] + (d,))
+    n_freq = embed_dim // 6
+    out = np.zeros(c3d.shape[:-1] + (embed_dim,))
     if n_freq == 0:
         return out
     i = np.arange(n_freq)
-    freqs = float(temperature) ** (-2.0 * i / (2.0 * n_freq))
-    angles = c[..., :, None] * freqs  # (..., 3, n_freq)
+    freqs = temperature ** (-2.0 * i / (2.0 * n_freq))
+    angles = c3d[..., :, None] * freqs  # (..., 3, n_freq)
     interleaved = np.stack([np.sin(angles), np.cos(angles)], axis=-1)
-    flat = interleaved.reshape(c.shape[:-1] + (6 * n_freq,))
+    flat = interleaved.reshape(c3d.shape[:-1] + (6 * n_freq,))
     out[..., : 6 * n_freq] = flat
     return out
 
@@ -175,7 +169,8 @@ def pos_embed(c3d, params: PosEmbedParams) -> np.ndarray:
     return hidden @ params.w2 + params.b2
 
 
-def align_centers(centers, pose_now: EgoPose, poses_past) -> np.ndarray:
+@checked
+def align_centers(centers: Array[float, "P", "K", 3], pose_now: EgoPose, poses_past) -> np.ndarray:
     """Map the centers of P past frames into the current ego frame.
 
     ``centers`` is (P, K, 3), frame p in the ego frame of ``poses_past[p]``.
@@ -184,9 +179,8 @@ def align_centers(centers, pose_now: EgoPose, poses_past) -> np.ndarray:
     (rotation and translation both apply); the transforms of all P frames
     are stacked and applied in one pass.
     """
-    c = as_float_array(centers, "centers")
     past = np.array([pose.world_from_ego for pose in poses_past]).reshape(-1, 4, 4)
-    if c.ndim != 3 or c.shape[2] != 3 or c.shape[0] != past.shape[0]:
-        raise ValidationError("centers must be a (P, K, 3) array, one frame per past pose")
+    if centers.shape[0] != past.shape[0]:
+        raise ValidationError("centers: expected one frame per past pose")
     now_from_past = rigid_inverse(pose_now.world_from_ego) @ past
-    return c @ now_from_past[:, :3, :3].transpose(0, 2, 1) + now_from_past[:, None, :3, 3]
+    return centers @ now_from_past[:, :3, :3].transpose(0, 2, 1) + now_from_past[:, None, :3, 3]

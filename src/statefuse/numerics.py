@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -10,17 +12,11 @@ from .errors import ValidationError
 SQRT2 = float(np.sqrt(2.0))
 
 
-def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
-    """Coerce to a float64 ndarray, checking shape and finiteness."""
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # not numeric, or ragged
-        raise ValidationError(f"{name}: {exc}") from None
-    if shape is not None and arr.shape != shape:
-        raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():  # the method skips np.all's Python wrapper
-        raise ValidationError(f"{name}: contains NaN or Inf")
-    return arr
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite: NaN and Inf make the
+    sum of squares non-finite, which only then needs a look at each entry,
+    as an overflow makes it non-finite too."""
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
@@ -66,32 +62,24 @@ def gelu(x):
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stabilized softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
+    """Shift-stabilized softmax of a float array along ``axis``."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
     num = np.exp(shifted)
     return num / np.sum(num, axis=axis, keepdims=True)
 
 
-def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when ``r`` is orthonormal with determinant +1 within ``tol``."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
-        return False
+def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> None:
+    """Check that a finite float (4, 4) array is a rigid transform: a
+    rotation (orthonormal with determinant +1 within ``tol``) and a
+    translation over a (0, 0, 0, 1) bottom row."""
+    if not (np.abs(t[3] - (0.0, 0.0, 0.0, 1.0)) <= tol).all():
+        raise ValidationError(f"{name}: bottom row must be (0, 0, 0, 1)")
+    r = t[:3, :3]
     # np.allclose with rtol=0 on finite input, ~10x cheaper; entries large
     # enough to overflow fail the test without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (np.abs(r.T @ r - np.eye(3)) <= tol).all():
-            return False
-    return abs(np.linalg.det(r) - 1.0) <= tol
-
-
-def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> None:
-    """Check that a finite float (4, 4) array is a rigid transform: a
-    rotation and a translation over a (0, 0, 0, 1) bottom row."""
-    if not (np.abs(t[3] - (0.0, 0.0, 0.0, 1.0)) <= tol).all():
-        raise ValidationError(f"{name}: bottom row must be (0, 0, 0, 1)")
-    if not is_rotation(t[:3, :3], tol):
+        orthonormal = (np.abs(r.T @ r - np.eye(3)) <= tol).all()
+    if not orthonormal or abs(np.linalg.det(r) - 1.0) > tol:
         raise ValidationError(f"{name}: upper-left 3x3 block is not a rotation")
 
 

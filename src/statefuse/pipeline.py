@@ -38,7 +38,6 @@ from .fusion import (
     QueryMambaStack,
     query_mamba_stack,
     seeded_stack,
-    zero_stack,
 )
 from .geometry import PosEmbedParams, align_centers
 from .motion import (
@@ -170,14 +169,7 @@ class PipelineWeights(Record):
             raise ValidationError("box_w and box_b: given in linear box mode, and only there")
 
     @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        dims: PipelineDims,
-        box_mode: str = "bypass",
-        *,
-        zero_fusion: bool = False,
-    ) -> "PipelineWeights":
+    def from_seed(cls, seed: int, dims: PipelineDims, box_mode: str = "bypass") -> PipelineWeights:
         """Deterministic build; each component draws from its own substream.
 
         Components that do not depend on k_queries are identical across
@@ -204,17 +196,15 @@ class PipelineWeights(Record):
             box_b = frozen(box_rng.uniform(-0.1, 0.1, size=_BOX_FIELDS))
         else:
             box_w = box_b = None
-        stack_kwargs = dict(
+        stack = seeded_stack(
+            dims.n_channels,
+            seed,
             n_layers=dims.n_layers,
             state_dim=dims.state_dim,
             ksize=dims.dw_ksize,
             delta=dims.delta,
             epsilon=dims.epsilon,
         )
-        if zero_fusion:
-            stack = zero_stack(dims.n_channels, **stack_kwargs)
-        else:
-            stack = seeded_stack(dims.n_channels, seed, **stack_kwargs)
         return cls(
             seed=seed,
             dims=dims,

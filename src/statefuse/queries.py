@@ -21,9 +21,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import Array, Record, ValidationError, number_array
+from .errors import Array, Record, ValidationError, checked, number_array
 from .geometry import PosEmbedParams, lift_center, pos_embed
-from .numerics import as_float_array, frozen, readonly, softmax
+from .numerics import frozen, readonly, softmax
 
 DEPTH_BIN_COUNT = 60
 DEPTH_RANGE = (1.0, 61.0)
@@ -255,75 +255,68 @@ def _blend(corners: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     )
 
 
-def bilinear_sample(f: FeatureMap, p) -> np.ndarray:
+@checked
+def bilinear_sample(f: FeatureMap, p: Array[float, ..., 2]) -> np.ndarray:
     """Bilinearly interpolate the feature map at continuous pixel coords.
 
     ``p`` is (x, y) with x along width and y along height, or an (..., 2)
     batch.  Coordinates clamp to the valid rectangle, so integer coords
     reproduce grid values exactly.
     """
-    pts = as_float_array(p, "p")
-    if pts.shape[-1] != 2:
-        raise ValidationError("p must have 2 components on the last axis")
-    ys, xs, fx, fy = _bilinear_taps(pts, f.height, f.width)
+    ys, xs, fx, fy = _bilinear_taps(p, f.height, f.width)
     return _blend(f.data[ys, xs], fx, fy)
 
 
-def deformable_attention(c2d, f, params: DeformAttnParams) -> np.ndarray:
+@checked
+def deformable_attention(
+    c2d: Array[float, "P", 2], maps, counts: Array[int, "M"], params: DeformAttnParams
+) -> np.ndarray:
     """Sparse attention read-out around normalized reference points.
 
     out = sum_m W_m sum_n A[m, n] * W'_m F(pixel(c2d) + offset[m, n]).
     The reference point scales to pixels by (W - 1, H - 1); offsets are in
-    pixels; sample points clamp to the image rectangle.  ``c2d`` is one
-    (2,) point or a (P, 2) batch on the feature map ``f``, or ``f`` is a
-    sequence of maps and ``c2d`` one (P_j, 2) batch per map, stacked in map
-    order on output.  Only the corner gather runs per map; the rest runs
-    once over all points x heads x keys.
+    pixels; sample points clamp to the image rectangle.  The points come
+    map by map: the first ``counts[0]`` read ``maps[0]``, the next
+    ``counts[1]`` read ``maps[1]``, and so on.  Only the corner gather runs
+    per map; the rest runs once over all points x heads x keys.
     """
-    single = isinstance(f, FeatureMap)
-    maps, points = ((f,), (c2d,)) if single else (tuple(f), tuple(c2d))
-    points = [as_float_array(pts, "c2d") for pts in points]
-    if not maps or len(maps) != len(points) or any(p.shape[-1] != 2 for p in points):
-        raise ValidationError("need one batch of (x, y) points per feature map")
+    if not maps or len(maps) != len(counts) or np.any(counts < 0) or counts.sum() != len(c2d):
+        raise ValidationError("counts: expected a count of points for each feature map")
     if any(fmap.channels != params.channels for fmap in maps):
         raise ValidationError(f"params expect {params.channels} channels in every feature map")
-    sizes = [p.size // 2 for p in points]
-    hw = np.repeat([(fmap.height, fmap.width) for fmap in maps], sizes, axis=0)
-    base = np.concatenate([p.reshape(-1, 2) for p in points]) * (hw[:, ::-1] - 1.0)
+    hw = np.repeat([(fmap.height, fmap.width) for fmap in maps], counts, axis=0)
+    base = c2d * (hw[:, ::-1] - 1.0)
     taps = base[:, None, None, :] + params.offsets  # (P, heads, keys, 2)
     ys, xs, fx, fy = _bilinear_taps(taps, hw[:, 0, None, None], hw[:, 1, None, None])
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0, *counts])
     corners = np.concatenate(
         [fmap.data[ys[:, a:b], xs[:, a:b]] for fmap, a, b in zip(maps, bounds, bounds[1:])],
         axis=1,
     )  # (4, P, heads, keys, C)
     heads = np.einsum("hk,phkc->phc", params.weights, _blend(corners, fx, fy))
     values = np.einsum("phc,hcd->phd", heads, params.value_proj)
-    out = np.einsum("phd,hdc->pc", values, params.out_proj)
-    return out[0] if single and np.ndim(c2d) == 1 else out
+    return np.einsum("phd,hdc->pc", values, params.out_proj)
 
 
-def expected_depth(dist, bin_centers):
+@checked
+def expected_depth(dist: Array[float, ..., "B"], bin_centers: Array[float, "B"]):
     """Expectation of categorical depth distributions over bin centers.
 
-    A (B,) distribution gives a float; a (P, B) batch gives (P,) depths.
+    A (B,) distribution gives a float; a (..., B) batch gives (...) depths.
     """
-    d = as_float_array(dist, "dist")
-    centers = as_float_array(bin_centers, "bin_centers")
-    if d.ndim not in (1, 2) or centers.ndim != 1 or d.shape[-1] != centers.size:
-        raise ValidationError("dist rows and bin_centers must be vectors of equal length")
-    if np.any(d < 0.0) or np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-9):
+    if np.any(dist < 0.0) or np.any(np.abs(dist.sum(axis=-1) - 1.0) > 1e-9):
         raise ValidationError("dist must be non-negative and sum to 1")
-    return d @ centers
+    return dist @ bin_centers
 
 
+@checked
 def build_query(
     proposals,
     feature_maps,
     cams,
     attn: DeformAttnParams,
     pe: PosEmbedParams,
-    sem_proj: np.ndarray,
+    sem_proj: Array[float, "C", "D"],
 ) -> tuple:
     """Assemble the 3D queries of a window of frames in one batched pass.
 
@@ -341,7 +334,6 @@ def build_query(
     and scores, all in frame, camera, proposal order, and the (N,)
     per-frame proposal counts.
     """
-    sem_proj = as_float_array(sem_proj, "sem_proj")
     if sem_proj.shape != (attn.channels, pe.embed_dim):
         raise ValidationError(
             f"sem_proj must be ({attn.channels}, {pe.embed_dim}), got {sem_proj.shape}"
@@ -366,7 +358,6 @@ def build_query(
         raise ValidationError("the window holds no proposals")
     if any(t.dtype["depth_dist"].shape != centers.shape for t in tables):
         raise ValidationError("depth_dist length must match the bin layout")
-    points = [t["center"] for t in tables]
     c2d, dists, cats, scores = (
         np.concatenate([t[key] for t in tables])
         for key in ("center", "depth_dist", "category", "score")
@@ -374,7 +365,7 @@ def build_query(
     cam_index = np.repeat(map_cams, sizes)
 
     depth = expected_depth(dists, centers)  # checks every distribution
-    q_sem = deformable_attention(points, maps, attn) @ sem_proj
+    q_sem = deformable_attention(c2d, maps, sizes, attn) @ sem_proj
     center3d = lift_center(cams, c2d, depth, cam_index=cam_index)
     q3d = pos_embed(center3d, pe) + q_sem
     if not (np.all(np.isfinite(q3d)) and np.all(np.isfinite(center3d))):

@@ -8,7 +8,7 @@ checks back both the test suite and the ``check`` command line verb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -304,7 +304,7 @@ def _brute_force_mask(cost, cats_cur, cats_past, valid_cur, valid_past, cfg):
                 continue
             if cost[m, n] > cfg.alpha:
                 continue
-            if cfg.require_same_category and cats_cur[m] != cats_past[n]:
+            if cats_cur[m] != cats_past[n]:
                 continue
             out[n] = 0
             break
@@ -321,10 +321,7 @@ def check_motion_mask_oracle() -> CheckResult:
         valid = rng.random((k, 2)) < 0.8
         cats_cur = rng.integers(0, 3, size=k)
         cats_past = rng.integers(0, 3, size=k)
-        cfg = MotionElimConfig(
-            alpha=float(rng.uniform(0.0, 15.0)),
-            require_same_category=bool(rng.integers(0, 2)),
-        )
+        cfg = MotionElimConfig(alpha=float(rng.uniform(0.0, 15.0)))
         past_valid = valid[None, :, 1]
         cost = motion_cost(cur, past[None], valid[:, 0], past_valid)
         got = motion_mask(cost, cats_cur, cats_past[None], past_valid, cfg)[0]
@@ -498,29 +495,20 @@ def check_residual_identity() -> CheckResult:
         )
     scene = build_scene(ACCEPT_SCENE)
     last = scene.frames[-1]
+
+    def zero_fusion_weights(frames, box_mode):  # seeded weights with an all-zero stack
+        dims = PipelineDims(slot_count(frames), feature_channels=scene.config.feature_channels)
+        stack = zero_stack(
+            dims.n_channels, n_layers=dims.n_layers, state_dim=dims.state_dim,
+            ksize=dims.dw_ksize, delta=dims.delta, epsilon=dims.epsilon,
+        )
+        return replace(PipelineWeights.from_seed(31, dims, box_mode), stack=stack)
+
     for box_mode in ("bypass", "linear"):
-        k_multi = slot_count(scene.frames)
-        k_single = slot_count([last])
         multi = run_pipeline_detailed(
-            scene.frames,
-            scene.cameras,
-            PipelineWeights.from_seed(
-                31,
-                PipelineDims(k_queries=k_multi, feature_channels=scene.config.feature_channels),
-                box_mode,
-                zero_fusion=True,
-            ),
+            scene.frames, scene.cameras, zero_fusion_weights(scene.frames, box_mode)
         )
-        single = run_pipeline_detailed(
-            [last],
-            scene.cameras,
-            PipelineWeights.from_seed(
-                31,
-                PipelineDims(k_queries=k_single, feature_channels=scene.config.feature_channels),
-                box_mode,
-                zero_fusion=True,
-            ),
-        )
+        single = run_pipeline_detailed([last], scene.cameras, zero_fusion_weights([last], box_mode))
         if not np.array_equal(multi.fused_input.data, multi.fused_output.data):
             return CheckResult(
                 "residual_identity",

@@ -38,7 +38,8 @@ carries (powers of a_bar, carry-in powers and Hankel windows, (2 T + 2) E M
 + T^2 E floats) on the first scan longer than a chunk.  A bank used only for
 short scans never builds the latter.
 
-All arithmetic is float64; inputs of any real dtype are cast on entry.
+All arithmetic is float64.  Array arguments take numbers under the rule of
+:class:`~statefuse.errors.Array`; integers are read as floats.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import Array, Record, ValidationError
-from .numerics import as_float_array, frozen
+from .errors import Array, Record, ValidationError, checked
+from .numerics import frozen
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class DiscreteSsmBank(Record):
         return _chunk_constants(self)
 
 
-def discretize_zoh(a, b, delta: float) -> tuple:
+@checked
+def discretize_zoh(a: Array[float, ...], b: Array[float, ...], delta: float) -> tuple:
     """Zero-order-hold discretization of h' = a * h + b * x over ``delta``.
 
     Returns (a_bar, b_bar) with a_bar = exp(delta * a) and b_bar =
@@ -104,15 +106,12 @@ def discretize_zoh(a, b, delta: float) -> tuple:
     of ``a`` must be <= 0: strictly negative ones give a stable channel, an
     exact zero keeps the integrator limit expressible.
     """
-    a = as_float_array(a, "a")
     if a.size == 0:
         raise ValidationError("a must be non-empty")
     if np.any(a > 0.0):
         raise ValidationError("a entries must be <= 0 (stability)")
-    b = as_float_array(b, "b", shape=a.shape)
-    delta = float(delta)
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise ValidationError(f"delta must be a positive finite number, got {delta}")
+    if delta <= 0.0:
+        raise ValidationError(f"delta must be positive, got {delta}")
     a_bar = np.exp(delta * a)
     # expm1 keeps precision near a = 0; the exact zero takes the limit value.
     safe_a = np.where(a == 0.0, 1.0, a)
@@ -133,7 +132,10 @@ def materialize_kernel(bank: DiscreteSsmBank, length: int) -> np.ndarray:
     return np.matmul((bank.c_bar * bank.b_bar)[:, None, :], powers)[:, 0]
 
 
-def apply_convolution(taps, feed_through: float, x, mode: str = "direct") -> np.ndarray:
+@checked
+def apply_convolution(
+    taps: Array[float, "L"], feed_through: float, x: Array[float, "L"], mode: str = "direct"
+) -> np.ndarray:
     """Causally convolve an input sequence with one channel's taps.
 
     y[k] = sum_{j<=k} taps[j] * x[k-j] + feed_through * x[k].  The ``fft``
@@ -141,17 +143,8 @@ def apply_convolution(taps, feed_through: float, x, mode: str = "direct") -> np.
     2L - 1, multiplies in the frequency domain, and truncates back to
     length L.
     """
-    taps = as_float_array(taps, "taps")
-    if taps.ndim != 1 or taps.size == 0:
-        raise ValidationError("taps must be a non-empty 1-d vector")
-    feed_through = float(feed_through)
-    if not np.isfinite(feed_through):
-        raise ValidationError("feed_through must be finite")
-    x = as_float_array(x, "x")
-    if x.ndim != 1:
-        raise ValidationError("x must be a 1-d sequence")
-    if x.size != taps.size:
-        raise ValidationError(f"input length {x.size} must equal kernel length {taps.size}")
+    if taps.size == 0:
+        raise ValidationError("taps must be non-empty")
     n = x.size
     if mode == "direct":
         y = np.convolve(x, taps)[:n]
@@ -399,21 +392,17 @@ class ScanCarry:
         self.closed = False  # a block ended inside a chunk
 
 
-def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray, history=None) -> np.ndarray:
+@checked
+def depthwise_causal_conv(
+    x: Array[float, "N", "E"], kernel: Array[float, "E", "S"],
+    history: Array[float, "H", "E"] | None = None,
+) -> np.ndarray:
     """Per-channel causal convolution with left zero padding.
 
     y[k, e] = sum_i kernel[e, i] * x[k - i, e], taking x[<0] from the end of
     ``history`` (the rows before x, oldest first) and 0 before those.
     """
-    x = np.asarray(x)
-    kernel = np.asarray(kernel)
-    if x.ndim != 2:
-        raise ValidationError("x must be an (N, E) array")
-    if kernel.ndim != 2 or kernel.shape[0] != x.shape[1]:
-        raise ValidationError("kernel must have shape (E, ksize)")
-    past = x[:0] if history is None else np.asarray(history)
-    if past.ndim != 2 or past.shape[1] != x.shape[1]:
-        raise ValidationError("history must be an (H, E) array")
+    past = x[:0] if history is None else history
     n, h = x.shape[0], past.shape[0]
     out = kernel[:, 0] * x
     for i in range(1, kernel.shape[1]):
@@ -425,7 +414,10 @@ def depthwise_causal_conv(x: np.ndarray, kernel: np.ndarray, history=None) -> np
     return out
 
 
-def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = None) -> np.ndarray:
+@checked
+def scan_bank(
+    bank: DiscreteSsmBank, x: Array[float, "N", "E"], carry: ScanCarry | None = None
+) -> np.ndarray:
     """Channel-parallel scan: column e of ``x`` runs through channel e.
 
     Computes h[k] = a_bar * h[k-1] + b_bar * x[k], y[k] = c_bar . h[k] +
@@ -453,17 +445,17 @@ def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = No
     block.  The carry's docstring says which splits reproduce a single call
     bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValidationError("x must be a non-empty (N, E) array")
     n, e = x.shape
+    if n == 0:
+        raise ValidationError("x must be non-empty")
     if e != bank.n_channels:
         raise ValidationError(
             f"x has {e} columns but the bank has {bank.n_channels} channels"
         )
     if carry is None:
         if n <= _CHUNK:
-            return depthwise_causal_conv(np.ascontiguousarray(x), bank.taps[:, :n])
+            # x is checked already, so the conv's own check is skipped
+            return depthwise_causal_conv.__wrapped__(np.ascontiguousarray(x), bank.taps[:, :n])
         return _scan_chunks(x, *bank._carry_constants, state=None, carry_out=False)[0]
     if carry.bank is not bank:
         raise ValidationError("the carry belongs to another bank")

@@ -115,6 +115,26 @@ def test_run_bench_interleaves_grid_points(monkeypatch):
     assert calls == grid * (2 + 4)
 
 
+def test_a_mechanism_times_the_same_inputs_alone_as_with_both(monkeypatch):
+    """A point's inputs are seeded by its mechanism, not by its position in
+    the configured mechanisms."""
+    calls = []
+    cross = bench.cross_attention
+
+    def recording(queries, context, *weights):
+        calls.append((queries, *weights))
+        return cross(queries, context, *weights)
+
+    monkeypatch.setattr(bench, "cross_attention", recording)
+    grid = dict(n_list=(8, 16), repetitions=3, warmup=0)
+    run_bench(BenchConfig(**grid))
+    both, calls[:] = list(calls), []
+    run_bench(BenchConfig(**grid, mechanism="cross_attention"))
+    assert len(calls) == len(both) == 6
+    for alone, with_both in zip(calls, both):
+        assert all(np.array_equal(a, b) for a, b in zip(alone, with_both))
+
+
 def test_ssm_rows_time_the_library_scan(monkeypatch):
     """The ssm rows call scan_bank on a float64 bank built from the bench inputs."""
     seen = []

@@ -1,8 +1,10 @@
 """The one field rule of the config types (SceneConfig, PipelineDims,
-BenchConfig and MotionElimConfig) and of the record and result types."""
+BenchConfig and MotionElimConfig), of the record and result types, and of
+the array arguments of the public functions."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -32,7 +34,21 @@ from statefuse import (
     query_mamba_stack,
     run_pipeline_detailed,
 )
-from statefuse.errors import Record
+from statefuse import (
+    camera_ring,
+    depthwise_causal_conv,
+    discretize_zoh,
+    expected_depth,
+    fit_loglog_slope,
+    layer_norm,
+    lift_center,
+    motion_cost,
+    motion_mask,
+    pad_frames,
+    scan_bank,
+    seeded_bank,
+)
+from statefuse.errors import Array, Record, checked
 from statefuse.numerics import frozen
 from statefuse.pipeline import _weight_arrays, weights_from_bytes, weights_to_bytes
 from statefuse.queries import FeatureMap
@@ -54,8 +70,6 @@ CONFIGS = [SceneConfig(), PipelineDims(k_queries=3), BenchConfig(), MotionElimCo
         (PipelineDims, {"k_queries": 2, "epsilon": math.inf}, r"^epsilon: expected"),
         (MotionElimConfig, {"alpha": "0.5"}, r"^alpha: expected a value like 0.5, got '0.5'$"),
         (MotionElimConfig, {"alpha": True}, r"^alpha: expected a value like 0.5, got True$"),
-        (MotionElimConfig, {"require_same_category": "no"}, r"^require_same_category: expected"),
-        (MotionElimConfig, {"require_same_category": 0}, r"^require_same_category: expected"),
         (BenchConfig, {"mechanism": 1}, r"^mechanism: expected a value like 'both', got 1$"),
         (BenchConfig, {"k": 2.7}, r"^k: expected a value like 4, got 2.7$"),
         (BenchConfig, {"n_list": "64"}, r"^n_list: expected a value like \(64, 128,"),
@@ -348,3 +362,74 @@ def test_record_arrays_are_kept_without_a_copy_when_their_memory_cannot_change()
     out = query_mamba_stack(x, TINY_LINEAR.stack)
     assert out.with_data(out.data).data is out.data
     assert x.with_data(x.data).data is x.data
+
+
+# --- the rule on function arguments ---
+
+CFG = MotionElimConfig()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [0.9], [1.9]), "cats"),
+        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [True], [1]), "cats"),
+        (lambda: motion_mask(np.zeros((1, 1, 1)), [0.7], [[0]], [[True]], CFG), "cats_current"),
+        (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[2.5]], CFG), "past_valid"),
+        (lambda: motion_cost([[0, 0, 0.0]], [[[0, 0, 0.0]]], ["no"], [[True]]), "current_valid"),
+        (lambda: layer_norm([["1", "2"]], [1, 1], [0, 0], 1e-6), "x"),
+        (lambda: depthwise_causal_conv(np.array([[True, False]]), np.ones((2, 3))), "x"),
+        (lambda: scan_bank(seeded_bank(1, 2, 0), [["0.5"]]), "x"),
+        (lambda: discretize_zoh([False], [True], 0.1), "a"),
+        (lambda: fit_loglog_slope(["1", "2", "3"], ["1", "2", "4"]), "xs"),
+        (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[0.9]),
+         "cam_index"),
+        (lambda: expected_depth(["0.5", "0.5"], [True, "3"]), "dist"),
+    ],
+)
+def test_an_array_argument_refuses_a_value_of_another_kind(call, name):
+    """Strings, bools and 0.7 are not read as ints, floats or flags: one line
+    naming the argument."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name}: ") and "\n" not in message, message
+
+
+def test_an_array_argument_is_neither_copied_nor_write_protected():
+    seen = []
+
+    @checked
+    def probe(x: Array[float, "N"]):
+        seen.append(x)
+
+    x = np.ones(3)
+    probe(x)
+    assert seen[0] is x and x.flags.writeable
+    layer_norm(x, np.ones(3), np.zeros(3), 1e-6)
+    assert x.flags.writeable
+
+
+def test_every_function_with_an_array_parameter_checks_it():
+    """An ``Array[...]`` annotation checks nothing unless the function is
+    decorated with ``checked``; a record's fields answer to the record rule."""
+    wrapper = checked(lambda: None).__code__
+    annotated = []
+    for info in pkgutil.iter_modules(statefuse.__path__):
+        module = importlib.import_module(f"statefuse.{info.name}")
+        members = [
+            m for m in vars(module).values()
+            if getattr(m, "__module__", None) == module.__name__
+        ]
+        members += [
+            m for cls in members if inspect.isclass(cls) and not issubclass(cls, Record)
+            for m in vars(cls).values()
+        ]
+        for fn in members:
+            fn = getattr(fn, "__func__", fn)  # a classmethod or staticmethod
+            if inspect.isfunction(fn) and any(
+                "Array[" in str(a) for a in inspect.get_annotations(fn).values()
+            ):
+                annotated.append(fn.__name__)
+                assert fn.__code__ is wrapper, f"{module.__name__}.{fn.__name__}"
+    assert {"scan_bank", "motion_mask", "layer_norm", "lift_center"} <= set(annotated)

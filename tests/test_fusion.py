@@ -263,9 +263,9 @@ def history_seq(n, k=4, d=24, seed=0):
     return FusedQuerySequence(rng.standard_normal((n, k * d)), tuple(range(n)), k, d)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 255, 256, 1031])
+@pytest.mark.parametrize("n", [1, 7, 8, 159, 160, 161, 319, 320, 1031])
 def test_tiled_stack_equals_whole_sequence_layers(n):
-    assert _TILE_ROWS == 128
+    assert _TILE_ROWS == 160
     x = history_seq(n)
     stack = seeded_stack(96, seed=11)
     out = query_mamba_stack(x, stack)

@@ -161,10 +161,6 @@ def test_mask_category_veto():
     cost = cost_one(cur, past, np.ones((1, 2), dtype=bool))
     vetoed = mask_one(cost, [0], [1], [True], MotionElimConfig(alpha=0.5))
     assert np.array_equal(vetoed, [1])
-    ignored = mask_one(
-        cost, [0], [1], [True], MotionElimConfig(alpha=0.5, require_same_category=False)
-    )
-    assert np.array_equal(ignored, [0])
 
 
 def test_mask_invalid_past_slot_always_zero():
@@ -186,8 +182,7 @@ def test_mask_matches_brute_force():
         cats_cur = rng.integers(0, 3, size=k)
         cats_past = rng.integers(0, 3, size=k)
         alpha = float(rng.uniform(0.0, 8.0))
-        same_cat = bool(rng.integers(0, 2))
-        cfg = MotionElimConfig(alpha=alpha, require_same_category=same_cat)
+        cfg = MotionElimConfig(alpha=alpha)
         cost = cost_one(cur, past, validity)
         got = mask_one(cost, cats_cur, cats_past, validity[:, 1], cfg)
         want = np.ones(k, dtype=np.int8)
@@ -200,7 +195,7 @@ def test_mask_matches_brute_force():
                     continue
                 if np.linalg.norm(cur[m] - past[n]) > alpha:
                     continue
-                if same_cat and cats_cur[m] != cats_past[n]:
+                if cats_cur[m] != cats_past[n]:
                     continue
                 want[n] = 0
         assert np.array_equal(got, want)
@@ -238,14 +233,13 @@ def random_window(rng, p, k):
     )
 
 
-@pytest.mark.parametrize("same_cat", [True, False])
-def test_batch_equals_one_frame_at_a_time(same_cat):
+def test_batch_equals_one_frame_at_a_time():
     """The batched cost and mask equal a per-frame computation bit for bit."""
     rng = np.random.default_rng(157)
     for _ in range(40):
         p, k = int(rng.integers(1, 16)), int(rng.integers(1, 12))
         cur, past, cur_valid, past_valid, cats_cur, cats_past = random_window(rng, p, k)
-        cfg = MotionElimConfig(alpha=float(rng.uniform(0.5, 4.0)), require_same_category=same_cat)
+        cfg = MotionElimConfig(alpha=float(rng.uniform(0.5, 4.0)))
         cost = motion_cost(cur, past, cur_valid, past_valid)
         mask = motion_mask(cost, cats_cur, cats_past, past_valid, cfg)
         assert cost.shape == (p, k, k) and mask.shape == (p + 1, k)
@@ -255,8 +249,7 @@ def test_batch_equals_one_frame_at_a_time(same_cat):
             want[:, ~past_valid[i]] = INVALID_COST
             assert np.array_equal(cost[i], want)
             close = want <= cfg.alpha
-            if same_cat:
-                close &= cats_cur[:, None] == cats_past[i][None, :]
+            close &= cats_cur[:, None] == cats_past[i][None, :]
             assert np.array_equal(mask[i], ~close.any(axis=0) & past_valid[i])
 
 

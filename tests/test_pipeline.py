@@ -26,6 +26,7 @@ from statefuse import (
     run_report_csv,
     save_weights,
     slot_count,
+    zero_stack,
 )
 from statefuse.numerics import frozen, readonly, softmax
 from statefuse.pipeline import (
@@ -40,11 +41,10 @@ SCENE = SceneConfig(
 )
 
 
-def scene_and_weights(cfg=SCENE, seed=5, box_mode="bypass", zero_fusion=False):
+def scene_and_weights(cfg=SCENE, seed=5, box_mode="bypass"):
     scene = build_scene(cfg)
     dims = PipelineDims(k_queries=slot_count(scene.frames), feature_channels=cfg.feature_channels)
-    w = PipelineWeights.from_seed(seed, dims, box_mode, zero_fusion=zero_fusion)
-    return scene, w
+    return scene, PipelineWeights.from_seed(seed, dims, box_mode)
 
 
 # --- op count formulas ---
@@ -128,7 +128,15 @@ def test_pipeline_all_static_scene_blanks_past():
     scene = build_scene(cfg)
     k = slot_count(scene.frames)
     dims = PipelineDims(k_queries=k, feature_channels=cfg.feature_channels)
-    w = PipelineWeights.from_seed(3, dims, zero_fusion=True)
+    stack = zero_stack(
+        dims.n_channels,
+        n_layers=dims.n_layers,
+        state_dim=dims.state_dim,
+        ksize=dims.dw_ksize,
+        delta=dims.delta,
+        epsilon=dims.epsilon,
+    )
+    w = dataclasses.replace(PipelineWeights.from_seed(3, dims), stack=stack)
     result = run_pipeline_detailed(
         scene.frames, scene.cameras, w, MotionElimConfig(alpha=1.0)
     )

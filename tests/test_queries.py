@@ -77,7 +77,7 @@ def test_deform_single_sample_collapse():
         weights=np.ones((1, 1)),
     )
     c2d = np.array([0.4, 0.7])
-    out = deformable_attention(c2d, f, params)
+    out = deformable_attention(c2d[None], [f], [1], params)[0]
     want = bilinear_sample(f, [c2d[0] * 3.0, c2d[1] * 3.0])
     assert np.array_equal(out, want)
 
@@ -86,7 +86,7 @@ def test_deform_constant_field():
     data = np.full((5, 6, 3), 2.0)
     f = FeatureMap(data)
     params = DeformAttnParams.seeded(3, seed=2, n_heads=2, n_keys=4)
-    out = deformable_attention([0.5, 0.5], f, params)
+    out = deformable_attention([[0.5, 0.5]], [f], [1], params)[0]
     # every sample is the same vector, so the weights collapse to 1
     want = np.zeros(3)
     for m in range(2):
@@ -107,7 +107,7 @@ def test_deform_matches_naive_loops():
             sample = bilinear_sample(f, base + params.offsets[m, n])
             head += params.weights[m, n] * (sample @ params.value_proj[m])
         want += head @ params.out_proj[m]
-    got = deformable_attention(c2d, f, params)
+    got = deformable_attention(c2d[None], [f], [1], params)[0]
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -115,7 +115,7 @@ def test_deform_channel_mismatch():
     f = grid_map(4, 4, 2)
     params = DeformAttnParams.seeded(3, seed=0)
     with pytest.raises(ValidationError):
-        deformable_attention([0.5, 0.5], f, params)
+        deformable_attention([[0.5, 0.5]], [f], [1], params)
 
 
 def test_deform_params_validate_weights():
@@ -215,7 +215,7 @@ def test_build_query_deterministic():
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     q_pos = pos_embed(a[1], pe)
-    q_sem = deformable_attention(prop.center[0], f, attn) @ sem
+    q_sem = deformable_attention(prop.center, [f], [1], attn) @ sem
     assert np.max(np.abs(a[0] - (q_pos + q_sem))) <= 1e-12
 
 
@@ -380,8 +380,10 @@ def test_build_query_matches_per_proposal_reference():
 def test_deform_window_matches_per_map_calls():
     proposals, maps, _, attn, _, _ = window_fixture([(2, 3, 1)])
     points = [table.center for table in proposals[0]]
-    got = deformable_attention(points, maps[0], attn)
-    want = np.concatenate([deformable_attention(p, f, attn) for p, f in zip(points, maps[0])])
+    got = deformable_attention(np.concatenate(points), maps[0], [len(p) for p in points], attn)
+    want = np.concatenate(
+        [deformable_attention(p, [f], [len(p)], attn) for p, f in zip(points, maps[0])]
+    )
     assert got.shape == (6, 4)
     assert rel_err(got, want) <= 1e-14
 
