@@ -102,6 +102,7 @@ class BenchRow(Record):
             raise ValidationError("peak_bytes and op_count must be non-negative")
 
 
+@checked
 def ssm_peak_bytes(n: int, e: int, m: int) -> int:
     """Affine-in-N model of the chunked scan's peak allocation, in bytes.
 
@@ -120,6 +121,7 @@ def ssm_peak_bytes(n: int, e: int, m: int) -> int:
     return 8 * (2 * n * e + e * m) + 8 * n * e * m // _CHUNK + 4 * np.getbufsize()
 
 
+@checked
 def cross_peak_bytes(n: int, e: int) -> int:
     """Allocation model of the attention pass; the N x N scores dominate."""
     return 8 * (5 * n * e + 2 * n * n)

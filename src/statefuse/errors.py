@@ -274,17 +274,11 @@ def checked(fn):
     when it holds the kept dtype, else a new array.  Any other value raises
     ``ValidationError`` naming the parameter.
     """
-    hints = typing.get_type_hints(fn, include_extras=True)
-    specs = []  # (position, name, kind, optional) of each parameter checked
-    for position, name in enumerate(inspect.signature(fn).parameters):
-        spec, optional = _kind(hints.get(name))
-        if isinstance(spec, Array) or spec in (int, float, bool):
-            specs.append((position, name, spec, optional))
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
         args, sizes = list(args), {}
-        for position, name, spec, optional in specs:
+        for position, name, spec, optional in _parameters(fn):
             if position < len(args):
                 given, key = args, position
             elif name in kwargs:
@@ -296,6 +290,20 @@ def checked(fn):
         return fn(*args, **kwargs)
 
     return call
+
+
+@cache
+def _parameters(fn) -> tuple:
+    """(position, name, kind, optional) of each parameter of ``fn`` that
+    :func:`checked` checks, read at the first call, so that the annotations
+    of a method may name its own class."""
+    hints = typing.get_type_hints(fn, include_extras=True)
+    specs = []
+    for position, name in enumerate(inspect.signature(fn).parameters):
+        spec, optional = _kind(hints.get(name))
+        if isinstance(spec, Array) or spec in (int, float, bool):
+            specs.append((position, name, spec, optional))
+    return tuple(specs)
 
 
 # Last, so that numerics finds the errors above whichever module loads first.

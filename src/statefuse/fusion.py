@@ -117,10 +117,6 @@ class QueryMambaStack(Record):
             raise ValidationError("all stack layers must share one channel count")
 
     @property
-    def n_channels(self) -> int:
-        return self.layers[0].n_channels
-
-    @property
     def n_layers(self) -> int:
         return len(self.layers)
 
@@ -313,6 +309,7 @@ def query_mamba_stack(x: FusedQuerySequence, stack: QueryMambaStack) -> FusedQue
 _WEIGHT_SCALE = 0.1
 
 
+@checked
 def seeded_layer_params(
     n_channels: int,
     seed,
@@ -323,7 +320,7 @@ def seeded_layer_params(
     epsilon: float = 1e-6,
 ) -> QueryMambaLayerParams:
     """Deterministic layer init: weights uniform in [-0.1, 0.1] from the seed."""
-    e = int(n_channels)
+    e = n_channels
     if e < 1:
         raise ValidationError("n_channels must be >= 1")
     rng = np.random.default_rng(seed)
@@ -348,6 +345,7 @@ def seeded_layer_params(
     )
 
 
+@checked
 def seeded_stack(
     n_channels: int,
     seed: int,
@@ -358,22 +356,23 @@ def seeded_stack(
     delta: float = 0.1,
     epsilon: float = 1e-6,
 ) -> QueryMambaStack:
-    if int(n_layers) < 1:
+    if n_layers < 1:
         raise ValidationError("n_layers must be >= 1")
     layers = tuple(
         seeded_layer_params(
             n_channels,
-            [int(seed), 0xF0, i],
+            [seed, 0xF0, i],
             state_dim=state_dim,
             ksize=ksize,
             delta=delta,
             epsilon=epsilon,
         )
-        for i in range(int(n_layers))
+        for i in range(n_layers)
     )
     return QueryMambaStack(layers)
 
 
+@checked
 def zero_layer_params(
     n_channels: int,
     *,
@@ -383,7 +382,7 @@ def zero_layer_params(
     epsilon: float = 1e-6,
 ) -> QueryMambaLayerParams:
     """All learnable weights zero (scales one, shifts zero): an exact identity."""
-    e = int(n_channels)
+    e = n_channels
     ones, zeros = np.ones(e), np.zeros(e)
     return QueryMambaLayerParams(
         ln1=LayerNormParams(ones, zeros, epsilon),
@@ -400,6 +399,7 @@ def zero_layer_params(
     )
 
 
+@checked
 def zero_stack(
     n_channels: int,
     *,
@@ -412,4 +412,4 @@ def zero_stack(
     layer = zero_layer_params(
         n_channels, state_dim=state_dim, ksize=ksize, delta=delta, epsilon=epsilon
     )
-    return QueryMambaStack(tuple(layer for _ in range(int(n_layers))))
+    return QueryMambaStack((layer,) * n_layers)

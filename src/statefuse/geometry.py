@@ -78,9 +78,10 @@ class PosEmbedParams(Record):
             raise ValidationError(f"b1: width {self.b1.size} does not match embed_dim {d}")
 
     @classmethod
+    @checked
     def seeded(cls, embed_dim: int, seed, temperature: float = 10000.0) -> "PosEmbedParams":
         rng = np.random.default_rng(seed)
-        d = int(embed_dim)
+        d = embed_dim
         return cls(  # fresh draws are write-protected, so they are kept uncopied
             embed_dim=d,
             temperature=temperature,
@@ -126,11 +127,13 @@ def lift_center(
     mapped through the intrinsic and extrinsic inverses.  ``c2d`` is one
     (2,) point or an (..., 2) batch, with one depth per point.  ``cam`` is
     one camera; with ``cam_index`` it is a sequence of cameras, and point j
-    is lifted through ``cam[cam_index[j]]``.
+    is lifted through ``cam[cam_index[j]]``, each index in [0, len(cam)).
     """
     if np.any(depth <= 0.0):
         raise ValidationError("depth must be positive")
     cams, idx = ((cam,), 0) if cam_index is None else (cam, cam_index)
+    if np.any(idx < 0) or np.any(idx >= len(cams)):
+        raise ValidationError(f"cam_index: entries must lie in [0, {len(cams)})")
     k22 = np.array([m.intrinsic[2, 2] for m in cams])[idx]
     k_inv = np.stack([m._intrinsic_inv for m in cams])[idx]
     e_inv = np.stack([m._extrinsic_inv for m in cams])[idx]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .errors import ValidationError
+from .errors import ValidationError, checked
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -61,6 +61,7 @@ def gelu(x):
     return out
 
 
+@checked
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-stabilized softmax of a float array along ``axis``."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -68,6 +69,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return num / np.sum(num, axis=axis, keepdims=True)
 
 
+@checked
 def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> None:
     """Check that a finite float (4, 4) array is a rigid transform: a
     rotation (orthonormal with determinant +1 within ``tol``) and a

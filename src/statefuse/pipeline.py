@@ -24,21 +24,22 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import Array, Config, NumericOverflowError, Record, ValidationError, field_value
-from .fusion import (
-    FusedQuerySequence,
-    Gs4Params,
-    LayerNormParams,
-    QueryMambaLayerParams,
-    QueryMambaStack,
-    query_mamba_stack,
-    seeded_stack,
+from .errors import (
+    Array,
+    Config,
+    NumericOverflowError,
+    Record,
+    ValidationError,
+    _schema,
+    checked,
 )
+from .fusion import FusedQuerySequence, QueryMambaStack, query_mamba_stack, seeded_stack
 from .geometry import PosEmbedParams, align_centers
 from .motion import (
     MotionElimConfig,
@@ -50,7 +51,6 @@ from .motion import (
 )
 from .numerics import frozen, softmax
 from .queries import DeformAttnParams, build_query
-from .ssm import DiscreteSsmBank
 
 WEIGHTS_FORMAT = "statefuse-weights/1"
 BOX_MODES = ("bypass", "linear")
@@ -64,17 +64,11 @@ REPORT_HEADER = "frame,object_slot,retained,center_x,center_y,center_z,category,
 _REPORT_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%d,%.17g\n"
 
 
-def _positive_ints(**values) -> tuple:
-    """The values, each an int under the field rule and all >= 1."""
-    out = tuple(field_value(name, value, int) for name, value in values.items())
-    if min(out) < 1:
-        raise ValidationError(f"{', '.join(values)} must all be >= 1")
-    return out
-
-
+@checked
 def op_count_cross_attention(n: int, k: int, d: int) -> int:
     """Multiply-accumulates of cross-attention temporal fusion (exact integer)."""
-    n, k, d = _positive_ints(n=n, k=k, d=d)
+    if min(n, k, d) < 1:
+        raise ValidationError("n, k, d must all be >= 1")
     return 4 * n * (k * d) ** 2 + 2 * n * n * k * d
 
 
@@ -92,9 +86,11 @@ def cross_attention(queries, context, wq, wk, wv, wo) -> np.ndarray:
     return (attn @ v) @ wo
 
 
+@checked
 def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
     """Multiply-accumulates of state-space temporal fusion (exact integer)."""
-    n, k, d, m = _positive_ints(n=n, k=k, d=d, m=m)
+    if min(n, k, d, m) < 1:
+        raise ValidationError("n, k, d, m must all be >= 1")
     return 3 * n * (2 * d) * m + n * (2 * k * d) * m
 
 
@@ -137,36 +133,36 @@ def _weights_seed(seed, name: str) -> int:
 
 @dataclass(frozen=True)
 class PipelineWeights(Record):
-    """Every learned parameter of the pipeline, fixed by seed + dims."""
+    """Every learned parameter of the pipeline, fixed by seed + dims.
+
+    The fields after the header (seed, dims, box_mode) are declared in blob
+    order, and each must agree with ``dims`` (see :func:`_blob_arrays`).
+    """
 
     seed: int
     dims: PipelineDims
     box_mode: str
-    stack: QueryMambaStack
     attn: DeformAttnParams
     pos: PosEmbedParams
     sem_proj: Array[float, "C", "D"]
+    stack: QueryMambaStack
     dec_q: Array[float, "D", "D"]
     dec_k: Array[float, "C", "D"]
     dec_v: Array[float, "C", "D"]
     dec_out: Array[float, "D", "D"]
-    box_w: Array[float, "D", _BOX_FIELDS] | None
-    box_b: Array[float, _BOX_FIELDS] | None
+    box_w: Array[float, "D", _BOX_FIELDS] | None = None
+    box_b: Array[float, _BOX_FIELDS] | None = None
 
     def __post_init__(self):
         super().__post_init__()
         _weights_seed(self.seed, "weights seed")
         if self.box_mode not in BOX_MODES:
             raise ValidationError(f"box_mode must be one of {BOX_MODES}")
-        dims = self.dims
-        c, d = dims.feature_channels, dims.embed_dim
-        if self.stack.n_channels != dims.n_channels:
-            raise ValidationError("stack width must equal k_queries * embed_dim")
-        if self.attn.channels != c or self.pos.embed_dim != d or self.sem_proj.shape != (c, d):
-            raise ValidationError("attention / embedding widths must match dims")
         linear = self.box_mode == "linear"
         if (self.box_w is not None, self.box_b is not None) != (linear, linear):
             raise ValidationError("box_w and box_b: given in linear box mode, and only there")
+        for _ in _blob_arrays(self, self.dims, self.box_mode):  # the walk checks each field
+            pass
 
     @classmethod
     def from_seed(cls, seed: int, dims: PipelineDims, box_mode: str = "bypass") -> PipelineWeights:
@@ -176,8 +172,6 @@ class PipelineWeights(Record):
         weights built for different slot counts with the same seed.
         """
         seed = _weights_seed(seed, "weights seed")
-        if box_mode not in BOX_MODES:
-            raise ValidationError(f"box_mode must be one of {BOX_MODES}")
         c, d = dims.feature_channels, dims.embed_dim
         attn = DeformAttnParams.seeded(
             c, [seed, 1], n_heads=dims.n_heads, n_keys=dims.n_keys
@@ -405,101 +399,101 @@ def run_report_csv(result: PipelineResult) -> str:
 
 
 # === weights serialization ===
+#
+# The blob holds the arrays of the weight records in their declared field
+# order, depth first.  One walk over those fields, _blob_fields, gives the
+# save order and the construction check (_blob_arrays), the header's size
+# check (_n_values) and the rebuild on load (_rebuild).
 
-def _weight_arrays(w: PipelineWeights):
-    """Canonical parameter walk used by the save / load blob layout."""
-    yield w.attn.value_proj
-    yield w.attn.out_proj
-    yield w.attn.offsets
-    yield w.attn.weights
-    yield w.pos.w1
-    yield w.pos.b1
-    yield w.pos.w2
-    yield w.pos.b2
-    yield w.sem_proj
-    for layer in w.stack.layers:
-        yield layer.ln1.scale
-        yield layer.ln1.shift
-        yield layer.ln2.scale
-        yield layer.ln2.shift
-        yield layer.dw_kernel
-        yield layer.gs4.bank.a_bar
-        yield layer.gs4.bank.b_bar
-        yield layer.gs4.bank.c_bar
-        yield layer.gs4.bank.d_bar
-        yield layer.gs4.w_u
-        yield layer.gs4.w_v
-        yield layer.gs4.w_o
-        yield layer.out_weight
-        yield layer.out_bias
-    yield w.dec_q
-    yield w.dec_k
-    yield w.dec_v
-    yield w.dec_out
-    if w.box_mode == "linear":
-        yield w.box_w
-        yield w.box_b
+_HEADER_FIELDS = ("seed", "dims", "box_mode")
 
 
-def _weight_shapes(dims: PipelineDims, box_mode: str) -> tuple:
-    """Blob layout of :func:`_weight_arrays`, derived from dims alone.
-
-    Returns (shapes before the layers, shapes of one layer, shapes after);
-    the layer part repeats ``dims.n_layers`` times.
-    """
-    c, d, e, m = dims.feature_channels, dims.embed_dim, dims.n_channels, dims.state_dim
-    heads, keys = dims.n_heads, dims.n_keys
-    c_h = DeformAttnParams.head_width(c, heads)
-    head = [(heads, c, c_h), (heads, c_h, c), (heads, keys, 2), (heads, keys)]
-    head += [(d, d), (d,), (d, d), (d,), (c, d)]
-    layer = [(e,)] * 4 + [(e, dims.dw_ksize)] + [(e, m)] * 3 + [(e,)]
-    layer += [(e, e)] * 4 + [(e,)]
-    tail = [(d, d), (c, d), (c, d), (d, d)]
-    if box_mode == "linear":
-        tail += [(d, _BOX_FIELDS), (_BOX_FIELDS,)]
-    return head, layer, tail
+def _axis_sizes(dims: PipelineDims) -> dict:
+    """The size that ``dims`` gives each axis symbol of the weight records."""
+    c, h = dims.feature_channels, dims.n_heads
+    return {
+        "E": dims.n_channels,
+        "M": dims.state_dim,
+        "S": dims.dw_ksize,
+        "H": h,
+        "C": c,
+        "Ch": DeformAttnParams.head_width(c, h),
+        "K": dims.n_keys,
+        "D": dims.embed_dim,
+    }
 
 
-def _assemble_weights(seed: int, dims: PipelineDims, box_mode: str, arrays) -> PipelineWeights:
-    it = iter(arrays)
+def _blob_fields(cls, dims: PipelineDims, box_mode: str):
+    """(name, kind, want) of each blob field of the weight record class
+    ``cls``, in declared order: ``want`` is an array's shape, a scalar's
+    value (the dims field of its name), None for a nested record, and
+    ``dims.n_layers`` for a ``tuple[R, ...]``, whose ``kind`` is then R.
+    The header is left out, and the box head (the optional fields) in
+    bypass mode."""
+    sizes = _axis_sizes(dims)
+    for name, kind, _, _, optional in _schema(cls):
+        if name in _HEADER_FIELDS or optional and box_mode != "linear":
+            continue
+        if isinstance(kind, Array):
+            yield name, kind, tuple(sizes[a] if isinstance(a, str) else a for a in kind.shape)
+        elif kind in (int, float):
+            yield name, kind, getattr(dims, name)
+        elif typing.get_args(kind):  # tuple[R, ...]: one R per layer
+            yield name, typing.get_args(kind)[0], dims.n_layers
+        else:
+            yield name, kind, None
 
-    def take():
-        return next(it)
 
-    attn = DeformAttnParams(take(), take(), take(), take())
-    pos = PosEmbedParams(dims.embed_dim, dims.temperature, take(), take(), take(), take())
-    sem_proj = take()
-    layers = []
-    for _ in range(dims.n_layers):
-        ln1 = LayerNormParams(take(), take(), dims.epsilon)
-        ln2 = LayerNormParams(take(), take(), dims.epsilon)
-        dw = take()
-        bank = DiscreteSsmBank(take(), take(), take(), take())
-        gs4 = Gs4Params(bank, take(), take(), take())
-        out_w = take()
-        out_b = take()
-        layers.append(QueryMambaLayerParams(ln1, ln2, dw, gs4, out_w, out_b))
-    stack = QueryMambaStack(tuple(layers))
-    dec_q, dec_k, dec_v, dec_out = take(), take(), take(), take()
-    box_w = box_b = None
-    if box_mode == "linear":
-        box_w = take()
-        box_b = take()
-    return PipelineWeights(
-        seed=seed,
-        dims=dims,
-        box_mode=box_mode,
-        stack=stack,
-        attn=attn,
-        pos=pos,
-        sem_proj=sem_proj,
-        dec_q=dec_q,
-        dec_k=dec_k,
-        dec_v=dec_v,
-        dec_out=dec_out,
-        box_w=box_w,
-        box_b=box_b,
-    )
+def _blob_arrays(record, dims: PipelineDims, box_mode: str, path: str = ""):
+    """The arrays of a weight record in blob order, each field checked on
+    the way: an array must have the shape ``dims`` gives it, a scalar the
+    value, and a tuple of layers ``dims.n_layers`` records, counted before
+    any is walked.  A mismatch raises ValidationError naming its path."""
+    for name, kind, want in _blob_fields(type(record), dims, box_mode):
+        at, value = path + name, getattr(record, name)
+        if isinstance(kind, Array):
+            if value.shape != want:
+                shape = kind.describe(_axis_sizes(dims))
+                raise ValidationError(f"{at}: expected shape {shape}, got {value.shape}")
+            yield value
+        elif kind in (int, float):
+            if value != want:
+                raise ValidationError(f"{at}: expected {want!r} as dims {name}, got {value!r}")
+        elif want is None:
+            yield from _blob_arrays(value, dims, box_mode, at + ".")
+        elif len(value) != want:
+            raise ValidationError(f"{at}: expected n_layers={want} layers, got {len(value)}")
+        else:
+            for index, item in enumerate(value):
+                yield from _blob_arrays(item, dims, box_mode, f"{at}[{index}].")
+
+
+def _n_values(cls, dims: PipelineDims, box_mode: str) -> int:
+    """How many values the blob arrays of record class ``cls`` hold; a tuple
+    of layers counts one layer, so no header makes this enumerate them."""
+    total = 0
+    for _, kind, want in _blob_fields(cls, dims, box_mode):
+        if isinstance(kind, Array):
+            total += math.prod(want)
+        elif kind not in (int, float):
+            total += (1 if want is None else want) * _n_values(kind, dims, box_mode)
+    return total
+
+
+def _rebuild(cls, dims: PipelineDims, box_mode: str, take) -> dict:
+    """The blob fields of a record of class ``cls``: its arrays are
+    ``take(shape)`` in blob order, its scalars their dims values."""
+    values = {}
+    for name, kind, want in _blob_fields(cls, dims, box_mode):
+        if isinstance(kind, Array):
+            values[name] = take(want)
+        elif kind in (int, float):
+            values[name] = want
+        elif want is None:
+            values[name] = kind(**_rebuild(kind, dims, box_mode, take))
+        else:
+            values[name] = tuple(kind(**_rebuild(kind, dims, box_mode, take)) for _ in range(want))
+    return values
 
 
 def weights_to_bytes(w: PipelineWeights) -> bytes:
@@ -511,19 +505,19 @@ def weights_to_bytes(w: PipelineWeights) -> bytes:
         "dims": w.dims.to_dict(),
     }
     blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in _weight_arrays(w)
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for a in _blob_arrays(w, w.dims, w.box_mode)
     )
     return json.dumps(header).encode("utf-8") + b"\n" + blob
 
 
-def _n_values(shapes) -> int:
-    return sum(math.prod(shape) for shape in shapes)
-
-
-def _parse_header(line: bytes, blob_bytes: int) -> tuple:
-    """(seed, dims, box_mode, array shapes) of a weights header line.
+def _parse_weights(line: bytes, data: bytes, start: int) -> PipelineWeights:
+    """The weights of a header line and the blob at ``data[start:]``.
 
     The blob size is checked against the dims before any array is built.
+    The arrays view ``data`` when it is ``bytes`` and the blob starts on an
+    8-byte boundary (the field rule keeps such views); otherwise each one
+    is copied.
     """
     try:
         header = json.loads(line.decode("utf-8"))
@@ -531,7 +525,7 @@ def _parse_header(line: bytes, blob_bytes: int) -> tuple:
         raise ValidationError(f"weights header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != WEIGHTS_FORMAT:
         raise ValidationError(f"not a weights file (expected format {WEIGHTS_FORMAT!r})")
-    missing = [key for key in ("seed", "box_mode", "dims") if key not in header]
+    missing = [key for key in _HEADER_FIELDS if key not in header]
     if missing:
         raise ValidationError(f"weights header lacks {', '.join(missing)}")
     seed = _weights_seed(header["seed"], "weights header seed")
@@ -541,42 +535,30 @@ def _parse_header(line: bytes, blob_bytes: int) -> tuple:
             f"weights header box_mode must be one of {BOX_MODES}, got {box_mode!r}"
         )
     dims = PipelineDims.from_dict(header["dims"])
-    head, layer, tail = _weight_shapes(dims, box_mode)
-    total = _n_values(head) + dims.n_layers * _n_values(layer) + _n_values(tail)
-    if blob_bytes != 8 * total:
+    total = _n_values(PipelineWeights, dims, box_mode)
+    if len(data) - start != 8 * total:
         raise ValidationError(
-            f"weights blob holds {blob_bytes} bytes, dims require {8 * total}"
+            f"weights blob holds {len(data) - start} bytes, dims require {8 * total}"
         )
-    return seed, dims, box_mode, head + layer * dims.n_layers + tail
-
-
-def _weights_from_blob(header: tuple, flat: np.ndarray) -> PipelineWeights:
-    """Weights whose arrays are views of the flat ``<f8`` blob.
-
-    An aligned view of a ``bytes`` object is shared as it is
-    (the field rule keeps such views); any other blob is copied.
-    """
-    seed, dims, box_mode, shapes = header
-    arrays = []
+    flat = np.frombuffer(data, dtype="<f8", offset=start)
     offset = 0
-    for shape in shapes:
+
+    def take(shape):
+        nonlocal offset
         size = math.prod(shape)
-        arrays.append(flat[offset : offset + size].reshape(shape))
         offset += size
-    return _assemble_weights(seed, dims, box_mode, arrays)
+        return flat[offset - size : offset].reshape(shape)
+
+    blob_fields = _rebuild(PipelineWeights, dims, box_mode, take)
+    return PipelineWeights(seed=seed, dims=dims, box_mode=box_mode, **blob_fields)
 
 
 def weights_from_bytes(raw: bytes) -> PipelineWeights:
-    """Parse a weights file; the blob size is checked before any array is built.
-
-    The arrays view ``raw`` when it is ``bytes`` and the blob starts on an
-    8-byte boundary; otherwise each one is copied.
-    """
+    """Parse a weights file held in memory (see :func:`_parse_weights`)."""
     newline = raw.find(b"\n")
     if newline < 0:
         raise ValidationError("weights data has no header line")
-    header = _parse_header(raw[:newline], len(raw) - (newline + 1))
-    return _weights_from_blob(header, np.frombuffer(raw, dtype="<f8", offset=newline + 1))
+    return _parse_weights(raw[:newline], raw, newline + 1)
 
 
 def save_weights(w: PipelineWeights, path: str) -> None:
@@ -595,5 +577,4 @@ def load_weights(path: str) -> PipelineWeights:
         if not line.endswith(b"\n"):
             raise ValidationError("weights data has no header line")
         blob = fh.readall()
-    header = _parse_header(line[:-1], len(blob))
-    return _weights_from_blob(header, np.frombuffer(blob, dtype="<f8"))
+    return _parse_weights(line[:-1], blob, 0)

@@ -208,27 +208,26 @@ class DeformAttnParams(Record):
         return self.value_proj.shape[1]
 
     @staticmethod
+    @checked
     def head_width(channels: int, n_heads: int) -> int:
         """Per-head value width C_h of seeded params."""
-        return max(1, int(channels) // int(n_heads))
+        return max(1, channels // n_heads)
 
     @classmethod
+    @checked
     def seeded(
         cls, channels: int, seed, *, n_heads: int = 2, n_keys: int = 4
     ) -> "DeformAttnParams":
         """Deterministic params; raw weight logits pass through a softmax."""
-        c = int(channels)
-        heads = int(n_heads)
-        keys = int(n_keys)
-        if c < 1 or heads < 1 or keys < 1:
+        if channels < 1 or n_heads < 1 or n_keys < 1:
             raise ValidationError("channels, n_heads, n_keys must all be >= 1")
-        c_h = cls.head_width(c, heads)
+        c_h = cls.head_width(channels, n_heads)
         rng = np.random.default_rng(seed)
         return cls(  # fresh draws are write-protected, so they are kept uncopied
-            value_proj=frozen(rng.uniform(-0.1, 0.1, size=(heads, c, c_h))),
-            out_proj=frozen(rng.uniform(-0.1, 0.1, size=(heads, c_h, c))),
-            offsets=frozen(rng.uniform(-2.0, 2.0, size=(heads, keys, 2))),
-            weights=frozen(softmax(rng.uniform(-1.0, 1.0, size=(heads, keys)), axis=1)),
+            value_proj=frozen(rng.uniform(-0.1, 0.1, size=(n_heads, channels, c_h))),
+            out_proj=frozen(rng.uniform(-0.1, 0.1, size=(n_heads, c_h, channels))),
+            offsets=frozen(rng.uniform(-2.0, 2.0, size=(n_heads, n_keys, 2))),
+            weights=frozen(softmax(rng.uniform(-1.0, 1.0, size=(n_heads, n_keys)), axis=1)),
         )
 
 

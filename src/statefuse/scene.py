@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Config, Record, ValidationError
+from .errors import Array, BehindCameraError, Config, Record, ValidationError, checked
 from .geometry import CameraModel, EgoPose, project_point
 from .numerics import frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
@@ -102,8 +102,9 @@ class ObjectTrack(Record):
         if self.is_static != (not self.velocity.any()):
             raise ValidationError("is_static must match a zero velocity exactly")
 
+    @checked
     def position_at(self, t: float) -> np.ndarray:
-        return self.p0 + self.velocity * float(t)
+        return self.p0 + self.velocity * t
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,7 @@ def _yaw_rotation(yaw: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+@checked
 def camera_ring(
     n_cameras: int,
     focal: float = 0.8,
@@ -191,13 +193,13 @@ def camera_ring(
     Camera i yaws by i * 360 / n degrees from ego forward.  Intrinsics are
     in normalized image units: in-view points project into [0, 1] x [0, 1].
     """
-    if int(n_cameras) < 1:
+    if n_cameras < 1:
         raise ValidationError("n_cameras must be >= 1")
     cams = []
     intrinsic = np.array(
         [[focal, 0.0, principal[0]], [0.0, focal, principal[1]], [0.0, 0.0, 1.0]]
     )
-    for i in range(int(n_cameras)):
+    for i in range(n_cameras):
         theta = 2.0 * np.pi * i / n_cameras
         forward = np.array([np.cos(theta), np.sin(theta), 0.0])
         right = np.array([np.sin(theta), -np.cos(theta), 0.0])
@@ -205,7 +207,7 @@ def camera_ring(
         r = np.stack([right, down, forward])  # rows are camera axes in ego coords
         extrinsic = np.eye(4)
         extrinsic[:3, :3] = r
-        extrinsic[:3, 3] = -r @ np.array([0.0, 0.0, float(height)])
+        extrinsic[:3, 3] = -r @ np.array([0.0, 0.0, height])
         cams.append(CameraModel(intrinsic, extrinsic, camera_id=i))
     return tuple(cams)
 
@@ -260,13 +262,14 @@ def _make_tracks(cfg: SceneConfig) -> tuple:
     return tuple(tracks)
 
 
+@checked
 def synth_features(frame_index: int, camera_id: int, cfg: SceneConfig) -> FeatureMap:
     """Procedural feature map: per channel, a mean of low-frequency sinusoids.
 
     Values lie in [-1, 1] and are stored as float32.  The map is a pure
     function of (config seed, frame index, camera id).
     """
-    rng = np.random.default_rng([cfg.seed, _FEATURE_SALT, int(frame_index), int(camera_id)])
+    rng = np.random.default_rng([cfg.seed, _FEATURE_SALT, frame_index, camera_id])
     h, w = cfg.image_size
     c = cfg.feature_channels
     n_wave = 4

@@ -119,13 +119,13 @@ def discretize_zoh(a: Array[float, ...], b: Array[float, ...], delta: float) -> 
     return a_bar, b_scale * b
 
 
+@checked
 def materialize_kernel(bank: DiscreteSsmBank, length: int) -> np.ndarray:
     """The first ``length`` impulse-response taps of each channel, (E, length).
 
     taps[e, j] = sum_i c_bar[e, i] * a_bar[e, i]**j * b_bar[e, i]; the
     feed-through d_bar is not part of the taps.
     """
-    length = int(length)
     if length < 1:
         raise ValidationError(f"kernel length must be >= 1, got {length}")
     powers = np.power(bank.a_bar[:, :, None], np.arange(length))
@@ -269,6 +269,7 @@ def _channel_uniforms(seed: int, n_channels: int, n: int) -> np.ndarray:
     return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
+@checked
 def seeded_bank(
     n_channels: int, state_dim: int, seed: int, delta: float = 0.1
 ) -> DiscreteSsmBank:
@@ -279,7 +280,7 @@ def seeded_bank(
     ``_D_RANGE``, from its own stream ``default_rng([seed, 0x5B, e])``; all
     streams are computed in one vectorised pass (:func:`_channel_uniforms`).
     """
-    e_count, m, seed = int(n_channels), int(state_dim), int(seed)
+    e_count, m = n_channels, state_dim
     if e_count < 1:
         raise ValidationError("n_channels must be >= 1")
     if m < 1:

@@ -18,6 +18,7 @@ import statefuse
 from statefuse import (
     BenchConfig,
     BenchRow,
+    DeformAttnParams,
     Detection,
     DiscreteSsmBank,
     FusedQuerySequence,
@@ -26,6 +27,7 @@ from statefuse import (
     PaddedQuerySequence,
     PipelineDims,
     PipelineWeights,
+    PosEmbedParams,
     SceneConfig,
     ValidationError,
     build_scene,
@@ -45,12 +47,17 @@ from statefuse import (
     motion_cost,
     motion_mask,
     pad_frames,
+    materialize_kernel,
     scan_bank,
     seeded_bank,
+    seeded_layer_params,
+    seeded_stack,
+    zero_layer_params,
+    zero_stack,
 )
 from statefuse.errors import Array, Record, checked
 from statefuse.numerics import frozen
-from statefuse.pipeline import _weight_arrays, weights_from_bytes, weights_to_bytes
+from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 from statefuse.queries import FeatureMap
 from statefuse.selfcheck import CheckResult
 
@@ -353,10 +360,12 @@ def test_record_arrays_are_kept_without_a_copy_when_their_memory_cannot_change()
     loaded = weights_from_bytes(raw)
     for w in (seeded, loaded):
         pairs = list(rebuilt_arrays(w))
-        assert len(pairs) == len(list(_weight_arrays(w))) and all(a is b for a, b in pairs)
+        n_arrays = len(list(_blob_arrays(w, w.dims, w.box_mode)))
+        assert len(pairs) == n_arrays and all(a is b for a, b in pairs)
     blob_view = np.frombuffer(raw, dtype="<f8", offset=raw.index(b"\n") + 1)
     if blob_view.flags.aligned:
-        assert all(np.shares_memory(a, blob_view) for a in _weight_arrays(loaded))
+        arrays = _blob_arrays(loaded, loaded.dims, loaded.box_mode)
+        assert all(np.shares_memory(a, blob_view) for a in arrays)
 
     x = FusedQuerySequence(frozen(np.zeros((3, 2))), (0, 1, 2), 1, 2)
     out = query_mamba_stack(x, TINY_LINEAR.stack)
@@ -384,12 +393,41 @@ CFG = MotionElimConfig()
         (lambda: fit_loglog_slope(["1", "2", "3"], ["1", "2", "4"]), "xs"),
         (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[0.9]),
          "cam_index"),
+        # once the last camera (numpy's negative index), and an IndexError
+        (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[-1]),
+         "cam_index"),
+        (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[5]),
+         "cam_index"),
         (lambda: expected_depth(["0.5", "0.5"], [True, "3"]), "dist"),
     ],
 )
 def test_an_array_argument_refuses_a_value_of_another_kind(call, name):
     """Strings, bools and 0.7 are not read as ints, floats or flags: one line
     naming the argument."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name}: ") and "\n" not in message, message
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: seeded_bank(2.7, 2, 0), "n_channels"),
+        (lambda: materialize_kernel(seeded_bank(2, 2, 0), 3.9), "length"),
+        (lambda: DeformAttnParams.seeded(True, 0), "channels"),
+        (lambda: seeded_stack(8, "3", n_layers=1), "seed"),
+        (lambda: seeded_stack(8, 3, n_layers=1.5), "n_layers"),
+        (lambda: zero_stack(8, n_layers=True), "n_layers"),
+        (lambda: seeded_layer_params(8, 0, epsilon="1e-6"), "epsilon"),
+        (lambda: zero_layer_params(8.0), "n_channels"),
+        (lambda: PosEmbedParams.seeded(24.9, 0), "embed_dim"),
+        (lambda: camera_ring(2.5), "n_cameras"),
+    ],
+)
+def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
+    """Each of these once built through ``int()``: 2 channels, 3 taps, 1
+    channel, 1 layer, D = 24, and two cameras 144 degrees apart."""
     with pytest.raises(ValidationError) as info:
         call()
     message = str(info.value)
@@ -410,26 +448,44 @@ def test_an_array_argument_is_neither_copied_nor_write_protected():
     assert x.flags.writeable
 
 
+# Public functions whose scalars another rule takes: the rule's own helpers,
+# and the weights seed, which takes the header's unsigned 64-bit rule.
+SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors", "PipelineWeights.from_seed"}
+
+
 def test_every_function_with_an_array_parameter_checks_it():
     """An ``Array[...]`` annotation checks nothing unless the function is
-    decorated with ``checked``; a record's fields answer to the record rule."""
+    decorated with ``checked``; a record's fields answer to the record rule.
+    A public function or method with an ``int``, ``float`` or ``bool``
+    parameter is decorated too, records' methods included."""
     wrapper = checked(lambda: None).__code__
-    annotated = []
+    annotated, scalar = [], []
     for info in pkgutil.iter_modules(statefuse.__path__):
         module = importlib.import_module(f"statefuse.{info.name}")
         members = [
-            m for m in vars(module).values()
+            (name, m) for name, m in vars(module).items()
             if getattr(m, "__module__", None) == module.__name__
         ]
         members += [
-            m for cls in members if inspect.isclass(cls) and not issubclass(cls, Record)
-            for m in vars(cls).values()
+            (f"{cls_name}.{name}", m) for cls_name, cls in members if inspect.isclass(cls)
+            for name, m in vars(cls).items()
+            if not (issubclass(cls, Record) and name.startswith("__"))  # the rule's __init__
         ]
-        for fn in members:
+        for name, fn in members:
             fn = getattr(fn, "__func__", fn)  # a classmethod or staticmethod
-            if inspect.isfunction(fn) and any(
-                "Array[" in str(a) for a in inspect.get_annotations(fn).values()
-            ):
+            if not inspect.isfunction(fn):
+                continue
+            kinds = [str(a) for p, a in inspect.get_annotations(fn).items() if p != "return"]
+            if any("Array[" in kind for kind in kinds):
                 annotated.append(fn.__name__)
-                assert fn.__code__ is wrapper, f"{module.__name__}.{fn.__name__}"
+            elif (
+                any(kind.split(" |")[0] in ("int", "float", "bool") for kind in kinds)
+                and not name.rsplit(".", 1)[-1].startswith("_")
+                and not SCALARS_CHECKED_ELSEWHERE & {module.__name__, name}
+            ):
+                scalar.append(name)
+            else:
+                continue
+            assert fn.__code__ is wrapper, f"{module.__name__}.{name}"
     assert {"scan_bank", "motion_mask", "layer_norm", "lift_center"} <= set(annotated)
+    assert {"seeded_stack", "camera_ring", "DeformAttnParams.seeded"} <= set(scalar)

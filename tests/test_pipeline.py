@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from statefuse import (
+    DeformAttnParams,
     MotionElimConfig,
     NumericOverflowError,
     PipelineDims,
     PipelineWeights,
+    PosEmbedParams,
     SceneConfig,
     ValidationError,
     build_scene,
@@ -25,20 +27,21 @@ from statefuse import (
     run_pipeline_detailed,
     run_report_csv,
     save_weights,
+    seeded_stack,
     slot_count,
     zero_stack,
 )
 from statefuse.numerics import frozen, readonly, softmax
-from statefuse.pipeline import (
-    _weight_arrays,
-    _weight_shapes,
-    weights_from_bytes,
-    weights_to_bytes,
-)
+from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 
 SCENE = SceneConfig(
     n_frames=4, n_objects=4, n_cameras=3, image_size=(16, 24), depth_mode="exact"
 )
+
+
+def weight_arrays(w):
+    """The arrays of weights ``w`` in blob order."""
+    return list(_blob_arrays(w, w.dims, w.box_mode))
 
 
 def scene_and_weights(cfg=SCENE, seed=5, box_mode="bypass"):
@@ -425,11 +428,46 @@ def test_weight_shape_table_matches_seeded_arrays(box_mode):
         dict(k_queries=2, feature_channels=7, n_heads=3, n_keys=5, dw_ksize=4, n_layers=1),
         dict(k_queries=2, embed_dim=2, feature_channels=1, state_dim=1, n_layers=3),
     )
-    for kwargs in grid:
-        dims = PipelineDims(**kwargs)
-        head, layer, tail = _weight_shapes(dims, box_mode)
-        w = PipelineWeights.from_seed(3, dims, box_mode)
-        assert head + layer * dims.n_layers + tail == [a.shape for a in _weight_arrays(w)]
+    for kwargs in grid:  # the construction check holds every seeded array to dims
+        raw = weights_to_bytes(PipelineWeights.from_seed(3, PipelineDims(**kwargs), box_mode))
+        assert weights_to_bytes(weights_from_bytes(raw)) == raw
+
+
+DIMS3 = PipelineDims(k_queries=3)
+W3 = PipelineWeights.from_seed(5, DIMS3)
+
+
+def _stack_with_epsilon(layer: int, epsilon: float):
+    stack = zero_stack(DIMS3.n_channels)
+    layers = list(stack.layers)
+    layers[layer] = dataclasses.replace(
+        layers[layer], ln2=dataclasses.replace(layers[layer].ln2, epsilon=epsilon)
+    )
+    return dataclasses.replace(stack, layers=tuple(layers))
+
+
+@pytest.mark.parametrize(
+    "field, make, path",
+    [
+        ("attn", lambda: DeformAttnParams.seeded(8, [5, 1], n_heads=4, n_keys=2),
+         "attn.value_proj"),
+        ("stack", lambda: zero_stack(72, n_layers=2), "stack.layers"),
+        ("stack", lambda: seeded_stack(72, 5, state_dim=8), "stack.layers[0].gs4.bank.a_bar"),
+        ("stack", lambda: zero_stack(72, epsilon=1e-3), "stack.layers[0].ln1.epsilon"),
+        ("pos", lambda: PosEmbedParams.seeded(24, [5, 2], 50.0), "pos.temperature"),
+        ("stack", lambda: zero_stack(72, n_layers=7), "stack.layers"),
+        ("stack", lambda: _stack_with_epsilon(3, 1e-3), "stack.layers[3].ln2.epsilon"),
+    ],
+    ids=["attn_heads", "fewer_layers", "state_dim", "epsilon", "temperature",
+         "more_layers", "one_layer_epsilon"],
+)
+def test_weights_that_disagree_with_dims_are_refused(field, make, path):
+    """Each of these once built, and its saved file then failed to load or
+    loaded other weights: one line naming the path of the field."""
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(W3, **{field: make()})
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message, message
 
 
 def _reachable_arrays(obj):
@@ -450,7 +488,7 @@ def test_weights_arrays_c_contiguous(tmp_path, box_mode):
     save_weights(w, str(path))
     for source in (w, load_weights(str(path))):
         arrays = list(_reachable_arrays(source))
-        assert len(arrays) == len(list(_weight_arrays(w)))
+        assert len(arrays) == len(weight_arrays(w))
         assert all(a.flags.c_contiguous for a in arrays)
 
 
@@ -486,6 +524,24 @@ def test_weights_rejects_malformed_header(edit):
     raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
     with pytest.raises(ValidationError):
         weights_from_bytes(_edit_header(raw, edit))
+
+
+@pytest.mark.parametrize("edit", [dict(n_layers=10**12), dict(k_queries=10**6)])
+def test_weights_header_is_refused_before_any_array_is_built(edit):
+    """The blob size is checked from one layer's count, so a header that
+    asks for more than the blob holds costs no allocation to refuse."""
+    import tracemalloc
+
+    raw = weights_to_bytes(PipelineWeights.from_seed(9, PipelineDims(k_queries=2)))
+    raw = _edit_header(raw, lambda h: h["dims"].update(edit))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^weights blob holds"):
+            weights_from_bytes(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -582,7 +638,7 @@ def test_weights_from_bytes_views_an_aligned_blob():
         seen.add(aligned)
         back = weights_from_bytes(raw)
         assert weights_to_bytes(back).split(b"\n", 1)[1] == blob
-        for arr in _weight_arrays(back):
+        for arr in weight_arrays(back):
             assert (_owner(arr) is raw) == aligned
             assert arr.flags.aligned and not arr.flags.writeable
     assert seen == {True, False}
@@ -603,7 +659,7 @@ def test_load_weights_reads_the_file_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * size, (peak, size)
-    owners = {id(_owner(arr)) for arr in _weight_arrays(back)}
+    owners = {id(_owner(arr)) for arr in weight_arrays(back)}
     assert len(owners) == 1
     assert isinstance(_owner(back.dec_q), bytes)
     assert weights_to_bytes(back) == path.read_bytes()
@@ -667,4 +723,4 @@ def test_seeded_weights_keep_their_draws():
     data = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     copies = data.filter_traces([tracemalloc.Filter(True, numerics.__file__, copy_line)])
     assert sum(trace.size for trace in copies.traces) == control.nbytes
-    assert all(not arr.flags.writeable for arr in _weight_arrays(w))
+    assert all(not arr.flags.writeable for arr in weight_arrays(w))
