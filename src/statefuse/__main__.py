@@ -1,0 +1,6 @@
+"""``python -m statefuse``: the ``statefuse`` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .bench import BenchConfig, bench_csv, bench_svg, run_bench
 from .errors import NumericOverflowError, ValidationError
 from .motion import MotionElimConfig
@@ -100,9 +102,10 @@ def _parse_weights_arg(value: str, scene, box_mode: str) -> PipelineWeights:
 def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
     weights = _parse_weights_arg(args.weights, scene, args.box_mode)
-    result = run_pipeline_detailed(
-        scene.frames, scene.cameras, weights, MotionElimConfig(alpha=args.alpha)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # each stage checks its own output
+        result = run_pipeline_detailed(
+            scene.frames, scene.cameras, weights, MotionElimConfig(alpha=args.alpha)
+        )
     _write_text(args.out, run_report_csv(result))
     survivors = result.motion_mask[:-1].sum(axis=1).tolist()
     print(

@@ -201,6 +201,17 @@ def _field_value(value, kind):
     return _BAD if any(v is _BAD for v in out) else out
 
 
+def check_seed(seed) -> None:
+    """Refuse a random seed other than an int >= 0 or a list or tuple of
+    them (a bool is no int) with a ``ValidationError`` naming ``seed``."""
+    words = seed if isinstance(seed, (list, tuple)) else (seed,)
+    for word in words:
+        if not isinstance(word, numbers.Integral) or isinstance(word, bool) or word < 0:
+            raise ValidationError(
+                f"seed: expected an int >= 0 or a list of them, got {seed!r:.40}"
+            )
+
+
 def number_array(value, kind: type = float) -> np.ndarray | None:
     """``value``, an ndarray, a number or nested lists of them, as an array
     of ``kind`` elements, or None when it holds any other value.

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, NumericOverflowError, Record, ValidationError, checked
-from .numerics import all_finite, frozen, gelu
+from .errors import Array, NumericOverflowError, Record, ValidationError, check_seed, checked
+from .numerics import frozen, gelu, require_finite
 from .ssm import (  # the short scan's conv is the layer's conv too
     _CHUNK,
     DiscreteSsmBank,
@@ -189,23 +189,17 @@ def gs4_layer(
     v = gelu(x @ params.w_v)
     try:
         s = scan_bank(params.bank, u, carry)
-    except ValidationError as exc:  # x is finite, so a non-finite u overflowed
-        if all_finite(u):
-            raise
-        raise NumericOverflowError(f"gs4 produced a non-finite value ({exc})") from exc
+    except ValidationError:  # x is finite, so a refused u overflowed
+        require_finite("gs4", u)
+        raise
     s *= v
-    y = s @ params.w_o
-    if not all_finite(y):
-        raise NumericOverflowError("gs4 produced a non-finite value")
-    return y
+    return require_finite("gs4", s @ params.w_o)
 
 
 # Rows per tile of the stack (see the module docstring).  256-row tiles took
 # 160-1,960 minor page faults per history_fusion op (N = 1024, E = 96); 160
 # takes none, as 128 does, in 7 tiles of calls instead of 8.
 _TILE_ROWS = 160
-
-_OUTPUT_OVERFLOW = "output projection produced a non-finite value"
 
 
 def _tiles(n: int) -> list:
@@ -237,31 +231,31 @@ class _LayerPass:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         p = self.params
         ln1 = layer_norm(x, p.ln1.scale, p.ln1.shift, p.ln1.epsilon)
-        try:  # LN1's input is finite, so a non-finite value comes from LN1 or the conv
+        try:  # x is finite, so a refused argument is an overflow of LN1, the conv or LN2
             z = depthwise_causal_conv(ln1, p.dw_kernel, self.history)
             z += ln1
             ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+            zp = gs4_layer(ln2, p.gs4, self.scan)
         except ValidationError as exc:
             raise NumericOverflowError(f"layer norm or depthwise conv: {exc}") from exc
         if self.scan is not None and self.reach:  # a later tile reads these rows
             if ln1.shape[0] < self.reach and self.history is not None:
                 ln1 = np.concatenate([self.history, ln1])
             self.history = ln1[-self.reach :]
-        zp = gs4_layer(ln2, p.gs4, self.scan)
         zp += ln2
         out = zp @ p.out_weight
         out += p.out_bias
         out += x
-        return out  # unchecked: the next layer's LN1 checks it, or _fuse
+        return require_finite("output projection", out)
 
 
 def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
     """Run ``layers`` in order, each over one tile before the next tile.
 
-    The next layer's LN1, or here the last, checks a layer's output on every
-    tile, and overflow names the lowest layer that overflows on any tile, as
-    a pass of each layer over the whole sequence would.  The result sequence
-    takes the array the tiles fill, write-protected, without a copy.
+    Each layer checks its own output on every tile, and overflow names the
+    lowest layer that overflows on any tile, as a pass of each layer over
+    the whole sequence would.  The result sequence takes the array the
+    tiles fill, write-protected, without a copy.
     """
     if x.n_channels != layers[0].n_channels:
         raise ValidationError(
@@ -279,12 +273,6 @@ def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
             except NumericOverflowError as exc:
                 failed, depth = exc, index
                 break
-            except ValidationError:  # LN1 refused the output of the layer below
-                failed, depth = NumericOverflowError(_OUTPUT_OVERFLOW), index - 1
-                break
-        else:  # the output of the last layer run
-            if not all_finite(rows):
-                failed, depth = NumericOverflowError(_OUTPUT_OVERFLOW), depth - 1
         if failed is None and out is not None:
             out[lo:hi] = rows
     if failed is not None:
@@ -323,6 +311,7 @@ def seeded_layer_params(
     e = n_channels
     if e < 1:
         raise ValidationError("n_channels must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     ones, zeros = frozen(np.ones(e)), frozen(np.zeros(e))
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Record, ValidationError, checked
+from .errors import Array, BehindCameraError, Record, ValidationError, check_seed, checked
 from .numerics import frozen, gelu, require_rigid, rigid_inverse
 
 MIN_PROJECT_DEPTH = 1e-6
@@ -80,6 +80,7 @@ class PosEmbedParams(Record):
     @classmethod
     @checked
     def seeded(cls, embed_dim: int, seed, temperature: float = 10000.0) -> "PosEmbedParams":
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         d = embed_dim
         return cls(  # fresh draws are write-protected, so they are kept uncopied

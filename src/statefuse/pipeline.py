@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     Array,
     Config,
-    NumericOverflowError,
     Record,
     ValidationError,
     _schema,
@@ -49,7 +48,7 @@ from .motion import (
     motion_mask,
     pad_frames,
 )
-from .numerics import frozen, softmax
+from .numerics import frozen, require_finite, softmax
 from .queries import DeformAttnParams, build_query
 
 WEIGHTS_FORMAT = "statefuse-weights/1"
@@ -270,11 +269,6 @@ def channel_concat(seq: PaddedQuerySequence) -> FusedQuerySequence:
     )
 
 
-def _stage_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericOverflowError(f"stage {name}: non-finite values")
-
-
 def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -> np.ndarray:
     """One cross-attention decoder layer over the current frame's queries.
 
@@ -298,8 +292,7 @@ def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -
         [feats[c].data[y, x] for c, y, x in zip(cams_idx, ys, xs)]
     ).astype(np.float64)
     refined = row + cross_attention(row, gathered, w.dec_q, w.dec_k, w.dec_v, w.dec_out)
-    _stage_finite("decode", refined)
-    return frozen(refined)
+    return frozen(require_finite("stage decode", refined))
 
 
 def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
@@ -310,11 +303,9 @@ def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
         size, velocity = frozen(np.zeros(3)), frozen(np.zeros(2))
         boxes = [(seq.centers3d[cur, s], size, 0.0, velocity, scores[s]) for s in slots]
     else:
-        out = frozen(refined[slots] @ w.box_w + w.box_b)
-        with np.errstate(over="ignore"):  # an overflow fails the stage check below
-            size = frozen(np.exp(out[:, 3:6]))
-        _stage_finite("box_head", out)
-        _stage_finite("box_head", size)
+        out = frozen(require_finite("stage box_head", refined[slots] @ w.box_w + w.box_b))
+        with np.errstate(over="ignore"):  # an overflow fails the stage check
+            size = frozen(require_finite("stage box_head", np.exp(out[:, 3:6])))
         with np.errstate(over="ignore"):  # a very negative logit scores 0.0
             score = 1.0 / (1.0 + np.exp(-out[:, 9]))
         boxes = zip(out[:, 0:3], size, out[:, 6], out[:, 7:9], score)
@@ -355,7 +346,7 @@ def run_pipeline_detailed(
     aligned = align_centers(
         padded.centers3d[:cur], frames[cur].ego_pose, [fr.ego_pose for fr in frames[:cur]]
     )
-    _stage_finite("align", aligned)
+    require_finite("stage align", aligned)
     cost = motion_cost(padded.centers3d[cur], aligned, padded.valid[cur], padded.valid[:cur])
     mask = motion_mask(cost, padded.cats[cur], padded.cats[:cur], padded.valid[:cur], cfg)
 

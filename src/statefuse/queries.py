@@ -21,9 +21,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import Array, Record, ValidationError, checked, number_array
+from .errors import Array, Record, ValidationError, check_seed, checked, number_array
 from .geometry import PosEmbedParams, lift_center, pos_embed
-from .numerics import frozen, readonly, softmax
+from .numerics import frozen, readonly, require_finite, softmax
 
 DEPTH_BIN_COUNT = 60
 DEPTH_RANGE = (1.0, 61.0)
@@ -222,6 +222,7 @@ class DeformAttnParams(Record):
         if channels < 1 or n_heads < 1 or n_keys < 1:
             raise ValidationError("channels, n_heads, n_keys must all be >= 1")
         c_h = cls.head_width(channels, n_heads)
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         return cls(  # fresh draws are write-protected, so they are kept uncopied
             value_proj=frozen(rng.uniform(-0.1, 0.1, size=(n_heads, channels, c_h))),
@@ -252,18 +253,6 @@ def _blend(corners: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
         + (1.0 - fx) * fy * v10
         + fx * fy * v11
     )
-
-
-@checked
-def bilinear_sample(f: FeatureMap, p: Array[float, ..., 2]) -> np.ndarray:
-    """Bilinearly interpolate the feature map at continuous pixel coords.
-
-    ``p`` is (x, y) with x along width and y along height, or an (..., 2)
-    batch.  Coordinates clamp to the valid rectangle, so integer coords
-    reproduce grid values exactly.
-    """
-    ys, xs, fx, fy = _bilinear_taps(p, f.height, f.width)
-    return _blend(f.data[ys, xs], fx, fy)
 
 
 @checked
@@ -365,8 +354,7 @@ def build_query(
 
     depth = expected_depth(dists, centers)  # checks every distribution
     q_sem = deformable_attention(c2d, maps, sizes, attn) @ sem_proj
-    center3d = lift_center(cams, c2d, depth, cam_index=cam_index)
-    q3d = pos_embed(center3d, pe) + q_sem
-    if not (np.all(np.isfinite(q3d)) and np.all(np.isfinite(center3d))):
-        raise ValidationError("query construction produced NaN or Inf")
+    stage = "stage query construction"
+    center3d = require_finite(stage, lift_center(cams, c2d, depth, cam_index=cam_index))
+    q3d = require_finite(stage, pos_embed(center3d, pe) + q_sem)
     return q3d, center3d, cats, scores, np.array(counts)

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import Array, Record, ValidationError, checked
+from .errors import Array, Record, ValidationError, check_seed, checked
 from .numerics import frozen
 
 
@@ -285,8 +285,7 @@ def seeded_bank(
         raise ValidationError("n_channels must be >= 1")
     if m < 1:
         raise ValidationError("state_dim must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     a_bar, b_bar = discretize_zoh(-np.arange(1.0, m + 1.0), np.ones(m), delta)
     # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), so the m + 1
     # draws of a stream yield the m values of c, then d.

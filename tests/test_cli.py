@@ -325,6 +325,36 @@ def test_run_box_head_overflow_is_numeric(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_run_query_construction_overflow_is_numeric(tmp_path, capsys):
+    """Deformable-attention projections that overflow exit 4 with one line
+    naming the query stage, and no floating-point warning."""
+    import dataclasses
+
+    from statefuse import PipelineDims, PipelineWeights, load_scene, save_weights, slot_count
+
+    scene_path = simulate(tmp_path)
+    scene = load_scene(str(scene_path))
+    dims = PipelineDims(
+        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
+    )
+    w = PipelineWeights.from_seed(11, dims)
+    huge = {name: np.full(getattr(w.attn, name).shape, 1e308)
+            for name in ("value_proj", "out_proj")}
+    wpath = tmp_path / "w.sfw"
+    save_weights(dataclasses.replace(w, attn=dataclasses.replace(w.attn, **huge)), str(wpath))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(
+            ["run", "--scene", str(scene_path), "--weights", str(wpath),
+             "--out", str(tmp_path / "o.csv")]
+        )
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "numeric error: stage query construction: non-finite values\n"
+    )
+
+
 def test_run_box_head_score_underflow_is_quiet(tmp_path, capsys):
     """A very negative score logit saturates the score to 0.0 without a
     warning; the report, which lists proposal scores, is unchanged."""
@@ -448,6 +478,23 @@ def test_help_mentions_env_and_exit_codes(capsys):
     text = capsys.readouterr().out
     assert "STATEFUSE_SEED" in text
     assert "exit codes" in text
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m statefuse`` is the ``statefuse`` command."""
+    import os
+    import subprocess
+    import sys
+
+    import statefuse
+
+    src = os.path.dirname(os.path.dirname(statefuse.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "statefuse", "--help"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: statefuse ")
 
 
 def test_parser_lists_all_verbs():

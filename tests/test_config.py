@@ -434,6 +434,35 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
     assert message.startswith(f"{name}: ") and "\n" not in message, message
 
 
+SEEDED = {  # the seeds that numpy reads: an int >= 0 or a list of them
+    "seeded_layer_params": lambda seed: seeded_layer_params(4, seed),
+    "DeformAttnParams.seeded": lambda seed: DeformAttnParams.seeded(8, seed),
+    "PosEmbedParams.seeded": lambda seed: PosEmbedParams.seeded(24, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *SEEDED.values(),
+        lambda seed: seeded_stack(4, seed, n_layers=1),
+        lambda seed: seeded_bank(2, 2, seed),
+    ],
+    ids=[*SEEDED, "seeded_stack", "seeded_bank"],
+)
+@pytest.mark.parametrize("seed", [-1, "x", 2.0, True, None, [5, -1], (5, False), [[5]]])
+def test_a_seed_other_than_ints_at_or_above_zero_is_refused(make, seed):
+    """One line naming the seed, not numpy's own ValueError or TypeError."""
+    with pytest.raises(ValidationError, match="^seed: "):
+        make(seed)
+
+
+@pytest.mark.parametrize("make", SEEDED.values(), ids=SEEDED.keys())
+def test_a_seed_of_ints_at_or_above_zero_is_taken(make):
+    for seed in (0, 2**70, np.int64(3), [5, 2], (0, np.uint64(7))):
+        make(seed)
+
+
 def test_an_array_argument_is_neither_copied_nor_write_protected():
     seen = []
 

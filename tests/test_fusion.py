@@ -381,6 +381,51 @@ def test_conv_overflow_names_its_layer(bad_index, n):
             query_mamba_stack(x, QueryMambaStack(tuple(layers)))
 
 
+def ln2_overflow_layer():
+    """A seeded layer whose LN2 scale and shift overflow on every input."""
+    layer = seeded_layer_params(4, 1)
+    big = np.full(4, 1e308)
+    return dataclasses.replace(layer, ln2=dataclasses.replace(layer.ln2, scale=big, shift=big))
+
+
+@pytest.mark.parametrize(
+    "bad_index, n", [(0, 6), (1, 6), (1, 3 * _TILE_ROWS + 5)]
+)
+def test_layer_norm_overflow_names_its_layer(bad_index, n):
+    """One layer, the second of two, and the second of two over several
+    tiles: an LN2 overflow names its own layer and sublayer, not the output
+    projection of the layer below."""
+    layers = [seeded_layer_params(4, 2)] * (bad_index + 1)
+    layers[bad_index] = ln2_overflow_layer()
+    x = history_seq(n, k=2, d=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(
+            NumericOverflowError, match=f"^layer {bad_index}: layer norm or depthwise conv: "
+        ):
+            query_mamba_stack(x, QueryMambaStack(tuple(layers)))
+
+
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        (ln2_overflow_layer, "layer norm or depthwise conv: x: contains NaN or Inf"),
+        (conv_overflow_layer, "layer norm or depthwise conv: x: contains NaN or Inf"),
+        (lambda: overflow_layer(np.array([1.0, 0.0])), "gs4: non-finite values"),
+        (projection_overflow_layer, "output projection: non-finite values"),
+    ],
+    ids=["ln2", "conv", "gs4", "output projection"],
+)
+def test_overflow_message_names_the_layer_and_sublayer(layer, message):
+    """The whole message: ``layer N: <sublayer>: ...``, the sublayer one of
+    the names the README lists."""
+    layer = layer()
+    x = history_seq(6, k=1, d=layer.n_channels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError) as info:
+            query_mamba_stack(x, QueryMambaStack((layer,)))
+    assert str(info.value) == f"layer 0: {message}"
+
+
 def test_sequence_copies_a_writable_array():
     data = np.zeros((2, 4))
     x = FusedQuerySequence(data, (0, 1), 2, 2)

@@ -14,7 +14,7 @@ def test_star_import_resolves_every_public_name():
 
 def test_removed_motion_types_are_gone():
     gone = ("MotionCostMatrix", "MotionMask", "Proposal2D", "run_pipeline", "OpCountReport",
-            "generate_scene", "oracle_proposals")
+            "generate_scene", "oracle_proposals", "bilinear_sample")
     for name in gone:
         assert name not in statefuse.__all__
         assert not hasattr(statefuse, name)

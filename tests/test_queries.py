@@ -7,9 +7,9 @@ from statefuse import (
     CameraModel,
     DeformAttnParams,
     FeatureMap,
+    NumericOverflowError,
     PosEmbedParams,
     ValidationError,
-    bilinear_sample,
     build_query,
     camera_ring,
     default_depth_bins,
@@ -19,6 +19,7 @@ from statefuse import (
     pos_embed,
     proposal_tables,
 )
+from statefuse.queries import _bilinear_taps, _blend
 
 
 def grid_map(h=2, w=2, c=1):
@@ -34,35 +35,59 @@ def make_proposal(center, dist):
 
 # --- bilinear sampling ---
 
-def test_bilinear_integer_coordinates_exact():
+def bilinear(f, p):
+    """The bilinear sample of ``f`` at pixel coordinates ``p``, (x, y) with x
+    along width, or an (..., 2) batch: the taps and blend of
+    deformable_attention."""
+    ys, xs, fx, fy = _bilinear_taps(np.asarray(p, dtype=float), f.height, f.width)
+    return _blend(f.data[ys, xs], fx, fy)
+
+
+def attend_at(f, p):
+    """deformable_attention at the top-left pixel with one head, one key at
+    offset ``p`` and identity projections: the sample of ``f`` at ``p``."""
+    eye = np.eye(f.channels)[None]
+    params = DeformAttnParams(eye, eye, np.reshape(p, (1, 1, 2)), np.ones((1, 1)))
+    return deformable_attention([[0.0, 0.0]], [f], [1], params)[0]
+
+
+SAMPLERS = pytest.mark.parametrize("sample", [bilinear, attend_at])
+
+
+@SAMPLERS
+def test_bilinear_integer_coordinates_exact(sample):
     f = grid_map(3, 4, 2)
     for y in range(3):
         for x in range(4):
-            assert np.array_equal(bilinear_sample(f, [x, y]), f.data[y, x])
+            assert np.array_equal(sample(f, [x, y]), f.data[y, x])
 
 
-def test_bilinear_center_of_2x2():
+@SAMPLERS
+def test_bilinear_center_of_2x2(sample):
     f = grid_map(2, 2, 1)  # values 0, 1, 2, 3
-    assert bilinear_sample(f, [0.5, 0.5])[0] == 1.5
+    assert sample(f, [0.5, 0.5])[0] == 1.5
 
 
-def test_bilinear_quarter_point():
+@SAMPLERS
+def test_bilinear_quarter_point(sample):
     f = grid_map(2, 2, 1)
     # (1 - .25)(1 - .75)*0 + .25(1 - .75)*1 + (1 - .25)(.75)*2 + .25*.75*3
-    assert bilinear_sample(f, [0.25, 0.75])[0] == 1.75
+    assert sample(f, [0.25, 0.75])[0] == 1.75
 
 
-def test_bilinear_clamps_outside():
+@SAMPLERS
+def test_bilinear_clamps_outside(sample):
     f = grid_map(2, 2, 1)
-    assert bilinear_sample(f, [-5.0, -5.0])[0] == f.data[0, 0, 0]
-    assert bilinear_sample(f, [9.0, 9.0])[0] == f.data[1, 1, 0]
+    assert sample(f, [-5.0, -5.0])[0] == f.data[0, 0, 0]
+    assert sample(f, [9.0, 9.0])[0] == f.data[1, 1, 0]
 
 
 def test_bilinear_batch_shape():
     f = grid_map(4, 4, 3)
     pts = np.array([[0.5, 0.5], [1.0, 2.0], [3.0, 3.0]])
-    out = bilinear_sample(f, pts)
+    out = bilinear(f, pts)
     assert out.shape == (3, 3)
+    assert np.array_equal(out, [attend_at(f, p) for p in pts])
 
 
 # --- deformable read-out ---
@@ -78,7 +103,7 @@ def test_deform_single_sample_collapse():
     )
     c2d = np.array([0.4, 0.7])
     out = deformable_attention(c2d[None], [f], [1], params)[0]
-    want = bilinear_sample(f, [c2d[0] * 3.0, c2d[1] * 3.0])
+    want = bilinear(f, [c2d[0] * 3.0, c2d[1] * 3.0])
     assert np.array_equal(out, want)
 
 
@@ -104,7 +129,7 @@ def test_deform_matches_naive_loops():
     for m in range(params.n_heads):
         head = np.zeros(params.value_proj.shape[2])
         for n in range(params.n_keys):
-            sample = bilinear_sample(f, base + params.offsets[m, n])
+            sample = bilinear(f, base + params.offsets[m, n])
             head += params.weights[m, n] * (sample @ params.value_proj[m])
         want += head @ params.out_proj[m]
     got = deformable_attention(c2d[None], [f], [1], params)[0]
@@ -300,7 +325,7 @@ def reference_query(prop, f, cam, attn, pe, sem_proj, bins):
     for m in range(attn.n_heads):
         head = np.zeros(attn.value_proj.shape[2])
         for n in range(attn.n_keys):
-            sample = bilinear_sample(f, base + attn.offsets[m, n])
+            sample = bilinear(f, base + attn.offsets[m, n])
             head += attn.weights[m, n] * (sample @ attn.value_proj[m])
         read += head @ attn.out_proj[m]
     depth = float(prop.depth_dist @ bins)
@@ -407,5 +432,5 @@ def test_build_query_validation_cases():
         build_query([coarse], maps, cams, attn, pe, sem)
     huge = PosEmbedParams(12, 10000.0, np.full((12, 12), 1e308), np.zeros(12), pe.w2, pe.b2)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValidationError, match="NaN or Inf"):
+        with pytest.raises(NumericOverflowError, match="^stage query construction: non-finite"):
             build_query(proposals, maps, cams, attn, huge, sem)
