@@ -255,23 +255,11 @@ def run_bench(cfg: BenchConfig | None = None) -> list:
 
 
 def bench_csv(rows) -> str:
+    names = BENCH_CSV_HEADER.split(",")  # fields of BenchRow; a bool is written 1 or 0
     lines = [BENCH_CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.mechanism,
-                    str(r.n),
-                    str(r.k),
-                    str(r.d),
-                    str(r.m),
-                    str(r.wall_nanos),
-                    str(r.peak_bytes),
-                    str(r.op_count),
-                    "1" if r.timer_ok else "0",
-                )
-            )
-        )
+        cells = [getattr(r, name) for name in names]
+        lines.append(",".join(str(int(c) if isinstance(c, bool) else c) for c in cells))
     return "\n".join(lines) + "\n"
 
 

@@ -279,11 +279,12 @@ def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np
 def checked(fn):
     """Decorate ``fn`` so that every call checks its ``Array[...]``
     parameters, in order, under the rule of :class:`Array`, and its
-    ``int``, ``float`` and ``bool`` ones as :class:`Record` fields; one
-    declared ``T | None`` also takes None.  ``fn`` receives each checked
-    array: the caller's ndarray itself, neither copied nor write-protected,
-    when it holds the kept dtype, else a new array.  Any other value raises
-    ``ValidationError`` naming the parameter.
+    ``int``, ``float`` and ``bool`` ones, and those typed with a class of
+    this package, as :class:`Record` fields; one declared ``T | None`` also
+    takes None.  ``fn`` receives each checked array: the caller's ndarray
+    itself, neither copied nor write-protected, when it holds the kept
+    dtype, else a new array.  Any other value raises ``ValidationError``
+    naming the parameter.
     """
 
     @functools.wraps(fn)
@@ -312,7 +313,8 @@ def _parameters(fn) -> tuple:
     specs = []
     for position, name in enumerate(inspect.signature(fn).parameters):
         spec, optional = _kind(hints.get(name))
-        if isinstance(spec, Array) or spec in (int, float, bool):
+        own = isinstance(spec, type) and spec.__module__.startswith(f"{__package__}.")
+        if isinstance(spec, Array) or spec in (int, float, bool) or own:
             specs.append((position, name, spec, optional))
     return tuple(specs)
 

@@ -79,10 +79,6 @@ class Gs4Params(Record):
                 f"w_u: width {self.w_u.shape[0]} does not match the bank's {self.bank.n_channels}"
             )
 
-    @property
-    def n_channels(self) -> int:
-        return self.bank.n_channels
-
 
 @dataclass(frozen=True)
 class QueryMambaLayerParams(Record):
@@ -96,12 +92,12 @@ class QueryMambaLayerParams(Record):
     def __post_init__(self):
         super().__post_init__()
         e = self.out_bias.size
-        if self.gs4.n_channels != e or self.ln1.scale.size != e or self.ln2.scale.size != e:
+        if self.gs4.bank.n_channels != e or self.ln1.scale.size != e or self.ln2.scale.size != e:
             raise ValidationError("layer norm and gs4 widths must match the channel count")
 
     @property
     def n_channels(self) -> int:
-        return self.gs4.n_channels
+        return self.out_bias.size
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,6 @@ class QueryMambaStack(Record):
         e = self.layers[0].n_channels
         if any(layer.n_channels != e for layer in self.layers):
             raise ValidationError("all stack layers must share one channel count")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
 
 
 @dataclass(frozen=True)
@@ -185,6 +177,8 @@ def gs4_layer(
     With a ``carry`` of ``params.bank``, x is the next tile of a longer
     sequence and the scan continues from the previous tile.
     """
+    if x.shape[1] != params.w_u.shape[0]:
+        raise ValidationError(f"x: width {x.shape[1]}, the layer's is {params.w_u.shape[0]}")
     u = gelu(x @ params.w_u)
     v = gelu(x @ params.w_v)
     try:
@@ -297,6 +291,29 @@ def query_mamba_stack(x: FusedQuerySequence, stack: QueryMambaStack) -> FusedQue
 _WEIGHT_SCALE = 0.1
 
 
+def _layer_params(e, learnable, bank_seed, state_dim, ksize, delta, epsilon):
+    """The width-``e`` layer whose bank :func:`seeded_bank` builds from
+    ``bank_seed`` and whose learnable arrays ``learnable(*shape)`` makes, in
+    the order dw_kernel, w_u, w_v, w_o, out_weight, out_bias.  Its layer
+    norms scale by one and shift by zero."""
+    if e < 1:
+        raise ValidationError("n_channels must be >= 1")
+    ones, zeros = frozen(np.ones(e)), frozen(np.zeros(e))
+    return QueryMambaLayerParams(
+        ln1=LayerNormParams(ones, zeros, epsilon),
+        ln2=LayerNormParams(ones, zeros, epsilon),
+        dw_kernel=learnable(e, ksize),
+        gs4=Gs4Params(
+            bank=seeded_bank(e, state_dim, bank_seed, delta),
+            w_u=learnable(e, e),
+            w_v=learnable(e, e),
+            w_o=learnable(e, e),
+        ),
+        out_weight=learnable(e, e),
+        out_bias=learnable(e),
+    )
+
+
 @checked
 def seeded_layer_params(
     n_channels: int,
@@ -308,30 +325,14 @@ def seeded_layer_params(
     epsilon: float = 1e-6,
 ) -> QueryMambaLayerParams:
     """Deterministic layer init: weights uniform in [-0.1, 0.1] from the seed."""
-    e = n_channels
-    if e < 1:
-        raise ValidationError("n_channels must be >= 1")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    ones, zeros = frozen(np.ones(e)), frozen(np.zeros(e))
+    bank_seed = int(rng.integers(0, 2**63 - 1))
 
     def w(*shape):  # write-protected, so the parameter types keep it uncopied
         return frozen(rng.uniform(-_WEIGHT_SCALE, _WEIGHT_SCALE, size=shape))
 
-    bank_seed = int(rng.integers(0, 2**63 - 1))
-    return QueryMambaLayerParams(
-        ln1=LayerNormParams(ones, zeros, epsilon),
-        ln2=LayerNormParams(ones, zeros, epsilon),
-        dw_kernel=w(e, ksize),
-        gs4=Gs4Params(
-            bank=seeded_bank(e, state_dim, bank_seed, delta),
-            w_u=w(e, e),
-            w_v=w(e, e),
-            w_o=w(e, e),
-        ),
-        out_weight=w(e, e),
-        out_bias=w(e),
-    )
+    return _layer_params(n_channels, w, bank_seed, state_dim, ksize, delta, epsilon)
 
 
 @checked
@@ -361,6 +362,10 @@ def seeded_stack(
     return QueryMambaStack(layers)
 
 
+def _zeros(*shape) -> np.ndarray:
+    return frozen(np.zeros(shape))
+
+
 @checked
 def zero_layer_params(
     n_channels: int,
@@ -371,21 +376,7 @@ def zero_layer_params(
     epsilon: float = 1e-6,
 ) -> QueryMambaLayerParams:
     """All learnable weights zero (scales one, shifts zero): an exact identity."""
-    e = n_channels
-    ones, zeros = np.ones(e), np.zeros(e)
-    return QueryMambaLayerParams(
-        ln1=LayerNormParams(ones, zeros, epsilon),
-        ln2=LayerNormParams(ones, zeros, epsilon),
-        dw_kernel=np.zeros((e, ksize)),
-        gs4=Gs4Params(
-            bank=seeded_bank(e, state_dim, 0, delta),
-            w_u=np.zeros((e, e)),
-            w_v=np.zeros((e, e)),
-            w_o=np.zeros((e, e)),
-        ),
-        out_weight=np.zeros((e, e)),
-        out_bias=zeros,
-    )
+    return _layer_params(n_channels, _zeros, 0, state_dim, ksize, delta, epsilon)
 
 
 @checked

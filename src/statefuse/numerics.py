@@ -79,11 +79,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return num / np.sum(num, axis=axis, keepdims=True)
 
 
-@checked
-def require_rigid(t: np.ndarray, name: str, tol: float = 1e-9) -> None:
+def require_rigid(t: np.ndarray, name: str) -> None:
     """Check that a finite float (4, 4) array is a rigid transform: a
-    rotation (orthonormal with determinant +1 within ``tol``) and a
+    rotation (orthonormal with determinant +1 within 1e-9) and a
     translation over a (0, 0, 0, 1) bottom row."""
+    tol = 1e-9
     if not (np.abs(t[3] - (0.0, 0.0, 0.0, 1.0)) <= tol).all():
         raise ValidationError(f"{name}: bottom row must be (0, 0, 0, 1)")
     r = t[:3, :3]

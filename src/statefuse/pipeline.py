@@ -277,11 +277,16 @@ def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -
     :func:`cross_attention`, over a seeded subsample of the feature-map
     positions of ``feats``, the current frame's maps, and the attended
     value is added back to them (a zero value projection leaves the
-    queries untouched).  Returns the (K, D) refined queries, write-protected.
+    queries untouched).  The maps must share one shape, as every key's
+    position is drawn from map 0's.  Returns the (K, D) refined queries,
+    write-protected.
     """
     k, d = fused.k_queries, fused.embed_dim
     if not feats:
         raise ValidationError("need at least one feature map")
+    shapes = [fm.data.shape for fm in feats]
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValidationError(f"feats: the maps must share one shape, got {shapes}")
     row = fused.data[-1].reshape(k, d)
     rng = np.random.default_rng([w.seed, 7])
     n_keys = w.dims.decoder_keys

@@ -10,6 +10,7 @@ seed, so regeneration is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -182,23 +183,17 @@ def _yaw_rotation(yaw: float) -> np.ndarray:
 
 
 @checked
-def camera_ring(
-    n_cameras: int,
-    focal: float = 0.8,
-    principal: tuple = (0.5, 0.5),
-    height: float = 1.5,
-) -> tuple:
+def camera_ring(n_cameras: int, focal: float = 0.8, height: float = 1.5) -> tuple:
     """Evenly spaced horizontal camera ring centered on the ego origin.
 
     Camera i yaws by i * 360 / n degrees from ego forward.  Intrinsics are
-    in normalized image units: in-view points project into [0, 1] x [0, 1].
+    in normalized image units, the principal point at the image center:
+    in-view points project into [0, 1] x [0, 1].
     """
     if n_cameras < 1:
         raise ValidationError("n_cameras must be >= 1")
     cams = []
-    intrinsic = np.array(
-        [[focal, 0.0, principal[0]], [0.0, focal, principal[1]], [0.0, 0.0, 1.0]]
-    )
+    intrinsic = np.array([[focal, 0.0, 0.5], [0.0, focal, 0.5], [0.0, 0.0, 1.0]])
     for i in range(n_cameras):
         theta = 2.0 * np.pi * i / n_cameras
         forward = np.array([np.cos(theta), np.sin(theta), 0.0])
@@ -306,7 +301,7 @@ def _depth_distribution(depth: float, bins: np.ndarray, mode: str) -> np.ndarray
         if i + 1 < n:
             w[i + 1] = 0.1
         w /= w.sum()
-    elif mode == "exact":
+    else:  # "exact", the one other mode SceneConfig takes
         # Split mass across the two bracketing bins so the expectation
         # reproduces the true depth exactly (saturates at the range ends).
         if depth <= bins[0]:
@@ -318,8 +313,6 @@ def _depth_distribution(depth: float, bins: np.ndarray, mode: str) -> np.ndarray
             frac = (depth - bins[j]) / (bins[j + 1] - bins[j])
             w[j] = 1.0 - frac
             w[j + 1] = frac
-    else:
-        raise ValidationError(f"depth_mode must be 'peaked' or 'exact', got {mode!r}")
     return w
 
 
@@ -329,13 +322,11 @@ def _frame_proposals(
     sizes: np.ndarray,
     cams: tuple,
     frame_index: int,
-    noise_sigma: float,
-    image_size: tuple,
-    seed: int,
-    depth_mode: str,
+    cfg: SceneConfig,
     bins: np.ndarray,
 ):
-    rng = np.random.default_rng([int(seed), _PROPOSAL_SALT, int(frame_index)])
+    rng = np.random.default_rng([cfg.seed, _PROPOSAL_SALT, frame_index])
+    noise_sigma = cfg.center_noise_sigma
     per_cam_rows = []
     per_cam_ids = []
     for cam in cams:
@@ -349,7 +340,7 @@ def _frame_proposals(
             if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
                 continue
             if noise_sigma > 0.0:
-                h, w = image_size
+                h, w = cfg.image_size
                 u = float(np.clip(u + rng.normal(0.0, noise_sigma / (w - 1)), 0.0, 1.0))
                 v = float(np.clip(v + rng.normal(0.0, noise_sigma / (h - 1)), 0.0, 1.0))
             fx = cam.intrinsic[0, 0]
@@ -364,7 +355,7 @@ def _frame_proposals(
                     "box": box,
                     "category": int(categories[obj]),
                     "score": 1.0,
-                    "depth_dist": _depth_distribution(depth, bins, depth_mode),
+                    "depth_dist": _depth_distribution(depth, bins, cfg.depth_mode),
                 }
             )
             ids.append(obj)
@@ -403,16 +394,7 @@ def build_scene(cfg: SceneConfig) -> Scene:
             synth_features(k, cam_id, cfg) for cam_id in range(cfg.n_cameras)
         )
         proposals, proposal_ids = _frame_proposals(
-            centers_ego,
-            categories,
-            sizes,
-            cams,
-            k,
-            cfg.center_noise_sigma,
-            cfg.image_size,
-            cfg.seed,
-            cfg.depth_mode,
-            bins,
+            centers_ego, categories, sizes, cams, k, cfg, bins
         )
         frames.append(
             SceneFrame(
@@ -433,11 +415,28 @@ def build_scene(cfg: SceneConfig) -> Scene:
 
 # === serialization ===
 
+# The keys of a track object, ObjectTrack's fields, and the per-object
+# arrays of a frame object, in the order the document writes them.
+_TRACK_KEYS = tuple(f.name for f in dataclasses.fields(ObjectTrack))
+_OBJECT_KEYS = (
+    "object_centers", "object_velocities", "object_categories", "object_sizes", "static_labels"
+)
+
+
+def _plain(value):
+    """``value`` as JSON takes it: an array as nested lists."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _feature_shape(cfg: SceneConfig) -> tuple:
+    """(n_frames, n_cameras, H, W, C): the shape of a scene's feature maps."""
+    return (cfg.n_frames, cfg.n_cameras, *cfg.image_size, cfg.feature_channels)
+
+
 def scene_to_dict(scene: Scene, features_path: str | None = None) -> dict:
-    cfg = scene.config
-    doc = {
+    return {
         "format": SCENE_FORMAT,
-        "config": cfg.to_dict(),
+        "config": scene.config.to_dict(),
         "cameras": [
             {
                 "camera_id": cam.camera_id,
@@ -447,26 +446,14 @@ def scene_to_dict(scene: Scene, features_path: str | None = None) -> dict:
             for cam in scene.cameras
         ],
         "tracks": [
-            {
-                "object_id": tr.object_id,
-                "category": tr.category,
-                "size": tr.size.tolist(),
-                "p0": tr.p0.tolist(),
-                "velocity": tr.velocity.tolist(),
-                "is_static": tr.is_static,
-            }
-            for tr in scene.tracks
+            {key: _plain(getattr(tr, key)) for key in _TRACK_KEYS} for tr in scene.tracks
         ],
         "frames": [
             {
                 "frame_index": fr.frame_index,
                 "timestamp": fr.ego_pose.timestamp,
                 "world_from_ego": fr.ego_pose.world_from_ego.tolist(),
-                "object_centers": fr.object_centers.tolist(),
-                "object_velocities": fr.object_velocities.tolist(),
-                "object_categories": fr.object_categories.tolist(),
-                "object_sizes": fr.object_sizes.tolist(),
-                "static_labels": fr.static_labels.tolist(),
+                **{key: getattr(fr, key).tolist() for key in _OBJECT_KEYS},
                 "proposals": [
                     [
                         dict(zip(PROPOSAL_FIELDS, row))
@@ -480,17 +467,10 @@ def scene_to_dict(scene: Scene, features_path: str | None = None) -> dict:
         ],
         "features": {
             "dtype": FEATURE_DTYPE,
-            "shape": [
-                cfg.n_frames,
-                cfg.n_cameras,
-                cfg.image_size[0],
-                cfg.image_size[1],
-                cfg.feature_channels,
-            ],
+            "shape": list(_feature_shape(scene.config)),
             "path": features_path,
         },
     }
-    return doc
 
 
 def scene_dumps(scene: Scene, features_path: str | None = None) -> str:
@@ -515,19 +495,6 @@ def save_scene(scene: Scene, path: str, features_path: str | None = None) -> Non
         rel = os.path.relpath(features_path, os.path.dirname(os.path.abspath(path)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(scene_dumps(scene, rel))
-
-
-_TRACK_KEYS = ("object_id", "category", "size", "p0", "velocity", "is_static")
-_FRAME_KEYS = (
-    "timestamp",
-    "world_from_ego",
-    "object_centers",
-    "object_velocities",
-    "object_categories",
-    "object_sizes",
-    "static_labels",
-    "proposal_object_ids",
-)
 
 
 def _get(obj, key: str, path: str, kind: type = object):
@@ -567,7 +534,7 @@ def scene_from_dict(doc: dict, features: np.ndarray | None = None) -> Scene:
     with _at("config"):
         cfg = SceneConfig.from_dict(raw_cfg)
     if features is not None:
-        shape = (cfg.n_frames, cfg.n_cameras, *cfg.image_size, cfg.feature_channels)
+        shape = _feature_shape(cfg)
         if features.shape != shape:
             raise ValidationError(
                 f"features.shape: the config needs {list(shape)}, got {list(features.shape)}"
@@ -599,7 +566,8 @@ def scene_from_dict(doc: dict, features: np.ndarray | None = None) -> Scene:
             raise ValidationError(
                 f"{at}.frame_index: expected an integer, its position {i}, got {idx!r:.40}"
             )
-        fields = {key: _get(fr, key, at) for key in _FRAME_KEYS}
+        keys = ("timestamp", "world_from_ego", *_OBJECT_KEYS, "proposal_object_ids")
+        fields = {key: _get(fr, key, at) for key in keys}
         proposals = proposal_tables(_get(fr, "proposals", at), f"{at}.proposals")
         with _at(at):
             if features is not None:

@@ -17,6 +17,7 @@ from .fusion import FusedQuerySequence, query_mamba_block, query_mamba_stack, ze
 from .geometry import CameraModel, EgoPose, align_centers, lift_center, project_point
 from .motion import MotionElimConfig, motion_cost, motion_mask
 from .pipeline import (
+    Detection,
     PipelineDims,
     PipelineWeights,
     op_count_cross_attention,
@@ -466,19 +467,10 @@ def check_end_to_end_geometry() -> CheckResult:
 
 
 def _detections_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if not (
-            np.array_equal(x.center3d, y.center3d)
-            and np.array_equal(x.size, y.size)
-            and x.yaw == y.yaw
-            and np.array_equal(x.velocity, y.velocity)
-            and x.category == y.category
-            and x.score == y.score
-        ):
-            return False
-    return True
+    names = [f.name for f in fields(Detection)]
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(x, name), getattr(y, name)) for x, y in zip(a, b) for name in names
+    )
 
 
 def check_residual_identity() -> CheckResult:

@@ -72,10 +72,6 @@ class DiscreteSsmBank(Record):
     def n_channels(self) -> int:
         return self.a_bar.shape[0]
 
-    @property
-    def state_dim(self) -> int:
-        return self.a_bar.shape[1]
-
     @cached_property
     def taps(self) -> np.ndarray:
         """The first ``_CHUNK`` impulse-response taps, d_bar folded into lag 0.

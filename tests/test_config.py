@@ -42,11 +42,13 @@ from statefuse import (
     discretize_zoh,
     expected_depth,
     fit_loglog_slope,
+    gs4_layer,
     layer_norm,
     lift_center,
     motion_cost,
     motion_mask,
     pad_frames,
+    project_point,
     materialize_kernel,
     scan_bank,
     seeded_bank,
@@ -428,6 +430,24 @@ def test_an_array_argument_refuses_a_value_of_another_kind(call, name):
 def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
     """Each of these once built through ``int()``: 2 channels, 3 taps, 1
     channel, 1 layer, D = 24, and two cameras 144 degrees apart."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name}: ") and "\n" not in message, message
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[True]], 0.5), "cfg"),
+        (lambda: project_point("cam", [1.0, 2.0, 3.0]), "cam"),
+        (lambda: gs4_layer(np.ones((3, 5)), seeded_layer_params(4, 0).gs4), "x"),
+    ],
+    ids=["motion_mask-cfg", "project_point-cam", "gs4_layer-width"],
+)
+def test_an_argument_typed_with_a_package_class_refuses_another_value(call, name):
+    """Once an AttributeError on 0.5.alpha or "cam".extrinsic, and numpy's
+    matmul ValueError on a 5-wide x for a 4-wide layer."""
     with pytest.raises(ValidationError) as info:
         call()
     message = str(info.value)

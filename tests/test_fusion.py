@@ -169,6 +169,14 @@ def test_zero_block_is_identity():
     assert out.frame_order == x.frame_order
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_zero_layer_refuses_a_width_below_one(n):
+    """As the seeded builder does; once a field error for 0 and numpy's
+    negative-dimensions ValueError for -2."""
+    with pytest.raises(ValidationError, match=r"^n_channels must be >= 1$"):
+        zero_layer_params(n)
+
+
 def test_zero_stack_is_identity():
     rng = np.random.default_rng(59)
     x = seq(rng, n=7, k=3, d=4)

@@ -58,7 +58,7 @@ def test_every_traced_binding_resolves(monkeypatch):
 # Bound but not called on the real path: the stack has run its layers
 # through one tiled pass since the row-tiled rewrite, and query_mamba_block
 # is only a one-layer entry point.  Re-binding or dropping it is part of
-# the benchmark change in ROADMAP item 2.
+# the benchmark change in ROADMAP item 1.
 UNCALLED = {"fusion.query_mamba_block"}
 MOTION_LAYERS = (
     "geometry.align_centers",

@@ -32,6 +32,7 @@ from statefuse import (
     zero_stack,
 )
 from statefuse.numerics import frozen, readonly, softmax
+from statefuse.queries import FeatureMap
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 
 SCENE = SceneConfig(
@@ -332,6 +333,21 @@ def test_decoder_single_key_full_weight():
     # softmax over one key is exactly 1, so every slot adds the same vector
     want = row + value @ w.dec_out
     assert np.max(np.abs(result.refined - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shrink", [lambda data: data[:2, :2], lambda data: data[..., :1]], ids=["smaller", "channels"]
+)
+def test_decoder_refuses_maps_of_different_shapes(shrink):
+    """Every key position is drawn from map 0's height and width, so a
+    smaller second map once raised an IndexError, and fewer channels
+    numpy's stack ValueError."""
+    scene, w = scene_and_weights()
+    result = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    feats = list(scene.frames[result.padded.current_index].feature_maps)
+    feats[1] = FeatureMap(shrink(feats[1].data))
+    with pytest.raises(ValidationError, match=r"^feats: the maps must share one shape"):
+        decode_current_frame(result.fused_output, feats, w)
 
 
 @pytest.mark.parametrize("seed", [5, 11])
