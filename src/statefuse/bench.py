@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import json
 import os
 import statistics
 import time
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .errors import Array, Config, Record, ValidationError, checked
+from .errors import Array, Bound, Config, Record, ValidationError, checked
 from .pipeline import cross_attention, op_count_cross_attention, op_count_ssm
 from .ssm import _CHUNK, DiscreteSsmBank, scan_bank
 
@@ -45,33 +45,20 @@ BENCH_CSV_HEADER = "mechanism,n,k,d,m,wall_nanos,peak_bytes,op_count,timer_ok"
 
 @dataclass(frozen=True)
 class BenchConfig(Config):
-    n_list: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
-    k: int = 4
-    d: int = 16
-    state_dim: int = 16
-    repetitions: int = 5
-    warmup: int = 2
-    mechanism: str = "both"
-    seed: int = 0
+    n_list: tuple[Bound[int, ">=", 1], ...] = (64, 128, 256, 512, 1024, 2048)
+    k: Bound[int, ">=", 1] = 4
+    d: Bound[int, ">=", 1] = 16
+    state_dim: Bound[int, ">=", 1] = 16
+    repetitions: Bound[int, ">=", 3] = 5  # for a stable median
+    warmup: Bound[int, ">=", 0] = 2
+    mechanism: Literal[MECHANISMS + ("both",)] = "both"
+    seed: Bound[int, ">=", 0] = 0
 
     def __post_init__(self):
         super().__post_init__()
         n_list = self.n_list
-        if len(n_list) < 1 or any(n < 1 for n in n_list):
-            raise ValidationError("n_list must hold positive lengths")
-        if any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ValidationError("n_list must be strictly increasing")
-        for name in ("k", "d", "state_dim"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if self.repetitions < 3:
-            raise ValidationError("repetitions must be >= 3 for a stable median")
-        if self.warmup < 0:
-            raise ValidationError("warmup must be >= 0")
-        if self.mechanism not in MECHANISMS + ("both",):
-            raise ValidationError(f"mechanism must be one of {MECHANISMS + ('both',)}")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+            raise ValidationError(f"n_list: expected increasing lengths, one or more, got {n_list}")
 
     @property
     def mechanisms(self) -> tuple:
@@ -80,26 +67,15 @@ class BenchConfig(Config):
 
 @dataclass(frozen=True)
 class BenchRow(Record):
-    mechanism: str
-    n: int
-    k: int
-    d: int
-    m: int
-    wall_nanos: int
-    peak_bytes: int
-    op_count: int
+    mechanism: Literal[MECHANISMS]
+    n: Bound[int, ">=", 1]
+    k: Bound[int, ">=", 1]
+    d: Bound[int, ">=", 1]
+    m: Bound[int, ">=", 1]
+    wall_nanos: Bound[int, ">=", 1]
+    peak_bytes: Bound[int, ">=", 0]
+    op_count: Bound[int, ">=", 0]
     timer_ok: bool
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.mechanism not in MECHANISMS:
-            raise ValidationError(f"mechanism must be one of {MECHANISMS}")
-        if min(self.n, self.k, self.d, self.m) < 1:
-            raise ValidationError("n, k, d, m must all be >= 1")
-        if self.wall_nanos <= 0:
-            raise ValidationError("wall_nanos must be positive")
-        if self.peak_bytes < 0 or self.op_count < 0:
-            raise ValidationError("peak_bytes and op_count must be non-negative")
 
 
 @checked

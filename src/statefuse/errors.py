@@ -1,6 +1,6 @@
 """Exception types shared across the library, and the one rule for the
-fields of its config and record types and the array arguments of its
-functions."""
+fields of its config and record types and the array and scalar arguments
+of its functions, which their annotations declare."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import functools
 import inspect
 import math
 import numbers
+import operator
 import typing
 from dataclasses import MISSING, fields
 from functools import cache
@@ -70,6 +71,36 @@ class Array:
         return f"({', '.join(axes)}{',' * (len(axes) == 1 and not self.lead)})"
 
 
+class Bound:
+    """The annotation of a scalar in a range, ``Bound[int, ">=", 1]`` or
+    ``Bound[float, ">=", 0, "<=", 1]``: a kind, then pairs of a comparison
+    (``>=``, ``>``, ``<=`` or ``<``) and a limit, each of which a value must
+    meet.  ``Literal["a", "b"]`` is read as a Bound that takes only its
+    choices.  ``repr`` reads ``an int >= 1`` or ``one of 'a', 'b'``."""
+
+    _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+    def __init__(self, kind: type, limits: tuple = (), choices: tuple = ()):
+        self.kind, self.limits, self.choices = kind, limits, choices
+
+    def __class_getitem__(cls, params):
+        return typing.Annotated[params[0], cls(params[0], tuple(zip(params[1::2], params[2::2])))]
+
+    def admits(self, value) -> bool:
+        if self.choices:
+            return value in self.choices
+        for op, limit in self.limits:  # a loop: all() over a generator takes 4x as long
+            if not self._COMPARISONS[op](value, limit):
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        if self.choices:
+            return f"one of {', '.join(map(repr, self.choices))}"
+        limits = " and ".join(f"{op} {limit}" for op, limit in self.limits)
+        return f"{'an' if self.kind is int else 'a'} {self.kind.__name__} {limits}"
+
+
 class Record:
     """Base of the frozen dataclasses whose fields one rule turns into values.
 
@@ -77,10 +108,11 @@ class Record:
     an integer or a finite float, kept as a float; ``bool`` a bool; ``str``
     a string; ``tuple[T, T]`` and ``tuple[T, ...]`` a list or tuple of such
     values, kept as a tuple; ``Array[...]`` an array (see :class:`Array`);
-    any other class an instance of it, a nested record for one; and ``T |
-    None`` None or a ``T``.  A bool is no number.  Any other value raises
-    ``ValidationError`` naming the field.  A subclass's ``__post_init__``
-    calls this one, then checks ranges and how its fields relate.
+    ``Bound[...]`` and ``Literal[...]`` a value in their range or choices
+    (see :class:`Bound`); any other class an instance of it, a nested
+    record for one; and ``T | None`` None or a ``T``.  A bool is no number.
+    Any other value raises ``ValidationError`` naming the field.  A
+    subclass's ``__post_init__`` calls this one, then relates its fields.
     """
 
     def __post_init__(self):
@@ -92,8 +124,8 @@ class Record:
 
 
 class Config(Record):
-    """Base of the frozen config dataclasses: records of scalars and
-    tuples, read from and written to JSON objects."""
+    """Base of the frozen config dataclasses: records of scalars, in a
+    :class:`Bound` or not, and tuples, read from and written to JSON."""
 
     @classmethod
     def from_dict(cls, raw: dict):
@@ -125,7 +157,7 @@ _BAD = object()
 @cache
 def _schema(cls) -> tuple:
     """(name, kind, default, like, optional) of each field of a record
-    class, in order: ``kind`` is a type or an :class:`Array`, ``like`` what
+    class, in order: ``kind`` is as :func:`_kind` reads it, ``like`` what
     a message says the field expects, and ``optional`` whether it may be
     None."""
     hints = typing.get_type_hints(cls, include_extras=True)
@@ -138,17 +170,23 @@ def _schema(cls) -> tuple:
 
 
 def _kind(hint) -> tuple:
-    """(type or :class:`Array`, whether ``T | None``) of an annotation."""
+    """(type, :class:`Array` or :class:`Bound`; whether ``T | None``) of an annotation."""
     args = typing.get_args(hint)
     optional = type(None) in args and typing.get_origin(hint) is not tuple
     if optional:  # kind | None
         hint = next(arg for arg in args if arg is not type(None))
-    if typing.get_origin(hint) is typing.Annotated:  # Array[...]
+    origin = typing.get_origin(hint)
+    if origin is typing.Annotated:  # Array[...] or Bound[...]
         hint = hint.__metadata__[0]
+    elif origin is typing.Literal:
+        hint = Bound(type(typing.get_args(hint)[0]), choices=typing.get_args(hint))
+    elif origin is tuple:  # of its elements' kinds
+        hint = tuple[tuple(_kind(arg)[0] for arg in typing.get_args(hint))]
     return hint, optional
 
 
 def _like(kind) -> str:
+    kind = kind.kind if isinstance(kind, Bound) else kind
     return str(kind) if typing.get_args(kind) else getattr(kind, "__name__", "an array")
 
 
@@ -156,22 +194,43 @@ def field_value(name: str, value, kind, like: str | None = None, sizes: dict | N
     """``value`` as a field ``name`` of type ``kind`` under the rule of
     :class:`Record`; any other value raises ``ValidationError("<name>:
     expected a value like <like>, got <value>")``, ``like`` defaulting to
-    the type's name.  ``sizes`` holds the symbols that the earlier array
-    fields of the same object bound."""
+    the type's name, or, out of a :class:`Bound` (a tuple's element named
+    ``<name>[<i>]``), ``"<name>: expected <bound>, got <value>"``.  ``sizes``
+    holds the symbols that the earlier array fields of the object bound."""
     if isinstance(kind, Array):  # write-protected: in place when made here
         arr = checked_array(name, value, kind, {} if sizes is None else sizes, empty=False)
         return numerics.readonly(arr) if arr is value else numerics.frozen(arr)
     kept = _field_value(value, kind)
     if kept is _BAD:
-        like = _like(kind) if like is None else like
-        raise ValidationError(f"{name}: expected a value like {like}, got {value!r:.40}")
+        raise ValidationError(_refusal(name, value, kind, _like(kind) if like is None else like))
     return kept
+
+
+def _refusal(name: str, value, kind, like: str) -> str:
+    """The message of :func:`field_value` that refuses ``value``."""
+    kinds = typing.get_args(kind)
+    if kinds and isinstance(value, (list, tuple)):  # an element out of its bound
+        kinds = kinds[:1] * len(value) if kinds[-1] is Ellipsis else kinds
+        for index, pair in enumerate(zip(value, kinds) if len(kinds) == len(value) else ()):
+            if _breaks(*pair):
+                return _refusal(f"{name}[{index}]", *pair, like)
+    if _breaks(value, kind):
+        return f"{name}: expected {kind!r}, got {value!r:.40}"
+    return f"{name}: expected a value like {like}, got {value!r:.40}"
+
+
+def _breaks(value, kind) -> bool:  # whether value is of a Bound's kind, but out of it
+    kept = _field_value(value, kind.kind) if isinstance(kind, Bound) else _BAD
+    return kept is not _BAD and not kind.admits(kept)
 
 
 def _field_value(value, kind):
     """``value`` as a field of type ``kind``, or ``_BAD`` when it is none."""
     if type(value) is kind and kind is not float:  # the common case
         return value
+    if type(kind) is Bound:
+        kept = _field_value(value, kind.kind)
+        return kept if kept is not _BAD and kind.admits(kept) else _BAD
     if kind is float and isinstance(value, float):  # a numpy float64 too
         return float(value) if math.isfinite(value) else _BAD
     if kind is bool or isinstance(value, bool):  # a bool is no number
@@ -279,9 +338,10 @@ def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np
 def checked(fn):
     """Decorate ``fn`` so that every call checks its ``Array[...]``
     parameters, in order, under the rule of :class:`Array`, and its
-    ``int``, ``float`` and ``bool`` ones, and those typed with a class of
-    this package, as :class:`Record` fields; one declared ``T | None`` also
-    takes None.  ``fn`` receives each checked array: the caller's ndarray
+    ``int``, ``float`` and ``bool`` ones, its ``Bound[...]`` and
+    ``Literal[...]`` ones (see :class:`Bound`), and those typed with a class
+    of this package, as :class:`Record` fields; one declared ``T | None``
+    also takes None.  ``fn`` receives each checked array: the caller's ndarray
     itself, neither copied nor write-protected, when it holds the kept
     dtype, else a new array.  Any other value raises ``ValidationError``
     naming the parameter.
@@ -314,7 +374,7 @@ def _parameters(fn) -> tuple:
     for position, name in enumerate(inspect.signature(fn).parameters):
         spec, optional = _kind(hints.get(name))
         own = isinstance(spec, type) and spec.__module__.startswith(f"{__package__}.")
-        if isinstance(spec, Array) or spec in (int, float, bool) or own:
+        if isinstance(spec, (Array, Bound)) or spec in (int, float, bool) or own:
             specs.append((position, name, spec, optional))
     return tuple(specs)
 

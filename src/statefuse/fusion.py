@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, NumericOverflowError, Record, ValidationError, check_seed, checked
+from .errors import Array, Bound, NumericOverflowError, Record, ValidationError, check_seed, checked
 from .numerics import frozen, gelu, require_finite
 from .ssm import (  # the short scan's conv is the layer's conv too
     _CHUNK,
@@ -55,12 +55,7 @@ from .ssm import (  # the short scan's conv is the layer's conv too
 class LayerNormParams(Record):
     scale: Array[float, "E"]
     shift: Array[float, "E"]
-    epsilon: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.epsilon <= 0.0:
-            raise ValidationError("epsilon must be a positive finite number")
+    epsilon: Bound[float, ">", 0]
 
 
 @dataclass(frozen=True)
@@ -119,15 +114,13 @@ class FusedQuerySequence(Record):
 
     data: Array[float, "N", "E"]
     frame_order: tuple[int, ...]
-    k_queries: int
-    embed_dim: int
+    k_queries: Bound[int, ">=", 1]
+    embed_dim: Bound[int, ">=", 1]
 
     def __post_init__(self):
         super().__post_init__()
         n, e = self.data.shape
         k, d = self.k_queries, self.embed_dim
-        if k < 1 or d < 1:
-            raise ValidationError("k_queries and embed_dim must be >= 1")
         if e != k * d:
             raise ValidationError(f"row width {e} must equal k_queries * embed_dim = {k * d}")
         if len(self.frame_order) != n or sorted(self.frame_order) != list(range(n)):
@@ -147,7 +140,8 @@ class FusedQuerySequence(Record):
 
 @checked
 def layer_norm(
-    x: Array[float, ..., "E"], scale: Array[float, "E"], shift: Array[float, "E"], epsilon: float
+    x: Array[float, ..., "E"], scale: Array[float, "E"], shift: Array[float, "E"],
+    epsilon: Bound[float, ">=", 0],
 ) -> np.ndarray:
     """Normalize the last axis to zero mean / unit population variance.
 
@@ -156,8 +150,6 @@ def layer_norm(
     """
     if x.shape[-1] == 0:
         raise ValidationError("x: the last axis must be non-empty")
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be >= 0")
     mean = x.mean(axis=-1, keepdims=True)
     out = x - mean
     var = np.square(out).sum(axis=-1, keepdims=True)  # as x.var() sums it
@@ -276,11 +268,13 @@ def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
     return x.with_data(out)
 
 
+@checked
 def query_mamba_block(x: FusedQuerySequence, params: QueryMambaLayerParams) -> FusedQuerySequence:
     """One fusion layer; the final residual adds the untouched input back."""
     return _fuse(x, (params,))
 
 
+@checked
 def query_mamba_stack(x: FusedQuerySequence, stack: QueryMambaStack) -> FusedQuerySequence:
     """Compose fusion layers in order; overflow reports the offending layer."""
     return _fuse(x, stack.layers)
@@ -296,8 +290,6 @@ def _layer_params(e, learnable, bank_seed, state_dim, ksize, delta, epsilon):
     ``bank_seed`` and whose learnable arrays ``learnable(*shape)`` makes, in
     the order dw_kernel, w_u, w_v, w_o, out_weight, out_bias.  Its layer
     norms scale by one and shift by zero."""
-    if e < 1:
-        raise ValidationError("n_channels must be >= 1")
     ones, zeros = frozen(np.ones(e)), frozen(np.zeros(e))
     return QueryMambaLayerParams(
         ln1=LayerNormParams(ones, zeros, epsilon),
@@ -316,13 +308,9 @@ def _layer_params(e, learnable, bank_seed, state_dim, ksize, delta, epsilon):
 
 @checked
 def seeded_layer_params(
-    n_channels: int,
-    seed,
-    *,
-    state_dim: int = 16,
-    ksize: int = 3,
-    delta: float = 0.1,
-    epsilon: float = 1e-6,
+    n_channels: Bound[int, ">=", 1], seed, *,
+    state_dim: Bound[int, ">=", 1] = 16, ksize: Bound[int, ">=", 1] = 3,
+    delta: Bound[float, ">", 0] = 0.1, epsilon: Bound[float, ">", 0] = 1e-6,
 ) -> QueryMambaLayerParams:
     """Deterministic layer init: weights uniform in [-0.1, 0.1] from the seed."""
     check_seed(seed)
@@ -337,25 +325,15 @@ def seeded_layer_params(
 
 @checked
 def seeded_stack(
-    n_channels: int,
-    seed: int,
-    *,
-    n_layers: int = 6,
-    state_dim: int = 16,
-    ksize: int = 3,
-    delta: float = 0.1,
-    epsilon: float = 1e-6,
+    n_channels: Bound[int, ">=", 1], seed: Bound[int, ">=", 0], *,
+    n_layers: Bound[int, ">=", 1] = 6, state_dim: Bound[int, ">=", 1] = 16,
+    ksize: Bound[int, ">=", 1] = 3, delta: Bound[float, ">", 0] = 0.1,
+    epsilon: Bound[float, ">", 0] = 1e-6,
 ) -> QueryMambaStack:
-    if n_layers < 1:
-        raise ValidationError("n_layers must be >= 1")
     layers = tuple(
         seeded_layer_params(
-            n_channels,
-            [seed, 0xF0, i],
-            state_dim=state_dim,
-            ksize=ksize,
-            delta=delta,
-            epsilon=epsilon,
+            n_channels, [seed, 0xF0, i],
+            state_dim=state_dim, ksize=ksize, delta=delta, epsilon=epsilon,
         )
         for i in range(n_layers)
     )
@@ -368,12 +346,9 @@ def _zeros(*shape) -> np.ndarray:
 
 @checked
 def zero_layer_params(
-    n_channels: int,
-    *,
-    state_dim: int = 16,
-    ksize: int = 3,
-    delta: float = 0.1,
-    epsilon: float = 1e-6,
+    n_channels: Bound[int, ">=", 1], *,
+    state_dim: Bound[int, ">=", 1] = 16, ksize: Bound[int, ">=", 1] = 3,
+    delta: Bound[float, ">", 0] = 0.1, epsilon: Bound[float, ">", 0] = 1e-6,
 ) -> QueryMambaLayerParams:
     """All learnable weights zero (scales one, shifts zero): an exact identity."""
     return _layer_params(n_channels, _zeros, 0, state_dim, ksize, delta, epsilon)
@@ -381,13 +356,10 @@ def zero_layer_params(
 
 @checked
 def zero_stack(
-    n_channels: int,
-    *,
-    n_layers: int = 6,
-    state_dim: int = 16,
-    ksize: int = 3,
-    delta: float = 0.1,
-    epsilon: float = 1e-6,
+    n_channels: Bound[int, ">=", 1], *,
+    n_layers: Bound[int, ">=", 1] = 6, state_dim: Bound[int, ">=", 1] = 16,
+    ksize: Bound[int, ">=", 1] = 3, delta: Bound[float, ">", 0] = 0.1,
+    epsilon: Bound[float, ">", 0] = 1e-6,
 ) -> QueryMambaStack:
     layer = zero_layer_params(
         n_channels, state_dim=state_dim, ksize=ksize, delta=delta, epsilon=epsilon

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Record, ValidationError, check_seed, checked
+from .errors import Array, BehindCameraError, Bound, Record, ValidationError, check_seed, checked
 from .numerics import frozen, gelu, require_rigid, rigid_inverse
 
 MIN_PROJECT_DEPTH = 1e-6
@@ -60,8 +60,8 @@ class EgoPose(Record):
 class PosEmbedParams(Record):
     """Sinusoidal features followed by a two-layer GELU MLP, output width D."""
 
-    embed_dim: int
-    temperature: float
+    embed_dim: Bound[int, ">=", 2]
+    temperature: Bound[float, ">", 0]
     w1: Array[float, "D", "D"]
     b1: Array[float, "D"]
     w2: Array[float, "D", "D"]
@@ -70,16 +70,16 @@ class PosEmbedParams(Record):
     def __post_init__(self):
         super().__post_init__()
         d = self.embed_dim
-        if d < 2 or d % 2 != 0:
-            raise ValidationError("embed_dim must be a positive even integer")
-        if self.temperature <= 0.0:
-            raise ValidationError("temperature must be positive")
+        if d % 2 != 0:
+            raise ValidationError(f"embed_dim: expected an even int, got {d}")
         if self.b1.size != d:
             raise ValidationError(f"b1: width {self.b1.size} does not match embed_dim {d}")
 
     @classmethod
     @checked
-    def seeded(cls, embed_dim: int, seed, temperature: float = 10000.0) -> "PosEmbedParams":
+    def seeded(
+        cls, embed_dim: Bound[int, ">=", 2], seed, temperature: Bound[float, ">", 0] = 10000.0
+    ) -> "PosEmbedParams":
         check_seed(seed)
         rng = np.random.default_rng(seed)
         d = embed_dim
@@ -118,8 +118,8 @@ def project_point(cam: CameraModel, p_ego: Array[float, ..., 3]) -> tuple:
 
 @checked
 def lift_center(
-    cam, c2d: Array[float, ..., 2], depth: Array[float, ...],
-    cam_index: Array[int, ...] | None = None,
+    cam: CameraModel | tuple[CameraModel, ...] | list[CameraModel],
+    c2d: Array[float, ..., 2], depth: Array[float, ...], cam_index: Array[int, ...] | None = None,
 ) -> np.ndarray:
     """Lift image points at known camera depths back to the ego frame.
 
@@ -133,6 +133,9 @@ def lift_center(
     if np.any(depth <= 0.0):
         raise ValidationError("depth must be positive")
     cams, idx = ((cam,), 0) if cam_index is None else (cam, cam_index)
+    if not isinstance(cams, (list, tuple)) or not all(isinstance(m, CameraModel) for m in cams):
+        want = "a CameraModel" if cam_index is None else "a list or tuple of CameraModels"
+        raise ValidationError(f"cam: expected {want}, got {type(cam).__name__}")
     if np.any(idx < 0) or np.any(idx >= len(cams)):
         raise ValidationError(f"cam_index: entries must lie in [0, {len(cams)})")
     k22 = np.array([m.intrinsic[2, 2] for m in cams])[idx]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, Config, Extended, Record, ValidationError, checked
+from .errors import Array, Bound, Config, Extended, Record, ValidationError, checked
 from .numerics import frozen
 
 INVALID_COST = np.inf
@@ -26,12 +26,7 @@ INVALID_COST = np.inf
 
 @dataclass(frozen=True)
 class MotionElimConfig(Config):
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.alpha < 0.0:
-            raise ValidationError("alpha must be a finite non-negative distance")
+    alpha: Bound[float, ">=", 0] = 0.5
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    Array,
-    Config,
-    Record,
-    ValidationError,
-    _schema,
-    checked,
-)
+from .errors import Array, Bound, Config, Record, ValidationError, _schema, checked, field_value
 from .fusion import FusedQuerySequence, QueryMambaStack, query_mamba_stack, seeded_stack
 from .geometry import PosEmbedParams, align_centers
 from .motion import (
@@ -64,10 +57,10 @@ _REPORT_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%d,%.17g\n"
 
 
 @checked
-def op_count_cross_attention(n: int, k: int, d: int) -> int:
+def op_count_cross_attention(
+    n: Bound[int, ">=", 1], k: Bound[int, ">=", 1], d: Bound[int, ">=", 1]
+) -> int:
     """Multiply-accumulates of cross-attention temporal fusion (exact integer)."""
-    if min(n, k, d) < 1:
-        raise ValidationError("n, k, d must all be >= 1")
     return 4 * n * (k * d) ** 2 + 2 * n * n * k * d
 
 
@@ -86,10 +79,11 @@ def cross_attention(queries, context, wq, wk, wv, wo) -> np.ndarray:
 
 
 @checked
-def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
+def op_count_ssm(
+    n: Bound[int, ">=", 1], k: Bound[int, ">=", 1], d: Bound[int, ">=", 1],
+    m: Bound[int, ">=", 1] = 16,
+) -> int:
     """Multiply-accumulates of state-space temporal fusion (exact integer)."""
-    if min(n, k, d, m) < 1:
-        raise ValidationError("n, k, d, m must all be >= 1")
     return 3 * n * (2 * d) * m + n * (2 * k * d) * m
 
 
@@ -97,37 +91,30 @@ def op_count_ssm(n: int, k: int, d: int, m: int = 16) -> int:
 class PipelineDims(Config):
     """Shape and hyper constants that, with a seed, fix every weight."""
 
-    k_queries: int
-    embed_dim: int = 24
-    feature_channels: int = 8
-    state_dim: int = 16
-    n_layers: int = 6
-    n_heads: int = 2
-    n_keys: int = 4
-    dw_ksize: int = 3
-    decoder_keys: int = 32
-    epsilon: float = 1e-6
-    temperature: float = 10000.0
-    delta: float = 0.1
+    k_queries: Bound[int, ">=", 1]
+    embed_dim: Bound[int, ">=", 2] = 24
+    feature_channels: Bound[int, ">=", 1] = 8
+    state_dim: Bound[int, ">=", 1] = 16
+    n_layers: Bound[int, ">=", 1] = 6
+    n_heads: Bound[int, ">=", 1] = 2
+    n_keys: Bound[int, ">=", 1] = 4
+    dw_ksize: Bound[int, ">=", 1] = 3
+    decoder_keys: Bound[int, ">=", 1] = 32
+    epsilon: Bound[float, ">", 0] = 1e-6
+    temperature: Bound[float, ">", 0] = 10000.0
+    delta: Bound[float, ">", 0] = 0.1
 
     def __post_init__(self):
         super().__post_init__()
-        for name, value in self.to_dict().items():  # every field is positive
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
         if self.embed_dim % 2 != 0:
-            raise ValidationError("embed_dim must be even")
+            raise ValidationError(f"embed_dim: expected an even int, got {self.embed_dim}")
 
     @property
     def n_channels(self) -> int:
         return self.k_queries * self.embed_dim
 
 
-def _weights_seed(seed, name: str) -> int:
-    """``seed`` if it is an int in [0, 2**64), not a bool; else ValidationError."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError(f"{name} must be an unsigned 64-bit integer, got {seed!r:.40}")
-    return seed
+_WEIGHTS_SEED = Bound[int, ">=", 0, "<", 2**64]  # of a weights file: an unsigned 64-bit int
 
 
 @dataclass(frozen=True)
@@ -138,9 +125,9 @@ class PipelineWeights(Record):
     order, and each must agree with ``dims`` (see :func:`_blob_arrays`).
     """
 
-    seed: int
+    seed: _WEIGHTS_SEED
     dims: PipelineDims
-    box_mode: str
+    box_mode: typing.Literal[BOX_MODES]
     attn: DeformAttnParams
     pos: PosEmbedParams
     sem_proj: Array[float, "C", "D"]
@@ -154,9 +141,6 @@ class PipelineWeights(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        _weights_seed(self.seed, "weights seed")
-        if self.box_mode not in BOX_MODES:
-            raise ValidationError(f"box_mode must be one of {BOX_MODES}")
         linear = self.box_mode == "linear"
         if (self.box_w is not None, self.box_b is not None) != (linear, linear):
             raise ValidationError("box_w and box_b: given in linear box mode, and only there")
@@ -164,13 +148,15 @@ class PipelineWeights(Record):
             pass
 
     @classmethod
-    def from_seed(cls, seed: int, dims: PipelineDims, box_mode: str = "bypass") -> PipelineWeights:
+    @checked
+    def from_seed(
+        cls, seed: _WEIGHTS_SEED, dims: PipelineDims, box_mode: typing.Literal[BOX_MODES] = "bypass"
+    ) -> PipelineWeights:
         """Deterministic build; each component draws from its own substream.
 
         Components that do not depend on k_queries are identical across
         weights built for different slot counts with the same seed.
         """
-        seed = _weights_seed(seed, "weights seed")
         c, d = dims.feature_channels, dims.embed_dim
         attn = DeformAttnParams.seeded(
             c, [seed, 1], n_heads=dims.n_heads, n_keys=dims.n_keys
@@ -222,14 +208,12 @@ class Detection(Record):
     yaw: float
     velocity: Array[float, 2]
     category: int
-    score: float
+    score: Bound[float, ">=", 0, "<=", 1]
 
     def __post_init__(self):
         super().__post_init__()
         if np.any(self.size < 0.0):
             raise ValidationError("size extents must be non-negative")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValidationError("score must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -269,6 +253,7 @@ def channel_concat(seq: PaddedQuerySequence) -> FusedQuerySequence:
     )
 
 
+@checked
 def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -> np.ndarray:
     """One cross-attention decoder layer over the current frame's queries.
 
@@ -320,6 +305,7 @@ def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
     )
 
 
+@checked
 def run_pipeline_detailed(
     frames, cams, w: PipelineWeights, cfg: MotionElimConfig | None = None
 ) -> PipelineResult:
@@ -432,8 +418,8 @@ def _blob_fields(cls, dims: PipelineDims, box_mode: str):
             continue
         if isinstance(kind, Array):
             yield name, kind, tuple(sizes[a] if isinstance(a, str) else a for a in kind.shape)
-        elif kind in (int, float):
-            yield name, kind, getattr(dims, name)
+        elif isinstance(kind, Bound) or kind in (int, float):
+            yield name, getattr(kind, "kind", kind), getattr(dims, name)
         elif typing.get_args(kind):  # tuple[R, ...]: one R per layer
             yield name, typing.get_args(kind)[0], dims.n_layers
         else:
@@ -524,12 +510,8 @@ def _parse_weights(line: bytes, data: bytes, start: int) -> PipelineWeights:
     missing = [key for key in _HEADER_FIELDS if key not in header]
     if missing:
         raise ValidationError(f"weights header lacks {', '.join(missing)}")
-    seed = _weights_seed(header["seed"], "weights header seed")
-    box_mode = header["box_mode"]
-    if box_mode not in BOX_MODES:
-        raise ValidationError(
-            f"weights header box_mode must be one of {BOX_MODES}, got {box_mode!r}"
-        )
+    kinds = {name: kind for name, kind, *_ in _schema(PipelineWeights)}
+    seed, box_mode = (field_value(key, header[key], kinds[key]) for key in ("seed", "box_mode"))
     dims = PipelineDims.from_dict(header["dims"])
     total = _n_values(PipelineWeights, dims, box_mode)
     if len(data) - start != 8 * total:

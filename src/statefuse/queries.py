@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import Array, Record, ValidationError, check_seed, checked, number_array
+from .errors import Array, Bound, Record, ValidationError, check_seed, checked, number_array
 from .geometry import PosEmbedParams, lift_center, pos_embed
 from .numerics import frozen, readonly, require_finite, softmax
 
@@ -209,18 +209,17 @@ class DeformAttnParams(Record):
 
     @staticmethod
     @checked
-    def head_width(channels: int, n_heads: int) -> int:
+    def head_width(channels: int, n_heads: Bound[int, ">=", 1]) -> int:
         """Per-head value width C_h of seeded params."""
         return max(1, channels // n_heads)
 
     @classmethod
     @checked
     def seeded(
-        cls, channels: int, seed, *, n_heads: int = 2, n_keys: int = 4
+        cls, channels: Bound[int, ">=", 1], seed, *,
+        n_heads: Bound[int, ">=", 1] = 2, n_keys: Bound[int, ">=", 1] = 4,
     ) -> "DeformAttnParams":
         """Deterministic params; raw weight logits pass through a softmax."""
-        if channels < 1 or n_heads < 1 or n_keys < 1:
-            raise ValidationError("channels, n_heads, n_keys must all be >= 1")
         c_h = cls.head_width(channels, n_heads)
         check_seed(seed)
         rng = np.random.default_rng(seed)

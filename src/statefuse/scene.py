@@ -16,10 +16,11 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Config, Record, ValidationError, checked
+from .errors import Array, BehindCameraError, Bound, Config, Record, ValidationError, checked
 from .geometry import CameraModel, EgoPose, project_point
 from .numerics import frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
@@ -39,50 +40,28 @@ EGO_SEGMENT_FRAMES = 4
 
 @dataclass(frozen=True)
 class SceneConfig(Config):
-    n_frames: int = 8
-    frame_dt: float = 0.5
-    n_objects: int = 6
-    n_cameras: int = 6
-    image_size: tuple[int, int] = (48, 64)
-    feature_channels: int = 8
-    speed_range: tuple[float, float] = (2.0, 6.0)
-    static_fraction: float = 0.5
-    center_noise_sigma: float = 0.0
-    seed: int = 0
-    depth_mode: str = "peaked"
-    focal: float = 0.8
+    n_frames: Bound[int, ">=", 1] = 8
+    frame_dt: Bound[float, ">", 0] = 0.5
+    n_objects: Bound[int, ">=", 1] = 6
+    n_cameras: Bound[int, ">=", 1] = 6
+    image_size: tuple[Bound[int, ">=", 2], Bound[int, ">=", 2]] = (48, 64)
+    feature_channels: Bound[int, ">=", 1] = 8
+    speed_range: tuple[Bound[float, ">=", 0], Bound[float, ">=", 0]] = (2.0, 6.0)
+    static_fraction: Bound[float, ">=", 0, "<=", 1] = 0.5
+    center_noise_sigma: Bound[float, ">=", 0] = 0.0
+    seed: Bound[int, ">=", 0] = 0
+    depth_mode: Literal["peaked", "exact"] = "peaked"
+    focal: Bound[float, ">", 0] = 0.8
     camera_height: float = 1.5
-    radius_range: tuple[float, float] = (8.0, 30.0)
-    n_categories: int = 4
+    radius_range: tuple[Bound[float, ">", 0], Bound[float, ">", 0]] = (8.0, 30.0)
+    n_categories: Bound[int, ">=", 1] = 4
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_frames < 1 or self.n_objects < 1 or self.n_cameras < 1:
-            raise ValidationError("n_frames, n_objects, n_cameras must all be >= 1")
-        if self.frame_dt <= 0.0:
-            raise ValidationError("frame_dt must be positive")
-        if min(self.image_size) < 2:
-            raise ValidationError("image_size entries must be >= 2")
-        if self.feature_channels < 1:
-            raise ValidationError("feature_channels must be >= 1")
-        lo, hi = self.speed_range
-        if not (0.0 <= lo <= hi):
-            raise ValidationError("speed_range must satisfy 0 <= lo <= hi")
-        if not (0.0 <= self.static_fraction <= 1.0):
-            raise ValidationError("static_fraction must lie in [0, 1]")
-        if self.center_noise_sigma < 0.0:
-            raise ValidationError("center_noise_sigma must be >= 0")
-        if self.depth_mode not in ("peaked", "exact"):
-            raise ValidationError("depth_mode must be 'peaked' or 'exact'")
-        if self.focal <= 0.0:
-            raise ValidationError("focal must be positive")
-        rlo, rhi = self.radius_range
-        if not (0.0 < rlo <= rhi):
-            raise ValidationError("radius_range must satisfy 0 < lo <= hi")
-        if self.n_categories < 1:
-            raise ValidationError("n_categories must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        for name in ("speed_range", "radius_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValidationError(f"{name}: expected lo <= hi, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -183,15 +162,15 @@ def _yaw_rotation(yaw: float) -> np.ndarray:
 
 
 @checked
-def camera_ring(n_cameras: int, focal: float = 0.8, height: float = 1.5) -> tuple:
+def camera_ring(
+    n_cameras: Bound[int, ">=", 1], focal: Bound[float, ">", 0] = 0.8, height: float = 1.5
+) -> tuple:
     """Evenly spaced horizontal camera ring centered on the ego origin.
 
     Camera i yaws by i * 360 / n degrees from ego forward.  Intrinsics are
     in normalized image units, the principal point at the image center:
     in-view points project into [0, 1] x [0, 1].
     """
-    if n_cameras < 1:
-        raise ValidationError("n_cameras must be >= 1")
     cams = []
     intrinsic = np.array([[focal, 0.0, 0.5], [0.0, focal, 0.5], [0.0, 0.0, 1.0]])
     for i in range(n_cameras):

@@ -46,11 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import Array, Record, ValidationError, check_seed, checked
+from .errors import Array, Bound, Record, ValidationError, checked
 from .numerics import frozen
 
 
@@ -93,7 +94,9 @@ class DiscreteSsmBank(Record):
 
 
 @checked
-def discretize_zoh(a: Array[float, ...], b: Array[float, ...], delta: float) -> tuple:
+def discretize_zoh(
+    a: Array[float, ...], b: Array[float, ...], delta: Bound[float, ">", 0]
+) -> tuple:
     """Zero-order-hold discretization of h' = a * h + b * x over ``delta``.
 
     Returns (a_bar, b_bar) with a_bar = exp(delta * a) and b_bar =
@@ -106,8 +109,6 @@ def discretize_zoh(a: Array[float, ...], b: Array[float, ...], delta: float) -> 
         raise ValidationError("a must be non-empty")
     if np.any(a > 0.0):
         raise ValidationError("a entries must be <= 0 (stability)")
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta}")
     a_bar = np.exp(delta * a)
     # expm1 keeps precision near a = 0; the exact zero takes the limit value.
     safe_a = np.where(a == 0.0, 1.0, a)
@@ -116,21 +117,20 @@ def discretize_zoh(a: Array[float, ...], b: Array[float, ...], delta: float) -> 
 
 
 @checked
-def materialize_kernel(bank: DiscreteSsmBank, length: int) -> np.ndarray:
+def materialize_kernel(bank: DiscreteSsmBank, length: Bound[int, ">=", 1]) -> np.ndarray:
     """The first ``length`` impulse-response taps of each channel, (E, length).
 
     taps[e, j] = sum_i c_bar[e, i] * a_bar[e, i]**j * b_bar[e, i]; the
     feed-through d_bar is not part of the taps.
     """
-    if length < 1:
-        raise ValidationError(f"kernel length must be >= 1, got {length}")
     powers = np.power(bank.a_bar[:, :, None], np.arange(length))
     return np.matmul((bank.c_bar * bank.b_bar)[:, None, :], powers)[:, 0]
 
 
 @checked
 def apply_convolution(
-    taps: Array[float, "L"], feed_through: float, x: Array[float, "L"], mode: str = "direct"
+    taps: Array[float, "L"], feed_through: float, x: Array[float, "L"],
+    mode: Literal["direct", "fft"] = "direct",
 ) -> np.ndarray:
     """Causally convolve an input sequence with one channel's taps.
 
@@ -144,12 +144,10 @@ def apply_convolution(
     n = x.size
     if mode == "direct":
         y = np.convolve(x, taps)[:n]
-    elif mode == "fft":
+    else:
         size = 1 << (2 * n - 1).bit_length() if n > 1 else 1
         freq = np.fft.rfft(x, size) * np.fft.rfft(taps, size)
         y = np.fft.irfft(freq, size)[:n]
-    else:
-        raise ValidationError(f"mode must be 'direct' or 'fft', got {mode!r}")
     return y + feed_through * x
 
 
@@ -267,7 +265,8 @@ def _channel_uniforms(seed: int, n_channels: int, n: int) -> np.ndarray:
 
 @checked
 def seeded_bank(
-    n_channels: int, state_dim: int, seed: int, delta: float = 0.1
+    n_channels: Bound[int, ">=", 1], state_dim: Bound[int, ">=", 1], seed: Bound[int, ">=", 0],
+    delta: float = 0.1,
 ) -> DiscreteSsmBank:
     """Bank of ``n_channels`` seeded stable systems discretized at ``delta``.
 
@@ -277,11 +276,6 @@ def seeded_bank(
     streams are computed in one vectorised pass (:func:`_channel_uniforms`).
     """
     e_count, m = n_channels, state_dim
-    if e_count < 1:
-        raise ValidationError("n_channels must be >= 1")
-    if m < 1:
-        raise ValidationError("state_dim must be >= 1")
-    check_seed(seed)
     a_bar, b_bar = discretize_zoh(-np.arange(1.0, m + 1.0), np.ones(m), delta)
     # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), so the m + 1
     # draws of a stream yield the m values of c, then d.

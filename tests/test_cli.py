@@ -259,7 +259,7 @@ def test_simulate_config_value_of_wrong_type(tmp_path, capsys):
         ({"n_list": "64"}, "n_list: expected"),
         ({"k": None}, "k: expected"),
         ({"warmup": "x"}, "warmup: expected"),
-        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": -1}, "seed: expected an int >= 0, got -1"),
     ],
 )
 def test_bench_config_value_of_wrong_kind(tmp_path, capsys, edit, message):
@@ -286,7 +286,7 @@ def test_env_seed_below_zero_is_refused(tmp_path, monkeypatch, capsys):
     cfg_path = write_json(tmp_path / "bench.json", BENCH_CFG)
     code = cli_main(["bench", "--config", cfg_path, "--out", str(tmp_path / "b.csv")])
     assert code == 3
-    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert capsys.readouterr().err == "error: seed: expected an int >= 0, got -1\n"
 
 
 def test_simulate_non_finite_config_value_names_the_key(tmp_path, capsys):
@@ -406,7 +406,7 @@ def test_run_seed_out_of_range(tmp_path, capsys, value):
     )
     assert code == 3
     assert capsys.readouterr().err == (
-        f"error: weights seed must be an unsigned 64-bit integer, got {value[5:]}\n"
+        f"error: seed: expected an int >= 0 and < {2**64}, got {value[5:]}\n"
     )
 
 

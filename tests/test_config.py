@@ -8,6 +8,8 @@ import inspect
 import json
 import math
 import pkgutil
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -31,8 +33,10 @@ from statefuse import (
     SceneConfig,
     ValidationError,
     build_scene,
+    decode_current_frame,
     op_count_cross_attention,
     op_count_ssm,
+    query_mamba_block,
     query_mamba_stack,
     run_pipeline_detailed,
 )
@@ -57,7 +61,7 @@ from statefuse import (
     zero_layer_params,
     zero_stack,
 )
-from statefuse.errors import Array, Record, checked
+from statefuse.errors import Array, Bound, Record, _kind, _parameters, _schema, checked
 from statefuse.numerics import frozen
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 from statefuse.queries import FeatureMap
@@ -83,7 +87,8 @@ CONFIGS = [SceneConfig(), PipelineDims(k_queries=3), BenchConfig(), MotionElimCo
         (BenchConfig, {"k": 2.7}, r"^k: expected a value like 4, got 2.7$"),
         (BenchConfig, {"n_list": "64"}, r"^n_list: expected a value like \(64, 128,"),
         (BenchConfig, {"n_list": [8, "16", 32]}, r"^n_list: expected"),
-        (BenchConfig, {"seed": -1}, r"^seed must be >= 0$"),
+        (BenchConfig, {"n_list": [8, 0]}, r"^n_list\[1\]: expected an int >= 1, got 0$"),
+        (BenchConfig, {"seed": -1}, r"^seed: expected an int >= 0, got -1$"),
         (SceneConfig, {"camera_height": math.nan}, r"^camera_height: expected a value like 1.5, got nan$"),
         (SceneConfig, {"radius_range": [8.0, 30.0, 1.0]}, r"^radius_range: expected"),
     ],
@@ -265,7 +270,7 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
         (lambda: op_count_ssm("3", True, 2.9), r"^n: expected a value like int, got '3'$"),
         (lambda: op_count_ssm(3, True, 2.9), r"^k: expected a value like int, got True$"),
         (lambda: op_count_cross_attention(2.5, "4", True), r"^n: expected a value like int, got 2.5$"),
-        (lambda: op_count_cross_attention(2, 4, 0), r"^n, k, d must all be >= 1$"),
+        (lambda: op_count_cross_attention(2, 4, 0), r"^d: expected an int >= 1, got 0$"),
         (lambda: BenchRow("ssm", True, 2.5, 4, 1, 10.7, 0, 1.5, "yes"),
          r"^n: expected a value like int, got True$"),
         (lambda: BenchRow("ssm", 2, 4, 4, 1, 10.7, 0, 1.5, "yes"),
@@ -442,16 +447,183 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[True]], 0.5), "cfg"),
         (lambda: project_point("cam", [1.0, 2.0, 3.0]), "cam"),
         (lambda: gs4_layer(np.ones((3, 5)), seeded_layer_params(4, 0).gs4), "x"),
+        (lambda: query_mamba_stack(TINY_RESULT.fused_input, 0.5), "stack"),
+        (lambda: query_mamba_block(TINY_RESULT.fused_input, TINY_LINEAR.stack), "params"),
+        (lambda: decode_current_frame(TINY_RESULT.fused_output, TINY_SCENE.frames[-1].feature_maps,
+                                      TINY_LINEAR.dims), "w"),
+        (lambda: run_pipeline_detailed(TINY_SCENE.frames, TINY_SCENE.cameras, TINY_DIMS), "w"),
+        (lambda: lift_center("cam", [0.5, 0.5], 1.0), "cam"),
+        (lambda: lift_center(camera_ring(2), [0.5, 0.5], 1.0), "cam"),
+        (lambda: lift_center(camera_ring(2)[0], [0.5, 0.5], 1.0, cam_index=0), "cam"),
     ],
-    ids=["motion_mask-cfg", "project_point-cam", "gs4_layer-width"],
+    ids=["motion_mask-cfg", "project_point-cam", "gs4_layer-width", "query_mamba_stack-stack",
+         "query_mamba_block-params", "decode_current_frame-w", "run_pipeline_detailed-w",
+         "lift_center-str", "lift_center-cameras", "lift_center-camera-with-index"],
 )
 def test_an_argument_typed_with_a_package_class_refuses_another_value(call, name):
-    """Once an AttributeError on 0.5.alpha or "cam".extrinsic, and numpy's
-    matmul ValueError on a 5-wide x for a 4-wide layer."""
+    """Once an AttributeError on 0.5.alpha, "cam".extrinsic, 0.5.layers,
+    a stack's missing ``dw_kernel``, the dims' missing ``seed``, a tuple's
+    ``intrinsic`` or ``len()`` of one camera, and numpy's matmul ValueError
+    on a 5-wide x for a 4-wide layer."""
     with pytest.raises(ValidationError) as info:
         call()
     message = str(info.value)
     assert message.startswith(f"{name}: ") and "\n" not in message, message
+
+
+# --- declared bounds and choices ---
+
+TINY_BYPASS = PipelineWeights.from_seed(5, TINY_DIMS)
+BOUNDED_RECORDS = {type(r): r for r in [  # a valid record of each class that declares one
+    SceneConfig(),
+    BenchConfig(),
+    MotionElimConfig(),
+    TINY_DIMS,
+    BenchRow("ssm", 64, 4, 16, 16, 10_000, 0, 1_024, True),
+    TINY_LAYER.ln1,
+    FusedQuerySequence(np.zeros((2, 1)), (0, 1), 1, 1),
+    Detection(np.zeros(3), np.ones(3), 0.0, np.zeros(2), 1, 0.5),
+    TINY_LINEAR.pos,
+    TINY_LINEAR,
+]}
+BOUNDED_CALLS = {  # a valid call of each checked function that declares one
+    "materialize_kernel": dict(bank=seeded_bank(1, 1, 0), length=1),
+    "discretize_zoh": dict(a=[-1.0], b=[1.0], delta=0.1),
+    "apply_convolution": dict(taps=[1.0], feed_through=0.0, x=[1.0]),
+    "seeded_bank": dict(n_channels=1, state_dim=1, seed=0),
+    "layer_norm": dict(x=[[1.0, 2.0]], scale=[1.0, 1.0], shift=[0.0, 0.0], epsilon=1e-6),
+    "seeded_layer_params": dict(n_channels=1, seed=0),
+    "zero_layer_params": dict(n_channels=1),
+    "seeded_stack": dict(n_channels=1, seed=0, n_layers=1),
+    "zero_stack": dict(n_channels=1, n_layers=1),
+    "DeformAttnParams.head_width": dict(channels=1, n_heads=1),
+    "DeformAttnParams.seeded": dict(channels=1, seed=0),
+    "PosEmbedParams.seeded": dict(embed_dim=2, seed=0),
+    "camera_ring": dict(n_cameras=1),
+    "op_count_cross_attention": dict(n=1, k=1, d=1),
+    "op_count_ssm": dict(n=1, k=1, d=1),
+    "PipelineWeights.from_seed": dict(seed=0, dims=TINY_DIMS),
+}
+
+
+def _step(kind, value, direction):
+    """The value of ``kind`` next to ``value`` in ``direction``, +1 or -1, or
+    ``value`` itself for 0."""
+    if direction == 0:
+        return value
+    return value + direction if kind is int else math.nextafter(value, direction * math.inf)
+
+
+# The steps from a limit to the edge value inside, and to the first value past it.
+EDGE_STEPS = {">=": (0, -1), ">": (1, 0), "<=": (0, 1), "<": (-1, 0)}
+
+
+def _edges(bound):
+    """(test, values accepted, first value refused) at each edge of a bound;
+    choices are each accepted, and their concatenation refused."""
+    if bound.choices:
+        return [("in", list(bound.choices), "".join(bound.choices))]
+    return [
+        (op, [_step(bound.kind, limit, inside)], _step(bound.kind, limit, past))
+        for op, limit in bound.limits
+        for inside, past in [EDGE_STEPS[op]]
+    ]
+
+
+def _remake(record, name, value):
+    """``record`` with field ``name`` set to ``value``; weights take the box
+    head of the mode they are given."""
+    if name == "box_mode":
+        record = {"linear": TINY_LINEAR, "bypass": TINY_BYPASS}.get(value, record)
+    return dataclasses.replace(record, **{name: value})
+
+
+def _package_members():
+    """Each class and function that a module of the package defines."""
+    for info in pkgutil.iter_modules(statefuse.__path__):
+        module = importlib.import_module(f"statefuse.{info.name}")
+        members = vars(module).values()
+        yield from (m for m in members if getattr(m, "__module__", None) == module.__name__)
+
+
+def _checked_functions():
+    """(qualified name, callable) of each checked function and method."""
+    wrapper = checked(lambda: None).__code__
+    for member in _package_members():
+        inner = vars(member) if inspect.isclass(member) else {None: member}
+        for name, fn in inner.items():
+            if getattr(getattr(fn, "__func__", fn), "__code__", None) is wrapper:
+                if name is None:
+                    yield member.__name__, member
+                else:
+                    yield f"{member.__name__}.{name}", getattr(member, name)
+
+
+def _placed(value, fill, index, elements):
+    """A tuple field's value of ``elements`` kinds with ``value`` at
+    ``index`` and ``fill`` elsewhere; one of any length holds one value."""
+    if elements[-1] is Ellipsis:
+        return (value,)
+    return tuple(value if j == index else fill for j in range(len(elements)))
+
+
+def _declared_bounds():
+    """(id, label, bound, make) of each bound or choice that a record field,
+    an element of a tuple field or a checked function's parameter declares,
+    read from the schemas and the parameters.  ``label`` is the name that a
+    refusal starts with, and ``make(value, fill)`` builds the record or makes
+    the call with ``value`` there (see :func:`_placed` for a tuple)."""
+    for cls in _package_members():
+        if not (dataclasses.is_dataclass(cls) and issubclass(cls, Record)):
+            continue
+        for name, kind, *_ in _schema(cls):
+            elements = typing.get_args(kind)
+            if isinstance(kind, Bound):
+                record = BOUNDED_RECORDS[cls]  # a newly bounded record needs one here
+                yield f"{cls.__name__}.{name}", name, kind, (
+                    lambda v, fill, r=record, n=name: _remake(r, n, v))
+            for index, element in enumerate(elements):
+                if isinstance(element, Bound):
+                    record = BOUNDED_RECORDS[cls]
+                    yield f"{cls.__name__}.{name}[{index}]", f"{name}[{index}]", element, (
+                        lambda v, fill, r=record, n=name, i=index, e=elements:
+                        _remake(r, n, _placed(v, fill, i, e)))
+    for qualname, fn in _checked_functions():
+        for _, name, spec, _ in _parameters(getattr(fn, "__func__", fn).__wrapped__):
+            if isinstance(spec, Bound):
+                base = BOUNDED_CALLS[qualname]  # a newly bounded function needs a call here
+                yield f"{qualname}.{name}", name, spec, (
+                    lambda v, fill, f=fn, b=base, n=name: f(**{**b, n: v}))
+
+
+EDGE_CASES = [
+    pytest.param(label, make, accepted, refused, id=f"{ident}:{op}")
+    for ident, label, bound, make in _declared_bounds()
+    for op, accepted, refused in _edges(bound)
+]
+
+
+def test_the_edge_cases_reach_fields_elements_and_parameters():
+    """The cases below are read from the declarations, so check that the
+    reading finds each place a bound is declared."""
+    ids = {case.id for case in EDGE_CASES}
+    assert {
+        "SceneConfig.static_fraction:>=", "SceneConfig.static_fraction:<=",
+        "SceneConfig.image_size[1]:>=", "BenchConfig.n_list[0]:>=", "BenchRow.mechanism:in",
+        "PipelineWeights.seed:<", "layer_norm.epsilon:>=", "seeded_stack.n_layers:>=",
+        "zero_stack.n_layers:>=",
+        "PipelineWeights.from_seed.box_mode:in", "apply_convolution.mode:in",
+    } <= ids
+
+
+@pytest.mark.parametrize("label, make, accepted, refused", EDGE_CASES)
+def test_a_declared_bound_takes_its_edge_and_refuses_the_next_value(label, make, accepted, refused):
+    """The value at each edge of a bound (each choice of a choice) is taken;
+    the first value past it is refused with one line that names it."""
+    for value in accepted:
+        make(value, value)
+    with pytest.raises(ValidationError, match=f"^{re.escape(label)}: expected"):
+        make(refused, accepted[0])
 
 
 SEEDED = {  # the seeds that numpy reads: an int >= 0 or a list of them
@@ -497,16 +669,24 @@ def test_an_array_argument_is_neither_copied_nor_write_protected():
     assert x.flags.writeable
 
 
-# Public functions whose scalars another rule takes: the rule's own helpers,
-# and the weights seed, which takes the header's unsigned 64-bit rule.
-SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors", "PipelineWeights.from_seed"}
+# Public functions whose scalars another rule takes: the rule's own helpers.
+SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors"}
+
+
+def _takes_a_scalar(fn) -> bool:
+    """Whether a parameter of ``fn`` is an ``int``, ``float`` or ``bool``, or
+    a ``Bound[...]`` or ``Literal[...]`` one, as the rule reads them."""
+    hints = typing.get_type_hints(fn, include_extras=True)
+    kinds = [_kind(hint)[0] for name, hint in hints.items() if name != "return"]
+    return any(isinstance(kind, Bound) or kind in (int, float, bool) for kind in kinds)
 
 
 def test_every_function_with_an_array_parameter_checks_it():
     """An ``Array[...]`` annotation checks nothing unless the function is
     decorated with ``checked``; a record's fields answer to the record rule.
-    A public function or method with an ``int``, ``float`` or ``bool``
-    parameter is decorated too, records' methods included."""
+    A public function or method with an ``int``, ``float``, ``bool``,
+    ``Bound[...]`` or ``Literal[...]`` parameter is decorated too, records'
+    methods included."""
     wrapper = checked(lambda: None).__code__
     annotated, scalar = [], []
     for info in pkgutil.iter_modules(statefuse.__path__):
@@ -528,7 +708,7 @@ def test_every_function_with_an_array_parameter_checks_it():
             if any("Array[" in kind for kind in kinds):
                 annotated.append(fn.__name__)
             elif (
-                any(kind.split(" |")[0] in ("int", "float", "bool") for kind in kinds)
+                _takes_a_scalar(fn)
                 and not name.rsplit(".", 1)[-1].startswith("_")
                 and not SCALARS_CHECKED_ELSEWHERE & {module.__name__, name}
             ):
@@ -538,3 +718,4 @@ def test_every_function_with_an_array_parameter_checks_it():
             assert fn.__code__ is wrapper, f"{module.__name__}.{name}"
     assert {"scan_bank", "motion_mask", "layer_norm", "lift_center"} <= set(annotated)
     assert {"seeded_stack", "camera_ring", "DeformAttnParams.seeded"} <= set(scalar)
+    assert "PipelineWeights.from_seed" in scalar

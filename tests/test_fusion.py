@@ -173,7 +173,7 @@ def test_zero_block_is_identity():
 def test_zero_layer_refuses_a_width_below_one(n):
     """As the seeded builder does; once a field error for 0 and numpy's
     negative-dimensions ValueError for -2."""
-    with pytest.raises(ValidationError, match=r"^n_channels must be >= 1$"):
+    with pytest.raises(ValidationError, match=rf"^n_channels: expected an int >= 1, got {n}$"):
         zero_layer_params(n)
 
 

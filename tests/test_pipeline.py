@@ -567,7 +567,7 @@ def test_weights_header_is_refused_before_any_array_is_built(edit):
 )
 def test_from_seed_takes_only_the_seeds_a_header_takes(seed):
     """Each of these once built weights (or raised numpy's ValueError)."""
-    with pytest.raises(ValidationError, match=r"^weights seed must be an unsigned 64-bit"):
+    with pytest.raises(ValidationError, match=r"^seed: expected"):
         PipelineWeights.from_seed(seed, PipelineDims(k_queries=1))
 
 

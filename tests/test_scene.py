@@ -445,7 +445,7 @@ def test_scene_from_dict_rejects_features_of_another_shape():
         ({"image_size": [48]}, r"^image_size: expected a value like \(48, 64\)"),
         ({"image_size": [48.0, 64]}, r"^image_size: expected"),
         ({"depth_mode": 1}, r"^depth_mode: expected"),
-        ({"seed": -1}, r"^seed must be >= 0"),
+        ({"seed": -1}, r"^seed: expected an int >= 0, got -1$"),
     ],
 )
 def test_config_from_dict_names_the_bad_key(raw, message):
