@@ -40,6 +40,7 @@ class Extended(float):
 _DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), bool: np.dtype(bool)}
 _DTYPES[Extended] = _DTYPES[float]
 _SOURCE_KINDS = {float: "fiu", Extended: "fiu", int: "iu", bool: "b"}  # the dtype kinds each takes
+_NAMES = {float: "float", Extended: "float", int: "int", bool: "bool"}  # as messages say them
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
@@ -47,17 +48,20 @@ class Array:
     """The annotation of an array field or argument: ``Array[float, "E", "M"]``.
 
     Its first entry is the element kind, ``float`` (finite), ``int`` or
-    ``bool``, kept as float64, int64 or bool, or :class:`Extended`; the
-    others are its shape, one entry an axis: a fixed size, or a symbol.  A
-    symbol binds at the first field of an object, or argument of a call,
-    that uses it, and every later one must agree with it.  A leading
-    ``...`` binds any number of leading axes as one symbol: ``Array[float,
-    ..., 3]`` takes a point or a batch of them.  A field's axes hold one
-    entry or more; an argument's may be empty.
+    ``bool``, kept as float64, int64 or bool, or :class:`Extended`, or a
+    :class:`Bound` or ``Literal`` of one, which each element must meet:
+    ``Array[Bound[float, ">", 0], 3]``.  The others are its shape, one
+    entry an axis: a fixed size, or a symbol.  A symbol binds at the first
+    field of an object, or argument of a call, that uses it, and every later
+    one must agree with it.  A leading ``...`` binds any number of leading
+    axes as one symbol: ``Array[float, ..., 3]`` takes a point or a batch of
+    them.  A field's axes hold one entry or more; an argument's may be empty.
     """
 
-    def __init__(self, kind: type, shape: tuple):
-        self.kind, self.shape, self.dtype = kind, shape, _DTYPES[kind]
+    def __init__(self, kind, shape: tuple):
+        self.bound = _kind(kind)[0] if typing.get_origin(kind) else None  # Bound or Literal
+        self.kind = getattr(self.bound, "kind", kind)
+        self.shape, self.dtype = shape, _DTYPES[self.kind]
         self.lead = shape[:1] == ("...",)  # whether the shape starts with ...
         self.axes = shape[self.lead :]  # the axes after it
 
@@ -76,7 +80,8 @@ class Bound:
     ``Bound[float, ">=", 0, "<=", 1]``: a kind, then pairs of a comparison
     (``>=``, ``>``, ``<=`` or ``<``) and a limit, each of which a value must
     meet.  ``Literal["a", "b"]`` is read as a Bound that takes only its
-    choices.  ``repr`` reads ``an int >= 1`` or ``one of 'a', 'b'``."""
+    choices.  As the element kind of an :class:`Array`, either one bounds
+    each element.  ``repr`` reads ``an int >= 1`` or ``one of 'a', 'b'``."""
 
     _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
@@ -94,11 +99,18 @@ class Bound:
                 return False
         return True
 
+    def admits_each(self, arr: np.ndarray) -> np.ndarray:
+        """Whether each element of ``arr`` is in the bound; NaN is in none."""
+        if self.choices:  # np.isin takes 10x as long on a small array
+            return functools.reduce(operator.or_, [arr == choice for choice in self.choices])
+        tests = [self._COMPARISONS[op](arr, limit) for op, limit in self.limits]
+        return functools.reduce(operator.and_, tests)
+
     def __repr__(self) -> str:
         if self.choices:
             return f"one of {', '.join(map(repr, self.choices))}"
         limits = " and ".join(f"{op} {limit}" for op, limit in self.limits)
-        return f"{'an' if self.kind is int else 'a'} {self.kind.__name__} {limits}"
+        return f"{'an' if self.kind is int else 'a'} {_NAMES[self.kind]} {limits}"
 
 
 class Record:
@@ -306,7 +318,9 @@ def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np
     ``float`` or ``bool`` one takes a scalar as a field does): an ndarray of
     the kept dtype as it is, anything else as a new array.  ``sizes`` holds
     the symbols bound so far, and ``empty`` says whether an axis may be
-    empty.  Any other value raises ``ValidationError`` naming ``name``."""
+    empty.  Any other value raises ``ValidationError`` naming ``name``; one
+    with an element outside the bound of its kind, ``"<name>: expected
+    <bound>, got <the first such element>"``."""
     if not isinstance(spec, Array):  # a scalar argument
         return field_value(name, value, spec)
     arr = value
@@ -314,9 +328,8 @@ def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np
         arr = number_array(value, spec.kind)
         if arr is None:
             got = f"an array of {value.dtype}" if isinstance(value, np.ndarray) else repr(value)
-            kind = "float" if issubclass(spec.kind, float) else spec.kind.__name__
             raise ValidationError(
-                f"{name}: expected an array of {kind}s shaped {spec.describe(sizes)}, "
+                f"{name}: expected an array of {_NAMES[spec.kind]}s shaped {spec.describe(sizes)}, "
                 f"got {' '.join(got[:40].split())}"
             )
     shape, axes = arr.shape, spec.axes
@@ -332,6 +345,8 @@ def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np
         raise ValidationError(f"{name}: expected shape {spec.describe(sizes)}, got {shape}")
     if spec.kind is float and not numerics.all_finite(arr):
         raise ValidationError(f"{name}: contains NaN or Inf")
+    if spec.bound is not None and not (inside := spec.bound.admits_each(arr)).all():
+        raise ValidationError(f"{name}: expected {spec.bound!r}, got {arr[~inside][0].item()!r}")
     return arr
 
 

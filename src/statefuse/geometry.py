@@ -118,8 +118,8 @@ def project_point(cam: CameraModel, p_ego: Array[float, ..., 3]) -> tuple:
 
 @checked
 def lift_center(
-    cam: CameraModel | tuple[CameraModel, ...] | list[CameraModel],
-    c2d: Array[float, ..., 2], depth: Array[float, ...], cam_index: Array[int, ...] | None = None,
+    cam: CameraModel | tuple[CameraModel, ...] | list[CameraModel], c2d: Array[float, ..., 2],
+    depth: Array[Bound[float, ">", 0], ...], cam_index: Array[int, ...] | None = None,
 ) -> np.ndarray:
     """Lift image points at known camera depths back to the ego frame.
 
@@ -130,8 +130,6 @@ def lift_center(
     one camera; with ``cam_index`` it is a sequence of cameras, and point j
     is lifted through ``cam[cam_index[j]]``, each index in [0, len(cam)).
     """
-    if np.any(depth <= 0.0):
-        raise ValidationError("depth must be positive")
     cams, idx = ((cam,), 0) if cam_index is None else (cam, cam_index)
     if not isinstance(cams, (list, tuple)) or not all(isinstance(m, CameraModel) for m in cams):
         want = "a CameraModel" if cam_index is None else "a list or tuple of CameraModels"
@@ -150,7 +148,9 @@ def lift_center(
 
 
 @checked
-def sinusoid_features(c3d: Array[float, ..., 3], embed_dim: int, temperature: float) -> np.ndarray:
+def sinusoid_features(
+    c3d: Array[float, ..., 3], embed_dim: Bound[int, ">=", 1], temperature: Bound[float, ">", 0]
+) -> np.ndarray:
     """Per-axis interleaved sin/cos features, zero padded to ``embed_dim``.
 
     Each axis gets floor(D / 6) frequencies temperature**(-2i / F) with

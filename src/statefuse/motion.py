@@ -15,6 +15,7 @@ slots are zero, invalid and category -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class PaddedQuerySequence(Record):
 @checked
 def pad_frames(
     q3d: Array[float, "P", "D"], centers: Array[float, "P", 3], cats: Array[int, "P"],
-    counts: Array[int, "N"],
+    counts: Array[Bound[int, ">=", 0], "N"],
 ) -> PaddedQuerySequence:
     """Scatter per-query rows into N frames of K = max(counts) slots.
 
@@ -72,11 +73,9 @@ def pad_frames(
     A frame's queries fill its first slots in order; the newest frame is
     current.
     """
-    if counts.size == 0 or np.any(counts < 0):
-        raise ValidationError("need a non-negative query count for each of >= 1 frames")
+    if not counts.any():  # no frame, or every one empty
+        raise ValidationError(f"counts: expected a frame with a query, got {counts.tolist()}")
     k, total = int(counts.max()), int(counts.sum())
-    if k == 0:
-        raise ValidationError("all frames are empty")
     if q3d.shape[0] != total:
         raise ValidationError(f"q3d: expected one row per counted query ({total})")
     valid = np.arange(k) < counts[:, None]
@@ -108,7 +107,7 @@ def motion_cost(
 
 @checked
 def motion_mask(
-    cost: Array[Extended, "P", "K", "K"], cats_current: Array[int, "K"],
+    cost: Array[Bound[Extended, ">=", 0], "P", "K", "K"], cats_current: Array[int, "K"],
     cats_past: Array[int, "P", "K"], past_valid: Array[bool, "P", "K"], cfg: MotionElimConfig,
 ) -> np.ndarray:
     """Read-only (P + 1, K) int8 retention mask: P past rows, then the current.
@@ -117,8 +116,6 @@ def motion_mask(
     m of its category sits within alpha of it, ``cost[p, m, n] <= alpha``;
     invalid past slots are always 0.  The current row is all 1.
     """
-    if not (cost >= 0.0).all():  # NaN too
-        raise ValidationError("cost: expected distances >= 0 (inf marks invalid pairs)")
     p, k, _ = cost.shape
     close = cost <= cfg.alpha
     close &= cats_current[None, :, None] == cats_past[:, None, :]
@@ -128,7 +125,9 @@ def motion_mask(
 
 
 @checked
-def apply_motion_mask(seq: PaddedQuerySequence, mask: Array[int, "N", "K"]) -> PaddedQuerySequence:
+def apply_motion_mask(
+    seq: PaddedQuerySequence, mask: Array[Literal[0, 1], "N", "K"]
+) -> PaddedQuerySequence:
     """Turn eliminated past slots into padding; retained slots pass through.
 
     ``mask`` holds 0 and 1, one entry per slot of ``seq``.  The current
@@ -136,8 +135,6 @@ def apply_motion_mask(seq: PaddedQuerySequence, mask: Array[int, "N", "K"]) -> P
     """
     if mask.shape != (seq.n_frames, seq.k_queries):
         raise ValidationError("mask shape must match the padded sequence")
-    if np.any((mask != 0) & (mask != 1)):
-        raise ValidationError("mask entries must be 0 or 1")
     keep = mask.astype(bool)
     keep[seq.current_index] = True
     arrays = (

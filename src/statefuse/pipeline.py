@@ -204,16 +204,11 @@ class PipelineWeights(Record):
 @dataclass(frozen=True)
 class Detection(Record):
     center3d: Array[float, 3]
-    size: Array[float, 3]
+    size: Array[Bound[float, ">=", 0], 3]
     yaw: float
     velocity: Array[float, 2]
     category: int
     score: Bound[float, ">=", 0, "<=", 1]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if np.any(self.size < 0.0):
-            raise ValidationError("size extents must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -185,14 +185,11 @@ class DeformAttnParams(Record):
     value_proj: Array[float, "H", "C", "Ch"]
     out_proj: Array[float, "H", "Ch", "C"]
     offsets: Array[float, "H", "K", 2]
-    weights: Array[float, "H", "K"]
+    weights: Array[Bound[float, ">=", 0], "H", "K"]
 
     def __post_init__(self):
         super().__post_init__()
-        w = self.weights
-        if np.any(w < 0.0):
-            raise ValidationError("attention weights must be non-negative")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(self.weights.sum(axis=1) - 1.0) > 1e-9):
             raise ValidationError("attention weights must sum to 1 per head")
 
     @property
@@ -256,7 +253,8 @@ def _blend(corners: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 
 @checked
 def deformable_attention(
-    c2d: Array[float, "P", 2], maps, counts: Array[int, "M"], params: DeformAttnParams
+    c2d: Array[float, "P", 2], maps, counts: Array[Bound[int, ">=", 0], "M"],
+    params: DeformAttnParams,
 ) -> np.ndarray:
     """Sparse attention read-out around normalized reference points.
 
@@ -267,7 +265,7 @@ def deformable_attention(
     ``counts[1]`` read ``maps[1]``, and so on.  Only the corner gather runs
     per map; the rest runs once over all points x heads x keys.
     """
-    if not maps or len(maps) != len(counts) or np.any(counts < 0) or counts.sum() != len(c2d):
+    if not maps or len(maps) != len(counts) or counts.sum() != len(c2d):
         raise ValidationError("counts: expected a count of points for each feature map")
     if any(fmap.channels != params.channels for fmap in maps):
         raise ValidationError(f"params expect {params.channels} channels in every feature map")
@@ -286,13 +284,13 @@ def deformable_attention(
 
 
 @checked
-def expected_depth(dist: Array[float, ..., "B"], bin_centers: Array[float, "B"]):
+def expected_depth(dist: Array[Bound[float, ">=", 0], ..., "B"], bin_centers: Array[float, "B"]):
     """Expectation of categorical depth distributions over bin centers.
 
     A (B,) distribution gives a float; a (..., B) batch gives (...) depths.
     """
-    if np.any(dist < 0.0) or np.any(np.abs(dist.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValidationError("dist must be non-negative and sum to 1")
+    if np.any(np.abs(dist.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValidationError("dist: expected distributions that sum to 1")
     return dist @ bin_centers
 
 

@@ -70,15 +70,13 @@ class ObjectTrack(Record):
 
     object_id: int
     category: int
-    size: Array[float, 3]
+    size: Array[Bound[float, ">", 0], 3]
     p0: Array[float, 3]
     velocity: Array[float, 3]
     is_static: bool
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.size <= 0.0):
-            raise ValidationError("size extents must be positive")
         if self.is_static != (not self.velocity.any()):
             raise ValidationError("is_static must match a zero velocity exactly")
 
@@ -237,7 +235,9 @@ def _make_tracks(cfg: SceneConfig) -> tuple:
 
 
 @checked
-def synth_features(frame_index: int, camera_id: int, cfg: SceneConfig) -> FeatureMap:
+def synth_features(
+    frame_index: Bound[int, ">=", 0], camera_id: Bound[int, ">=", 0], cfg: SceneConfig
+) -> FeatureMap:
     """Procedural feature map: per channel, a mean of low-frequency sinusoids.
 
     Values lie in [-1, 1] and are stored as float32.  The map is a pure

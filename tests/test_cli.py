@@ -1,6 +1,7 @@
 """Command line verbs, exit codes, and byte-for-byte repeatability."""
 
 import json
+import struct
 import tracemalloc
 import warnings
 
@@ -238,6 +239,48 @@ def test_run_malformed_scene_names_the_json_path(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and path in err and len(err.splitlines()) == 1
+
+
+def write_unstable_weights(tmp_path, scene_path):
+    """Seeded weights for the scene, with 1.5 as the first a_bar value."""
+    from statefuse import PipelineDims, PipelineWeights, load_scene, slot_count
+    from statefuse.pipeline import weights_to_bytes
+
+    scene = load_scene(str(scene_path))
+    dims = PipelineDims(
+        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
+    )
+    w = PipelineWeights.from_seed(11, dims)
+    raw = weights_to_bytes(w)
+    at = raw.index(w.stack.layers[0].gs4.bank.a_bar.astype("<f8").tobytes())
+    path = tmp_path / "w.sfw"
+    path.write_bytes(raw[:at] + struct.pack("<d", 1.5) + raw[at + 8 :])
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "scene_edit, weights, message",
+    [
+        (lambda d: d["tracks"][0]["size"].__setitem__(0, 0),
+         lambda tmp_path, scene: "seed:1", "tracks[0]: size: expected a float > 0, got 0.0"),
+        (lambda d: None, write_unstable_weights, "a_bar: expected a float >= -1 and <= 1, got 1.5"),
+    ],
+    ids=["track_size_zero", "a_bar_above_one"],
+)
+def test_run_refuses_an_element_out_of_its_bound(tmp_path, capsys, scene_edit, weights, message):
+    """An array element outside its declared bound exits 3 with one line
+    that names the field."""
+    scene = simulate(tmp_path)
+    doc = json.loads(scene.read_text())
+    scene_edit(doc)
+    write_json(scene, doc)
+    weights_arg = weights(tmp_path, scene)
+    capsys.readouterr()
+    code = cli_main(
+        ["run", "--scene", str(scene), "--weights", weights_arg, "--out", str(tmp_path / "o.csv")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_config_value_of_wrong_type(tmp_path, capsys):

@@ -41,7 +41,10 @@ from statefuse import (
     run_pipeline_detailed,
 )
 from statefuse import (
+    apply_motion_mask,
     camera_ring,
+    cross_peak_bytes,
+    deformable_attention,
     depthwise_causal_conv,
     discretize_zoh,
     expected_depth,
@@ -58,6 +61,9 @@ from statefuse import (
     seeded_bank,
     seeded_layer_params,
     seeded_stack,
+    sinusoid_features,
+    ssm_peak_bytes,
+    synth_features,
     zero_layer_params,
     zero_stack,
 )
@@ -485,6 +491,9 @@ BOUNDED_RECORDS = {type(r): r for r in [  # a valid record of each class that de
     Detection(np.zeros(3), np.ones(3), 0.0, np.zeros(2), 1, 0.5),
     TINY_LINEAR.pos,
     TINY_LINEAR,
+    TINY_LAYER.gs4.bank,
+    TINY_SCENE.tracks[0],
+    DeformAttnParams(np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 2, 2)), [[0.0, 1.0]]),
 ]}
 BOUNDED_CALLS = {  # a valid call of each checked function that declares one
     "materialize_kernel": dict(bank=seeded_bank(1, 1, 0), length=1),
@@ -503,6 +512,19 @@ BOUNDED_CALLS = {  # a valid call of each checked function that declares one
     "op_count_cross_attention": dict(n=1, k=1, d=1),
     "op_count_ssm": dict(n=1, k=1, d=1),
     "PipelineWeights.from_seed": dict(seed=0, dims=TINY_DIMS),
+    "sinusoid_features": dict(c3d=[0.0, 0.0, 0.0], embed_dim=6, temperature=1.0),
+    "lift_center": dict(cam=TINY_SCENE.cameras[0], c2d=[[0.5, 0.5]], depth=[1.0]),
+    "synth_features": dict(frame_index=0, camera_id=0, cfg=TINY_SCENE.config),
+    "deformable_attention": dict(c2d=[[0.5, 0.5]], maps=TINY_SCENE.frames[0].feature_maps,
+                                 counts=[0, 1], params=TINY_LINEAR.attn),
+    "expected_depth": dict(dist=[0.0, 1.0], bin_centers=[1.0, 2.0]),
+    "pad_frames": dict(q3d=np.zeros((1, 2)), centers=np.zeros((1, 3)), cats=[0], counts=[0, 1]),
+    "motion_mask": dict(cost=np.zeros((1, 1, 1)), cats_current=[0], cats_past=[[0]],
+                        past_valid=[[True]], cfg=MotionElimConfig()),
+    "apply_motion_mask": dict(seq=TINY_RESULT.padded, mask=TINY_RESULT.motion_mask),
+    "ssm_peak_bytes": dict(n=1, e=1, m=1),
+    "cross_peak_bytes": dict(n=1, e=1),
+    "fit_loglog_slope": dict(xs=[1.0, 2.0, 3.0], ys=[1.0, 2.0, 3.0]),
 }
 
 
@@ -520,9 +542,11 @@ EDGE_STEPS = {">=": (0, -1), ">": (1, 0), "<=": (0, 1), "<": (-1, 0)}
 
 def _edges(bound):
     """(test, values accepted, first value refused) at each edge of a bound;
-    choices are each accepted, and their concatenation refused."""
+    choices are each accepted, and the concatenation of string ones, or one
+    past the largest number, refused."""
     if bound.choices:
-        return [("in", list(bound.choices), "".join(bound.choices))]
+        past = "".join(bound.choices) if bound.kind is str else max(bound.choices) + 1
+        return [("in", list(bound.choices), past)]
     return [
         (op, [_step(bound.kind, limit, inside)], _step(bound.kind, limit, past))
         for op, limit in bound.limits
@@ -567,12 +591,21 @@ def _placed(value, fill, index, elements):
     return tuple(value if j == index else fill for j in range(len(elements)))
 
 
+def _first(array, value):
+    """A copy of ``array`` with ``value`` as its first element."""
+    out = np.array(array, dtype=np.result_type(np.asarray(array), value))
+    out.flat[0] = value
+    return out
+
+
 def _declared_bounds():
     """(id, label, bound, make) of each bound or choice that a record field,
-    an element of a tuple field or a checked function's parameter declares,
-    read from the schemas and the parameters.  ``label`` is the name that a
-    refusal starts with, and ``make(value, fill)`` builds the record or makes
-    the call with ``value`` there (see :func:`_placed` for a tuple)."""
+    an element of a tuple field, the elements of an array field or a checked
+    function's parameter or array parameter declares, read from the schemas
+    and the parameters.  ``label`` is the name that a refusal starts with,
+    and ``make(value, fill)`` builds the record or makes the call with
+    ``value`` there (see :func:`_placed` for a tuple; an array takes it as
+    its first element)."""
     for cls in _package_members():
         if not (dataclasses.is_dataclass(cls) and issubclass(cls, Record)):
             continue
@@ -582,6 +615,10 @@ def _declared_bounds():
                 record = BOUNDED_RECORDS[cls]  # a newly bounded record needs one here
                 yield f"{cls.__name__}.{name}", name, kind, (
                     lambda v, fill, r=record, n=name: _remake(r, n, v))
+            if isinstance(kind, Array) and kind.bound:
+                record = BOUNDED_RECORDS[cls]
+                yield f"{cls.__name__}.{name}", name, kind.bound, (
+                    lambda v, fill, r=record, n=name: _remake(r, n, _first(getattr(r, n), v)))
             for index, element in enumerate(elements):
                 if isinstance(element, Bound):
                     record = BOUNDED_RECORDS[cls]
@@ -594,6 +631,10 @@ def _declared_bounds():
                 base = BOUNDED_CALLS[qualname]  # a newly bounded function needs a call here
                 yield f"{qualname}.{name}", name, spec, (
                     lambda v, fill, f=fn, b=base, n=name: f(**{**b, n: v}))
+            if isinstance(spec, Array) and spec.bound:
+                base = BOUNDED_CALLS[qualname]
+                yield f"{qualname}.{name}", name, spec.bound, (
+                    lambda v, fill, f=fn, b=base, n=name: f(**{**b, n: _first(b[n], v)}))
 
 
 EDGE_CASES = [
@@ -613,6 +654,11 @@ def test_the_edge_cases_reach_fields_elements_and_parameters():
         "PipelineWeights.seed:<", "layer_norm.epsilon:>=", "seeded_stack.n_layers:>=",
         "zero_stack.n_layers:>=",
         "PipelineWeights.from_seed.box_mode:in", "apply_convolution.mode:in",
+        "DiscreteSsmBank.a_bar:>=", "DiscreteSsmBank.a_bar:<=", "discretize_zoh.a:<=",
+        "ObjectTrack.size:>", "Detection.size:>=", "DeformAttnParams.weights:>=",
+        "deformable_attention.counts:>=", "pad_frames.counts:>=", "expected_depth.dist:>=",
+        "lift_center.depth:>", "motion_mask.cost:>=", "apply_motion_mask.mask:in",
+        "fit_loglog_slope.xs:>", "fit_loglog_slope.ys:>",
     } <= ids
 
 
@@ -624,6 +670,17 @@ def test_a_declared_bound_takes_its_edge_and_refuses_the_next_value(label, make,
         make(value, value)
     with pytest.raises(ValidationError, match=f"^{re.escape(label)}: expected"):
         make(refused, accepted[0])
+
+
+def test_an_element_refusal_shows_the_first_bad_element_and_nan_meets_no_bound():
+    bank = TINY_LAYER.gs4.bank
+    a_bar = [[0.5, 1.5, -2.0]]
+    with pytest.raises(ValidationError, match=r"^a_bar: expected a float >= -1 and <= 1, got 1.5$"):
+        DiscreteSsmBank(a_bar, np.ones((1, 3)), np.ones((1, 3)), bank.d_bar)
+    call = BOUNDED_CALLS["motion_mask"]  # +inf marks an invalid pair
+    assert motion_mask(**{**call, "cost": np.full((1, 1, 1), np.inf)}).tolist() == [[1], [1]]
+    with pytest.raises(ValidationError, match=r"^cost: expected a float >= 0, got nan$"):
+        motion_mask(**{**call, "cost": np.full((1, 1, 1), np.nan)})
 
 
 SEEDED = {  # the seeds that numpy reads: an int >= 0 or a list of them

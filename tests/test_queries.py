@@ -420,12 +420,15 @@ def test_build_query_validation_cases():
         build_query(proposals, maps, cams, attn, pe, sem[:, :6])
     with pytest.raises(ValidationError, match="camera list"):
         build_query(proposals, maps, cams[:2], attn, pe, sem)
-    for bad in (np.full(60, 1 / 30), np.r_[-0.5, 1.5, np.zeros(58)]):
+    for bad, message in (
+        (np.full(60, 1 / 30), "^dist: expected distributions that sum to 1$"),
+        (np.r_[-0.5, 1.5, np.zeros(58)], "^dist: expected a float >= 0, got -0.5$"),
+    ):
         # stands in for a table that skipped proposal_tables' own checks
         fake = proposals[0][0].copy()
         fake.depth_dist[0] = bad
         window = [(fake,) + proposals[0][1:]]
-        with pytest.raises(ValidationError, match="sum to 1"):
+        with pytest.raises(ValidationError, match=message):
             build_query(window, maps, cams, attn, pe, sem)
     coarse = proposal_tables([[{**GOOD, "depth_dist": one_hot(3, 30)}], [], []])
     with pytest.raises(ValidationError, match="bin layout"):
