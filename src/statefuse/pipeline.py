@@ -457,19 +457,30 @@ def _n_values(cls, dims: PipelineDims, box_mode: str) -> int:
     return total
 
 
-def _rebuild(cls, dims: PipelineDims, box_mode: str, take) -> dict:
-    """The blob fields of a record of class ``cls``: its arrays are
-    ``take(shape)`` in blob order, its scalars their dims values."""
+def _rebuild(cls, dims: PipelineDims, box_mode: str, take, path: str = "") -> dict:
+    """The blob fields of a record of class ``cls`` at ``path``: its arrays
+    are ``take(shape)`` in blob order, its scalars their dims values.  A
+    nested record that refuses a field raises ValidationError naming the
+    field's path, as :func:`_blob_arrays` does."""
+
+    def record(kind, at: str):
+        fields = _rebuild(kind, dims, box_mode, take, at)
+        try:
+            return kind(**fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{at}{exc}") from None
+
     values = {}
     for name, kind, want in _blob_fields(cls, dims, box_mode):
+        at = path + name
         if isinstance(kind, Array):
             values[name] = take(want)
         elif kind in (int, float):
             values[name] = want
         elif want is None:
-            values[name] = kind(**_rebuild(kind, dims, box_mode, take))
+            values[name] = record(kind, at + ".")
         else:
-            values[name] = tuple(kind(**_rebuild(kind, dims, box_mode, take)) for _ in range(want))
+            values[name] = tuple(record(kind, f"{at}[{index}].") for index in range(want))
     return values
 
 

@@ -595,11 +595,11 @@ def load_scene(path: str) -> Scene:
         if dtype != FEATURE_DTYPE:
             raise ValidationError(f"feature blob dtype must be {FEATURE_DTYPE!r}, got {dtype!r}")
         resolved = os.path.join(os.path.dirname(os.path.abspath(path)), blob_path)
-        raw = np.fromfile(resolved, dtype=FEATURE_DTYPE)
-        expected = math.prod(shape)
-        if raw.size != expected:
-            raise ValidationError(
-                f"feature blob holds {raw.size} values, shape needs {expected}"
-            )
+        with open(resolved, "rb") as blob:
+            held = os.fstat(blob.fileno()).st_size // np.dtype(FEATURE_DTYPE).itemsize
+            expected = math.prod(shape)
+            if held != expected:  # sized before a value is read
+                raise ValidationError(f"feature blob holds {held} values, shape needs {expected}")
+            raw = np.fromfile(blob, dtype=FEATURE_DTYPE)
         features = frozen(raw).reshape(shape)  # maps view it without a copy
     return scene_from_dict(doc, features)

@@ -1,85 +1,28 @@
-"""Acceptance gate: the eleven core guarantees, one test per criterion.
+"""Acceptance gate: the core guarantees, one test per registered criterion.
 
-Each test runs the corresponding self-contained check (the same ones the
+Each test runs one check of ``selfcheck.ALL_CHECKS`` (the ones the
 ``statefuse check`` verb executes), prints one PASS or FAIL line with the
-measured figure, and asserts the check passed at its stated tolerance.
+measured figure, and asserts the check passed at its stated tolerance.  A
+test's id is ``criterion_NN_<name>``, so ``-k criterion_05`` selects
+criterion 05, and a criterion registered later gets its gate with it.
 """
 
 import sys
 
-from statefuse.selfcheck import (
-    check_determinism,
-    check_empirical_scaling,
-    check_end_to_end_geometry,
-    check_ego_alignment,
-    check_fft_direct_agreement,
-    check_geometry_roundtrip,
-    check_motion_mask_oracle,
-    check_op_count_formulas,
-    check_residual_identity,
-    check_scan_kernel_equivalence,
-    check_ssm_linearity,
+import pytest
+
+from statefuse.selfcheck import ALL_CHECKS
+
+NAMES = [check.__name__.removeprefix("check_") for check in ALL_CHECKS]
+
+
+@pytest.mark.parametrize(
+    "check, name", zip(ALL_CHECKS, NAMES),
+    ids=[f"criterion_{number:02d}_{name}" for number, name in enumerate(NAMES, 1)],
 )
-
-
-def report(result):
+def test_criterion(check, name):
+    result = check()
     line = f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}"
     print(line, file=sys.stderr)
+    assert result.name == name
     assert result.passed, line
-
-
-def test_criterion_01_scan_kernel_equivalence():
-    """Recurrent scan and materialized-kernel convolution agree to 1e-9."""
-    report(check_scan_kernel_equivalence())
-
-
-def test_criterion_02_fft_direct_agreement():
-    """FFT convolution matches direct convolution up to length 4096."""
-    report(check_fft_direct_agreement())
-
-
-def test_criterion_03_superposition():
-    """The scan is linear: scaled, summed inputs give scaled, summed outputs."""
-    report(check_ssm_linearity())
-
-
-def test_criterion_04_op_count_formulas():
-    """Op-count formulas are exact and their ratio falls as N grows."""
-    report(check_op_count_formulas())
-
-
-def test_criterion_05_empirical_scaling():
-    """Measured wall times scale near-linearly (scan) and super-linearly
-    (attention); the analytic scan memory model is affine in N."""
-    report(check_empirical_scaling())
-
-
-def test_criterion_06_geometry_roundtrip():
-    """Project and lift invert each other across a camera ring."""
-    report(check_geometry_roundtrip())
-
-
-def test_criterion_07_ego_alignment():
-    """World-static objects align across random ego trajectories."""
-    report(check_ego_alignment())
-
-
-def test_criterion_08_motion_mask_oracle():
-    """The vectorized motion mask equals the brute-force double loop."""
-    report(check_motion_mask_oracle())
-
-
-def test_criterion_09_end_to_end_geometry():
-    """Zero-noise scene detections land on ground-truth centers and only
-    ground-truth-static past slots are eliminated."""
-    report(check_end_to_end_geometry())
-
-
-def test_criterion_10_residual_identity():
-    """Zero-weight fusion is an exact identity, one frame or many."""
-    report(check_residual_identity())
-
-
-def test_criterion_11_determinism():
-    """Scene, run, bench, and weights outputs are byte-stable across runs."""
-    report(check_determinism())

@@ -241,21 +241,30 @@ def test_run_malformed_scene_names_the_json_path(tmp_path, capsys, edit, path):
     assert err.startswith("error: ") and path in err and len(err.splitlines()) == 1
 
 
-def write_unstable_weights(tmp_path, scene_path):
-    """Seeded weights for the scene, with 1.5 as the first a_bar value."""
-    from statefuse import PipelineDims, PipelineWeights, load_scene, slot_count
-    from statefuse.pipeline import weights_to_bytes
+def unstable_weights(layer):
+    """A writer of seeded weights for the scene, with 1.5 as the first
+    a_bar value of the given fusion layer."""
 
-    scene = load_scene(str(scene_path))
-    dims = PipelineDims(
-        k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
-    )
-    w = PipelineWeights.from_seed(11, dims)
-    raw = weights_to_bytes(w)
-    at = raw.index(w.stack.layers[0].gs4.bank.a_bar.astype("<f8").tobytes())
-    path = tmp_path / "w.sfw"
-    path.write_bytes(raw[:at] + struct.pack("<d", 1.5) + raw[at + 8 :])
-    return str(path)
+    def write(tmp_path, scene_path):
+        from statefuse import PipelineDims, PipelineWeights, load_scene, slot_count
+        from statefuse.pipeline import weights_to_bytes
+
+        scene = load_scene(str(scene_path))
+        dims = PipelineDims(
+            k_queries=slot_count(scene.frames), feature_channels=scene.config.feature_channels
+        )
+        w = PipelineWeights.from_seed(11, dims)
+        raw = weights_to_bytes(w)
+        a_bar = w.stack.layers[layer].gs4.bank.a_bar.astype("<f8").tobytes()
+        assert raw.count(a_bar) == dims.n_layers  # every seeded layer has this bank
+        at = -1
+        for _ in range(layer + 1):  # the layers are stored in order
+            at = raw.index(a_bar, at + 1)
+        path = tmp_path / "w.sfw"
+        path.write_bytes(raw[:at] + struct.pack("<d", 1.5) + raw[at + 8 :])
+        return str(path)
+
+    return write
 
 
 @pytest.mark.parametrize(
@@ -263,13 +272,16 @@ def write_unstable_weights(tmp_path, scene_path):
     [
         (lambda d: d["tracks"][0]["size"].__setitem__(0, 0),
          lambda tmp_path, scene: "seed:1", "tracks[0]: size: expected a float > 0, got 0.0"),
-        (lambda d: None, write_unstable_weights, "a_bar: expected a float >= -1 and <= 1, got 1.5"),
+        (lambda d: None, unstable_weights(0),
+         "stack.layers[0].gs4.bank.a_bar: expected a float >= -1 and <= 1, got 1.5"),
+        (lambda d: None, unstable_weights(3),
+         "stack.layers[3].gs4.bank.a_bar: expected a float >= -1 and <= 1, got 1.5"),
     ],
-    ids=["track_size_zero", "a_bar_above_one"],
+    ids=["track_size_zero", "a_bar_above_one", "layer_3_a_bar_above_one"],
 )
 def test_run_refuses_an_element_out_of_its_bound(tmp_path, capsys, scene_edit, weights, message):
     """An array element outside its declared bound exits 3 with one line
-    that names the field."""
+    that names the field, by its path inside a weights file."""
     scene = simulate(tmp_path)
     doc = json.loads(scene.read_text())
     scene_edit(doc)
@@ -554,3 +566,19 @@ def test_check_passes(capsys):
     out = capsys.readouterr().out
     assert "11/11 checks passed" in out
     assert out.count("PASS") == 11
+
+
+def test_check_reports_a_failing_criterion_and_exits_1(capsys, monkeypatch):
+    """A motion mask that retains every slot fails criterion 08 alone: the
+    verb prints its one FAIL line among ten PASS lines and exits 1."""
+    from statefuse import selfcheck
+
+    monkeypatch.setattr(
+        selfcheck, "motion_mask", lambda cost, *args: np.ones(cost.shape[:2], dtype=np.int8)
+    )
+    assert cli_main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[-1] == "10/11 checks passed"
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL motion_mask_oracle: mask differs from brute force at trial 0"
+    ]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -217,6 +218,47 @@ def test_report_csv_writes_signed_zero_and_padded_slots():
     assert lines[1].split(",")[3:6] == ["-0", "0", "-1e-300"]
     assert lines[1].split(",")[7] == "-0"
     assert lines[-1].split(",")[6] == "-1"
+
+
+def permute_one_camera(frame, camera, perm, k):
+    """``frame`` with camera ``camera``'s proposals, and their object ids,
+    in the order ``perm``; and the old slot of each of its ``k`` slots."""
+    start = sum(len(ids) for ids in frame.proposal_object_ids[:camera])
+    old_slot = np.arange(k)
+    old_slot[start : start + len(perm)] = start + perm
+    tables, ids = list(frame.proposals), list(frame.proposal_object_ids)
+    tables[camera] = tables[camera][perm]
+    ids[camera] = tuple(ids[camera][i] for i in perm)
+    edited = dataclasses.replace(frame, proposals=tuple(tables), proposal_object_ids=tuple(ids))
+    return edited, old_slot
+
+
+def test_proposal_order_within_a_camera_permutes_the_outputs_alike():
+    """Permuting one camera's proposals (with their object ids) in a past
+    and in the current frame permutes the motion mask, the report's
+    retained, center, category and score columns and, with the bypass
+    head, the detections the same way, value for value."""
+    scene, w = scene_and_weights(SceneConfig(n_frames=4, n_objects=24, seed=3))
+    k, frames, old_slots = w.dims.k_queries, list(scene.frames), {}
+    for f in (0, len(frames) - 1):
+        camera = int(np.argmax([len(ids) for ids in frames[f].proposal_object_ids]))
+        perm = np.random.default_rng(f).permutation(len(frames[f].proposal_object_ids[camera]))
+        frames[f], old_slots[f] = permute_one_camera(frames[f], camera, perm, k)
+    before = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    after = run_pipeline_detailed(frames, scene.cameras, w)
+    rows = np.loadtxt(io.StringIO(run_report_csv(before)), delimiter=",", skiprows=1)
+    want = rows.reshape(len(frames), k, -1)[..., 2:]  # retained, center, category, score
+    for f, old_slot in old_slots.items():
+        assert np.array_equal(after.motion_mask[f], before.motion_mask[f, old_slot])
+        want[f] = want[f, old_slot]
+    # the permutation moves kept and eliminated slots past each other
+    assert not np.array_equal(before.motion_mask[0], after.motion_mask[0])
+    rows = np.loadtxt(io.StringIO(run_report_csv(after)), delimiter=",", skiprows=1)
+    assert np.array_equal(rows.reshape(len(frames), k, -1)[..., 2:], want)
+    assert len(after.detections) == len(before.detections)
+    for det, old in zip(after.detections, old_slots[len(frames) - 1]):
+        for name in ("center3d", "size", "yaw", "velocity", "category", "score"):
+            assert np.array_equal(getattr(det, name), getattr(before.detections[old], name))
 
 
 def test_pipeline_single_frame_runs():

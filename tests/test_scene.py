@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,25 @@ def test_save_load_round_trip(tmp_path):
     # every map views the one write-protected blob array, uncopied
     bases = {id(fm.data.base) for fr in loaded.frames for fm in fr.feature_maps}
     assert len(bases) == 1 and not loaded.frames[0].feature_maps[0].data.base.flags.writeable
+
+
+def test_load_refuses_a_wrong_size_blob_before_reading_it(tmp_path):
+    """A feature blob is sized before it is read: a 200 MiB sparse file
+    behind a 16-value scene is refused without allocating its values."""
+    cfg = SceneConfig(n_frames=1, n_objects=1, n_cameras=1, image_size=(4, 4), feature_channels=1)
+    path, blob = tmp_path / "scene.json", tmp_path / "scene.features.f32"
+    save_scene(build_scene(cfg), str(path), str(blob))
+    with open(blob, "r+b") as fh:
+        fh.truncate(200 * 2**20)  # sparse: no block is written
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as refused:
+            load_scene(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "feature blob holds 52428800 values, shape needs 16"
+    assert peak < 2**20
 
 
 def test_load_without_blob_regenerates(tmp_path):
