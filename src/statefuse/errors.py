@@ -343,7 +343,7 @@ def checked_array(name: str, value, spec: Array, sizes: dict, empty: bool) -> np
             break
     if not fits:
         raise ValidationError(f"{name}: expected shape {spec.describe(sizes)}, got {shape}")
-    if spec.kind is float and not numerics.all_finite(arr):
+    if spec.kind is float and not np.isfinite(arr).all():
         raise ValidationError(f"{name}: contains NaN or Inf")
     if spec.bound is not None and not (inside := spec.bound.admits_each(arr)).all():
         raise ValidationError(f"{name}: expected {spec.bound!r}, got {arr[~inside][0].item()!r}")

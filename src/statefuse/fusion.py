@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, Bound, NumericOverflowError, Record, ValidationError, check_seed, checked
+from .errors import Array, Bound, NumericOverflowError, Record, ValidationError, checked
 from .numerics import frozen, gelu, require_finite
 from .ssm import (  # the short scan's conv is the layer's conv too
     _CHUNK,
@@ -307,51 +307,24 @@ def _layer_params(e, learnable, bank_seed, state_dim, ksize, delta, epsilon):
 
 
 @checked
-def seeded_layer_params(
-    n_channels: Bound[int, ">=", 1], seed, *,
-    state_dim: Bound[int, ">=", 1] = 16, ksize: Bound[int, ">=", 1] = 3,
-    delta: Bound[float, ">", 0] = 0.1, epsilon: Bound[float, ">", 0] = 1e-6,
-) -> QueryMambaLayerParams:
-    """Deterministic layer init: weights uniform in [-0.1, 0.1] from the seed."""
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
-    bank_seed = int(rng.integers(0, 2**63 - 1))
-
-    def w(*shape):  # write-protected, so the parameter types keep it uncopied
-        return frozen(rng.uniform(-_WEIGHT_SCALE, _WEIGHT_SCALE, size=shape))
-
-    return _layer_params(n_channels, w, bank_seed, state_dim, ksize, delta, epsilon)
-
-
-@checked
 def seeded_stack(
     n_channels: Bound[int, ">=", 1], seed: Bound[int, ">=", 0], *,
     n_layers: Bound[int, ">=", 1] = 6, state_dim: Bound[int, ">=", 1] = 16,
     ksize: Bound[int, ">=", 1] = 3, delta: Bound[float, ">", 0] = 0.1,
     epsilon: Bound[float, ">", 0] = 1e-6,
 ) -> QueryMambaStack:
-    layers = tuple(
-        seeded_layer_params(
-            n_channels, [seed, 0xF0, i],
-            state_dim=state_dim, ksize=ksize, delta=delta, epsilon=epsilon,
-        )
-        for i in range(n_layers)
-    )
-    return QueryMambaStack(layers)
+    """Deterministic stack init: layer i draws from ``default_rng([seed,
+    0xF0, i])`` the seed of its bank, then its weights uniform in [-0.1, 0.1]."""
+    layers = []
+    for i in range(n_layers):
+        rng = np.random.default_rng([seed, 0xF0, i])
+        bank_seed = int(rng.integers(0, 2**63 - 1))
 
+        def w(*shape):  # write-protected, so the parameter types keep it uncopied
+            return frozen(rng.uniform(-_WEIGHT_SCALE, _WEIGHT_SCALE, size=shape))
 
-def _zeros(*shape) -> np.ndarray:
-    return frozen(np.zeros(shape))
-
-
-@checked
-def zero_layer_params(
-    n_channels: Bound[int, ">=", 1], *,
-    state_dim: Bound[int, ">=", 1] = 16, ksize: Bound[int, ">=", 1] = 3,
-    delta: Bound[float, ">", 0] = 0.1, epsilon: Bound[float, ">", 0] = 1e-6,
-) -> QueryMambaLayerParams:
-    """All learnable weights zero (scales one, shifts zero): an exact identity."""
-    return _layer_params(n_channels, _zeros, 0, state_dim, ksize, delta, epsilon)
+        layers.append(_layer_params(n_channels, w, bank_seed, state_dim, ksize, delta, epsilon))
+    return QueryMambaStack(tuple(layers))
 
 
 @checked
@@ -361,7 +334,9 @@ def zero_stack(
     ksize: Bound[int, ">=", 1] = 3, delta: Bound[float, ">", 0] = 0.1,
     epsilon: Bound[float, ">", 0] = 1e-6,
 ) -> QueryMambaStack:
-    layer = zero_layer_params(
-        n_channels, state_dim=state_dim, ksize=ksize, delta=delta, epsilon=epsilon
+    """``n_layers`` times one layer whose learnable weights are all zero
+    (scales one, shifts zero): an exact identity."""
+    layer = _layer_params(
+        n_channels, lambda *shape: frozen(np.zeros(shape)), 0, state_dim, ksize, delta, epsilon
     )
     return QueryMambaStack((layer,) * n_layers)

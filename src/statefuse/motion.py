@@ -110,7 +110,7 @@ def motion_mask(
     cost: Array[Bound[Extended, ">=", 0], "P", "K", "K"], cats_current: Array[int, "K"],
     cats_past: Array[int, "P", "K"], past_valid: Array[bool, "P", "K"], cfg: MotionElimConfig,
 ) -> np.ndarray:
-    """Read-only (P + 1, K) int8 retention mask: P past rows, then the current.
+    """Read-only (P + 1, K) int64 retention mask: P past rows, then the current.
 
     Past slot n of frame p is eliminated (0) exactly when some current slot
     m of its category sits within alpha of it, ``cost[p, m, n] <= alpha``;
@@ -119,7 +119,7 @@ def motion_mask(
     p, k, _ = cost.shape
     close = cost <= cfg.alpha
     close &= cats_current[None, :, None] == cats_past[:, None, :]
-    mask = np.ones((p + 1, k), dtype=np.int8)
+    mask = np.ones((p + 1, k), dtype=np.int64)
     mask[:p] = ~close.any(axis=1) & past_valid
     return frozen(mask)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import erf
 
@@ -12,19 +10,12 @@ from .errors import NumericOverflowError, ValidationError, checked
 SQRT2 = float(np.sqrt(2.0))
 
 
-def all_finite(arr: np.ndarray) -> bool:
-    """Whether every entry of a float array is finite: NaN and Inf make the
-    sum of squares non-finite, which only then needs a look at each entry,
-    as an overflow makes it non-finite too."""
-    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
-
-
 def require_finite(stage: str, arr: np.ndarray) -> np.ndarray:
     """Return ``arr``, the output of ``stage``, or raise
     ``NumericOverflowError("<stage>: non-finite values")`` when an entry is
     NaN or Inf: a stage that computes from finite inputs checks its own
     output this way, once."""
-    if not all_finite(arr):
+    if not np.isfinite(arr).all():
         raise NumericOverflowError(f"{stage}: non-finite values")
     return arr
 

@@ -347,6 +347,7 @@ def build_query(
         np.concatenate([t[key] for t in tables])
         for key in ("center", "depth_dist", "category", "score")
     )
+    sizes = np.array(sizes)
     cam_index = np.repeat(map_cams, sizes)
 
     depth = expected_depth(dists, centers)  # checks every distribution

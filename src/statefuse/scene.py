@@ -596,10 +596,10 @@ def load_scene(path: str) -> Scene:
             raise ValidationError(f"feature blob dtype must be {FEATURE_DTYPE!r}, got {dtype!r}")
         resolved = os.path.join(os.path.dirname(os.path.abspath(path)), blob_path)
         with open(resolved, "rb") as blob:
-            held = os.fstat(blob.fileno()).st_size // np.dtype(FEATURE_DTYPE).itemsize
-            expected = math.prod(shape)
+            held = os.fstat(blob.fileno()).st_size
+            expected = math.prod(shape) * np.dtype(FEATURE_DTYPE).itemsize
             if held != expected:  # sized before a value is read
-                raise ValidationError(f"feature blob holds {held} values, shape needs {expected}")
+                raise ValidationError(f"feature blob holds {held} bytes, shape needs {expected}")
             raw = np.fromfile(blob, dtype=FEATURE_DTYPE)
         features = frozen(raw).reshape(shape)  # maps view it without a copy
     return scene_from_dict(doc, features)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bench import BenchConfig, BenchRow, fit_loglog_slope, run_bench
-from .fusion import FusedQuerySequence, query_mamba_block, query_mamba_stack, zero_layer_params, zero_stack
+from .fusion import FusedQuerySequence, query_mamba_block, query_mamba_stack, zero_stack
 from .geometry import CameraModel, EgoPose, align_centers, lift_center, project_point
 from .motion import MotionElimConfig, motion_cost, motion_mask
 from .pipeline import (
@@ -442,7 +442,7 @@ def check_residual_identity() -> str:
     """Zero-weight fusion is the exact identity, block to full pipeline."""
     rng = np.random.default_rng(707)
     seq = FusedQuerySequence(rng.standard_normal((7, 12)), tuple(range(7)), 3, 4)
-    block_out = query_mamba_block(seq, zero_layer_params(12))
+    block_out = query_mamba_block(seq, zero_stack(12, n_layers=1).layers[0])
     _require(np.array_equal(block_out.data, seq.data), "zero block is not the identity")
     stack_out = query_mamba_stack(seq, zero_stack(12))
     _require(np.array_equal(stack_out.data, seq.data), "zero 6-layer stack is not the identity")

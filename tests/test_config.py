@@ -59,12 +59,10 @@ from statefuse import (
     materialize_kernel,
     scan_bank,
     seeded_bank,
-    seeded_layer_params,
     seeded_stack,
     sinusoid_features,
     ssm_peak_bytes,
     synth_features,
-    zero_layer_params,
     zero_stack,
 )
 from statefuse.errors import Array, Bound, Record, _kind, _parameters, _schema, checked
@@ -332,7 +330,7 @@ def test_record_arrays_keep_their_kind():
     seq = PaddedQuerySequence([[[1]]], [[[1, 2, 3]]], [[True]], np.array([[2]], np.int32))
     assert seq.embeddings.dtype == np.float64 and seq.centers3d.dtype == np.float64
     assert seq.valid.dtype == bool and seq.cats.dtype == np.int64
-    # the int8 retention mask is kept as int64 of the same 0/1 values
+    # the int64 retention mask holds 0/1 values
     assert TINY_RESULT.motion_mask.dtype == np.int64
     assert set(TINY_RESULT.motion_mask.ravel().tolist()) <= {0, 1}
     det = Detection([1, 2, 3], np.ones(3, np.float32), np.float32(0.5), [0, 0], np.int64(2), 1)
@@ -432,8 +430,8 @@ def test_an_array_argument_refuses_a_value_of_another_kind(call, name):
         (lambda: seeded_stack(8, "3", n_layers=1), "seed"),
         (lambda: seeded_stack(8, 3, n_layers=1.5), "n_layers"),
         (lambda: zero_stack(8, n_layers=True), "n_layers"),
-        (lambda: seeded_layer_params(8, 0, epsilon="1e-6"), "epsilon"),
-        (lambda: zero_layer_params(8.0), "n_channels"),
+        (lambda: seeded_stack(8, 0, n_layers=1, epsilon="1e-6"), "epsilon"),
+        (lambda: zero_stack(8.0, n_layers=1), "n_channels"),
         (lambda: PosEmbedParams.seeded(24.9, 0), "embed_dim"),
         (lambda: camera_ring(2.5), "n_cameras"),
     ],
@@ -452,7 +450,7 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
     [
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[True]], 0.5), "cfg"),
         (lambda: project_point("cam", [1.0, 2.0, 3.0]), "cam"),
-        (lambda: gs4_layer(np.ones((3, 5)), seeded_layer_params(4, 0).gs4), "x"),
+        (lambda: gs4_layer(np.ones((3, 5)), seeded_stack(4, 0, n_layers=1).layers[0].gs4), "x"),
         (lambda: query_mamba_stack(TINY_RESULT.fused_input, 0.5), "stack"),
         (lambda: query_mamba_block(TINY_RESULT.fused_input, TINY_LINEAR.stack), "params"),
         (lambda: decode_current_frame(TINY_RESULT.fused_output, TINY_SCENE.frames[-1].feature_maps,
@@ -501,8 +499,6 @@ BOUNDED_CALLS = {  # a valid call of each checked function that declares one
     "apply_convolution": dict(taps=[1.0], feed_through=0.0, x=[1.0]),
     "seeded_bank": dict(n_channels=1, state_dim=1, seed=0),
     "layer_norm": dict(x=[[1.0, 2.0]], scale=[1.0, 1.0], shift=[0.0, 0.0], epsilon=1e-6),
-    "seeded_layer_params": dict(n_channels=1, seed=0),
-    "zero_layer_params": dict(n_channels=1),
     "seeded_stack": dict(n_channels=1, seed=0, n_layers=1),
     "zero_stack": dict(n_channels=1, n_layers=1),
     "DeformAttnParams.head_width": dict(channels=1, n_heads=1),
@@ -684,7 +680,6 @@ def test_an_element_refusal_shows_the_first_bad_element_and_nan_meets_no_bound()
 
 
 SEEDED = {  # the seeds that numpy reads: an int >= 0 or a list of them
-    "seeded_layer_params": lambda seed: seeded_layer_params(4, seed),
     "DeformAttnParams.seeded": lambda seed: DeformAttnParams.seeded(8, seed),
     "PosEmbedParams.seeded": lambda seed: PosEmbedParams.seeded(24, seed),
 }

@@ -20,9 +20,8 @@ from statefuse import (
     layer_norm,
     query_mamba_block,
     query_mamba_stack,
-    seeded_layer_params,
+    seeded_bank,
     seeded_stack,
-    zero_layer_params,
     zero_stack,
 )
 from statefuse.fusion import _TILE_ROWS
@@ -164,17 +163,17 @@ def seq(rng, n=4, k=2, d=4):
 def test_zero_block_is_identity():
     rng = np.random.default_rng(53)
     x = seq(rng, n=4, k=2, d=4)
-    out = query_mamba_block(x, zero_layer_params(8))
+    out = query_mamba_block(x, zero_stack(8, n_layers=1).layers[0])
     assert np.array_equal(out.data, x.data)
     assert out.frame_order == x.frame_order
 
 
 @pytest.mark.parametrize("n", [0, -2])
-def test_zero_layer_refuses_a_width_below_one(n):
+def test_zero_stack_refuses_a_width_below_one(n):
     """As the seeded builder does; once a field error for 0 and numpy's
     negative-dimensions ValueError for -2."""
     with pytest.raises(ValidationError, match=rf"^n_channels: expected an int >= 1, got {n}$"):
-        zero_layer_params(n)
+        zero_stack(n)
 
 
 def test_zero_stack_is_identity():
@@ -187,7 +186,7 @@ def test_zero_stack_is_identity():
 def test_seeded_block_output_well_formed():
     rng = np.random.default_rng(61)
     x = seq(rng, n=4, k=2, d=4)
-    out = query_mamba_block(x, seeded_layer_params(8, seed=1))
+    out = query_mamba_block(x, seeded_stack(8, seed=1, n_layers=1).layers[0])
     assert out.data.shape == x.data.shape
     assert np.all(np.isfinite(out.data))
     assert not np.array_equal(out.data, x.data)
@@ -206,9 +205,30 @@ def test_stack_layers_differ_by_index():
     assert not np.array_equal(s.layers[0].out_weight, s.layers[1].out_weight)
 
 
+def record_values(record):
+    """The field values of ``record``, those of the records it holds in place."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        yield from record_values(value) if dataclasses.is_dataclass(value) else (value,)
+
+
+def test_stack_layer_draws_from_its_own_stream():
+    """Layer i is the same in a stack of any depth: it draws from
+    ``default_rng([seed, 0xF0, i])`` the seed of its bank, then its dw_kernel."""
+    short, deep = seeded_stack(6, seed=9, n_layers=2), seeded_stack(6, seed=9, n_layers=5)
+    for i, layer in enumerate(short.layers):
+        pairs = zip(record_values(layer), record_values(deep.layers[i]), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        rng = np.random.default_rng([9, 0xF0, i])
+        bank = seeded_bank(6, 16, int(rng.integers(0, 2**63 - 1)))
+        pairs = zip(record_values(layer.gs4.bank), record_values(bank), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        assert np.array_equal(layer.dw_kernel, rng.uniform(-0.1, 0.1, size=(6, 3)))
+
+
 def test_stack_reports_offending_layer():
     # the normalized row (-1, 1) hits 1e300 gains, and the gate squares it
-    good = zero_layer_params(2)
+    good = zero_stack(2, n_layers=1).layers[0]
     bad_gs4 = Gs4Params(
         feed_through_bank(2),
         np.diag([1e300, 1e300]),
@@ -233,7 +253,7 @@ def test_block_rejects_width_mismatch():
     rng = np.random.default_rng(71)
     x = seq(rng, n=3, k=2, d=4)
     with pytest.raises(ValidationError):
-        query_mamba_block(x, zero_layer_params(9))
+        query_mamba_block(x, zero_stack(9, n_layers=1).layers[0])
 
 
 def test_sequence_validates_frame_order():
@@ -303,14 +323,14 @@ def test_tiled_stack_conv_longer_than_a_tile():
 
 def test_block_is_the_one_layer_stack():
     x = history_seq(300, k=2, d=6)
-    layer = seeded_layer_params(12, seed=17)
+    layer = seeded_stack(12, seed=17, n_layers=1).layers[0]
     want = whole_sequence_stack(x, QueryMambaStack((layer,)))
     assert np.array_equal(query_mamba_block(x, layer).data, want)
 
 
 def overflow_layer(shift):
     """A zero layer whose gate overflows on rows that LN2 maps off zero."""
-    good = zero_layer_params(2)
+    good = zero_stack(2, n_layers=1).layers[0]
     big = np.diag([1e300, 1e300])
     return type(good)(
         ln1=good.ln1,
@@ -329,7 +349,7 @@ def test_overflow_in_the_last_tile_names_its_layer():
     data = np.zeros((n, 2))
     data[-1] = (0.0, 2.0)
     x = FusedQuerySequence(data, tuple(range(n)), 1, 2)
-    stack = QueryMambaStack((zero_layer_params(2), overflow_layer(np.zeros(2))))
+    stack = QueryMambaStack((zero_stack(2, n_layers=1).layers[0], overflow_layer(np.zeros(2))))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match="layer 1"):
             whole_sequence_stack(x, stack)
@@ -345,7 +365,11 @@ def test_overflow_names_the_lowest_layer_across_tiles():
     data[-1] = (0.0, 2.0)
     x = FusedQuerySequence(data, tuple(range(n)), 1, 2)
     stack = QueryMambaStack(
-        (zero_layer_params(2), overflow_layer(np.zeros(2)), overflow_layer(np.array([1.0, 0.0])))
+        (
+            zero_stack(2, n_layers=1).layers[0],
+            overflow_layer(np.zeros(2)),
+            overflow_layer(np.array([1.0, 0.0])),
+        )
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match="layer 1"):
@@ -356,13 +380,14 @@ def test_overflow_names_the_lowest_layer_across_tiles():
 
 def projection_overflow_layer():
     """A seeded layer whose output projection overflows on every input."""
-    return dataclasses.replace(seeded_layer_params(4, 1), out_weight=np.full((4, 4), 1e308))
+    layer = seeded_stack(4, 1, n_layers=1).layers[0]
+    return dataclasses.replace(layer, out_weight=np.full((4, 4), 1e308))
 
 
 @pytest.mark.parametrize("n_layers, n", [(1, 6), (2, 6), (2, 3 * _TILE_ROWS + 5)])
 def test_output_projection_overflow_names_its_layer(n_layers, n):
     """One layer, the same under a second layer, and over several tiles."""
-    layers = (projection_overflow_layer(), seeded_layer_params(4, 2))[:n_layers]
+    layers = (projection_overflow_layer(), seeded_stack(4, 2, n_layers=1).layers[0])[:n_layers]
     x = history_seq(n, k=2, d=2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match="layer 0"):
@@ -371,7 +396,8 @@ def test_output_projection_overflow_names_its_layer(n_layers, n):
 
 def conv_overflow_layer():
     """A seeded layer whose depthwise causal conv overflows on every input."""
-    return dataclasses.replace(seeded_layer_params(4, 1), dw_kernel=np.full((4, 3), 1e308))
+    layer = seeded_stack(4, 1, n_layers=1).layers[0]
+    return dataclasses.replace(layer, dw_kernel=np.full((4, 3), 1e308))
 
 
 @pytest.mark.parametrize(
@@ -381,7 +407,7 @@ def test_conv_overflow_names_its_layer(bad_index, n):
     """One layer, the second of two, and the second of two over several tiles:
     the overflow is numeric (not a layer norm input error) and names the
     layer whose conv overflowed."""
-    layers = [seeded_layer_params(4, 2)] * (bad_index + 1)
+    layers = [seeded_stack(4, 2, n_layers=1).layers[0]] * (bad_index + 1)
     layers[bad_index] = conv_overflow_layer()
     x = history_seq(n, k=2, d=2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -391,7 +417,7 @@ def test_conv_overflow_names_its_layer(bad_index, n):
 
 def ln2_overflow_layer():
     """A seeded layer whose LN2 scale and shift overflow on every input."""
-    layer = seeded_layer_params(4, 1)
+    layer = seeded_stack(4, 1, n_layers=1).layers[0]
     big = np.full(4, 1e308)
     return dataclasses.replace(layer, ln2=dataclasses.replace(layer.ln2, scale=big, shift=big))
 
@@ -403,7 +429,7 @@ def test_layer_norm_overflow_names_its_layer(bad_index, n):
     """One layer, the second of two, and the second of two over several
     tiles: an LN2 overflow names its own layer and sublayer, not the output
     projection of the layer below."""
-    layers = [seeded_layer_params(4, 2)] * (bad_index + 1)
+    layers = [seeded_stack(4, 2, n_layers=1).layers[0]] * (bad_index + 1)
     layers[bad_index] = ln2_overflow_layer()
     x = history_seq(n, k=2, d=2)
     with np.errstate(over="ignore", invalid="ignore"):

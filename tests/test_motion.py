@@ -253,12 +253,12 @@ def test_batch_equals_one_frame_at_a_time():
             assert np.array_equal(mask[i], ~close.any(axis=0) & past_valid[i])
 
 
-def test_mask_is_read_only_int8_with_current_row_kept():
+def test_mask_is_read_only_int64_with_current_row_kept():
     rng = np.random.default_rng(163)
     cur, past, cur_valid, past_valid, cats_cur, cats_past = random_window(rng, 3, 5)
     cost = motion_cost(cur, past, cur_valid, past_valid)
     mask = motion_mask(cost, cats_cur, cats_past, past_valid, MotionElimConfig(alpha=20.0))
-    assert mask.dtype == np.int8 and not mask.flags.writeable
+    assert mask.dtype == np.int64 and not mask.flags.writeable
     assert np.array_equal(mask[-1], np.ones(5))
 
 

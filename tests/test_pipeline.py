@@ -32,6 +32,7 @@ from statefuse import (
     slot_count,
     zero_stack,
 )
+from statefuse import errors
 from statefuse.numerics import frozen, readonly, softmax
 from statefuse.queries import FeatureMap
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
@@ -165,6 +166,24 @@ def test_pipeline_report_deterministic_csv():
     assert header == "frame,object_slot,retained,center_x,center_y,center_z,category,score"
     assert len(a.splitlines()) == 1 + scene.config.n_frames * w.dims.k_queries
 
+
+
+@pytest.mark.parametrize("box_mode", ["bypass", "linear"])
+def test_forward_pass_hands_each_callee_the_arrays_it_declares(monkeypatch, box_mode):
+    """No checked argument or result field on the forward path and the
+    report is converted: each arrives as an ndarray of its declared dtype."""
+    scene, w = scene_and_weights(box_mode=box_mode)
+    checked_array, coerced = errors.checked_array, []
+
+    def spy(name, value, spec, sizes, empty):
+        arr = checked_array(name, value, spec, sizes, empty)
+        if isinstance(spec, errors.Array) and arr is not value:
+            coerced.append(f"{name}: {getattr(value, 'dtype', type(value).__name__)}")
+        return arr
+
+    monkeypatch.setattr(errors, "checked_array", spy)
+    run_report_csv(run_pipeline_detailed(scene.frames, scene.cameras, w))
+    assert coerced == []
 
 def report_per_field(result):
     """Oracle: the report formatted one field at a time."""

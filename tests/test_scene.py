@@ -266,14 +266,17 @@ def test_save_load_round_trip(tmp_path):
     assert len(bases) == 1 and not loaded.frames[0].feature_maps[0].data.base.flags.writeable
 
 
-def test_load_refuses_a_wrong_size_blob_before_reading_it(tmp_path):
-    """A feature blob is sized before it is read: a 200 MiB sparse file
-    behind a 16-value scene is refused without allocating its values."""
+@pytest.mark.parametrize("size", [200 * 2**20, 66], ids=["sparse_200_MiB", "two_trailing_bytes"])
+def test_load_refuses_a_wrong_size_blob_before_reading_it(tmp_path, size):
+    """A feature blob is sized in bytes before it is read: a 200 MiB sparse
+    file behind a 16-value scene is refused without allocating its values,
+    and so are two bytes past the last value, which make no value of their
+    own."""
     cfg = SceneConfig(n_frames=1, n_objects=1, n_cameras=1, image_size=(4, 4), feature_channels=1)
     path, blob = tmp_path / "scene.json", tmp_path / "scene.features.f32"
     save_scene(build_scene(cfg), str(path), str(blob))
     with open(blob, "r+b") as fh:
-        fh.truncate(200 * 2**20)  # sparse: no block is written
+        fh.truncate(size)  # sparse: no block is written
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError) as refused:
@@ -281,7 +284,7 @@ def test_load_refuses_a_wrong_size_blob_before_reading_it(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(refused.value) == "feature blob holds 52428800 values, shape needs 16"
+    assert str(refused.value) == f"feature blob holds {size} bytes, shape needs 64"
     assert peak < 2**20
 
 
