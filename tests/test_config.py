@@ -707,6 +707,17 @@ def test_a_seed_of_ints_at_or_above_zero_is_taken(make):
         make(seed)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda seed: seeded_stack(4, seed, n_layers=1), lambda seed: seeded_bank(2, 2, seed)],
+    ids=["seeded_stack", "seeded_bank"],
+)
+def test_an_int_seed_at_or_above_zero_is_taken(make):
+    """The builders that take one int seed take any size of it, numpy's too."""
+    for seed in (0, 2**70, np.int64(3), np.uint64(7)):
+        make(seed)
+
+
 def test_an_array_argument_is_neither_copied_nor_write_protected():
     seen = []
 

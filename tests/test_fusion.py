@@ -226,6 +226,51 @@ def test_stack_layer_draws_from_its_own_stream():
         assert np.array_equal(layer.dw_kernel, rng.uniform(-0.1, 0.1, size=(6, 3)))
 
 
+def bank_seeds(name, n_layers):
+    """The seed each layer's bank is built from: drawn first from the
+    layer's stream for a seed-9 stack, zero for a zero stack."""
+    if name == "zero_stack":
+        return [0] * n_layers
+    return [int(np.random.default_rng([9, 0xF0, i]).integers(0, 2**63 - 1)) for i in range(n_layers)]
+
+
+STACK_BUILDERS = {
+    "seeded_stack": lambda e, **knobs: seeded_stack(e, 9, **knobs),
+    "zero_stack": lambda e, **knobs: zero_stack(e, **knobs),
+}
+
+
+@pytest.mark.parametrize("knob", ["state_dim", "ksize", "delta", "epsilon"])
+@pytest.mark.parametrize("name", STACK_BUILDERS)
+def test_a_stack_knob_reaches_every_layer(name, knob):
+    """Each knob a stack builder declares shapes every layer it builds."""
+    value = {"state_dim": 5, "ksize": 4, "delta": 0.25, "epsilon": 1e-3}[knob]
+    stack = STACK_BUILDERS[name](6, n_layers=3, **{knob: value})
+    knobs = {"state_dim": 16, "ksize": 3, "delta": 0.1, "epsilon": 1e-6, knob: value}
+    for layer, bank_seed in zip(stack.layers, bank_seeds(name, 3), strict=True):
+        assert layer.dw_kernel.shape == (6, knobs["ksize"])
+        assert layer.ln1.epsilon == layer.ln2.epsilon == knobs["epsilon"]
+        bank = seeded_bank(6, knobs["state_dim"], bank_seed, knobs["delta"])
+        pairs = zip(record_values(layer.gs4.bank), record_values(bank), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 5])
+def test_zero_stack_repeats_one_zero_layer(n_layers):
+    """Every layer is the one layer whose learnable arrays are zero, whose
+    layer norms scale by one and shift by zero, and whose bank has seed 0."""
+    layers = zero_stack(4, n_layers=n_layers).layers
+    assert len(layers) == n_layers and all(layer is layers[0] for layer in layers)
+    layer = layers[0]
+    learnable = (layer.dw_kernel, layer.gs4.w_u, layer.gs4.w_v, layer.gs4.w_o,
+                 layer.out_weight, layer.out_bias)
+    assert all(not a.any() and not a.flags.writeable for a in learnable)
+    for ln in (layer.ln1, layer.ln2):
+        assert np.array_equal(ln.scale, np.ones(4)) and np.array_equal(ln.shift, np.zeros(4))
+    pairs = zip(record_values(layer.gs4.bank), record_values(seeded_bank(4, 16, 0)), strict=True)
+    assert all(np.array_equal(a, b) for a, b in pairs)
+
+
 def test_stack_reports_offending_layer():
     # the normalized row (-1, 1) hits 1e300 gains, and the gate squares it
     good = zero_stack(2, n_layers=1).layers[0]

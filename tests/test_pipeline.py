@@ -167,7 +167,6 @@ def test_pipeline_report_deterministic_csv():
     assert len(a.splitlines()) == 1 + scene.config.n_frames * w.dims.k_queries
 
 
-
 @pytest.mark.parametrize("box_mode", ["bypass", "linear"])
 def test_forward_pass_hands_each_callee_the_arrays_it_declares(monkeypatch, box_mode):
     """No checked argument or result field on the forward path and the
@@ -184,6 +183,7 @@ def test_forward_pass_hands_each_callee_the_arrays_it_declares(monkeypatch, box_
     monkeypatch.setattr(errors, "checked_array", spy)
     run_report_csv(run_pipeline_detailed(scene.frames, scene.cameras, w))
     assert coerced == []
+
 
 def report_per_field(result):
     """Oracle: the report formatted one field at a time."""

@@ -266,17 +266,21 @@ def test_save_load_round_trip(tmp_path):
     assert len(bases) == 1 and not loaded.frames[0].feature_maps[0].data.base.flags.writeable
 
 
-@pytest.mark.parametrize("size", [200 * 2**20, 66], ids=["sparse_200_MiB", "two_trailing_bytes"])
+@pytest.mark.parametrize(
+    "size",
+    [200 * 2**20, 66, 63, 60, 0],
+    ids=["sparse_200_MiB", "two_trailing_bytes", "one_byte_short", "one_value_short", "empty"],
+)
 def test_load_refuses_a_wrong_size_blob_before_reading_it(tmp_path, size):
     """A feature blob is sized in bytes before it is read: a 200 MiB sparse
     file behind a 16-value scene is refused without allocating its values,
     and so are two bytes past the last value, which make no value of their
-    own."""
+    own, and a blob cut short by a byte, a value or all of it."""
     cfg = SceneConfig(n_frames=1, n_objects=1, n_cameras=1, image_size=(4, 4), feature_channels=1)
     path, blob = tmp_path / "scene.json", tmp_path / "scene.features.f32"
     save_scene(build_scene(cfg), str(path), str(blob))
     with open(blob, "r+b") as fh:
-        fh.truncate(size)  # sparse: no block is written
+        fh.truncate(size)  # a longer file is sparse: no block is written
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError) as refused:
