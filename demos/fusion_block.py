@@ -6,12 +6,13 @@ around every step. Zero weights therefore make the whole stack an exact
 identity, which is the anchor for testing deeper configurations.
 """
 
+import dataclasses
+
 import numpy as np
 
 from statefuse import (
     DiscreteSsmBank,
     FusedQuerySequence,
-    Gs4Params,
     gs4_layer,
     query_mamba_stack,
     seeded_stack,
@@ -39,7 +40,10 @@ def main():
     # the gating nonlinearity in isolation: with unit projections and a
     # feed-through scan, a single unit computes gelu(x) squared
     bank = DiscreteSsmBank(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1))
-    params = Gs4Params(bank, np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    one = np.ones((1, 1))
+    params = dataclasses.replace(
+        zero_stack(1, n_layers=1).layers[0], bank=bank, w_u=one, w_v=one, w_o=one
+    )
     y = gs4_layer(np.array([[1.0]]), params)
     print(f"gated unit at x=1: {y[0, 0]:.15f} (gelu(1)^2)")
 

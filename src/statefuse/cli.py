@@ -8,6 +8,7 @@ optional SVG chart), ``check`` (the full property suite).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -136,34 +137,28 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    style = dict(epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser = argparse.ArgumentParser(
         prog="statefuse",
         description="State-space temporal fusion for multi-camera 3D object queries.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **style,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "simulate",
-        help="generate a deterministic scene and write it as JSON",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    def verb(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, **style)
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("simulate", _cmd_simulate, "generate a deterministic scene and write it as JSON")
     p.add_argument("--config", help="scene config JSON (defaults apply when omitted)")
     p.add_argument("--out", required=True, help="output scene JSON path")
     p.add_argument(
         "--features-blob",
         help="also write feature maps as a raw float32 blob next to the JSON",
     )
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "run",
-        help="run the detection pipeline over a scene file",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = verb("run", _cmd_run, "run the detection pipeline over a scene file")
     p.add_argument("--scene", required=True, help="scene JSON produced by simulate")
     p.add_argument(
         "--weights",
@@ -173,36 +168,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha",
         type=float,
-        default=0.5,
-        help="motion elimination distance threshold in meters (default 0.5)",
+        default=MotionElimConfig.alpha,
+        help="motion elimination distance threshold in meters (default %(default)s)",
     )
     p.add_argument("--out", required=True, help="output CSV report path")
     p.add_argument(
         "--box-mode",
         choices=BOX_MODES,
-        default="bypass",
-        help="box head for seed-derived weights (default bypass)",
+        default=inspect.signature(PipelineWeights.from_seed).parameters["box_mode"].default,
+        help="box head for seed-derived weights (default %(default)s)",
     )
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser(
-        "bench",
-        help="benchmark fusion mechanisms over sequence length",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = verb("bench", _cmd_bench, "benchmark fusion mechanisms over sequence length")
     p.add_argument("--config", help="bench config JSON (defaults apply when omitted)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="also write a log-log wall-time chart")
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser(
-        "check",
-        help="run the full property suite (exit 0 iff all pass)",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.set_defaults(func=_cmd_check)
+    verb("check", _cmd_check, "run the full property suite (exit 0 iff all pass)")
     return parser
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the library, and the one rule for the
 fields of its config and record types and the array and scalar arguments
-of its functions, which their annotations declare."""
+of its functions, which their annotations declare, with the
+write-protection of the arrays that record fields keep."""
 
 from __future__ import annotations
 
@@ -202,6 +203,39 @@ def _like(kind) -> str:
     return str(kind) if typing.get_args(kind) else getattr(kind, "__name__", "an array")
 
 
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """Return a write-protected, aligned, C-contiguous form of ``arr``.
+
+    ``arr`` comes back unchanged when it already is all three and its memory
+    belongs to an immutable owner: a write-protected array that owns its
+    data (``arr`` itself or the array it views), or a ``bytes`` object, as
+    behind the ``np.frombuffer`` views of a weights blob.  Its owner thus
+    hands it over without a copy.  Anything else, a view of a caller's
+    writable array included, is copied.
+    """
+    flags = getattr(arr, "flags", None)
+    if flags is not None and flags.c_contiguous and flags.aligned and not flags.writeable:
+        owner = arr
+        while isinstance(owner, np.ndarray) and not owner.flags.owndata:
+            owner = owner.base
+        if isinstance(owner, bytes) or (
+            isinstance(owner, np.ndarray) and not owner.flags.writeable
+        ):
+            return arr
+    out = np.array(arr, copy=True, order="C")
+    out.setflags(write=False)
+    return out
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Write-protect an array the caller has just made and owns, and return it.
+
+    :func:`readonly` then keeps it as it is instead of copying it.
+    """
+    arr.setflags(write=False)
+    return arr
+
+
 def field_value(name: str, value, kind, like: str | None = None, sizes: dict | None = None):
     """``value`` as a field ``name`` of type ``kind`` under the rule of
     :class:`Record`; any other value raises ``ValidationError("<name>:
@@ -211,7 +245,7 @@ def field_value(name: str, value, kind, like: str | None = None, sizes: dict | N
     holds the symbols that the earlier array fields of the object bound."""
     if isinstance(kind, Array):  # write-protected: in place when made here
         arr = checked_array(name, value, kind, {} if sizes is None else sizes, empty=False)
-        return numerics.readonly(arr) if arr is value else numerics.frozen(arr)
+        return readonly(arr) if arr is value else frozen(arr)
     kept = _field_value(value, kind)
     if kept is _BAD:
         raise ValidationError(_refusal(name, value, kind, _like(kind) if like is None else like))
@@ -392,7 +426,3 @@ def _parameters(fn) -> tuple:
         if isinstance(spec, (Array, Bound)) or spec in (int, float, bool) or own:
             specs.append((position, name, spec, optional))
     return tuple(specs)
-
-
-# Last, so that numerics finds the errors above whichever module loads first.
-from . import numerics  # noqa: E402

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Array, Bound, NumericOverflowError, Record, ValidationError, checked
-from .numerics import frozen, gelu, require_finite
+from .errors import Array, Bound, NumericOverflowError, Record, ValidationError, checked, frozen
+from .numerics import gelu, require_finite
 from .ssm import (  # the short scan's conv is the layer's conv too
     _CHUNK,
     DiscreteSsmBank,
@@ -52,43 +52,29 @@ from .ssm import (  # the short scan's conv is the layer's conv too
 
 
 @dataclass(frozen=True)
-class LayerNormParams(Record):
-    scale: Array[float, "E"]
-    shift: Array[float, "E"]
-    epsilon: Bound[float, ">", 0]
+class QueryMambaLayerParams(Record):
+    """One fusion layer: its two layer norms, causal conv, gated scan (the
+    channel bank and its gating projections) and output projection."""
 
-
-@dataclass(frozen=True)
-class Gs4Params(Record):
-    """Gated state-space sublayer: channel bank plus gating projections."""
-
+    ln1_scale: Array[float, "E"]
+    ln1_shift: Array[float, "E"]
+    ln2_scale: Array[float, "E"]
+    ln2_shift: Array[float, "E"]
+    epsilon: Bound[float, ">", 0]  # of both layer norms
+    dw_kernel: Array[float, "E", "S"]  # S: the conv's kernel size
     bank: DiscreteSsmBank
     w_u: Array[float, "E", "E"]
     w_v: Array[float, "E", "E"]
     w_o: Array[float, "E", "E"]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.w_u.shape[0] != self.bank.n_channels:
-            raise ValidationError(
-                f"w_u: width {self.w_u.shape[0]} does not match the bank's {self.bank.n_channels}"
-            )
-
-
-@dataclass(frozen=True)
-class QueryMambaLayerParams(Record):
-    ln1: LayerNormParams
-    ln2: LayerNormParams
-    dw_kernel: Array[float, "E", "S"]  # S: the conv's kernel size
-    gs4: Gs4Params
     out_weight: Array[float, "E", "E"]
     out_bias: Array[float, "E"]
 
     def __post_init__(self):
         super().__post_init__()
-        e = self.out_bias.size
-        if self.gs4.bank.n_channels != e or self.ln1.scale.size != e or self.ln2.scale.size != e:
-            raise ValidationError("layer norm and gs4 widths must match the channel count")
+        if self.bank.n_channels != self.n_channels:
+            raise ValidationError(
+                f"bank: width {self.bank.n_channels} does not match the layer's {self.n_channels}"
+            )
 
     @property
     def n_channels(self) -> int:
@@ -134,9 +120,6 @@ class FusedQuerySequence(Record):
     def n_channels(self) -> int:
         return self.data.shape[1]
 
-    def with_data(self, data: np.ndarray) -> "FusedQuerySequence":
-        return FusedQuerySequence(data, self.frame_order, self.k_queries, self.embed_dim)
-
 
 @checked
 def layer_norm(
@@ -162,15 +145,15 @@ def layer_norm(
 
 @checked
 def gs4_layer(
-    x: Array[float, "N", "E"], params: Gs4Params, carry: ScanCarry | None = None
+    x: Array[float, "N", "E"], params: QueryMambaLayerParams, carry: ScanCarry | None = None
 ) -> np.ndarray:
-    """Gated state-space sublayer over an (N, E) sequence.
+    """The gated state-space sublayer of layer ``params`` over an (N, E) sequence.
 
     With a ``carry`` of ``params.bank``, x is the next tile of a longer
     sequence and the scan continues from the previous tile.
     """
-    if x.shape[1] != params.w_u.shape[0]:
-        raise ValidationError(f"x: width {x.shape[1]}, the layer's is {params.w_u.shape[0]}")
+    if x.shape[1] != params.n_channels:
+        raise ValidationError(f"x: width {x.shape[1]}, the layer's is {params.n_channels}")
     u = gelu(x @ params.w_u)
     v = gelu(x @ params.w_v)
     try:
@@ -212,16 +195,16 @@ class _LayerPass:
         self.params = params
         self.reach = params.dw_kernel.shape[1] - 1
         self.history = None
-        self.scan = ScanCarry(params.gs4.bank) if tiled else None
+        self.scan = ScanCarry(params.bank) if tiled else None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         p = self.params
-        ln1 = layer_norm(x, p.ln1.scale, p.ln1.shift, p.ln1.epsilon)
+        ln1 = layer_norm(x, p.ln1_scale, p.ln1_shift, p.epsilon)
         try:  # x is finite, so a refused argument is an overflow of LN1, the conv or LN2
             z = depthwise_causal_conv(ln1, p.dw_kernel, self.history)
             z += ln1
-            ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
-            zp = gs4_layer(ln2, p.gs4, self.scan)
+            ln2 = layer_norm(z, p.ln2_scale, p.ln2_shift, p.epsilon)
+            zp = gs4_layer(ln2, p, self.scan)
         except ValidationError as exc:
             raise NumericOverflowError(f"layer norm or depthwise conv: {exc}") from exc
         if self.scan is not None and self.reach:  # a later tile reads these rows
@@ -265,7 +248,7 @@ def _fuse(x: FusedQuerySequence, layers) -> FusedQuerySequence:
         raise NumericOverflowError(f"layer {depth}: {failed}") from failed
     out = rows if out is None else out
     out.setflags(write=False)
-    return x.with_data(out)
+    return FusedQuerySequence(out, x.frame_order, x.k_queries, x.embed_dim)
 
 
 @checked
@@ -292,15 +275,16 @@ def _layer_params(e, learnable, bank_seed, state_dim, ksize, delta, epsilon):
     norms scale by one and shift by zero."""
     ones, zeros = frozen(np.ones(e)), frozen(np.zeros(e))
     return QueryMambaLayerParams(
-        ln1=LayerNormParams(ones, zeros, epsilon),
-        ln2=LayerNormParams(ones, zeros, epsilon),
+        ln1_scale=ones,
+        ln1_shift=zeros,
+        ln2_scale=ones,
+        ln2_shift=zeros,
+        epsilon=epsilon,
         dw_kernel=learnable(e, ksize),
-        gs4=Gs4Params(
-            bank=seeded_bank(e, state_dim, bank_seed, delta),
-            w_u=learnable(e, e),
-            w_v=learnable(e, e),
-            w_o=learnable(e, e),
-        ),
+        bank=seeded_bank(e, state_dim, bank_seed, delta),
+        w_u=learnable(e, e),
+        w_v=learnable(e, e),
+        w_o=learnable(e, e),
         out_weight=learnable(e, e),
         out_bias=learnable(e),
     )

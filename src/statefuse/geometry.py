@@ -16,8 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Bound, Record, ValidationError, check_seed, checked
-from .numerics import frozen, gelu, require_rigid, rigid_inverse
+from .errors import (
+    Array, BehindCameraError, Bound, Record, ValidationError, check_seed, checked, frozen,
+)
+from .numerics import gelu, require_rigid, rigid_inverse
 
 MIN_PROJECT_DEPTH = 1e-6
 
@@ -60,7 +62,6 @@ class EgoPose(Record):
 class PosEmbedParams(Record):
     """Sinusoidal features followed by a two-layer GELU MLP, output width D."""
 
-    embed_dim: Bound[int, ">=", 2]
     temperature: Bound[float, ">", 0]
     w1: Array[float, "D", "D"]
     b1: Array[float, "D"]
@@ -69,11 +70,12 @@ class PosEmbedParams(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        d = self.embed_dim
-        if d % 2 != 0:
-            raise ValidationError(f"embed_dim: expected an even int, got {d}")
-        if self.b1.size != d:
-            raise ValidationError(f"b1: width {self.b1.size} does not match embed_dim {d}")
+        if self.embed_dim % 2 != 0:
+            raise ValidationError(f"embed_dim: expected an even int, got {self.embed_dim}")
+
+    @property
+    def embed_dim(self) -> int:
+        return self.w1.shape[0]
 
     @classmethod
     @checked
@@ -84,7 +86,6 @@ class PosEmbedParams(Record):
         rng = np.random.default_rng(seed)
         d = embed_dim
         return cls(  # fresh draws are write-protected, so they are kept uncopied
-            embed_dim=d,
             temperature=temperature,
             w1=frozen(rng.uniform(-0.1, 0.1, size=(d, d))),
             b1=frozen(rng.uniform(-0.1, 0.1, size=d)),

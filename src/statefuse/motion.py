@@ -19,8 +19,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import Array, Bound, Config, Extended, Record, ValidationError, checked
-from .numerics import frozen
+from .errors import Array, Bound, Config, Extended, Record, ValidationError, checked, frozen
 
 INVALID_COST = np.inf
 

@@ -30,7 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import Array, Bound, Config, Record, ValidationError, _schema, checked, field_value
+from .errors import (
+    Array, Bound, Config, Record, ValidationError, _schema, checked, field_value, frozen,
+)
 from .fusion import FusedQuerySequence, QueryMambaStack, query_mamba_stack, seeded_stack
 from .geometry import PosEmbedParams, align_centers
 from .motion import (
@@ -41,7 +43,7 @@ from .motion import (
     motion_mask,
     pad_frames,
 )
-from .numerics import frozen, require_finite, softmax
+from .numerics import require_finite, softmax
 from .queries import DeformAttnParams, build_query
 
 WEIGHTS_FORMAT = "statefuse-weights/1"

@@ -21,9 +21,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import Array, Bound, Record, ValidationError, check_seed, checked, number_array
+from .errors import (
+    Array, Bound, Record, ValidationError, check_seed, checked, frozen, number_array, readonly,
+)
 from .geometry import PosEmbedParams, lift_center, pos_embed
-from .numerics import frozen, readonly, require_finite, softmax
+from .numerics import require_finite, softmax
 
 DEPTH_BIN_COUNT = 60
 DEPTH_RANGE = (1.0, 61.0)

@@ -20,9 +20,10 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import Array, BehindCameraError, Bound, Config, Record, ValidationError, checked
+from .errors import (
+    Array, BehindCameraError, Bound, Config, Record, ValidationError, checked, frozen,
+)
 from .geometry import CameraModel, EgoPose, project_point
-from .numerics import frozen
 from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
 
 SCENE_FORMAT = "statefuse-scene/1"

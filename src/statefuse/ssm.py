@@ -51,8 +51,7 @@ from typing import Literal
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import Array, Bound, Record, ValidationError, checked
-from .numerics import frozen
+from .errors import Array, Bound, Record, ValidationError, checked, frozen
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ def unstable_weights(layer):
         )
         w = PipelineWeights.from_seed(11, dims)
         raw = weights_to_bytes(w)
-        a_bar = w.stack.layers[layer].gs4.bank.a_bar.astype("<f8").tobytes()
+        a_bar = w.stack.layers[layer].bank.a_bar.astype("<f8").tobytes()
         assert raw.count(a_bar) == dims.n_layers  # every seeded layer has this bank
         at = -1
         for _ in range(layer + 1):  # the layers are stored in order
@@ -273,9 +273,9 @@ def unstable_weights(layer):
         (lambda d: d["tracks"][0]["size"].__setitem__(0, 0),
          lambda tmp_path, scene: "seed:1", "tracks[0]: size: expected a float > 0, got 0.0"),
         (lambda d: None, unstable_weights(0),
-         "stack.layers[0].gs4.bank.a_bar: expected a float >= -1 and <= 1, got 1.5"),
+         "stack.layers[0].bank.a_bar: expected a float >= -1 and <= 1, got 1.5"),
         (lambda d: None, unstable_weights(3),
-         "stack.layers[3].gs4.bank.a_bar: expected a float >= -1 and <= 1, got 1.5"),
+         "stack.layers[3].bank.a_bar: expected a float >= -1 and <= 1, got 1.5"),
     ],
     ids=["track_size_zero", "a_bar_above_one", "layer_3_a_bar_above_one"],
 )

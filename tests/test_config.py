@@ -24,7 +24,6 @@ from statefuse import (
     Detection,
     DiscreteSsmBank,
     FusedQuerySequence,
-    LayerNormParams,
     MotionElimConfig,
     PaddedQuerySequence,
     PipelineDims,
@@ -65,8 +64,7 @@ from statefuse import (
     synth_features,
     zero_stack,
 )
-from statefuse.errors import Array, Bound, Record, _kind, _parameters, _schema, checked
-from statefuse.numerics import frozen
+from statefuse.errors import Array, Bound, Record, _kind, _parameters, _schema, checked, frozen
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 from statefuse.queries import FeatureMap
 from statefuse.selfcheck import CheckResult
@@ -206,9 +204,7 @@ TINY_RESULT = run_pipeline_detailed(
     PipelineWeights.from_seed(5, dataclasses.replace(TINY_DIMS, k_queries=2), "linear"),
 )
 RECORDS = [
-    TINY_LAYER.gs4.bank,
-    TINY_LAYER.ln1,
-    TINY_LAYER.gs4,
+    TINY_LAYER.bank,
     TINY_LAYER,
     TINY_LINEAR.stack,
     FusedQuerySequence(np.zeros((2, 4)), (0, 1), 2, 2),
@@ -260,10 +256,13 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
          r"^b_bar: expected shape \(E=1, M=2\), got \(1, 3\)$"),
         (lambda: DiscreteSsmBank(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)), []),
          r"^a_bar: expected shape \(E, M\), got \(0, 2\)$"),
-        (lambda: LayerNormParams([1.0, np.nan], [0.0, 0.0], 1e-6), r"^scale: contains NaN or Inf$"),
-        (lambda: LayerNormParams([1.0, 1.0], [0.0, 0.0], "1e-6"), r"^epsilon: expected"),
-        (lambda: LayerNormParams(np.array(["1", "2"]), [0.0, 0.0], 1e-6),
-         r"^scale: expected an array of floats shaped \(E,\), got an array of <U1$"),
+        (lambda: dataclasses.replace(TINY_LAYER, ln2_scale=[1.0, np.nan]),
+         r"^ln2_scale: contains NaN or Inf$"),
+        (lambda: dataclasses.replace(TINY_LAYER, epsilon="1e-6"), r"^epsilon: expected"),
+        (lambda: dataclasses.replace(TINY_LAYER, ln1_scale=np.array(["1", "2"])),
+         r"^ln1_scale: expected an array of floats shaped \(E,\), got an array of <U1$"),
+        (lambda: dataclasses.replace(TINY_LINEAR.pos, b1=[0.0, 0.0, 0.0]),
+         r"^b1: expected shape \(D=2,\), got \(3,\)$"),
         (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
                                      np.ones((1, 1)), np.zeros((1, 1), int)),
          r"^valid: expected an array of bools shaped \(N=1, K=1\), got an array of float64$"),
@@ -355,16 +354,16 @@ def test_record_arrays_are_kept_without_a_copy_when_their_memory_cannot_change()
     """A write-protected array that owns its data, a view of one and a view
     of a ``bytes`` blob are kept; an array made from a list is
     write-protected in place; a caller's writable array is copied."""
-    owned = frozen(np.arange(4.0))
-    assert LayerNormParams(owned, owned[::-1].copy(), 1e-6).scale is owned
-    blob = np.arange(8.0).tobytes()
-    view = np.frombuffer(blob)[:4]
-    assert LayerNormParams(view, view, 1e-6).shift is view
-    listed = LayerNormParams([1.0, 2.0], [0, 0], 1e-6)
-    assert listed.scale.flags.owndata and not listed.scale.flags.writeable
-    writable = np.ones(4)
-    kept = LayerNormParams(writable, writable, 1e-6)
-    assert not np.shares_memory(kept.scale, writable) and not kept.scale.flags.writeable
+    owned = frozen(np.arange(2.0))
+    assert dataclasses.replace(TINY_LAYER, ln1_scale=owned).ln1_scale is owned
+    blob = np.arange(4.0).tobytes()
+    view = np.frombuffer(blob)[:2]
+    assert dataclasses.replace(TINY_LAYER, ln1_shift=view).ln1_shift is view
+    listed = dataclasses.replace(TINY_LAYER, ln2_scale=[1.0, 2.0])
+    assert listed.ln2_scale.flags.owndata and not listed.ln2_scale.flags.writeable
+    writable = np.ones(2)
+    kept = dataclasses.replace(TINY_LAYER, ln2_shift=writable)
+    assert not np.shares_memory(kept.ln2_shift, writable) and not kept.ln2_shift.flags.writeable
 
     seeded = PipelineWeights.from_seed(3, TINY_DIMS, "linear")
     raw = weights_to_bytes(seeded)
@@ -380,8 +379,8 @@ def test_record_arrays_are_kept_without_a_copy_when_their_memory_cannot_change()
 
     x = FusedQuerySequence(frozen(np.zeros((3, 2))), (0, 1, 2), 1, 2)
     out = query_mamba_stack(x, TINY_LINEAR.stack)
-    assert out.with_data(out.data).data is out.data
-    assert x.with_data(x.data).data is x.data
+    assert FusedQuerySequence(out.data, (0, 1, 2), 1, 2).data is out.data
+    assert FusedQuerySequence(x.data, (0, 1, 2), 1, 2).data is x.data
 
 
 # --- the rule on function arguments ---
@@ -450,7 +449,7 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
     [
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[True]], 0.5), "cfg"),
         (lambda: project_point("cam", [1.0, 2.0, 3.0]), "cam"),
-        (lambda: gs4_layer(np.ones((3, 5)), seeded_stack(4, 0, n_layers=1).layers[0].gs4), "x"),
+        (lambda: gs4_layer(np.ones((3, 5)), seeded_stack(4, 0, n_layers=1).layers[0]), "x"),
         (lambda: query_mamba_stack(TINY_RESULT.fused_input, 0.5), "stack"),
         (lambda: query_mamba_block(TINY_RESULT.fused_input, TINY_LINEAR.stack), "params"),
         (lambda: decode_current_frame(TINY_RESULT.fused_output, TINY_SCENE.frames[-1].feature_maps,
@@ -484,12 +483,12 @@ BOUNDED_RECORDS = {type(r): r for r in [  # a valid record of each class that de
     MotionElimConfig(),
     TINY_DIMS,
     BenchRow("ssm", 64, 4, 16, 16, 10_000, 0, 1_024, True),
-    TINY_LAYER.ln1,
+    TINY_LAYER,
     FusedQuerySequence(np.zeros((2, 1)), (0, 1), 1, 1),
     Detection(np.zeros(3), np.ones(3), 0.0, np.zeros(2), 1, 0.5),
     TINY_LINEAR.pos,
     TINY_LINEAR,
-    TINY_LAYER.gs4.bank,
+    TINY_LAYER.bank,
     TINY_SCENE.tracks[0],
     DeformAttnParams(np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 2, 2)), [[0.0, 1.0]]),
 ]}
@@ -669,7 +668,7 @@ def test_a_declared_bound_takes_its_edge_and_refuses_the_next_value(label, make,
 
 
 def test_an_element_refusal_shows_the_first_bad_element_and_nan_meets_no_bound():
-    bank = TINY_LAYER.gs4.bank
+    bank = TINY_LAYER.bank
     a_bar = [[0.5, 1.5, -2.0]]
     with pytest.raises(ValidationError, match=r"^a_bar: expected a float >= -1 and <= 1, got 1.5$"):
         DiscreteSsmBank(a_bar, np.ones((1, 3)), np.ones((1, 3)), bank.d_bar)

@@ -11,7 +11,6 @@ import pytest
 from statefuse import (
     DiscreteSsmBank,
     FusedQuerySequence,
-    Gs4Params,
     NumericOverflowError,
     QueryMambaStack,
     ValidationError,
@@ -121,33 +120,35 @@ def test_dwconv_rejects_history_width_mismatch():
 
 # --- gated scan sublayer ---
 
+def gated_unit(w_u, w_v, w_o):
+    """A width-1 layer whose gated scan has a feed-through bank and the given projections."""
+    layer = zero_stack(1, n_layers=1).layers[0]
+    return dataclasses.replace(layer, bank=feed_through_bank(), w_u=w_u, w_v=w_v, w_o=w_o)
+
+
 def test_gs4_zero_value_gate_closes():
-    bank = feed_through_bank()
-    params = Gs4Params(bank, np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
+    params = gated_unit(np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
     out = gs4_layer(np.array([[1.0], [2.0]]), params)
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_gs4_zero_input_stays_zero():
-    bank = feed_through_bank()
-    params = Gs4Params(bank, np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    params = gated_unit(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     out = gs4_layer(np.zeros((3, 1)), params)
     assert np.array_equal(out, np.zeros((3, 1)))
 
 
 def test_gs4_unit_feed_through_squares_gelu():
     """With identity projections and a feed-through scan, y = gelu(x)^2."""
-    bank = feed_through_bank()
-    params = Gs4Params(bank, np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    params = gated_unit(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     out = gs4_layer(np.array([[1.0]]), params)
     assert abs(out[0, 0] - GELU_ONE**2) < 1e-15
     assert abs(out[0, 0] - 0.707860981737141) < 1e-15
 
 
 def test_gs4_overflow_raises():
-    bank = feed_through_bank()
     big = np.full((1, 1), 1e300)
-    params = Gs4Params(bank, big, big, big)
+    params = gated_unit(big, big, big)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError):
             gs4_layer(np.array([[1e300]]), params)
@@ -221,7 +222,7 @@ def test_stack_layer_draws_from_its_own_stream():
         assert all(np.array_equal(a, b) for a, b in pairs)
         rng = np.random.default_rng([9, 0xF0, i])
         bank = seeded_bank(6, 16, int(rng.integers(0, 2**63 - 1)))
-        pairs = zip(record_values(layer.gs4.bank), record_values(bank), strict=True)
+        pairs = zip(record_values(layer.bank), record_values(bank), strict=True)
         assert all(np.array_equal(a, b) for a, b in pairs)
         assert np.array_equal(layer.dw_kernel, rng.uniform(-0.1, 0.1, size=(6, 3)))
 
@@ -249,9 +250,9 @@ def test_a_stack_knob_reaches_every_layer(name, knob):
     knobs = {"state_dim": 16, "ksize": 3, "delta": 0.1, "epsilon": 1e-6, knob: value}
     for layer, bank_seed in zip(stack.layers, bank_seeds(name, 3), strict=True):
         assert layer.dw_kernel.shape == (6, knobs["ksize"])
-        assert layer.ln1.epsilon == layer.ln2.epsilon == knobs["epsilon"]
+        assert layer.epsilon == knobs["epsilon"]
         bank = seeded_bank(6, knobs["state_dim"], bank_seed, knobs["delta"])
-        pairs = zip(record_values(layer.gs4.bank), record_values(bank), strict=True)
+        pairs = zip(record_values(layer.bank), record_values(bank), strict=True)
         assert all(np.array_equal(a, b) for a, b in pairs)
 
 
@@ -262,32 +263,20 @@ def test_zero_stack_repeats_one_zero_layer(n_layers):
     layers = zero_stack(4, n_layers=n_layers).layers
     assert len(layers) == n_layers and all(layer is layers[0] for layer in layers)
     layer = layers[0]
-    learnable = (layer.dw_kernel, layer.gs4.w_u, layer.gs4.w_v, layer.gs4.w_o,
-                 layer.out_weight, layer.out_bias)
+    learnable = (layer.dw_kernel, layer.w_u, layer.w_v, layer.w_o, layer.out_weight,
+                 layer.out_bias)
     assert all(not a.any() and not a.flags.writeable for a in learnable)
-    for ln in (layer.ln1, layer.ln2):
-        assert np.array_equal(ln.scale, np.ones(4)) and np.array_equal(ln.shift, np.zeros(4))
-    pairs = zip(record_values(layer.gs4.bank), record_values(seeded_bank(4, 16, 0)), strict=True)
+    for scale, shift in ((layer.ln1_scale, layer.ln1_shift), (layer.ln2_scale, layer.ln2_shift)):
+        assert np.array_equal(scale, np.ones(4)) and np.array_equal(shift, np.zeros(4))
+    pairs = zip(record_values(layer.bank), record_values(seeded_bank(4, 16, 0)), strict=True)
     assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 def test_stack_reports_offending_layer():
     # the normalized row (-1, 1) hits 1e300 gains, and the gate squares it
     good = zero_stack(2, n_layers=1).layers[0]
-    bad_gs4 = Gs4Params(
-        feed_through_bank(2),
-        np.diag([1e300, 1e300]),
-        np.diag([1e300, 1e300]),
-        np.eye(2),
-    )
-    bad = type(good)(
-        ln1=good.ln1,
-        ln2=good.ln2,
-        dw_kernel=good.dw_kernel,
-        gs4=bad_gs4,
-        out_weight=good.out_weight,
-        out_bias=good.out_bias,
-    )
+    big = np.diag([1e300, 1e300])
+    bad = dataclasses.replace(good, bank=feed_through_bank(2), w_u=big, w_v=big, w_o=np.eye(2))
     x = FusedQuerySequence(np.array([[0.0, 2.0], [0.0, 2.0]]), (0, 1), 1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match="layer 1"):
@@ -299,6 +288,31 @@ def test_block_rejects_width_mismatch():
     x = seq(rng, n=3, k=2, d=4)
     with pytest.raises(ValidationError):
         query_mamba_block(x, zero_stack(9, n_layers=1).layers[0])
+
+
+WIDTH_REFUSALS = {  # a width-3 part in a width-4 layer
+    "ln1_scale": "ln1_shift: expected shape (E=3,), got (4,)",  # the first binds E
+    "ln1_shift": "ln1_shift: expected shape (E=4,), got (3,)",
+    "ln2_scale": "ln2_scale: expected shape (E=4,), got (3,)",
+    "ln2_shift": "ln2_shift: expected shape (E=4,), got (3,)",
+    "dw_kernel": "dw_kernel: expected shape (E=4, S), got (3, 3)",
+    "bank": "bank: width 3 does not match the layer's 4",
+    "w_u": "w_u: expected shape (E=4, E=4), got (3, 3)",
+    "w_v": "w_v: expected shape (E=4, E=4), got (3, 3)",
+    "w_o": "w_o: expected shape (E=4, E=4), got (3, 3)",
+    "out_weight": "out_weight: expected shape (E=4, E=4), got (3, 3)",
+    "out_bias": "out_bias: expected shape (E=4,), got (3,)",
+}
+
+
+@pytest.mark.parametrize("name", WIDTH_REFUSALS)
+def test_a_layer_refuses_a_part_of_another_width(name):
+    """Every array of a layer is declared on one width E, and its bank has it too."""
+    layer = seeded_stack(4, 0, n_layers=1).layers[0]
+    narrow = seeded_stack(3, 0, n_layers=1).layers[0]
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(layer, **{name: getattr(narrow, name)})
+    assert str(info.value) == WIDTH_REFUSALS[name]
 
 
 def test_sequence_validates_frame_order():
@@ -320,11 +334,11 @@ def whole_sequence_stack(x, stack):
     """Oracle: every layer over the whole sequence before the next layer."""
     data = x.data
     for index, p in enumerate(stack.layers):
-        ln1 = layer_norm(data, p.ln1.scale, p.ln1.shift, p.ln1.epsilon)
+        ln1 = layer_norm(data, p.ln1_scale, p.ln1_shift, p.epsilon)
         z = depthwise_causal_conv(ln1, p.dw_kernel) + ln1
-        ln2 = layer_norm(z, p.ln2.scale, p.ln2.shift, p.ln2.epsilon)
+        ln2 = layer_norm(z, p.ln2_scale, p.ln2_shift, p.epsilon)
         try:
-            zp = gs4_layer(ln2, p.gs4) + ln2
+            zp = gs4_layer(ln2, p) + ln2
         except NumericOverflowError as exc:
             raise NumericOverflowError(f"layer {index}: {exc}") from exc
         data = zp @ p.out_weight + p.out_bias + data
@@ -377,13 +391,8 @@ def overflow_layer(shift):
     """A zero layer whose gate overflows on rows that LN2 maps off zero."""
     good = zero_stack(2, n_layers=1).layers[0]
     big = np.diag([1e300, 1e300])
-    return type(good)(
-        ln1=good.ln1,
-        ln2=type(good.ln2)(np.ones(2), shift, 1e-6),
-        dw_kernel=good.dw_kernel,
-        gs4=Gs4Params(feed_through_bank(2), big, big, np.eye(2)),
-        out_weight=good.out_weight,
-        out_bias=good.out_bias,
+    return dataclasses.replace(
+        good, ln2_shift=shift, bank=feed_through_bank(2), w_u=big, w_v=big, w_o=np.eye(2)
     )
 
 
@@ -464,7 +473,7 @@ def ln2_overflow_layer():
     """A seeded layer whose LN2 scale and shift overflow on every input."""
     layer = seeded_stack(4, 1, n_layers=1).layers[0]
     big = np.full(4, 1e308)
-    return dataclasses.replace(layer, ln2=dataclasses.replace(layer.ln2, scale=big, shift=big))
+    return dataclasses.replace(layer, ln2_scale=big, ln2_shift=big)
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,8 @@ from statefuse import (
     zero_stack,
 )
 from statefuse import errors
-from statefuse.numerics import frozen, readonly, softmax
+from statefuse.errors import frozen, readonly
+from statefuse.numerics import softmax
 from statefuse.queries import FeatureMap
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 
@@ -517,9 +518,7 @@ W3 = PipelineWeights.from_seed(5, DIMS3)
 def _stack_with_epsilon(layer: int, epsilon: float):
     stack = zero_stack(DIMS3.n_channels)
     layers = list(stack.layers)
-    layers[layer] = dataclasses.replace(
-        layers[layer], ln2=dataclasses.replace(layers[layer].ln2, epsilon=epsilon)
-    )
+    layers[layer] = dataclasses.replace(layers[layer], epsilon=epsilon)
     return dataclasses.replace(stack, layers=tuple(layers))
 
 
@@ -529,13 +528,14 @@ def _stack_with_epsilon(layer: int, epsilon: float):
         ("attn", lambda: DeformAttnParams.seeded(8, [5, 1], n_heads=4, n_keys=2),
          "attn.value_proj"),
         ("stack", lambda: zero_stack(72, n_layers=2), "stack.layers"),
-        ("stack", lambda: seeded_stack(72, 5, state_dim=8), "stack.layers[0].gs4.bank.a_bar"),
-        ("stack", lambda: zero_stack(72, epsilon=1e-3), "stack.layers[0].ln1.epsilon"),
+        ("stack", lambda: seeded_stack(72, 5, state_dim=8), "stack.layers[0].bank.a_bar"),
+        ("stack", lambda: zero_stack(72, epsilon=1e-3), "stack.layers[0].epsilon"),
         ("pos", lambda: PosEmbedParams.seeded(24, [5, 2], 50.0), "pos.temperature"),
+        ("pos", lambda: PosEmbedParams.seeded(12, [5, 2]), "pos.w1"),
         ("stack", lambda: zero_stack(72, n_layers=7), "stack.layers"),
-        ("stack", lambda: _stack_with_epsilon(3, 1e-3), "stack.layers[3].ln2.epsilon"),
+        ("stack", lambda: _stack_with_epsilon(3, 1e-3), "stack.layers[3].epsilon"),
     ],
-    ids=["attn_heads", "fewer_layers", "state_dim", "epsilon", "temperature",
+    ids=["attn_heads", "fewer_layers", "state_dim", "epsilon", "temperature", "pos_width",
          "more_layers", "one_layer_epsilon"],
 )
 def test_weights_that_disagree_with_dims_are_refused(field, make, path):
@@ -786,9 +786,7 @@ def test_seeded_weights_keep_their_draws():
     import inspect
     import tracemalloc
 
-    from statefuse import numerics
-
-    lines, first = inspect.getsourcelines(numerics.readonly)
+    lines, first = inspect.getsourcelines(errors.readonly)
     copy_line = first + next(i for i, text in enumerate(lines) if "copy=True" in text)
     tracemalloc.start()
     try:
@@ -798,6 +796,6 @@ def test_seeded_weights_keep_their_draws():
     finally:
         tracemalloc.stop()
     data = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-    copies = data.filter_traces([tracemalloc.Filter(True, numerics.__file__, copy_line)])
+    copies = data.filter_traces([tracemalloc.Filter(True, errors.__file__, copy_line)])
     assert sum(trace.size for trace in copies.traces) == control.nbytes
     assert all(not arr.flags.writeable for arr in weight_arrays(w))

@@ -433,7 +433,7 @@ def test_build_query_validation_cases():
     coarse = proposal_tables([[{**GOOD, "depth_dist": one_hot(3, 30)}], [], []])
     with pytest.raises(ValidationError, match="bin layout"):
         build_query([coarse], maps, cams, attn, pe, sem)
-    huge = PosEmbedParams(12, 10000.0, np.full((12, 12), 1e308), np.zeros(12), pe.w2, pe.b2)
+    huge = PosEmbedParams(10000.0, np.full((12, 12), 1e308), np.zeros(12), pe.w2, pe.b2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match="^stage query construction: non-finite"):
             build_query(proposals, maps, cams, attn, huge, sem)

@@ -314,10 +314,10 @@ def test_loader_builds_each_array_once():
     import inspect
     import tracemalloc
 
-    from statefuse import numerics
+    from statefuse import errors
     from statefuse.geometry import EgoPose
 
-    lines, first = inspect.getsourcelines(numerics.readonly)
+    lines, first = inspect.getsourcelines(errors.readonly)
     copy_line = first + next(i for i, text in enumerate(lines) if "copy=True" in text)
     doc = json.loads(scene_dumps(build_scene(SMALL)))
     pose = np.eye(4)
@@ -329,7 +329,7 @@ def test_loader_builds_each_array_once():
     finally:
         tracemalloc.stop()
     data = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-    copies = data.filter_traces([tracemalloc.Filter(True, numerics.__file__, copy_line)])
+    copies = data.filter_traces([tracemalloc.Filter(True, errors.__file__, copy_line)])
     assert [trace.size for trace in copies.traces] == [pose.nbytes]
     assert kept.world_from_ego is not pose
     fr, cam, track = scene.frames[0], scene.cameras[0], scene.tracks[0]
