@@ -19,9 +19,10 @@ from statefuse import PosEmbedParams, pos_embed
 
 
 def queries_at(centers, categories):
-    """One frame's queries as arrays: q_3d embeds each center."""
+    """One frame's queries as arrays: q_3d embeds each center; every score is 1."""
     centers = np.asarray(centers, dtype=float)
-    return pos_embed(centers, PosEmbedParams.seeded(8, seed=0)), centers, categories
+    q3d = pos_embed(centers, PosEmbedParams.seeded(8, seed=0))
+    return q3d, centers, categories, np.ones(len(centers))
 
 
 def main():
@@ -51,12 +52,12 @@ def main():
     mask = motion_mask(
         cost, seq.cats[1], seq.cats[:1], seq.valid[:1], MotionElimConfig(alpha=0.5)
     )
-    pruned = apply_motion_mask(seq, mask)
+    operand = apply_motion_mask(seq, mask)  # the (N, K, D) embeddings the stack fuses
     gone = np.where(mask[0] == 0)[0]
     print(f"slot {gone.tolist()} zeroed: "
-          f"{np.array_equal(pruned.embeddings[0][gone], np.zeros((gone.size, 8)))}")
+          f"{np.array_equal(operand[0][gone], np.zeros((gone.size, 8)))}")
     print(f"current frame untouched: "
-          f"{np.array_equal(pruned.embeddings[1], seq.embeddings[1])}")
+          f"{np.array_equal(operand[1], seq.embeddings[1])}")
 
 
 if __name__ == "__main__":

@@ -389,11 +389,11 @@ def checked(fn):
     parameters, in order, under the rule of :class:`Array`, and its
     ``int``, ``float`` and ``bool`` ones, its ``Bound[...]`` and
     ``Literal[...]`` ones (see :class:`Bound`), and those typed with a class
-    of this package, as :class:`Record` fields; one declared ``T | None``
-    also takes None.  ``fn`` receives each checked array: the caller's ndarray
-    itself, neither copied nor write-protected, when it holds the kept
-    dtype, else a new array.  Any other value raises ``ValidationError``
-    naming the parameter.
+    of this package or a tuple of them (a list is passed on as a tuple), as
+    :class:`Record` fields; one declared ``T | None`` also takes None.
+    ``fn`` receives each checked array: the caller's ndarray itself, neither
+    copied nor write-protected, when it holds the kept dtype, else a new
+    array.  Any other value raises ``ValidationError`` naming the parameter.
     """
 
     @functools.wraps(fn)
@@ -422,7 +422,9 @@ def _parameters(fn) -> tuple:
     specs = []
     for position, name in enumerate(inspect.signature(fn).parameters):
         spec, optional = _kind(hints.get(name))
-        own = isinstance(spec, type) and spec.__module__.startswith(f"{__package__}.")
+        classes = typing.get_args(spec) if typing.get_origin(spec) is tuple else (spec,)
+        own = all(isinstance(c, type) and c.__module__.startswith(f"{__package__}.")
+                  for c in classes if c is not Ellipsis)
         if isinstance(spec, (Array, Bound)) or spec in (int, float, bool) or own:
             specs.append((position, name, spec, optional))
     return tuple(specs)

@@ -132,9 +132,13 @@ def lift_center(
     is lifted through ``cam[cam_index[j]]``, each index in [0, len(cam)).
     """
     cams, idx = ((cam,), 0) if cam_index is None else (cam, cam_index)
-    if not isinstance(cams, (list, tuple)) or not all(isinstance(m, CameraModel) for m in cams):
-        want = "a CameraModel" if cam_index is None else "a list or tuple of CameraModels"
-        raise ValidationError(f"cam: expected {want}, got {type(cam).__name__}")
+    if not isinstance(cams, (list, tuple)):
+        got = type(cams).__name__
+        raise ValidationError(f"cam: expected a list or tuple of CameraModels, got {got}")
+    for index, m in enumerate(cams):
+        if not isinstance(m, CameraModel):
+            at = "cam" if cam_index is None else f"cam[{index}]"
+            raise ValidationError(f"{at}: expected a CameraModel, got {type(m).__name__}")
     if np.any(idx < 0) or np.any(idx >= len(cams)):
         raise ValidationError(f"cam_index: entries must lie in [0, {len(cams)})")
     k22 = np.array([m.intrinsic[2, 2] for m in cams])[idx]

@@ -7,9 +7,10 @@ distance, and one (N, K) binary mask retains only past slots whose aligned
 center is NOT within ``alpha`` meters of any same-category current object.
 The current frame itself is always kept in full.
 
-The padded window is struct-of-arrays: q_3d embeddings (N, K, D), centers
-(N, K, 3), validity (N, K) and categories (N, K).  Padding and eliminated
-slots are zero, invalid and category -1.
+The padded window, the one per-slot record of a pass, is struct-of-arrays
+(see :class:`PaddedQuerySequence`).  Elimination leaves it as it is and
+returns only the fusion stack's operand: the embeddings with eliminated
+past slots zeroed.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ class PaddedQuerySequence(Record):
     """N frames of exactly K query slots each, oldest frame first.
 
     ``embeddings`` holds q_3d (N, K, D), ``centers3d`` (N, K, 3), ``valid``
-    (N, K) and ``cats`` (N, K).  Padding slots are zero, invalid and
-    category -1.  The newest frame is the current one.
+    (N, K), ``cats`` (N, K) and ``scores`` (N, K).  Padding slots are zero,
+    invalid, category -1 and score 0.  The newest frame is the current one.
     """
 
     embeddings: Array[float, "N", "K", "D"]
     centers3d: Array[float, "N", "K", 3]
     valid: Array[bool, "N", "K"]
     cats: Array[int, "N", "K"]
+    scores: Array[float, "N", "K"]
 
     @property
     def n_frames(self) -> int:
@@ -52,10 +54,6 @@ class PaddedQuerySequence(Record):
         return self.embeddings.shape[1]
 
     @property
-    def embed_dim(self) -> int:
-        return self.embeddings.shape[2]
-
-    @property
     def current_index(self) -> int:
         return self.n_frames - 1
 
@@ -63,14 +61,15 @@ class PaddedQuerySequence(Record):
 @checked
 def pad_frames(
     q3d: Array[float, "P", "D"], centers: Array[float, "P", 3], cats: Array[int, "P"],
-    counts: Array[Bound[int, ">=", 0], "N"],
+    scores: Array[float, "P"], counts: Array[Bound[int, ">=", 0], "N"],
 ) -> PaddedQuerySequence:
     """Scatter per-query rows into N frames of K = max(counts) slots.
 
     The P rows come frame by frame, oldest first: the first ``counts[0]``
     rows belong to frame 0, the next ``counts[1]`` to frame 1, and so on.
     A frame's queries fill its first slots in order; the newest frame is
-    current.
+    current.  The arguments come in the order that
+    :func:`statefuse.queries.build_query` returns them.
     """
     if not counts.any():  # no frame, or every one empty
         raise ValidationError(f"counts: expected a frame with a query, got {counts.tolist()}")
@@ -78,13 +77,15 @@ def pad_frames(
     if q3d.shape[0] != total:
         raise ValidationError(f"q3d: expected one row per counted query ({total})")
     valid = np.arange(k) < counts[:, None]
-    embeddings = np.zeros(valid.shape + q3d.shape[1:])
-    embeddings[valid] = q3d
-    centers3d = np.zeros(valid.shape + (3,))
-    centers3d[valid] = centers
-    slot_cats = np.full(valid.shape, -1)
-    slot_cats[valid] = cats
-    return PaddedQuerySequence(*map(frozen, (embeddings, centers3d, valid, slot_cats)))
+
+    def slots(rows, fill=0):  # ``rows`` scattered into the valid slots
+        out = np.full(valid.shape + rows.shape[1:], fill, rows.dtype)
+        out[valid] = rows
+        return frozen(out)
+
+    return PaddedQuerySequence(
+        slots(q3d), slots(centers), frozen(valid), slots(cats, -1), slots(scores)
+    )
 
 
 @checked
@@ -126,8 +127,9 @@ def motion_mask(
 @checked
 def apply_motion_mask(
     seq: PaddedQuerySequence, mask: Array[Literal[0, 1], "N", "K"]
-) -> PaddedQuerySequence:
-    """Turn eliminated past slots into padding; retained slots pass through.
+) -> np.ndarray:
+    """The fusion stack's operand: the window's (N, K, D) embeddings with
+    eliminated past slots zeroed, write-protected.
 
     ``mask`` holds 0 and 1, one entry per slot of ``seq``.  The current
     frame is never altered, whatever its mask row says.
@@ -136,10 +138,4 @@ def apply_motion_mask(
         raise ValidationError("mask shape must match the padded sequence")
     keep = mask.astype(bool)
     keep[seq.current_index] = True
-    arrays = (
-        np.where(keep[..., None], seq.embeddings, 0.0),
-        np.where(keep[..., None], seq.centers3d, 0.0),
-        seq.valid & keep,
-        np.where(keep, seq.cats, -1),
-    )
-    return PaddedQuerySequence(*map(frozen, arrays))  # kept without a copy
+    return frozen(np.where(keep[..., None], seq.embeddings, 0.0))

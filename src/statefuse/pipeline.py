@@ -1,16 +1,16 @@
 """End-to-end multi-frame detection pipeline and its cost models.
 
-The 2D proposals of all frames become 3D queries in one batched pass;
-frames are padded to a common slot count, and the motion stage runs once
-over all past frames: their centers are aligned into the current ego frame
-(compensating ego motion; this forward-only stack predicts no object
+The 2D proposals of all frames become 3D queries in one batched pass, and
+one padded window holds every slot of the pass.  The motion stage runs
+once over all past frames: their centers are aligned into the current ego
+frame (compensating ego motion; this forward-only stack predicts no object
 velocities, so alignment extrapolates none), one (N - 1, K, K) cost tensor
-compares them with the current centers, and one (N, K) mask eliminates the
-statically matched slots.  The surviving sequence is channel-concatenated
-and run through the gated state-space fusion stack.
-A single cross-attention decoder layer then refines the current frame's
-queries against sampled image features, and a box head reads out
-detections.
+compares them with the current centers, and one (N, K) mask zeroes the
+statically matched slots in the stack's operand, a copy of the window's
+embeddings, which is channel-concatenated and run through the gated
+state-space fusion stack.  A single cross-attention decoder layer then
+refines the current frame's queries against sampled image features, and a
+box head reads out detections from the window's current frame.
 
 The module also carries the attention kernel that the decoder and the
 scaling benchmark share, ``cross_attention``, and the analytic
@@ -34,7 +34,7 @@ from .errors import (
     Array, Bound, Config, Record, ValidationError, _schema, checked, field_value, frozen,
 )
 from .fusion import FusedQuerySequence, QueryMambaStack, query_mamba_stack, seeded_stack
-from .geometry import PosEmbedParams, align_centers
+from .geometry import CameraModel, PosEmbedParams, align_centers
 from .motion import (
     MotionElimConfig,
     PaddedQuerySequence,
@@ -44,7 +44,8 @@ from .motion import (
     pad_frames,
 )
 from .numerics import require_finite, softmax
-from .queries import DeformAttnParams, build_query
+from .queries import DeformAttnParams, FeatureMap, build_query
+from .scene import SceneFrame
 
 WEIGHTS_FORMAT = "statefuse-weights/1"
 BOX_MODES = ("bypass", "linear")
@@ -217,13 +218,12 @@ class Detection(Record):
 class PipelineResult(Record):
     """Everything a forward pass computes, for reporting and inspection:
     the current frame's detections, the (N, K) retention mask, the padded
-    queries and their scores before elimination, the fused sequence before
-    and after the stack, and the decoder's (K, D) refined queries."""
+    window (elimination leaves it as it is), the fused sequence before and
+    after the stack, and the decoder's (K, D) refined queries."""
 
     detections: tuple[Detection, ...]
     motion_mask: Array[int, "N", "K"]
     padded: PaddedQuerySequence
-    slot_scores: Array[float, "N", "K"]
     fused_input: FusedQuerySequence
     fused_output: FusedQuerySequence
     refined: Array[float, "K", "D"]
@@ -231,27 +231,29 @@ class PipelineResult(Record):
     def __post_init__(self):
         super().__post_init__()
         n, k = self.motion_mask.shape
-        fused_in, fused_out = self.fused_input, self.fused_output
+        fused_in, fused_out, window = self.fused_input, self.fused_output, self.padded.embeddings
         for name, label, want, got in (
-            ("padded", "frames x slots", (n, k), self.padded.embeddings.shape[:2]),
+            ("padded", "frames x slots", (n, k), window.shape[:2]),
             ("fused_input", "rows x slots", (n, k), (fused_in.n_frames, fused_in.k_queries)),
             ("fused_output", "rows x slots", (n, k), (fused_out.n_frames, fused_out.k_queries)),
-            ("refined", "slots x embed_dim", (k, self.padded.embed_dim), self.refined.shape),
+            ("refined", "slots x embed_dim", (k, window.shape[2]), self.refined.shape),
         ):
             if got != want:
                 raise ValidationError(f"{name}: expected {label} {want}, got {got}")
 
 
-def channel_concat(seq: PaddedQuerySequence) -> FusedQuerySequence:
-    """Lay the K query embeddings of each frame side by side, oldest first."""
-    rows = seq.embeddings.reshape(seq.n_frames, seq.k_queries * seq.embed_dim)
-    return FusedQuerySequence(
-        rows, tuple(range(seq.n_frames)), seq.k_queries, seq.embed_dim
-    )
+def channel_concat(operand: np.ndarray) -> FusedQuerySequence:
+    """Lay the K query embeddings of each frame of an (N, K, D) operand side
+    by side, oldest first.  A write-protected C-contiguous operand, as
+    :func:`apply_motion_mask` returns, is reshaped without a copy."""
+    n, k, d = operand.shape
+    return FusedQuerySequence(operand.reshape(n, k * d), tuple(range(n)), k, d)
 
 
 @checked
-def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -> np.ndarray:
+def decode_current_frame(
+    fused: FusedQuerySequence, feats: tuple[FeatureMap, ...], w: PipelineWeights
+) -> np.ndarray:
     """One cross-attention decoder layer over the current frame's queries.
 
     The newest fused row, split back into its K (D,) slot vectors, holds
@@ -282,13 +284,13 @@ def decode_current_frame(fused: FusedQuerySequence, feats, w: PipelineWeights) -
     return frozen(require_finite("stage decode", refined))
 
 
-def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
+def _read_boxes(refined, seq: PaddedQuerySequence, w: PipelineWeights):
     cur = seq.current_index
     slots = np.flatnonzero(seq.valid[cur])
     # Fields are views of write-protected arrays, which Detection keeps uncopied.
     if w.box_mode == "bypass":
         size, velocity = frozen(np.zeros(3)), frozen(np.zeros(2))
-        boxes = [(seq.centers3d[cur, s], size, 0.0, velocity, scores[s]) for s in slots]
+        boxes = [(seq.centers3d[cur, s], size, 0.0, velocity, seq.scores[cur, s]) for s in slots]
     else:
         out = frozen(require_finite("stage box_head", refined[slots] @ w.box_w + w.box_b))
         with np.errstate(over="ignore"):  # an overflow fails the stage check
@@ -304,31 +306,26 @@ def _read_boxes(refined, seq: PaddedQuerySequence, scores, w: PipelineWeights):
 
 @checked
 def run_pipeline_detailed(
-    frames, cams, w: PipelineWeights, cfg: MotionElimConfig | None = None
+    frames: tuple[SceneFrame, ...], cams: tuple[CameraModel, ...], w: PipelineWeights,
+    cfg: MotionElimConfig | None = None,
 ) -> PipelineResult:
     """Full forward pass over chronologically ordered frames."""
     cfg = MotionElimConfig() if cfg is None else cfg
-    frames = list(frames)
     if not frames:
         raise ValidationError("need at least one frame")
     stamps = [fr.ego_pose.timestamp for fr in frames]
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         raise ValidationError("frames must be ordered oldest to newest")
 
-    proposals = [fr.proposals for fr in frames]
-    feature_maps = [fr.feature_maps for fr in frames]
-    q3d, centers, cats, scores, counts = build_query(
-        proposals, feature_maps, cams, w.attn, w.pos, w.sem_proj
-    )
-    padded = pad_frames(q3d, centers, cats, counts)
+    padded = pad_frames(*build_query(  # (q3d, centers, cats, scores, counts)
+        [fr.proposals for fr in frames], [fr.feature_maps for fr in frames],
+        cams, w.attn, w.pos, w.sem_proj,
+    ))
     k = padded.k_queries
     if k != w.dims.k_queries:
         raise ValidationError(
             f"weights were built for k_queries={w.dims.k_queries}, scene needs {k}"
         )
-    slot_scores = np.zeros((padded.n_frames, k))
-    slot_scores[padded.valid] = scores
-    frozen(slot_scores)  # so that the result keeps it uncopied, as it does ``refined``
 
     cur = padded.current_index
     aligned = align_centers(
@@ -338,16 +335,13 @@ def run_pipeline_detailed(
     cost = motion_cost(padded.centers3d[cur], aligned, padded.valid[cur], padded.valid[:cur])
     mask = motion_mask(cost, padded.cats[cur], padded.cats[:cur], padded.valid[:cur], cfg)
 
-    surviving = apply_motion_mask(padded, mask)
-    fused_input = channel_concat(surviving)
+    fused_input = channel_concat(apply_motion_mask(padded, mask))
     fused_output = query_mamba_stack(fused_input, w.stack)
     refined = decode_current_frame(fused_output, frames[cur].feature_maps, w)
-    detections = _read_boxes(refined, surviving, slot_scores[cur], w)
     return PipelineResult(
-        detections=detections,
+        detections=_read_boxes(refined, padded, w),
         motion_mask=mask,
         padded=padded,
-        slot_scores=slot_scores,
         fused_input=fused_input,
         fused_output=fused_output,
         refined=refined,
@@ -357,10 +351,11 @@ def run_pipeline_detailed(
 def run_report_csv(result: PipelineResult) -> str:
     """Per-slot run report: retention flag, center, category, score.
 
-    Centers and categories come from the padded pre-elimination queries,
-    so eliminated slots stay inspectable; padded slots carry category -1.
-    Floats are written with 17 significant digits, so they read back
-    exactly.  One format pass covers every row.
+    Centers, categories and scores come from the padded window, which
+    elimination leaves as it is, so eliminated slots stay inspectable;
+    padded slots carry category -1 and score 0.  Floats are written with 17
+    significant digits, so they read back exactly.  One format pass covers
+    every row.
     """
     seq = result.padded
     n, k = seq.n_frames, seq.k_queries
@@ -371,7 +366,7 @@ def run_report_csv(result: PipelineResult) -> str:
         result.motion_mask.ravel(),
         *seq.centers3d.reshape(n * k, 3).T,
         seq.cats.ravel(),
-        result.slot_scores.ravel(),
+        seq.scores.ravel(),
     )
     values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
     return f"{REPORT_HEADER}\n" + _REPORT_ROW * (n * k) % values

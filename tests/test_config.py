@@ -213,7 +213,7 @@ RECORDS = [
     TINY_LINEAR.pos,
     TINY_LINEAR.attn,
     PaddedQuerySequence(np.zeros((2, 3, 4)), np.zeros((2, 3, 3)), np.ones((2, 3), bool),
-                        np.zeros((2, 3), int)),
+                        np.zeros((2, 3), int), np.zeros((2, 3))),
     TINY_LINEAR,
     Detection(np.zeros(3), np.ones(3), 0.0, np.zeros(2), 1, 0.5),
     TINY_SCENE.tracks[0],  # a moving track, so that is_static=True fails
@@ -264,12 +264,17 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
         (lambda: dataclasses.replace(TINY_LINEAR.pos, b1=[0.0, 0.0, 0.0]),
          r"^b1: expected shape \(D=2,\), got \(3,\)$"),
         (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
-                                     np.ones((1, 1)), np.zeros((1, 1), int)),
+                                     np.ones((1, 1)), np.zeros((1, 1), int), [[0.5]]),
          r"^valid: expected an array of bools shaped \(N=1, K=1\), got an array of float64$"),
         (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
-                                     [[True]], [[1.5]]), r"^cats: expected an array of ints"),
+                                     [[True]], [[1.5]], [[0.5]]),
+         r"^cats: expected an array of ints"),
         (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
-                                     [[True]], np.zeros((1, 1), np.uint64)), r"^cats: expected"),
+                                     [[True]], np.zeros((1, 1), np.uint64), [[0.5]]),
+         r"^cats: expected"),
+        (lambda: PaddedQuerySequence(np.zeros((1, 1, 1)), np.zeros((1, 1, 3)),
+                                     [[True]], [[0]], [["0.5"]]),
+         r"^scores: expected an array of floats"),
         (lambda: op_count_ssm("3", True, 2.9), r"^n: expected a value like int, got '3'$"),
         (lambda: op_count_ssm(3, True, 2.9), r"^k: expected a value like int, got True$"),
         (lambda: op_count_cross_attention(2.5, "4", True), r"^n: expected a value like int, got 2.5$"),
@@ -284,16 +289,16 @@ def test_a_record_field_refuses_a_value_of_another_kind(record, name, bad):
          r"^n: expected a value like int, got '3'$"),
         (lambda: dataclasses.replace(TINY_RESULT, motion_mask=TINY_RESULT.motion_mask[0]),
          r"^motion_mask: expected shape \(N, K\), got \(2,\)$"),
-        (lambda: dataclasses.replace(TINY_RESULT, slot_scores=np.zeros((1, 2))),
-         r"^slot_scores: expected shape \(N=2, K=2\), got \(1, 2\)$"),
+        (lambda: dataclasses.replace(TINY_RESULT.padded, scores=np.zeros((1, 2))),
+         r"^scores: expected shape \(N=2, K=2\), got \(1, 2\)$"),
         # nested records must agree with the result's own (N, K) and D
         (lambda: dataclasses.replace(TINY_RESULT, padded=PaddedQuerySequence(
             np.zeros((3, 2, 2)), np.zeros((3, 2, 3)), np.ones((3, 2), bool),
-            np.zeros((3, 2), int))),
+            np.zeros((3, 2), int), np.zeros((3, 2)))),
          r"^padded: expected frames x slots \(2, 2\), got \(3, 2\)$"),
         (lambda: dataclasses.replace(TINY_RESULT, padded=PaddedQuerySequence(
             np.zeros((2, 3, 2)), np.zeros((2, 3, 3)), np.ones((2, 3), bool),
-            np.zeros((2, 3), int))),
+            np.zeros((2, 3), int), np.zeros((2, 3)))),
          r"^padded: expected frames x slots \(2, 2\), got \(2, 3\)$"),
         (lambda: dataclasses.replace(
             TINY_RESULT, fused_input=FusedQuerySequence(np.zeros((2, 6)), (0, 1), 3, 2)),
@@ -326,9 +331,12 @@ def test_every_dataclass_is_a_record():
 
 
 def test_record_arrays_keep_their_kind():
-    seq = PaddedQuerySequence([[[1]]], [[[1, 2, 3]]], [[True]], np.array([[2]], np.int32))
+    seq = PaddedQuerySequence(
+        [[[1]]], [[[1, 2, 3]]], [[True]], np.array([[2]], np.int32), np.ones((1, 1), np.float32)
+    )
     assert seq.embeddings.dtype == np.float64 and seq.centers3d.dtype == np.float64
     assert seq.valid.dtype == bool and seq.cats.dtype == np.int64
+    assert seq.scores.dtype == np.float64
     # the int64 retention mask holds 0/1 values
     assert TINY_RESULT.motion_mask.dtype == np.int64
     assert set(TINY_RESULT.motion_mask.ravel().tolist()) <= {0, 1}
@@ -391,8 +399,9 @@ CFG = MotionElimConfig()
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [0.9], [1.9]), "cats"),
-        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [True], [1]), "cats"),
+        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [0.9], [0.5], [1.9]), "cats"),
+        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [True], [0.5], [1]), "cats"),
+        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [0], ["0.5"], [1]), "scores"),
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0.7], [[0]], [[True]], CFG), "cats_current"),
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[2.5]], CFG), "past_valid"),
         (lambda: motion_cost([[0, 0, 0.0]], [[[0, 0, 0.0]]], ["no"], [[True]]), "current_valid"),
@@ -458,20 +467,33 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
         (lambda: lift_center("cam", [0.5, 0.5], 1.0), "cam"),
         (lambda: lift_center(camera_ring(2), [0.5, 0.5], 1.0), "cam"),
         (lambda: lift_center(camera_ring(2)[0], [0.5, 0.5], 1.0, cam_index=0), "cam"),
+        (lambda: run_pipeline_detailed([1, 2], TINY_SCENE.cameras, TINY_LINEAR), "frames"),
+        (lambda: run_pipeline_detailed(TINY_SCENE.frames, [1, 2, 3], TINY_LINEAR), "cams"),
+        (lambda: decode_current_frame(TINY_RESULT.fused_output, [1], TINY_LINEAR), "feats"),
     ],
     ids=["motion_mask-cfg", "project_point-cam", "gs4_layer-width", "query_mamba_stack-stack",
          "query_mamba_block-params", "decode_current_frame-w", "run_pipeline_detailed-w",
-         "lift_center-str", "lift_center-cameras", "lift_center-camera-with-index"],
+         "lift_center-str", "lift_center-cameras", "lift_center-camera-with-index",
+         "run_pipeline_detailed-frames", "run_pipeline_detailed-cams",
+         "decode_current_frame-feats"],
 )
 def test_an_argument_typed_with_a_package_class_refuses_another_value(call, name):
     """Once an AttributeError on 0.5.alpha, "cam".extrinsic, 0.5.layers,
     a stack's missing ``dw_kernel``, the dims' missing ``seed``, a tuple's
-    ``intrinsic`` or ``len()`` of one camera, and numpy's matmul ValueError
-    on a 5-wide x for a 4-wide layer."""
+    ``intrinsic`` or ``len()`` of one camera, an int's ``ego_pose`` and
+    ``data``, numpy's matmul ValueError on a 5-wide x for a 4-wide layer, and
+    lift_center's refusal of the camera list, named ``cam``."""
     with pytest.raises(ValidationError) as info:
         call()
     message = str(info.value)
     assert message.startswith(f"{name}: ") and "\n" not in message, message
+
+
+def test_lift_center_names_the_first_element_that_is_no_camera():
+    """Once ``cam: expected a list or tuple of CameraModels, got list``."""
+    cams = [camera_ring(2)[0], 1, "cam"]
+    with pytest.raises(ValidationError, match=r"^cam\[1\]: expected a CameraModel, got int$"):
+        lift_center(cams, [0.5, 0.5], 1.0, cam_index=0)
 
 
 # --- declared bounds and choices ---
@@ -513,7 +535,8 @@ BOUNDED_CALLS = {  # a valid call of each checked function that declares one
     "deformable_attention": dict(c2d=[[0.5, 0.5]], maps=TINY_SCENE.frames[0].feature_maps,
                                  counts=[0, 1], params=TINY_LINEAR.attn),
     "expected_depth": dict(dist=[0.0, 1.0], bin_centers=[1.0, 2.0]),
-    "pad_frames": dict(q3d=np.zeros((1, 2)), centers=np.zeros((1, 3)), cats=[0], counts=[0, 1]),
+    "pad_frames": dict(q3d=np.zeros((1, 2)), centers=np.zeros((1, 3)), cats=[0], scores=[0.5],
+                       counts=[0, 1]),
     "motion_mask": dict(cost=np.zeros((1, 1, 1)), cats_current=[0], cats_past=[[0]],
                         past_valid=[[True]], cfg=MotionElimConfig()),
     "apply_motion_mask": dict(seq=TINY_RESULT.padded, mask=TINY_RESULT.motion_mask),

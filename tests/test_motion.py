@@ -22,12 +22,14 @@ def query_at(center, category=0, d=6, seed=0):
 
 
 def pad(frames):
-    """pad_frames over per-frame lists of query_at tuples."""
+    """pad_frames over per-frame lists of query_at tuples; row j scores
+    (j + 1) / 100."""
     rows = [q for frame in frames for q in frame]
     return pad_frames(
         np.array([q3d for q3d, _, _ in rows]),
         np.array([c for _, c, _ in rows]),
         np.array([cat for _, _, cat in rows]),
+        (np.arange(len(rows)) + 1) / 100,
         [len(frame) for frame in frames],
     )
 
@@ -61,6 +63,7 @@ def test_pad_counts():
     assert seq.current_index == 2
     invalid_counts = [int((~seq.valid[i]).sum()) for i in range(3)]
     assert invalid_counts == [2, 0, 3]
+    assert np.array_equal(seq.scores[2], [0.09, 0.1, 0, 0, 0])
 
 
 def test_pad_equal_counts_untouched():
@@ -78,27 +81,30 @@ def test_pad_single_frame():
 
 
 def test_padding_query_shape():
-    """The padding slot of frame 3 is zero, invalid and category -1."""
+    """The padding slot of frame 3 is zero, invalid, category -1 and score 0."""
     frames = [[query_at([1.0, 2.0, 3.0], category=2, d=8)] for _ in range(3)] + [[]]
     seq = pad(frames)
     assert seq.n_frames == 4
     assert not seq.valid[3, 0]
     assert seq.cats[3, 0] == -1
+    assert seq.scores[3, 0] == 0.0
     assert np.array_equal(seq.embeddings[3, 0], np.zeros(8))
     assert np.array_equal(seq.centers3d[3, 0], np.zeros(3))
 
 
 def test_pad_rejects_empty():
     with pytest.raises(ValidationError):
-        pad_frames(np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), [])
+        pad_frames(np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0), [])
     with pytest.raises(ValidationError):
-        pad_frames(np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), [0, 0])
+        pad_frames(
+            np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0), [0, 0]
+        )
 
 
 def test_pad_rejects_row_count_mismatch():
     q3d, center, cat = query_at([0.0, 0, 0])
     with pytest.raises(ValidationError):
-        pad_frames(q3d[None], center[None], [cat], [2])
+        pad_frames(q3d[None], center[None], [cat], [1.0], [2])
 
 
 # --- cost matrix ---
@@ -294,11 +300,9 @@ def test_apply_all_ones_identity():
         [query_at([1.5, 0, 0]), query_at([4.5, 0, 0])],
     ]
     seq = pad(frames)
-    out = apply_motion_mask(seq, np.ones((2, 2), dtype=np.int8))
-    assert np.array_equal(out.embeddings, seq.embeddings)
-    assert np.array_equal(out.centers3d, seq.centers3d)
-    assert np.array_equal(out.valid, seq.valid)
-    assert np.array_equal(out.cats, seq.cats)
+    operand = apply_motion_mask(seq, np.ones((2, 2), dtype=np.int8))
+    assert operand.shape == (2, 2, 6) and not operand.flags.writeable
+    assert np.array_equal(operand, seq.embeddings)
 
 
 def test_apply_zeros_blanks_past_only():
@@ -307,14 +311,11 @@ def test_apply_zeros_blanks_past_only():
         [query_at([2.0, 0, 0])],
     ]
     seq = pad(frames)
-    out = apply_motion_mask(seq, np.zeros((2, 1), dtype=np.int8))
-    assert np.array_equal(out.embeddings[0], np.zeros((1, 6)))
-    assert np.array_equal(out.centers3d[0], np.zeros((1, 3)))
-    assert not out.valid[0, 0]
-    assert out.cats[0, 0] == -1
-    # the current frame ignores its mask row
-    assert np.array_equal(out.embeddings[1], seq.embeddings[1])
-    assert out.valid[1, 0]
+    operand = apply_motion_mask(seq, np.zeros((2, 1), dtype=np.int8))
+    assert np.array_equal(operand[0], np.zeros((1, 6)))
+    # the current frame ignores its mask row, and the window is left as it is
+    assert np.array_equal(operand[1], seq.embeddings[1])
+    assert seq.valid.all() and np.array_equal(seq.cats, [[0], [0]])
 
 
 def test_apply_survivor_count_matches_mask():
@@ -325,10 +326,11 @@ def test_apply_survivor_count_matches_mask():
     ]
     seq = pad(frames)
     rows = np.stack([rng.integers(0, 2, size=4).astype(np.int8) for _ in range(3)])
-    out = apply_motion_mask(seq, rows)
+    operand = apply_motion_mask(seq, rows)
+    survivors = operand.any(axis=-1)  # the nonzero rows
     for i in range(2):
-        assert int(out.valid[i].sum()) == int(rows[i].sum())
-    assert int(out.valid[2].sum()) == 4
+        assert int(survivors[i].sum()) == int(rows[i].sum())
+    assert int(survivors[2].sum()) == 4
 
 
 def test_apply_shape_mismatch():

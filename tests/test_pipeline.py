@@ -13,6 +13,7 @@ from statefuse import (
     DeformAttnParams,
     MotionElimConfig,
     NumericOverflowError,
+    PaddedQuerySequence,
     PipelineDims,
     PipelineWeights,
     PosEmbedParams,
@@ -32,7 +33,7 @@ from statefuse import (
     slot_count,
     zero_stack,
 )
-from statefuse import errors
+from statefuse import errors, pipeline
 from statefuse.errors import frozen, readonly
 from statefuse.numerics import softmax
 from statefuse.queries import FeatureMap
@@ -92,15 +93,48 @@ def test_op_counts_reject_bad_dims():
 
 def test_channel_concat_layout():
     q3d = np.array([[1.0, 2, 3], [4.0, 5, 6], [7.0, 8, 9], [10.0, 11, 12]])
-    seq = pad_frames(q3d, np.zeros((4, 3)), np.zeros(4, dtype=int), [2, 2])
-    fused = channel_concat(seq)
-    assert fused.data.shape == (2, 6)
+    seq = pad_frames(q3d, np.zeros((4, 3)), np.zeros(4, dtype=int), np.zeros(4), [2, 2])
+    fused = channel_concat(seq.embeddings)
+    assert fused.data.shape == (2, 6) and fused.data.base is seq.embeddings
     assert np.array_equal(fused.data[0], [1, 2, 3, 4, 5, 6])
     assert np.array_equal(fused.data[1], [7, 8, 9, 10, 11, 12])
     assert fused.frame_order == (0, 1)
 
 
 # --- end to end ---
+
+def test_a_pass_builds_one_window_and_fuses_the_masked_operand_uncopied(monkeypatch):
+    """One pass constructs one PaddedQuerySequence, and channel_concat
+    takes apply_motion_mask's write-protected (N, K, D) operand as it is
+    and reshapes it without a copy."""
+    scene, w = scene_and_weights()
+    windows, operands, received = [], [], []
+    post_init, apply_mask, concat = (
+        PaddedQuerySequence.__post_init__, pipeline.apply_motion_mask, pipeline.channel_concat
+    )
+
+    def count_window(self):
+        windows.append(self)
+        post_init(self)
+
+    def spy_mask(seq, mask):
+        operands.append(apply_mask(seq, mask))
+        return operands[-1]
+
+    def spy_concat(operand):
+        received.append(operand)
+        return concat(operand)
+
+    monkeypatch.setattr(PaddedQuerySequence, "__post_init__", count_window)
+    monkeypatch.setattr(pipeline, "apply_motion_mask", spy_mask)
+    monkeypatch.setattr(pipeline, "channel_concat", spy_concat)
+    result = run_pipeline_detailed(scene.frames, scene.cameras, w)
+    assert len(windows) == 1 and windows[0] is result.padded
+    assert len(operands) == len(received) == 1 and received[0] is operands[0]
+    operand = operands[0]
+    assert operand.shape == result.padded.embeddings.shape and not operand.flags.writeable
+    assert np.shares_memory(result.fused_input.data, operand)
+
 
 def test_pipeline_zero_noise_centers():
     scene, w = scene_and_weights()
@@ -190,7 +224,7 @@ def report_per_field(result):
     """Oracle: the report formatted one field at a time."""
     seq = result.padded
     retained = result.motion_mask.tolist()
-    centers, cats, scores = seq.centers3d.tolist(), seq.cats.tolist(), result.slot_scores.tolist()
+    centers, cats, scores = seq.centers3d.tolist(), seq.cats.tolist(), seq.scores.tolist()
     lines = ["frame,object_slot,retained,center_x,center_y,center_z,category,score"]
     for i in range(seq.n_frames):
         for s in range(seq.k_queries):
@@ -225,12 +259,10 @@ def test_report_csv_writes_signed_zero_and_padded_slots():
     centers[0, 0] = (-0.0, 0.0, -1e-300)
     cats = seq.cats.copy()
     cats[-1, -1] = -1
-    scores = result.slot_scores.copy()
+    scores = seq.scores.copy()
     scores[0, 0] = -0.0
     edited = dataclasses.replace(
-        result,
-        padded=dataclasses.replace(seq, centers3d=centers, cats=cats),
-        slot_scores=scores,
+        result, padded=dataclasses.replace(seq, centers3d=centers, cats=cats, scores=scores)
     )
     text = run_report_csv(edited)
     assert text == report_per_field(edited)

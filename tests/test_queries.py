@@ -393,13 +393,14 @@ def test_build_query_matches_per_proposal_reference():
                 row += 1
     assert row == len(q3d)
 
-    seq = pad_frames(q3d, centers, cats, n_per_frame)
+    seq = pad_frames(q3d, centers, cats, scores, n_per_frame)
     assert seq.k_queries == 5
     assert np.array_equal(seq.valid, [[True] * 5, [True] * 2 + [False] * 3])
     assert np.array_equal(seq.embeddings[1, 2:], np.zeros((3, 12)))
     assert np.array_equal(seq.centers3d[1, 2:], np.zeros((3, 3)))
     assert np.array_equal(seq.cats[1, 2:], [-1, -1, -1])
     assert np.array_equal(seq.embeddings[1, :2], q3d[5:])
+    assert np.array_equal(seq.scores, [scores[:5], [*scores[5:], 0, 0, 0]])
 
 
 def test_deform_window_matches_per_map_calls():
