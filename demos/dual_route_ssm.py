@@ -10,13 +10,8 @@ walks the three routes.
 
 import numpy as np
 
-from statefuse import (
-    DiscreteSsmBank,
-    apply_convolution,
-    discretize_zoh,
-    materialize_kernel,
-    scan_bank,
-)
+from statefuse import DiscreteSsmBank, apply_convolution, discretize_zoh, materialize_kernel
+from statefuse.ssm import scan_bank  # unchecked: it takes a float64 (N, E) array
 
 
 def main():

@@ -13,11 +13,11 @@ import numpy as np
 from statefuse import (
     DiscreteSsmBank,
     FusedQuerySequence,
-    gs4_layer,
     query_mamba_stack,
     seeded_stack,
     zero_stack,
 )
+from statefuse.fusion import gs4_layer  # unchecked: it takes a finite float64 (N, E) array
 
 
 def main():

@@ -241,7 +241,9 @@ def field_value(name: str, value, kind, like: str | None = None, sizes: dict | N
     :class:`Record`; any other value raises ``ValidationError("<name>:
     expected a value like <like>, got <value>")``, ``like`` defaulting to
     the type's name, or, out of a :class:`Bound` (a tuple's element named
-    ``<name>[<i>]``), ``"<name>: expected <bound>, got <value>"``.  ``sizes``
+    ``<name>[<i>]``), ``"<name>: expected <bound>, got <value>"``.  A
+    tuple's first element that is no instance of its class is named as
+    ``"<name>[<i>]: expected a <class>, got <its class>"``.  ``sizes``
     holds the symbols that the earlier array fields of the object bound."""
     if isinstance(kind, Array):  # write-protected: in place when made here
         arr = checked_array(name, value, kind, {} if sizes is None else sizes, empty=False)
@@ -255,11 +257,15 @@ def field_value(name: str, value, kind, like: str | None = None, sizes: dict | N
 def _refusal(name: str, value, kind, like: str) -> str:
     """The message of :func:`field_value` that refuses ``value``."""
     kinds = typing.get_args(kind)
-    if kinds and isinstance(value, (list, tuple)):  # an element out of its bound
+    if kinds and isinstance(value, (list, tuple)):  # an element out of its bound or class
         kinds = kinds[:1] * len(value) if kinds[-1] is Ellipsis else kinds
-        for index, pair in enumerate(zip(value, kinds) if len(kinds) == len(value) else ()):
-            if _breaks(*pair):
-                return _refusal(f"{name}[{index}]", *pair, like)
+        pairs = zip(value, kinds) if len(kinds) == len(value) else ()
+        for index, (element, of) in enumerate(pairs):
+            at = f"{name}[{index}]"
+            if _breaks(element, of):
+                return _refusal(at, element, of, like)
+            if isinstance(of, type) and of not in _DTYPES and not isinstance(element, of):
+                return f"{at}: expected a {of.__name__}, got {type(element).__name__}"
     if _breaks(value, kind):
         return f"{name}: expected {kind!r}, got {value!r:.40}"
     return f"{name}: expected a value like {like}, got {value!r:.40}"

@@ -38,8 +38,11 @@ carries (powers of a_bar, carry-in powers and Hankel windows, (2 T + 2) E M
 + T^2 E floats) on the first scan longer than a chunk.  A bank used only for
 short scans never builds the latter.
 
-All arithmetic is float64.  Array arguments take numbers under the rule of
-:class:`~statefuse.errors.Array`; integers are read as floats.
+All arithmetic is float64.  The array arguments of the checked functions
+take numbers under the rule of :class:`~statefuse.errors.Array`; integers
+are read as floats.  :func:`depthwise_causal_conv` and :func:`scan_bank`,
+the kernels of the fusion stack's tile loop, are unchecked: they take
+finite float64 arrays of the shapes their docstrings state.
 """
 
 from __future__ import annotations
@@ -374,15 +377,14 @@ class ScanCarry:
         self.closed = False  # a block ended inside a chunk
 
 
-@checked
 def depthwise_causal_conv(
-    x: Array[float, "N", "E"], kernel: Array[float, "E", "S"],
-    history: Array[float, "H", "E"] | None = None,
+    x: np.ndarray, kernel: np.ndarray, history: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-channel causal convolution with left zero padding.
+    """Per-channel causal convolution of an (N, E) ``x`` with an (E, S)
+    ``kernel``, with left zero padding.
 
     y[k, e] = sum_i kernel[e, i] * x[k - i, e], taking x[<0] from the end of
-    ``history`` (the rows before x, oldest first) and 0 before those.
+    ``history`` (the (H, E) rows before x, oldest first) and 0 before those.
     """
     past = x[:0] if history is None else history
     n, h = x.shape[0], past.shape[0]
@@ -396,11 +398,9 @@ def depthwise_causal_conv(
     return out
 
 
-@checked
-def scan_bank(
-    bank: DiscreteSsmBank, x: Array[float, "N", "E"], carry: ScanCarry | None = None
-) -> np.ndarray:
-    """Channel-parallel scan: column e of ``x`` runs through channel e.
+def scan_bank(bank: DiscreteSsmBank, x: np.ndarray, carry: ScanCarry | None = None) -> np.ndarray:
+    """Channel-parallel scan: column e of a float64 (N, E) ``x`` runs through
+    channel e of ``bank``.
 
     Computes h[k] = a_bar * h[k-1] + b_bar * x[k], y[k] = c_bar . h[k] +
     d_bar * x[k] from h[-1] = 0.  N <= T = ``_CHUNK`` rows carry no state
@@ -436,8 +436,7 @@ def scan_bank(
         )
     if carry is None:
         if n <= _CHUNK:
-            # x is checked already, so the conv's own check is skipped
-            return depthwise_causal_conv.__wrapped__(np.ascontiguousarray(x), bank.taps[:, :n])
+            return depthwise_causal_conv(np.ascontiguousarray(x), bank.taps[:, :n])
         return _scan_chunks(x, *bank._carry_constants, state=None, carry_out=False)[0]
     if carry.bank is not bank:
         raise ValidationError("the carry belongs to another bank")

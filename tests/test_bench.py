@@ -19,9 +19,9 @@ from statefuse import (
     op_count_cross_attention,
     op_count_ssm,
     run_bench,
-    scan_bank,
     ssm_peak_bytes,
 )
+from statefuse.ssm import scan_bank
 
 TINY = BenchConfig(n_list=(16, 32), repetitions=3, warmup=0)
 

@@ -29,6 +29,7 @@ from statefuse import (
     PipelineDims,
     PipelineWeights,
     PosEmbedParams,
+    QueryMambaStack,
     SceneConfig,
     ValidationError,
     build_scene,
@@ -44,19 +45,15 @@ from statefuse import (
     camera_ring,
     cross_peak_bytes,
     deformable_attention,
-    depthwise_causal_conv,
     discretize_zoh,
     expected_depth,
     fit_loglog_slope,
-    gs4_layer,
-    layer_norm,
     lift_center,
     motion_cost,
     motion_mask,
     pad_frames,
     project_point,
     materialize_kernel,
-    scan_bank,
     seeded_bank,
     seeded_stack,
     sinusoid_features,
@@ -65,6 +62,7 @@ from statefuse import (
     zero_stack,
 )
 from statefuse.errors import Array, Bound, Record, _kind, _parameters, _schema, checked, frozen
+from statefuse.fusion import gs4_layer
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
 from statefuse.queries import FeatureMap
 from statefuse.selfcheck import CheckResult
@@ -405,9 +403,6 @@ CFG = MotionElimConfig()
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0.7], [[0]], [[True]], CFG), "cats_current"),
         (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[2.5]], CFG), "past_valid"),
         (lambda: motion_cost([[0, 0, 0.0]], [[[0, 0, 0.0]]], ["no"], [[True]]), "current_valid"),
-        (lambda: layer_norm([["1", "2"]], [1, 1], [0, 0], 1e-6), "x"),
-        (lambda: depthwise_causal_conv(np.array([[True, False]]), np.ones((2, 3))), "x"),
-        (lambda: scan_bank(seeded_bank(1, 2, 0), [["0.5"]]), "x"),
         (lambda: discretize_zoh([False], [True], 0.1), "a"),
         (lambda: fit_loglog_slope(["1", "2", "3"], ["1", "2", "4"]), "xs"),
         (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[0.9]),
@@ -467,9 +462,9 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
         (lambda: lift_center("cam", [0.5, 0.5], 1.0), "cam"),
         (lambda: lift_center(camera_ring(2), [0.5, 0.5], 1.0), "cam"),
         (lambda: lift_center(camera_ring(2)[0], [0.5, 0.5], 1.0, cam_index=0), "cam"),
-        (lambda: run_pipeline_detailed([1, 2], TINY_SCENE.cameras, TINY_LINEAR), "frames"),
-        (lambda: run_pipeline_detailed(TINY_SCENE.frames, [1, 2, 3], TINY_LINEAR), "cams"),
-        (lambda: decode_current_frame(TINY_RESULT.fused_output, [1], TINY_LINEAR), "feats"),
+        (lambda: run_pipeline_detailed([1, 2], TINY_SCENE.cameras, TINY_LINEAR), "frames[0]"),
+        (lambda: run_pipeline_detailed(TINY_SCENE.frames, [1, 2, 3], TINY_LINEAR), "cams[0]"),
+        (lambda: decode_current_frame(TINY_RESULT.fused_output, [1], TINY_LINEAR), "feats[0]"),
     ],
     ids=["motion_mask-cfg", "project_point-cam", "gs4_layer-width", "query_mamba_stack-stack",
          "query_mamba_block-params", "decode_current_frame-w", "run_pipeline_detailed-w",
@@ -487,6 +482,31 @@ def test_an_argument_typed_with_a_package_class_refuses_another_value(call, name
         call()
     message = str(info.value)
     assert message.startswith(f"{name}: ") and "\n" not in message, message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: run_pipeline_detailed([TINY_SCENE.frames[0], 1], TINY_SCENE.cameras, TINY_LINEAR),
+         "frames[1]: expected a SceneFrame, got int"),
+        (lambda: run_pipeline_detailed(TINY_SCENE.frames, [TINY_SCENE.cameras[0], "cam"],
+                                       TINY_LINEAR),
+         "cams[1]: expected a CameraModel, got str"),
+        (lambda: decode_current_frame(TINY_RESULT.fused_output,
+                                      [*TINY_SCENE.frames[-1].feature_maps, None], TINY_LINEAR),
+         f"feats[{len(TINY_SCENE.frames[-1].feature_maps)}]: expected a FeatureMap, got NoneType"),
+        (lambda: QueryMambaStack((TINY_LAYER, 1)),
+         "layers[1]: expected a QueryMambaLayerParams, got int"),
+    ],
+    ids=["frames", "cams", "feats", "layers"],
+)
+def test_a_refused_tuple_of_records_names_its_first_bad_element(call, message):
+    """An argument or field typed ``tuple[Class, ...]`` names the element
+    that is no instance, as ``lift_center`` does; once the whole tuple,
+    with module-qualified class names."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_lift_center_names_the_first_element_that_is_no_camera():
@@ -519,7 +539,6 @@ BOUNDED_CALLS = {  # a valid call of each checked function that declares one
     "discretize_zoh": dict(a=[-1.0], b=[1.0], delta=0.1),
     "apply_convolution": dict(taps=[1.0], feed_through=0.0, x=[1.0]),
     "seeded_bank": dict(n_channels=1, state_dim=1, seed=0),
-    "layer_norm": dict(x=[[1.0, 2.0]], scale=[1.0, 1.0], shift=[0.0, 0.0], epsilon=1e-6),
     "seeded_stack": dict(n_channels=1, seed=0, n_layers=1),
     "zero_stack": dict(n_channels=1, n_layers=1),
     "DeformAttnParams.head_width": dict(channels=1, n_heads=1),
@@ -669,7 +688,7 @@ def test_the_edge_cases_reach_fields_elements_and_parameters():
     assert {
         "SceneConfig.static_fraction:>=", "SceneConfig.static_fraction:<=",
         "SceneConfig.image_size[1]:>=", "BenchConfig.n_list[0]:>=", "BenchRow.mechanism:in",
-        "PipelineWeights.seed:<", "layer_norm.epsilon:>=", "seeded_stack.n_layers:>=",
+        "PipelineWeights.seed:<", "seeded_stack.n_layers:>=",
         "zero_stack.n_layers:>=",
         "PipelineWeights.from_seed.box_mode:in", "apply_convolution.mode:in",
         "DiscreteSsmBank.a_bar:>=", "DiscreteSsmBank.a_bar:<=", "discretize_zoh.a:<=",
@@ -750,12 +769,20 @@ def test_an_array_argument_is_neither_copied_nor_write_protected():
     x = np.ones(3)
     probe(x)
     assert seen[0] is x and x.flags.writeable
-    layer_norm(x, np.ones(3), np.zeros(3), 1e-6)
+    sinusoid_features(x, 6, 1.0)
     assert x.flags.writeable
 
 
-# Public functions whose scalars another rule takes: the rule's own helpers.
-SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors"}
+# Public functions whose scalars another rule takes: the rule's own helpers,
+# and layer_norm, whose epsilon is a field of the layer record it normalizes for.
+SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors", "layer_norm"}
+
+# The kernels of the fusion stack's tile loop, by module: the stack checks
+# at its door, and they take what its records and output checks have checked.
+TILE_LOOP_KERNELS = {
+    "statefuse.fusion": ("layer_norm", "gs4_layer"),
+    "statefuse.ssm": ("depthwise_causal_conv", "scan_bank"),
+}
 
 
 def _takes_a_scalar(fn) -> bool:
@@ -771,7 +798,8 @@ def test_every_function_with_an_array_parameter_checks_it():
     decorated with ``checked``; a record's fields answer to the record rule.
     A public function or method with an ``int``, ``float``, ``bool``,
     ``Bound[...]`` or ``Literal[...]`` parameter is decorated too, records'
-    methods included."""
+    methods included.  The kernels of the stack's tile loop are neither
+    annotated nor decorated, and are not public."""
     wrapper = checked(lambda: None).__code__
     annotated, scalar = [], []
     for info in pkgutil.iter_modules(statefuse.__path__):
@@ -801,6 +829,13 @@ def test_every_function_with_an_array_parameter_checks_it():
             else:
                 continue
             assert fn.__code__ is wrapper, f"{module.__name__}.{name}"
-    assert {"scan_bank", "motion_mask", "layer_norm", "lift_center"} <= set(annotated)
+    assert {"motion_mask", "lift_center", "discretize_zoh"} <= set(annotated)
+    for module_name, names in TILE_LOOP_KERNELS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            fn = getattr(module, name)
+            assert fn.__code__ is not wrapper and name not in annotated, name
+            assert name not in statefuse.__all__ and not hasattr(statefuse, name), name
+    assert "ScanCarry" not in statefuse.__all__ and not hasattr(statefuse, "ScanCarry")
     assert {"seeded_stack", "camera_ring", "DeformAttnParams.seeded"} <= set(scalar)
     assert "PipelineWeights.from_seed" in scalar

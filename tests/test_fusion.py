@@ -14,16 +14,14 @@ from statefuse import (
     NumericOverflowError,
     QueryMambaStack,
     ValidationError,
-    depthwise_causal_conv,
-    gs4_layer,
-    layer_norm,
+    errors,
     query_mamba_block,
     query_mamba_stack,
     seeded_bank,
     seeded_stack,
     zero_stack,
 )
-from statefuse.fusion import _TILE_ROWS
+from statefuse.fusion import _TILE_ROWS, depthwise_causal_conv, gs4_layer, layer_norm
 
 GELU_ONE = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
 
@@ -60,11 +58,6 @@ def test_layer_norm_affine_params():
     base = layer_norm(x, np.ones(3), np.zeros(3), 0.0)
     out = layer_norm(x, 2.0 * np.ones(3), 5.0 * np.ones(3), 0.0)
     assert np.allclose(out, 2.0 * base + 5.0, rtol=0, atol=1e-12)
-
-
-def test_layer_norm_rejects_non_finite():
-    with pytest.raises(ValidationError):
-        layer_norm(np.array([1.0, float("nan")]), np.ones(2), np.zeros(2), 1e-6)
 
 
 # --- depthwise causal conv ---
@@ -111,11 +104,6 @@ def test_dwconv_history_continues_the_sequence(split):
     for past in {split, min(split, kernel.shape[1] - 1)}:  # all, or the reach
         tail = depthwise_causal_conv(x[split:], kernel, x[split - past : split])
         assert np.array_equal(tail, whole[split:])
-
-
-def test_dwconv_rejects_history_width_mismatch():
-    with pytest.raises(ValidationError):
-        depthwise_causal_conv(np.ones((3, 2)), np.ones((2, 2)), np.ones((1, 3)))
 
 
 # --- gated scan sublayer ---
@@ -374,6 +362,34 @@ def test_seeded_stack_output_pinned(n, digest):
     assert hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest() == digest
 
 
+def checked_arrays_per_call(monkeypatch, x, stack):
+    """How many values the argument rule checks during one stack call."""
+    count = [0]
+    rule = errors.checked_array
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return rule(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(errors, "checked_array", counting)
+        query_mamba_stack(x, stack)
+    return count[0]
+
+
+def test_the_stack_checks_at_its_door_only(monkeypatch):
+    """The rule checks the stack's arguments and its result record, and no
+    kernel of the tile loop: three tiles of two layers check as many values
+    as one tile of one layer."""
+    small = checked_arrays_per_call(
+        monkeypatch, history_seq(_TILE_ROWS, k=2, d=3), seeded_stack(6, seed=23, n_layers=1)
+    )
+    large = checked_arrays_per_call(
+        monkeypatch, history_seq(3 * _TILE_ROWS, k=2, d=3), seeded_stack(6, seed=23, n_layers=2)
+    )
+    assert small == large
+
+
 def test_tiled_stack_conv_longer_than_a_tile():
     x = history_seq(300, k=2, d=6)
     stack = seeded_stack(12, seed=13, n_layers=2, ksize=200)
@@ -496,8 +512,8 @@ def test_layer_norm_overflow_names_its_layer(bad_index, n):
 @pytest.mark.parametrize(
     "layer, message",
     [
-        (ln2_overflow_layer, "layer norm or depthwise conv: x: contains NaN or Inf"),
-        (conv_overflow_layer, "layer norm or depthwise conv: x: contains NaN or Inf"),
+        (ln2_overflow_layer, "layer norm or depthwise conv: non-finite values"),
+        (conv_overflow_layer, "layer norm or depthwise conv: non-finite values"),
         (lambda: overflow_layer(np.array([1.0, 0.0])), "gs4: non-finite values"),
         (projection_overflow_layer, "output projection: non-finite values"),
     ],

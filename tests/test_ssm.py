@@ -7,16 +7,13 @@ import pytest
 
 from statefuse import (
     DiscreteSsmBank,
-    ScanCarry,
     ValidationError,
     apply_convolution,
-    depthwise_causal_conv,
     discretize_zoh,
     materialize_kernel,
-    scan_bank,
     seeded_bank,
 )
-from statefuse.ssm import _CHUNK, _channel_uniforms
+from statefuse.ssm import _CHUNK, ScanCarry, _channel_uniforms, depthwise_causal_conv, scan_bank
 
 
 def step_scan(bank, x):
