@@ -390,6 +390,33 @@ def test_the_stack_checks_at_its_door_only(monkeypatch):
     assert small == large
 
 
+DOOR_REFUSALS = {  # what layer_norm, the conv and the scan took unchecked
+    "nan": (lambda: FusedQuerySequence(np.array([[1.0, np.nan]]), (0,), 1, 2),
+            "data: contains NaN or Inf"),
+    "inf": (lambda: FusedQuerySequence(np.array([[np.inf, 0.0]]), (0,), 1, 2),
+            "data: contains NaN or Inf"),
+    "str": (lambda: FusedQuerySequence(np.array([["1", "2"]]), (0,), 1, 2),
+            "data: expected an array of floats shaped (N, E), got an array of <U1"),
+    "bool": (lambda: FusedQuerySequence(np.array([[True, False]]), (0,), 1, 2),
+             "data: expected an array of floats shaped (N, E), got an array of bool"),
+    "stack-array": (lambda: query_mamba_stack(np.ones((1, 2)), seeded_stack(2, 0, n_layers=1)),
+                    "x: expected a value like FusedQuerySequence, got array([[1., 1.]])"),
+    "block-array": (lambda: query_mamba_block(np.ones((1, 2)),
+                                              seeded_stack(2, 0, n_layers=1).layers[0]),
+                    "x: expected a value like FusedQuerySequence, got array([[1., 1.]])"),
+}
+
+
+@pytest.mark.parametrize("case", DOOR_REFUSALS)
+def test_the_door_refuses_what_the_tile_loop_kernels_take_unchecked(case):
+    """A non-finite or non-float sequence, or a bare array in place of one,
+    is refused before any kernel of the tile loop runs."""
+    call, message = DOOR_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_tiled_stack_conv_longer_than_a_tile():
     x = history_seq(300, k=2, d=6)
     stack = seeded_stack(12, seed=13, n_layers=2, ksize=200)
