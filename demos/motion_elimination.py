@@ -8,21 +8,16 @@ survive, keeping their history available to the fusion stack.
 
 import numpy as np
 
-from statefuse import (
-    MotionElimConfig,
-    apply_motion_mask,
-    motion_cost,
-    motion_mask,
-    pad_frames,
-)
-from statefuse import PosEmbedParams, pos_embed
+from statefuse import MotionElimConfig, PosEmbedParams, pos_embed
+from statefuse.motion import apply_motion_mask, motion_cost, motion_mask, pad_frames
 
 
 def queries_at(centers, categories):
-    """One frame's queries as arrays: q_3d embeds each center; every score is 1."""
+    """One frame's queries as arrays of the dtypes a forward pass keeps:
+    q_3d embeds each center; every score is 1."""
     centers = np.asarray(centers, dtype=float)
     q3d = pos_embed(centers, PosEmbedParams.seeded(8, seed=0))
-    return q3d, centers, categories, np.ones(len(centers))
+    return q3d, centers, np.asarray(categories, dtype=np.int64), np.ones(len(centers))
 
 
 def main():
@@ -31,7 +26,7 @@ def main():
     past = queries_at([[10.0, 0.0, 0.5], [20.0, 5.0, 0.8], [4.0, -2.0, 0.9]], [0, 1, 2])
     now = queries_at([[10.0, 0.05, 0.5], [23.0, 5.0, 0.8], [7.0, 3.0, 0.9]], [0, 1, 3])
     seq = pad_frames(
-        *(np.concatenate([a, b]) for a, b in zip(past, now)), counts=[3, 3]
+        *(np.concatenate([a, b]) for a, b in zip(past, now)), counts=np.array([3, 3])
     )
     print(f"padded to K={seq.k_queries} slots over {seq.n_frames} frames")
 

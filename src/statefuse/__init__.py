@@ -42,15 +42,7 @@ from .geometry import (
     project_point,
     sinusoid_features,
 )
-from .motion import (
-    INVALID_COST,
-    MotionElimConfig,
-    PaddedQuerySequence,
-    apply_motion_mask,
-    motion_cost,
-    motion_mask,
-    pad_frames,
-)
+from .motion import MotionElimConfig, PaddedQuerySequence
 from .pipeline import (
     Detection,
     PipelineDims,
@@ -66,15 +58,7 @@ from .pipeline import (
     run_report_csv,
     save_weights,
 )
-from .queries import (
-    DeformAttnParams,
-    FeatureMap,
-    build_query,
-    default_depth_bins,
-    deformable_attention,
-    expected_depth,
-    proposal_tables,
-)
+from .queries import DeformAttnParams, FeatureMap, default_depth_bins
 from .scene import (
     ObjectTrack,
     Scene,
@@ -113,7 +97,6 @@ __all__ = [
     "EgoPose",
     "FeatureMap",
     "FusedQuerySequence",
-    "INVALID_COST",
     "MotionElimConfig",
     "NumericOverflowError",
     "ObjectTrack",
@@ -131,10 +114,8 @@ __all__ = [
     "ValidationError",
     "align_centers",
     "apply_convolution",
-    "apply_motion_mask",
     "bench_csv",
     "bench_svg",
-    "build_query",
     "build_scene",
     "camera_ring",
     "channel_concat",
@@ -142,23 +123,17 @@ __all__ = [
     "cross_peak_bytes",
     "decode_current_frame",
     "default_depth_bins",
-    "deformable_attention",
     "discretize_zoh",
-    "expected_depth",
     "feature_blob_bytes",
     "fit_loglog_slope",
     "lift_center",
     "load_scene",
     "load_weights",
     "materialize_kernel",
-    "motion_cost",
-    "motion_mask",
     "op_count_cross_attention",
     "op_count_ssm",
-    "pad_frames",
     "pos_embed",
     "project_point",
-    "proposal_tables",
     "query_mamba_block",
     "query_mamba_stack",
     "run_all_checks",

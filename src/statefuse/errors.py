@@ -34,14 +34,9 @@ class NumericOverflowError(StatefuseError, ArithmeticError):
     """A forward evaluation produced a non-finite intermediate value."""
 
 
-class Extended(float):
-    """The :class:`Array` kind of float64 values not checked to be finite."""
-
-
 _DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), bool: np.dtype(bool)}
-_DTYPES[Extended] = _DTYPES[float]
-_SOURCE_KINDS = {float: "fiu", Extended: "fiu", int: "iu", bool: "b"}  # the dtype kinds each takes
-_NAMES = {float: "float", Extended: "float", int: "int", bool: "bool"}  # as messages say them
+_SOURCE_KINDS = {float: "fiu", int: "iu", bool: "b"}  # the dtype kinds each takes
+_NAMES = {float: "float", int: "int", bool: "bool"}  # as messages say them
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
@@ -49,18 +44,18 @@ class Array:
     """The annotation of an array field or argument: ``Array[float, "E", "M"]``.
 
     Its first entry is the element kind, ``float`` (finite), ``int`` or
-    ``bool``, kept as float64, int64 or bool, or :class:`Extended`, or a
-    :class:`Bound` or ``Literal`` of one, which each element must meet:
-    ``Array[Bound[float, ">", 0], 3]``.  The others are its shape, one
-    entry an axis: a fixed size, or a symbol.  A symbol binds at the first
-    field of an object, or argument of a call, that uses it, and every later
-    one must agree with it.  A leading ``...`` binds any number of leading
-    axes as one symbol: ``Array[float, ..., 3]`` takes a point or a batch of
-    them.  A field's axes hold one entry or more; an argument's may be empty.
+    ``bool``, kept as float64, int64 or bool, or a :class:`Bound` of one,
+    which each element must meet: ``Array[Bound[float, ">", 0], 3]``.  The
+    others are its shape, one entry an axis: a fixed size, or a symbol.  A
+    symbol binds at the first field of an object, or argument of a call,
+    that uses it, and every later one must agree with it.  A leading ``...``
+    binds any number of leading axes as one symbol: ``Array[float, ..., 3]``
+    takes a point or a batch of them.  A field's axes hold one entry or
+    more; an argument's may be empty.
     """
 
     def __init__(self, kind, shape: tuple):
-        self.bound = _kind(kind)[0] if typing.get_origin(kind) else None  # Bound or Literal
+        self.bound = _kind(kind)[0] if typing.get_origin(kind) else None  # a Bound
         self.kind = getattr(self.bound, "kind", kind)
         self.shape, self.dtype = shape, _DTYPES[self.kind]
         self.lead = shape[:1] == ("...",)  # whether the shape starts with ...
@@ -81,8 +76,9 @@ class Bound:
     ``Bound[float, ">=", 0, "<=", 1]``: a kind, then pairs of a comparison
     (``>=``, ``>``, ``<=`` or ``<``) and a limit, each of which a value must
     meet.  ``Literal["a", "b"]`` is read as a Bound that takes only its
-    choices.  As the element kind of an :class:`Array`, either one bounds
-    each element.  ``repr`` reads ``an int >= 1`` or ``one of 'a', 'b'``."""
+    choices.  As the element kind of an :class:`Array`, a Bound of limits
+    bounds each element.  ``repr`` reads ``an int >= 1`` or ``one of 'a',
+    'b'``."""
 
     _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
@@ -101,9 +97,7 @@ class Bound:
         return True
 
     def admits_each(self, arr: np.ndarray) -> np.ndarray:
-        """Whether each element of ``arr`` is in the bound; NaN is in none."""
-        if self.choices:  # np.isin takes 10x as long on a small array
-            return functools.reduce(operator.or_, [arr == choice for choice in self.choices])
+        """Whether each element of ``arr`` is within the limits; NaN is in none."""
         tests = [self._COMPARISONS[op](arr, limit) for op, limit in self.limits]
         return functools.reduce(operator.and_, tests)
 

@@ -16,11 +16,9 @@ past slots zeroed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
-from .errors import Array, Bound, Config, Extended, Record, ValidationError, checked, frozen
+from .errors import Array, Bound, Config, Record, frozen
 
 INVALID_COST = np.inf
 
@@ -58,24 +56,21 @@ class PaddedQuerySequence(Record):
         return self.n_frames - 1
 
 
-@checked
 def pad_frames(
-    q3d: Array[float, "P", "D"], centers: Array[float, "P", 3], cats: Array[int, "P"],
-    scores: Array[float, "P"], counts: Array[Bound[int, ">=", 0], "N"],
+    q3d: np.ndarray, centers: np.ndarray, cats: np.ndarray, scores: np.ndarray,
+    counts: np.ndarray,
 ) -> PaddedQuerySequence:
     """Scatter per-query rows into N frames of K = max(counts) slots.
 
     The P rows come frame by frame, oldest first: the first ``counts[0]``
     rows belong to frame 0, the next ``counts[1]`` to frame 1, and so on.
     A frame's queries fill its first slots in order; the newest frame is
-    current.  The arguments come in the order that
-    :func:`statefuse.queries.build_query` returns them.
+    current.  The arguments come in the order and the dtypes that
+    :func:`statefuse.queries.build_query` returns them: q3d (P, D),
+    centers (P, 3) and scores (P,) float64, cats (P,) int64, and the
+    (N,) int64 counts, which sum to P and hold one count above 0.
     """
-    if not counts.any():  # no frame, or every one empty
-        raise ValidationError(f"counts: expected a frame with a query, got {counts.tolist()}")
-    k, total = int(counts.max()), int(counts.sum())
-    if q3d.shape[0] != total:
-        raise ValidationError(f"q3d: expected one row per counted query ({total})")
+    k = int(counts.max())
     valid = np.arange(k) < counts[:, None]
 
     def slots(rows, fill=0):  # ``rows`` scattered into the valid slots
@@ -88,16 +83,17 @@ def pad_frames(
     )
 
 
-@checked
 def motion_cost(
-    current_centers: Array[float, "K", 3], past_aligned: Array[float, "P", "K", 3],
-    current_valid: Array[bool, "K"], past_valid: Array[bool, "P", "K"],
+    current_centers: np.ndarray, past_aligned: np.ndarray, current_valid: np.ndarray,
+    past_valid: np.ndarray,
 ) -> np.ndarray:
     """Distances between current slots and the aligned slots of P past frames.
 
-    ``cost[p, m, n]`` is the Euclidean distance from current slot m to
-    slot n of past frame p.  ``current_valid`` and ``past_valid`` flag
-    valid slots; any pair touching an invalid slot costs +inf.
+    ``cost[p, m, n]`` is the Euclidean distance from current slot m, of the
+    (K, 3) ``current_centers``, to slot n of past frame p, of the
+    (P, K, 3) ``past_aligned``.  The bool flags ``current_valid`` (K,) and
+    ``past_valid`` (P, K) mark valid slots; any pair touching an invalid
+    slot costs +inf.  Returns the (P, K, K) float64 cost.
     """
     cost = np.linalg.norm(current_centers[None, :, None, :] - past_aligned[:, None, :, :], axis=-1)
     invalid = ~current_valid[None, :, None] | ~past_valid[:, None, :]
@@ -105,16 +101,18 @@ def motion_cost(
     return cost
 
 
-@checked
 def motion_mask(
-    cost: Array[Bound[Extended, ">=", 0], "P", "K", "K"], cats_current: Array[int, "K"],
-    cats_past: Array[int, "P", "K"], past_valid: Array[bool, "P", "K"], cfg: MotionElimConfig,
+    cost: np.ndarray, cats_current: np.ndarray, cats_past: np.ndarray, past_valid: np.ndarray,
+    cfg: MotionElimConfig,
 ) -> np.ndarray:
     """Read-only (P + 1, K) int64 retention mask: P past rows, then the current.
 
-    Past slot n of frame p is eliminated (0) exactly when some current slot
-    m of its category sits within alpha of it, ``cost[p, m, n] <= alpha``;
-    invalid past slots are always 0.  The current row is all 1.
+    ``cost`` is :func:`motion_cost`'s (P, K, K) tensor, ``cats_current``
+    the (K,) and ``cats_past`` the (P, K) int64 categories, ``past_valid``
+    the (P, K) bool flags.  Past slot n of frame p is eliminated (0)
+    exactly when some current slot m of its category sits within alpha of
+    it, ``cost[p, m, n] <= alpha``; invalid past slots are always 0.  The
+    current row is all 1.
     """
     p, k, _ = cost.shape
     close = cost <= cfg.alpha
@@ -124,18 +122,14 @@ def motion_mask(
     return frozen(mask)
 
 
-@checked
-def apply_motion_mask(
-    seq: PaddedQuerySequence, mask: Array[Literal[0, 1], "N", "K"]
-) -> np.ndarray:
+def apply_motion_mask(seq: PaddedQuerySequence, mask: np.ndarray) -> np.ndarray:
     """The fusion stack's operand: the window's (N, K, D) embeddings with
     eliminated past slots zeroed, write-protected.
 
-    ``mask`` holds 0 and 1, one entry per slot of ``seq``.  The current
-    frame is never altered, whatever its mask row says.
+    ``mask`` is (N, K) and holds 0 and 1, one entry per slot of ``seq``, as
+    :func:`motion_mask` returns it.  The current frame is never altered,
+    whatever its mask row says.
     """
-    if mask.shape != (seq.n_frames, seq.k_queries):
-        raise ValidationError("mask shape must match the padded sequence")
     keep = mask.astype(bool)
     keep[seq.current_index] = True
     return frozen(np.where(keep[..., None], seq.embeddings, 0.0))

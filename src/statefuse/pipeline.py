@@ -45,7 +45,7 @@ from .motion import (
 )
 from .numerics import require_finite, softmax
 from .queries import DeformAttnParams, FeatureMap, build_query
-from .scene import SceneFrame
+from .scene import SceneFrame, slot_count
 
 WEIGHTS_FORMAT = "statefuse-weights/1"
 BOX_MODES = ("bypass", "linear")
@@ -309,24 +309,36 @@ def run_pipeline_detailed(
     frames: tuple[SceneFrame, ...], cams: tuple[CameraModel, ...], w: PipelineWeights,
     cfg: MotionElimConfig | None = None,
 ) -> PipelineResult:
-    """Full forward pass over chronologically ordered frames."""
+    """Full forward pass over chronologically ordered frames.
+
+    The pass checks its inputs here, once: the arguments under the argument
+    rule, the frames' order, and that frames, cameras and weights fit one
+    another.  The kernels of the query and motion stages behind it take what
+    this door and the records checked, and check nothing themselves.
+    """
     cfg = MotionElimConfig() if cfg is None else cfg
     if not frames:
         raise ValidationError("need at least one frame")
     stamps = [fr.ego_pose.timestamp for fr in frames]
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         raise ValidationError("frames must be ordered oldest to newest")
-
-    padded = pad_frames(*build_query(  # (q3d, centers, cats, scores, counts)
-        [fr.proposals for fr in frames], [fr.feature_maps for fr in frames],
-        cams, w.attn, w.pos, w.sem_proj,
-    ))
-    k = padded.k_queries
+    if any(len(fr.proposals) != len(cams) for fr in frames):
+        raise ValidationError("per-camera proposals and feature maps must match the camera list")
+    k = slot_count(frames)
+    if not k:
+        raise ValidationError("the window holds no proposals")
+    channels = w.attn.channels
+    if any(fmap.channels != channels for fr in frames for fmap in fr.feature_maps):
+        raise ValidationError(f"params expect {channels} channels in every feature map")
     if k != w.dims.k_queries:
         raise ValidationError(
             f"weights were built for k_queries={w.dims.k_queries}, scene needs {k}"
         )
 
+    padded = pad_frames(*build_query(  # (q3d, centers, cats, scores, counts)
+        [fr.proposals for fr in frames], [fr.feature_maps for fr in frames],
+        cams, w.attn, w.pos, w.sem_proj,
+    ))
     cur = padded.current_index
     aligned = align_centers(
         padded.centers3d[:cur], frames[cur].ego_pose, [fr.ego_pose for fr in frames[:cur]]

@@ -6,8 +6,10 @@ read-out and projected C -> D, and a positional embedding of its lifted 3D
 center.  Their sum is the query embedding q_3d.
 
 A camera's proposals at one frame form one read-only table
-(:func:`proposal_tables`).  Queries are built for a whole window at once, in
-struct-of-arrays form:
+(:func:`proposal_tables` reads them from JSON rows, and :func:`checked_tables`
+holds the one rule of a table, which a :class:`~statefuse.scene.SceneFrame`
+applies however it was built).  Queries are built for a whole window at once,
+in struct-of-arrays form:
 the P proposals of all frames and cameras become a (P, D) q_3d array, a
 (P, 3) center array and (P,) category and score vectors, which
 :func:`statefuse.motion.pad_frames` scatters into (N, K, ...) slots.
@@ -104,20 +106,24 @@ def _table_dtype(n_bins: int) -> np.dtype:
     ]))
 
 
-_NO_PROPOSALS = frozen(np.empty(0, _table_dtype(DEPTH_BIN_COUNT))).view(np.recarray)
+_TABLE = _table_dtype(DEPTH_BIN_COUNT)  # the one layout a frame's tables take
+_NO_PROPOSALS = frozen(np.empty(0, _TABLE)).view(np.recarray)
 
 
 def proposal_tables(per_camera, where: str = "proposals") -> tuple:
-    """A frame's proposals as one validated, read-only table per camera.
+    """A frame's proposals, read from JSON rows, as one read-only table per camera.
 
     ``per_camera[c]`` lists camera c's proposals as mappings, the layout
-    of the scene JSON: ``center`` and ``box`` (x, y) normalized to [0, 1]
-    image coordinates, an integer ``category``, a ``score`` in [0, 1] and
-    a ``depth_dist`` of B bin probabilities.  Each table is an
-    ``np.recarray`` with these five fields, (P, 2), (P, 2), (P,), (P,) and
-    (P, B), and its rows are records with the same attributes.  The frame
-    is checked once, as a whole; the first malformed value raises
-    :class:`ValidationError` naming its path ``where[c][j].key``.
+    of the scene JSON: ``center`` and ``box`` (x, y), an integer
+    ``category``, a ``score`` and a ``depth_dist`` of B bin probabilities.
+    Each table is an ``np.recarray`` with these five fields, (P, 2),
+    (P, 2), (P,), (P,) and (P, B), and its rows are records with the same
+    attributes.  Only kinds and shapes are read here: a row that is no
+    mapping, a missing key, a category that is no integer or a field of
+    another shape or of non-numbers raises :class:`ValidationError` naming
+    its path ``where[c][j].key``.  The values answer to
+    :func:`checked_tables`, which a :class:`~statefuse.scene.SceneFrame`
+    applies to the tables it takes.
     """
     if not isinstance(per_camera, (list, tuple)):
         raise ValidationError(f"{where}: expected an array of per-camera arrays")
@@ -150,30 +156,55 @@ def proposal_tables(per_camera, where: str = "proposals") -> tuple:
             raise ValidationError(f"{path(j)}.category: expected an integer, got {cat!r:.40}")
     for key, shape in (("center", (2,)), ("box", (2,)), ("score", ()), ("depth_dist", None)):
         cols[key] = _column(cols[key], key, shape, path)
-    center, box, score, dist = (cols[k] for k in ("center", "box", "score", "depth_dist"))
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN and Inf fail every test
-        checks = (
-            ("center", (center >= 0.0) & (center <= 1.0),
-             "proposal center must lie inside [0, 1]^2"),
-            ("box", (box >= 0.0) & (box < np.inf), "box extents must be non-negative"),
-            ("score", (score >= 0.0) & (score <= 1.0), "score must lie in [0, 1]"),
-            ("depth_dist",
-             (dist >= 0.0) & (np.abs(dist.sum(axis=1, keepdims=True) - 1.0) <= 1e-9),
-             "depth_dist must be non-negative and sum to 1"),
-        )
-    for key, ok, message in checks:
-        if not ok.all():
-            j = int(np.argmin(ok.reshape(len(rows), -1).all(axis=1)))
-            if not np.isfinite(cols[key][j]).all():
-                message = "contains NaN or Inf"
-            raise ValidationError(f"{path(j)}.{key}: {message}")
     cols["category"] = np.array(cols["category"], dtype=np.int64)
-    frame = np.empty(len(rows), _table_dtype(dist.shape[1]))
+    frame = np.empty(len(rows), _table_dtype(cols["depth_dist"].shape[1]))
     for key in PROPOSAL_FIELDS:
         frame[key] = cols[key]
     frozen(frame)
     # slice the plain array: slicing a recarray costs two more views a table
     return tuple(frame[a:b].view(np.recarray) for a, b in zip(bounds, bounds[1:]))
+
+
+def checked_tables(tables: tuple) -> tuple:
+    """``tables``, one proposal table per camera, under the one rule of a
+    table, whoever built it: the layout of :func:`proposal_tables` with
+    ``DEPTH_BIN_COUNT`` depth bins, a ``center`` inside [0, 1]^2, a ``box``
+    >= 0, a ``score`` in [0, 1] and a ``depth_dist`` >= 0 that sums to 1
+    within 1e-9, every value finite.
+
+    Each comes back a write-protected ``np.recarray``: the table itself
+    when its memory cannot change (see :func:`~statefuse.errors.readonly`),
+    else a copy.  A table of another layout raises :class:`ValidationError`
+    naming ``proposals[c]``, the first bad value ``proposals[c][j].key``.
+    """
+    kept = []
+    for c, table in enumerate(tables):
+        if table.dtype != _TABLE:
+            raise ValidationError(
+                f"proposals[{c}]: expected a proposal table with {DEPTH_BIN_COUNT} depth bins, "
+                f"got one of dtype {table.dtype}"
+            )
+        table = readonly(table)
+        fields = np.asarray(table)  # a recarray's field access costs ~10x more
+        center, box, score, dist = (fields[k] for k in ("center", "box", "score", "depth_dist"))
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and Inf fail every test
+            checks = (
+                ("center", (center >= 0.0) & (center <= 1.0),
+                 "proposal center must lie inside [0, 1]^2"),
+                ("box", (box >= 0.0) & (box < np.inf), "box extents must be non-negative"),
+                ("score", (score >= 0.0) & (score <= 1.0), "score must lie in [0, 1]"),
+                ("depth_dist",
+                 (dist >= 0.0) & (np.abs(dist.sum(axis=1, keepdims=True) - 1.0) <= 1e-9),
+                 "depth_dist must be non-negative and sum to 1"),
+            )
+        for key, ok, message in checks:
+            if not ok.all():
+                j = int(np.argmin(ok.reshape(len(table), -1).all(axis=1)))
+                if not np.isfinite(fields[key][j]).all():
+                    message = "contains NaN or Inf"
+                raise ValidationError(f"proposals[{c}][{j}].{key}: {message}")
+        kept.append(table if type(table) is np.recarray else table.view(np.recarray))
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -253,24 +284,20 @@ def _blend(corners: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     )
 
 
-@checked
 def deformable_attention(
-    c2d: Array[float, "P", 2], maps, counts: Array[Bound[int, ">=", 0], "M"],
-    params: DeformAttnParams,
+    c2d: np.ndarray, maps, counts: np.ndarray, params: DeformAttnParams
 ) -> np.ndarray:
     """Sparse attention read-out around normalized reference points.
 
     out = sum_m W_m sum_n A[m, n] * W'_m F(pixel(c2d) + offset[m, n]).
     The reference point scales to pixels by (W - 1, H - 1); offsets are in
-    pixels; sample points clamp to the image rectangle.  The points come
-    map by map: the first ``counts[0]`` read ``maps[0]``, the next
-    ``counts[1]`` read ``maps[1]``, and so on.  Only the corner gather runs
-    per map; the rest runs once over all points x heads x keys.
+    pixels; sample points clamp to the image rectangle.  The (P, 2) float64
+    points come map by map: the first ``counts[0]`` read ``maps[0]``, the
+    next ``counts[1]`` read ``maps[1]``, and so on, the (M,) int64 counts
+    summing to P.  Every map holds ``params.channels`` channels.  Only the
+    corner gather runs per map; the rest runs once over all points x heads
+    x keys.  Returns the (P, C) read-outs.
     """
-    if not maps or len(maps) != len(counts) or counts.sum() != len(c2d):
-        raise ValidationError("counts: expected a count of points for each feature map")
-    if any(fmap.channels != params.channels for fmap in maps):
-        raise ValidationError(f"params expect {params.channels} channels in every feature map")
     hw = np.repeat([(fmap.height, fmap.width) for fmap in maps], counts, axis=0)
     base = c2d * (hw[:, ::-1] - 1.0)
     taps = base[:, None, None, :] + params.offsets  # (P, heads, keys, 2)
@@ -285,51 +312,43 @@ def deformable_attention(
     return np.einsum("phd,hdc->pc", values, params.out_proj)
 
 
-@checked
-def expected_depth(dist: Array[Bound[float, ">=", 0], ..., "B"], bin_centers: Array[float, "B"]):
+def expected_depth(dist: np.ndarray, bin_centers: np.ndarray):
     """Expectation of categorical depth distributions over bin centers.
 
-    A (B,) distribution gives a float; a (..., B) batch gives (...) depths.
+    A (B,) float64 distribution gives a float; a (..., B) batch gives
+    (...) depths.  ``bin_centers`` is (B,).
     """
-    if np.any(np.abs(dist.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValidationError("dist: expected distributions that sum to 1")
     return dist @ bin_centers
 
 
-@checked
 def build_query(
     proposals,
     feature_maps,
     cams,
     attn: DeformAttnParams,
     pe: PosEmbedParams,
-    sem_proj: Array[float, "C", "D"],
+    sem_proj: np.ndarray,
 ) -> tuple:
     """Assemble the 3D queries of a window of frames in one batched pass.
 
     ``proposals[i][c]`` is the proposal table of camera ``cams[c]``
     at frame i and ``feature_maps[i][c]`` its feature map: a table's camera
-    and frame are its position.  Per (frame, camera) only the features are
+    and frame are its position.  They are the tables and maps of
+    :class:`~statefuse.scene.SceneFrame` records, which hold them under
+    :func:`checked_tables`; the caller has checked that each frame has one
+    of each per camera, that every map has ``attn.channels`` channels, and
+    that the window holds a proposal.  ``sem_proj`` is the (C, D) float64
+    semantic projection.  Per (frame, camera) only the features are
     gathered; the fields are concatenated once, and the depth estimate (the
     expectation of each distribution over :func:`default_depth_bins`),
     projections, lifting and the positional embedding each run once over
-    all P proposals.  Shapes, distributions and outputs are checked once,
-    for the whole batch.
+    all P proposals.  The outputs are checked once, for the whole batch.
 
     Returns ``(q3d, centers, cats, scores, counts)``: (P, D) embeddings
     q_3d = q_pos + q_sem, (P, 3) lifted ego-frame centers, (P,) categories
     and scores, all in frame, camera, proposal order, and the (N,)
     per-frame proposal counts.
     """
-    if sem_proj.shape != (attn.channels, pe.embed_dim):
-        raise ValidationError(
-            f"sem_proj must be ({attn.channels}, {pe.embed_dim}), got {sem_proj.shape}"
-        )
-    centers = default_depth_bins()
-    if len(proposals) != len(feature_maps) or any(
-        len(per_cam) != len(cams) for per_cam in (*proposals, *feature_maps)
-    ):
-        raise ValidationError("per-camera proposals and feature maps must match the camera list")
     tables, maps, map_cams, sizes, counts = [], [], [], [], []
     for frame_props, frame_maps in zip(proposals, feature_maps):
         count = 0
@@ -341,10 +360,6 @@ def build_query(
                 sizes.append(len(table))
                 count += len(table)
         counts.append(count)
-    if not tables:
-        raise ValidationError("the window holds no proposals")
-    if any(t.dtype["depth_dist"].shape != centers.shape for t in tables):
-        raise ValidationError("depth_dist length must match the bin layout")
     c2d, dists, cats, scores = (
         np.concatenate([t[key] for t in tables])
         for key in ("center", "depth_dist", "category", "score")
@@ -352,7 +367,7 @@ def build_query(
     sizes = np.array(sizes)
     cam_index = np.repeat(map_cams, sizes)
 
-    depth = expected_depth(dists, centers)  # checks every distribution
+    depth = expected_depth(dists, default_depth_bins())
     q_sem = deformable_attention(c2d, maps, sizes, attn) @ sem_proj
     stage = "stage query construction"
     center3d = require_finite(stage, lift_center(cams, c2d, depth, cam_index=cam_index))

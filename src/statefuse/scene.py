@@ -24,7 +24,9 @@ from .errors import (
     Array, BehindCameraError, Bound, Config, Record, ValidationError, checked, frozen,
 )
 from .geometry import CameraModel, EgoPose, project_point
-from .queries import PROPOSAL_FIELDS, FeatureMap, default_depth_bins, proposal_tables
+from .queries import (
+    PROPOSAL_FIELDS, FeatureMap, checked_tables, default_depth_bins, proposal_tables,
+)
 
 SCENE_FORMAT = "statefuse-scene/1"
 FEATURE_DTYPE = "<f4"
@@ -91,9 +93,13 @@ class SceneFrame(Record):
     """One time step: ego pose, ego-frame object states, proposals, features.
 
     ``proposals`` holds one proposal table per camera, as
-    :func:`~statefuse.queries.proposal_tables` builds them, kept as given;
-    ``proposal_object_ids`` holds one tuple per camera of the tracks that
-    produced each proposal (ground-truth provenance).
+    :func:`~statefuse.queries.proposal_tables` builds them, checked under
+    the one rule of a table (:func:`~statefuse.queries.checked_tables`) and
+    kept write-protected, however the frame was built: a table of another
+    layout or with a bad value raises ``ValidationError`` naming
+    ``proposals[c]`` or ``proposals[c][j].<key>``.  ``proposal_object_ids``
+    holds one tuple per camera of the tracks that produced each proposal
+    (ground-truth provenance).
     """
 
     frame_index: int
@@ -109,6 +115,7 @@ class SceneFrame(Record):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "proposals", checked_tables(self.proposals))
         ids, tables = self.proposal_object_ids, self.proposals
         if not len(ids) == len(tables) == len(self.feature_maps):
             raise ValidationError("per-camera tuples must share one length")

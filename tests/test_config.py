@@ -41,17 +41,11 @@ from statefuse import (
     run_pipeline_detailed,
 )
 from statefuse import (
-    apply_motion_mask,
     camera_ring,
     cross_peak_bytes,
-    deformable_attention,
     discretize_zoh,
-    expected_depth,
     fit_loglog_slope,
     lift_center,
-    motion_cost,
-    motion_mask,
-    pad_frames,
     project_point,
     materialize_kernel,
     seeded_bank,
@@ -391,18 +385,10 @@ def test_record_arrays_are_kept_without_a_copy_when_their_memory_cannot_change()
 
 # --- the rule on function arguments ---
 
-CFG = MotionElimConfig()
-
 
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [0.9], [0.5], [1.9]), "cats"),
-        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [True], [0.5], [1]), "cats"),
-        (lambda: pad_frames([[1.0, 2.0]], [[0, 0, 1.0]], [0], ["0.5"], [1]), "scores"),
-        (lambda: motion_mask(np.zeros((1, 1, 1)), [0.7], [[0]], [[True]], CFG), "cats_current"),
-        (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[2.5]], CFG), "past_valid"),
-        (lambda: motion_cost([[0, 0, 0.0]], [[[0, 0, 0.0]]], ["no"], [[True]]), "current_valid"),
         (lambda: discretize_zoh([False], [True], 0.1), "a"),
         (lambda: fit_loglog_slope(["1", "2", "3"], ["1", "2", "4"]), "xs"),
         (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[0.9]),
@@ -412,7 +398,6 @@ CFG = MotionElimConfig()
          "cam_index"),
         (lambda: lift_center(camera_ring(2, 0.8), [[0.5, 0.5]], [10.0], cam_index=[5]),
          "cam_index"),
-        (lambda: expected_depth(["0.5", "0.5"], [True, "3"]), "dist"),
     ],
 )
 def test_an_array_argument_refuses_a_value_of_another_kind(call, name):
@@ -451,7 +436,8 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: motion_mask(np.zeros((1, 1, 1)), [0], [[0]], [[True]], 0.5), "cfg"),
+        (lambda: run_pipeline_detailed(TINY_SCENE.frames, TINY_SCENE.cameras, TINY_LINEAR, 0.5),
+         "cfg"),
         (lambda: project_point("cam", [1.0, 2.0, 3.0]), "cam"),
         (lambda: gs4_layer(np.ones((3, 5)), seeded_stack(4, 0, n_layers=1).layers[0]), "x"),
         (lambda: query_mamba_stack(TINY_RESULT.fused_input, 0.5), "stack"),
@@ -466,14 +452,14 @@ def test_a_scalar_argument_refuses_a_value_of_another_kind(call, name):
         (lambda: run_pipeline_detailed(TINY_SCENE.frames, [1, 2, 3], TINY_LINEAR), "cams[0]"),
         (lambda: decode_current_frame(TINY_RESULT.fused_output, [1], TINY_LINEAR), "feats[0]"),
     ],
-    ids=["motion_mask-cfg", "project_point-cam", "gs4_layer-width", "query_mamba_stack-stack",
+    ids=["run_pipeline_detailed-cfg", "project_point-cam", "gs4_layer-width", "query_mamba_stack-stack",
          "query_mamba_block-params", "decode_current_frame-w", "run_pipeline_detailed-w",
          "lift_center-str", "lift_center-cameras", "lift_center-camera-with-index",
          "run_pipeline_detailed-frames", "run_pipeline_detailed-cams",
          "decode_current_frame-feats"],
 )
 def test_an_argument_typed_with_a_package_class_refuses_another_value(call, name):
-    """Once an AttributeError on 0.5.alpha, "cam".extrinsic, 0.5.layers,
+    """Once an AttributeError on 0.5.alpha (in motion_mask), "cam".extrinsic, 0.5.layers,
     a stack's missing ``dw_kernel``, the dims' missing ``seed``, a tuple's
     ``intrinsic`` or ``len()`` of one camera, an int's ``ego_pose`` and
     ``data``, numpy's matmul ValueError on a 5-wide x for a 4-wide layer, and
@@ -551,14 +537,6 @@ BOUNDED_CALLS = {  # a valid call of each checked function that declares one
     "sinusoid_features": dict(c3d=[0.0, 0.0, 0.0], embed_dim=6, temperature=1.0),
     "lift_center": dict(cam=TINY_SCENE.cameras[0], c2d=[[0.5, 0.5]], depth=[1.0]),
     "synth_features": dict(frame_index=0, camera_id=0, cfg=TINY_SCENE.config),
-    "deformable_attention": dict(c2d=[[0.5, 0.5]], maps=TINY_SCENE.frames[0].feature_maps,
-                                 counts=[0, 1], params=TINY_LINEAR.attn),
-    "expected_depth": dict(dist=[0.0, 1.0], bin_centers=[1.0, 2.0]),
-    "pad_frames": dict(q3d=np.zeros((1, 2)), centers=np.zeros((1, 3)), cats=[0], scores=[0.5],
-                       counts=[0, 1]),
-    "motion_mask": dict(cost=np.zeros((1, 1, 1)), cats_current=[0], cats_past=[[0]],
-                        past_valid=[[True]], cfg=MotionElimConfig()),
-    "apply_motion_mask": dict(seq=TINY_RESULT.padded, mask=TINY_RESULT.motion_mask),
     "ssm_peak_bytes": dict(n=1, e=1, m=1),
     "cross_peak_bytes": dict(n=1, e=1),
     "fit_loglog_slope": dict(xs=[1.0, 2.0, 3.0], ys=[1.0, 2.0, 3.0]),
@@ -693,9 +671,7 @@ def test_the_edge_cases_reach_fields_elements_and_parameters():
         "PipelineWeights.from_seed.box_mode:in", "apply_convolution.mode:in",
         "DiscreteSsmBank.a_bar:>=", "DiscreteSsmBank.a_bar:<=", "discretize_zoh.a:<=",
         "ObjectTrack.size:>", "Detection.size:>=", "DeformAttnParams.weights:>=",
-        "deformable_attention.counts:>=", "pad_frames.counts:>=", "expected_depth.dist:>=",
-        "lift_center.depth:>", "motion_mask.cost:>=", "apply_motion_mask.mask:in",
-        "fit_loglog_slope.xs:>", "fit_loglog_slope.ys:>",
+        "lift_center.depth:>", "fit_loglog_slope.xs:>", "fit_loglog_slope.ys:>",
     } <= ids
 
 
@@ -709,15 +685,11 @@ def test_a_declared_bound_takes_its_edge_and_refuses_the_next_value(label, make,
         make(refused, accepted[0])
 
 
-def test_an_element_refusal_shows_the_first_bad_element_and_nan_meets_no_bound():
+def test_an_element_refusal_shows_the_first_bad_element():
     bank = TINY_LAYER.bank
     a_bar = [[0.5, 1.5, -2.0]]
     with pytest.raises(ValidationError, match=r"^a_bar: expected a float >= -1 and <= 1, got 1.5$"):
         DiscreteSsmBank(a_bar, np.ones((1, 3)), np.ones((1, 3)), bank.d_bar)
-    call = BOUNDED_CALLS["motion_mask"]  # +inf marks an invalid pair
-    assert motion_mask(**{**call, "cost": np.full((1, 1, 1), np.inf)}).tolist() == [[1], [1]]
-    with pytest.raises(ValidationError, match=r"^cost: expected a float >= 0, got nan$"):
-        motion_mask(**{**call, "cost": np.full((1, 1, 1), np.nan)})
 
 
 SEEDED = {  # the seeds that numpy reads: an int >= 0 or a list of them
@@ -777,11 +749,15 @@ def test_an_array_argument_is_neither_copied_nor_write_protected():
 # and layer_norm, whose epsilon is a field of the layer record it normalizes for.
 SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors", "layer_norm"}
 
-# The kernels of the fusion stack's tile loop, by module: the stack checks
-# at its door, and they take what its records and output checks have checked.
-TILE_LOOP_KERNELS = {
+# The kernels behind a door, by module: the fusion stack's tile loop, and
+# the query and motion stages of a forward pass.  The stack and the pass
+# check at their doors, and the kernels take what the records and the
+# output checks have checked.
+UNCHECKED_KERNELS = {
     "statefuse.fusion": ("layer_norm", "gs4_layer"),
     "statefuse.ssm": ("depthwise_causal_conv", "scan_bank"),
+    "statefuse.queries": ("build_query", "expected_depth", "deformable_attention"),
+    "statefuse.motion": ("pad_frames", "motion_cost", "motion_mask", "apply_motion_mask"),
 }
 
 
@@ -798,8 +774,8 @@ def test_every_function_with_an_array_parameter_checks_it():
     decorated with ``checked``; a record's fields answer to the record rule.
     A public function or method with an ``int``, ``float``, ``bool``,
     ``Bound[...]`` or ``Literal[...]`` parameter is decorated too, records'
-    methods included.  The kernels of the stack's tile loop are neither
-    annotated nor decorated, and are not public."""
+    methods included.  The kernels behind the stack's and the pass's doors
+    are neither annotated nor decorated, and are not public."""
     wrapper = checked(lambda: None).__code__
     annotated, scalar = [], []
     for info in pkgutil.iter_modules(statefuse.__path__):
@@ -829,13 +805,14 @@ def test_every_function_with_an_array_parameter_checks_it():
             else:
                 continue
             assert fn.__code__ is wrapper, f"{module.__name__}.{name}"
-    assert {"motion_mask", "lift_center", "discretize_zoh"} <= set(annotated)
-    for module_name, names in TILE_LOOP_KERNELS.items():
+    assert {"align_centers", "lift_center", "discretize_zoh"} <= set(annotated)
+    for module_name, names in UNCHECKED_KERNELS.items():
         module = importlib.import_module(module_name)
         for name in names:
             fn = getattr(module, name)
             assert fn.__code__ is not wrapper and name not in annotated, name
             assert name not in statefuse.__all__ and not hasattr(statefuse, name), name
-    assert "ScanCarry" not in statefuse.__all__ and not hasattr(statefuse, "ScanCarry")
+    for name in ("ScanCarry", "INVALID_COST", "proposal_tables"):
+        assert name not in statefuse.__all__ and not hasattr(statefuse, name), name
     assert {"seeded_stack", "camera_ring", "DeformAttnParams.seeded"} <= set(scalar)
     assert "PipelineWeights.from_seed" in scalar

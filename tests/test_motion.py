@@ -1,18 +1,19 @@
-"""Slot padding, motion cost, elimination mask, mask application."""
+"""Slot padding, motion cost, elimination mask, mask application.
+
+The kernels take what a forward pass hands them, arrays of the dtypes it
+keeps; ``run_pipeline_detailed`` and the records check its inputs.
+"""
 
 import numpy as np
-import pytest
 
-from statefuse import (
+from statefuse import MotionElimConfig, PosEmbedParams, pos_embed
+from statefuse.motion import (
     INVALID_COST,
-    MotionElimConfig,
-    ValidationError,
     apply_motion_mask,
     motion_cost,
     motion_mask,
     pad_frames,
 )
-from statefuse import PosEmbedParams, pos_embed
 
 
 def query_at(center, category=0, d=6, seed=0):
@@ -30,7 +31,7 @@ def pad(frames):
         np.array([c for _, c, _ in rows]),
         np.array([cat for _, _, cat in rows]),
         (np.arange(len(rows)) + 1) / 100,
-        [len(frame) for frame in frames],
+        np.array([len(frame) for frame in frames]),
     )
 
 
@@ -43,8 +44,8 @@ def cost_one(cur, past, validity):
 
 def mask_one(cost, cats_cur, cats_past, valid_past, cfg):
     """Past row of the mask against one past frame with (K, K) ``cost``."""
-    cats_past, valid_past = np.asarray(cats_past)[None], np.asarray(valid_past)[None]
-    mask = motion_mask(cost[None], cats_cur, cats_past, valid_past, cfg)
+    cats_cur, cats_past = np.asarray(cats_cur), np.asarray(cats_past)[None]
+    mask = motion_mask(cost[None], cats_cur, cats_past, np.asarray(valid_past)[None], cfg)
     assert np.array_equal(mask[1], np.ones(cost.shape[0]))
     return mask[0]
 
@@ -90,21 +91,6 @@ def test_padding_query_shape():
     assert seq.scores[3, 0] == 0.0
     assert np.array_equal(seq.embeddings[3, 0], np.zeros(8))
     assert np.array_equal(seq.centers3d[3, 0], np.zeros(3))
-
-
-def test_pad_rejects_empty():
-    with pytest.raises(ValidationError):
-        pad_frames(np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0), [])
-    with pytest.raises(ValidationError):
-        pad_frames(
-            np.zeros((0, 6)), np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0), [0, 0]
-        )
-
-
-def test_pad_rejects_row_count_mismatch():
-    q3d, center, cat = query_at([0.0, 0, 0])
-    with pytest.raises(ValidationError):
-        pad_frames(q3d[None], center[None], [cat], [1.0], [2])
 
 
 # --- cost matrix ---
@@ -277,21 +263,6 @@ def test_no_past_frames():
     assert np.array_equal(mask, np.ones((1, 4)))
 
 
-def test_cost_and_mask_shape_checks():
-    cfg = MotionElimConfig()
-    with pytest.raises(ValidationError):
-        motion_cost(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2, bool), np.ones((1, 2), bool))
-    with pytest.raises(ValidationError):
-        motion_cost(np.zeros((2, 3)), np.zeros((1, 2, 3)), np.ones(2, bool), np.ones(2, bool))
-    with pytest.raises(ValidationError):
-        motion_mask(np.zeros((2, 2)), [0, 0], [[0, 0]], [[True, True]], cfg)
-    with pytest.raises(ValidationError):
-        motion_mask(np.zeros((1, 2, 2)), [0, 0], [0, 0], [[True, True]], cfg)
-    for bad in (np.nan, -1.0):
-        with pytest.raises(ValidationError):
-            motion_mask(np.full((1, 2, 2), bad), [0, 0], [[0, 0]], [[True, True]], cfg)
-
-
 # --- mask application ---
 
 def test_apply_all_ones_identity():
@@ -300,7 +271,7 @@ def test_apply_all_ones_identity():
         [query_at([1.5, 0, 0]), query_at([4.5, 0, 0])],
     ]
     seq = pad(frames)
-    operand = apply_motion_mask(seq, np.ones((2, 2), dtype=np.int8))
+    operand = apply_motion_mask(seq, np.ones((2, 2), dtype=np.int64))
     assert operand.shape == (2, 2, 6) and not operand.flags.writeable
     assert np.array_equal(operand, seq.embeddings)
 
@@ -311,7 +282,7 @@ def test_apply_zeros_blanks_past_only():
         [query_at([2.0, 0, 0])],
     ]
     seq = pad(frames)
-    operand = apply_motion_mask(seq, np.zeros((2, 1), dtype=np.int8))
+    operand = apply_motion_mask(seq, np.zeros((2, 1), dtype=np.int64))
     assert np.array_equal(operand[0], np.zeros((1, 6)))
     # the current frame ignores its mask row, and the window is left as it is
     assert np.array_equal(operand[1], seq.embeddings[1])
@@ -325,21 +296,10 @@ def test_apply_survivor_count_matches_mask():
         for i in range(3)
     ]
     seq = pad(frames)
-    rows = np.stack([rng.integers(0, 2, size=4).astype(np.int8) for _ in range(3)])
+    rows = np.stack([rng.integers(0, 2, size=4) for _ in range(3)])
     operand = apply_motion_mask(seq, rows)
     survivors = operand.any(axis=-1)  # the nonzero rows
     for i in range(2):
         assert int(survivors[i].sum()) == int(rows[i].sum())
     assert int(survivors[2].sum()) == 4
 
-
-def test_apply_shape_mismatch():
-    seq = pad([[query_at([0.0, 0, 0])]])
-    with pytest.raises(ValidationError):
-        apply_motion_mask(seq, np.ones((1, 2), dtype=np.int8))
-
-
-def test_apply_rejects_non_binary_mask():
-    seq = pad([[query_at([0.0, 0, 0]), query_at([1.0, 0, 0])]])
-    with pytest.raises(ValidationError):
-        apply_motion_mask(seq, np.array([[0, 2]], dtype=np.int8))

@@ -25,7 +25,6 @@ from statefuse import (
     load_weights,
     op_count_cross_attention,
     op_count_ssm,
-    pad_frames,
     run_pipeline_detailed,
     run_report_csv,
     save_weights,
@@ -35,6 +34,7 @@ from statefuse import (
 )
 from statefuse import errors, pipeline
 from statefuse.errors import frozen, readonly
+from statefuse.motion import pad_frames
 from statefuse.numerics import softmax
 from statefuse.queries import FeatureMap
 from statefuse.pipeline import _blob_arrays, weights_from_bytes, weights_to_bytes
@@ -93,7 +93,9 @@ def test_op_counts_reject_bad_dims():
 
 def test_channel_concat_layout():
     q3d = np.array([[1.0, 2, 3], [4.0, 5, 6], [7.0, 8, 9], [10.0, 11, 12]])
-    seq = pad_frames(q3d, np.zeros((4, 3)), np.zeros(4, dtype=int), np.zeros(4), [2, 2])
+    seq = pad_frames(
+        q3d, np.zeros((4, 3)), np.zeros(4, dtype=np.int64), np.zeros(4), np.array([2, 2])
+    )
     fused = channel_concat(seq.embeddings)
     assert fused.data.shape == (2, 6) and fused.data.base is seq.embeddings
     assert np.array_equal(fused.data[0], [1, 2, 3, 4, 5, 6])
@@ -339,6 +341,59 @@ def test_pipeline_rejects_wrong_k():
     w = PipelineWeights.from_seed(5, dims)
     with pytest.raises(ValidationError):
         run_pipeline_detailed(scene.frames, scene.cameras, w)
+
+
+def _without_proposals(frame):
+    """``frame`` with every camera's proposal table emptied."""
+    n = len(frame.proposals)
+    empty = frame.proposals[0][:0]
+    return dataclasses.replace(frame, proposals=(empty,) * n, proposal_object_ids=((),) * n)
+
+
+DOOR_CASES = {
+    "cameras": (lambda frames, cams, w: (frames, cams[:2], w),
+                "per-camera proposals and feature maps must match the camera list"),
+    "no-proposals": (lambda frames, cams, w: (tuple(map(_without_proposals, frames)), cams, w),
+                     "the window holds no proposals"),
+    "channels": (lambda frames, cams, w: (frames, cams, PipelineWeights.from_seed(
+        5, dataclasses.replace(w.dims, feature_channels=SCENE.feature_channels // 2))),
+                 f"params expect {SCENE.feature_channels // 2} channels in every feature map"),
+}
+
+
+@pytest.mark.parametrize("args, message", DOOR_CASES.values(), ids=DOOR_CASES)
+def test_the_door_refuses_what_the_query_and_motion_kernels_take_unchecked(args, message):
+    """Each input of a pass that the query kernels once refused is refused at
+    ``run_pipeline_detailed``'s door, with the kernel's message, before any
+    query is built."""
+    scene, w = scene_and_weights()
+    with pytest.raises(ValidationError) as info:
+        run_pipeline_detailed(*args(scene.frames, scene.cameras, w))
+    assert str(info.value) == message
+
+
+def test_a_pass_checks_the_query_and_motion_stages_at_its_door_only(monkeypatch):
+    """No argument of the query and motion kernels runs the argument rule,
+    and each array of the padded window is checked once, by its record.
+    Once each kernel checked its arguments, and the window's categories
+    and scores were checked twice, as ``pad_frames``' arguments and as its
+    record's fields."""
+    scene, w = scene_and_weights()
+    checked_array, names = errors.checked_array, []
+
+    def spy(name, *args, **kwargs):
+        names.append(name)
+        return checked_array(name, *args, **kwargs)
+
+    monkeypatch.setattr(errors, "checked_array", spy)
+    run_pipeline_detailed(scene.frames, scene.cameras, w)
+    kernel_arguments = {
+        "q3d", "counts", "sem_proj", "dist", "bin_centers", "current_centers", "past_aligned",
+        "current_valid", "past_valid", "cost", "cats_current", "cats_past", "seq", "mask",
+    }
+    assert not kernel_arguments & set(names)
+    window = ("embeddings", "centers3d", "valid", "cats", "scores")
+    assert [names.count(name) for name in window] == [1] * len(window)
 
 
 def test_pipeline_linear_box_mode():

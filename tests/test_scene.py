@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from statefuse import (
 )
 from statefuse.cli import cli_main
 from statefuse.errors import field_value
+from statefuse.queries import _table_dtype
 from statefuse.scene import _FEATURE_SALT, scene_to_dict
 
 SMALL = SceneConfig(n_frames=3, n_objects=4, n_cameras=3, image_size=(16, 24))
@@ -449,6 +451,122 @@ def test_scene_from_dict_rejects_object_ids_that_miss_proposals(edit):
     edit(next(ids for ids in doc["frames"][0]["proposal_object_ids"] if ids))
     with pytest.raises(ValidationError, match=r"^frames\[0\]: proposal_object_ids must name"):
         scene_from_dict(doc)
+
+
+# --- the one rule of a proposal table, held by the frame ---
+
+FRAME = build_scene(SceneConfig(n_frames=1)).frames[0]
+CAM = next(c for c, table in enumerate(FRAME.proposals) if len(table))  # a camera that sees
+
+
+def with_table(table):
+    """FRAME with camera CAM's proposal table replaced by ``table``."""
+    tables = list(FRAME.proposals)
+    tables[CAM] = table
+    return dataclasses.replace(FRAME, proposals=tuple(tables))
+
+
+def edited(key, value):
+    """A writable copy of CAM's table whose row 0 holds ``value`` at ``key``."""
+    table = FRAME.proposals[CAM].copy()
+    table[key][0] = value
+    return table
+
+
+def layout_refusal(table):
+    """The refusal of CAM's ``table`` for its layout."""
+    return table, f"proposals[{CAM}]: expected a proposal table with 60 depth bins, " \
+        f"got one of dtype {table.dtype}"
+
+
+FOREIGN = np.dtype([("center", float, (2,)), ("box", float, (2,)), ("category", int),
+                    ("score", float)])
+OUTSIDE = "proposal center must lie inside [0, 1]^2"
+NOT_FINITE = "contains NaN or Inf"
+NEGATIVE_BOX = "box extents must be non-negative"
+BAD_DIST = "depth_dist must be non-negative and sum to 1"
+TABLE_REFUSALS = {
+    "foreign-dtype": layout_refusal(np.zeros(1, FOREIGN).view(np.recarray)),
+    "30-bins": layout_refusal(np.zeros(1, _table_dtype(30)).view(np.recarray)),
+    "center-outside": (edited("center", (5.0, -3.0)), f"proposals[{CAM}][0].center: {OUTSIDE}"),
+    "nan-center": (edited("center", (np.nan, 0.5)), f"proposals[{CAM}][0].center: {NOT_FINITE}"),
+    "negative-box": (edited("box", (-1.0, 0.1)), f"proposals[{CAM}][0].box: {NEGATIVE_BOX}"),
+    "inf-box": (edited("box", (np.inf, 0.1)), f"proposals[{CAM}][0].box: {NOT_FINITE}"),
+    "dist-sums-to-2": (edited("depth_dist", 2 * FRAME.proposals[CAM].depth_dist[0]),
+                       f"proposals[{CAM}][0].depth_dist: {BAD_DIST}"),
+    "negative-dist": (edited("depth_dist", np.r_[1.5, -0.5, np.zeros(58)]),
+                      f"proposals[{CAM}][0].depth_dist: {BAD_DIST}"),
+    "nan-dist": (edited("depth_dist", np.r_[np.nan, np.zeros(59)]),
+                 f"proposals[{CAM}][0].depth_dist: {NOT_FINITE}"),
+    "score-7": (edited("score", 7.0), f"proposals[{CAM}][0].score: score must lie in [0, 1]"),
+    "nan-score": (edited("score", np.nan), f"proposals[{CAM}][0].score: {NOT_FINITE}"),
+}
+
+
+@pytest.mark.parametrize("table, message", TABLE_REFUSALS.values(), ids=TABLE_REFUSALS)
+def test_a_scene_frame_refuses_a_bad_proposal_table(table, message):
+    """However the frame is built; each of these once built a frame, and
+    failed later (a KeyError, a late Detection refusal) or never."""
+    with pytest.raises(ValidationError) as info:
+        with_table(table)
+    assert str(info.value) == message
+
+
+def test_a_scene_frame_keeps_each_table_write_protected():
+    """A writable table is copied once, as a recarray; a built frame's own
+    tables are kept as they are."""
+    writable = FRAME.proposals[CAM].copy()
+    kept = with_table(writable).proposals[CAM]
+    assert type(kept) is np.recarray and not kept.flags.writeable
+    assert not np.shares_memory(kept, writable) and np.array_equal(kept, writable)
+    again = dataclasses.replace(FRAME)
+    assert all(a is b for a, b in zip(again.proposals, FRAME.proposals))
+
+
+def first_rows(key, value):
+    """Set ``key`` of proposal 0 of the first camera that sees in frame 0."""
+    return lambda cams: next(rows for rows in cams if rows)[0].__setitem__(key, value)
+
+
+def every_row(key, value):
+    """Set ``key`` of every proposal of frame 0."""
+    return lambda cams: [row.__setitem__(key, value) for rows in cams for row in rows]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (first_rows("center", [5.0, -3.0]), f"[0].center: {OUTSIDE}"),
+        (first_rows("box", [0.1, math.nan]), f"[0].box: {NOT_FINITE}"),
+        (first_rows("box", [0.1, math.inf]), f"[0].box: {NOT_FINITE}"),
+        (first_rows("box", [-0.1, 0.1]), f"[0].box: {NEGATIVE_BOX}"),
+        (first_rows("score", 1.5), "[0].score: score must lie in [0, 1]"),
+        (first_rows("depth_dist", [1.5, -0.5] + [0.0] * 58), f"[0].depth_dist: {BAD_DIST}"),
+        (every_row("depth_dist", [1.0] + [0.0] * 29),
+         f": expected a proposal table with 60 depth bins, got one of dtype {_table_dtype(30)}"),
+    ],
+    ids=["center", "box-nan", "box-inf", "box-negative", "score", "depth_dist", "30-bins"],
+)
+def test_a_loaded_proposal_value_is_refused_by_its_frame(tmp_path, edit, message):
+    """A value read from a file answers to the frame's rule, in the loader's
+    form, and ``statefuse run`` exits 3 with that one line.  A file of
+    30-bin distributions once loaded, and was refused only by the run."""
+    doc = json.loads(scene_dumps(build_scene(SMALL)))
+    cams = doc["frames"][0]["proposals"]
+    edit(cams)
+    c = next(c for c, rows in enumerate(cams) if rows)
+    want = f"frames[0]: proposals[{c}]{message}"
+    with pytest.raises(ValidationError) as info:
+        scene_from_dict(doc)
+    assert str(info.value) == want
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(
+            ["run", "--scene", str(path), "--weights", "seed:1", "--out", str(tmp_path / "o.csv")]
+        )
+    assert code == 3 and err.getvalue() == f"error: {want}\n"
 
 
 def test_scene_from_dict_rejects_features_of_another_shape():
