@@ -56,6 +56,8 @@ class Array:
 
     def __init__(self, kind, shape: tuple):
         self.bound = _kind(kind)[0] if typing.get_origin(kind) else None  # a Bound
+        if getattr(self.bound, "choices", ()):
+            raise TypeError("an Array's elements take a Bound of limits, not Literal choices")
         self.kind = getattr(self.bound, "kind", kind)
         self.shape, self.dtype = shape, _DTYPES[self.kind]
         self.lead = shape[:1] == ("...",)  # whether the shape starts with ...
@@ -76,9 +78,9 @@ class Bound:
     ``Bound[float, ">=", 0, "<=", 1]``: a kind, then pairs of a comparison
     (``>=``, ``>``, ``<=`` or ``<``) and a limit, each of which a value must
     meet.  ``Literal["a", "b"]`` is read as a Bound that takes only its
-    choices.  As the element kind of an :class:`Array`, a Bound of limits
-    bounds each element.  ``repr`` reads ``an int >= 1`` or ``one of 'a',
-    'b'``."""
+    choices, and is no element kind of an :class:`Array`; as one, a Bound
+    of limits bounds each element.  ``repr`` reads ``an int >= 1`` or
+    ``one of 'a', 'b'``."""
 
     _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 

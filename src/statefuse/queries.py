@@ -72,27 +72,21 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-def _column(values: list, key: str, shape: tuple | None, path) -> np.ndarray:
+def _column(values: list, key: str, shape: tuple, path) -> np.ndarray:
     """One field of every row as a float64 (P, *shape) array of numbers.
 
-    ``shape=None`` asks for vectors of the first row's length.  The first
-    row that is not numbers (see :func:`~statefuse.errors.number_array`),
-    or not of that shape, raises naming ``path(j)``, the JSON path of row j.
+    The first row that is not numbers (see
+    :func:`~statefuse.errors.number_array`), or not of ``shape``, raises
+    naming ``path(j)``, the JSON path of row j.
     """
     col = number_array(values)
-    if col is not None and (
-        col.shape[1:] == shape if shape is not None else col.ndim == 2 and col.shape[1] > 0
-    ):
+    if col is not None and col.shape[1:] == shape:
         return col
     for j, value in enumerate(values):
         row = number_array(value)
         if row is None:
             raise ValidationError(f"{path(j)}.{key}: expected numbers, got {value!r:.40}")
-        if shape is None:
-            if row.ndim != 1 or row.size == 0:
-                raise ValidationError(f"{path(j)}.{key}: depth_dist must be a non-empty 1-d vector")
-            shape = row.shape
-        elif row.shape != shape:
+        if row.shape != shape:
             raise ValidationError(f"{path(j)}.{key}: expected shape {shape}, got {row.shape}")
 
 
@@ -115,13 +109,13 @@ def proposal_tables(per_camera, where: str = "proposals") -> tuple:
 
     ``per_camera[c]`` lists camera c's proposals as mappings, the layout
     of the scene JSON: ``center`` and ``box`` (x, y), an integer
-    ``category``, a ``score`` and a ``depth_dist`` of B bin probabilities.
-    Each table is an ``np.recarray`` with these five fields, (P, 2),
-    (P, 2), (P,), (P,) and (P, B), and its rows are records with the same
-    attributes.  Only kinds and shapes are read here: a row that is no
-    mapping, a missing key, a category that is no integer or a field of
-    another shape or of non-numbers raises :class:`ValidationError` naming
-    its path ``where[c][j].key``.  The values answer to
+    ``category``, a ``score`` and a ``depth_dist`` of ``DEPTH_BIN_COUNT``
+    bin probabilities.  Each table is an ``np.recarray`` with these five
+    fields, (P, 2), (P, 2), (P,), (P,) and (P, 60), and its rows are
+    records with the same attributes.  Only kinds and shapes are read
+    here: a row that is no mapping, a missing key, a category that is no
+    integer or a field of another shape or of non-numbers raises
+    :class:`ValidationError` naming its path ``where[c][j].key``.  The values answer to
     :func:`checked_tables`, which a :class:`~statefuse.scene.SceneFrame`
     applies to the tables it takes.
     """
@@ -154,10 +148,12 @@ def proposal_tables(per_camera, where: str = "proposals") -> tuple:
             isinstance(cat, (int, np.integer)) and -(2**63) <= cat < 2**63
         ):
             raise ValidationError(f"{path(j)}.category: expected an integer, got {cat!r:.40}")
-    for key, shape in (("center", (2,)), ("box", (2,)), ("score", ()), ("depth_dist", None)):
+    for key, shape in (
+        ("center", (2,)), ("box", (2,)), ("score", ()), ("depth_dist", (DEPTH_BIN_COUNT,)),
+    ):
         cols[key] = _column(cols[key], key, shape, path)
     cols["category"] = np.array(cols["category"], dtype=np.int64)
-    frame = np.empty(len(rows), _table_dtype(cols["depth_dist"].shape[1]))
+    frame = np.empty(len(rows), _TABLE)
     for key in PROPOSAL_FIELDS:
         frame[key] = cols[key]
     frozen(frame)
@@ -167,44 +163,46 @@ def proposal_tables(per_camera, where: str = "proposals") -> tuple:
 
 def checked_tables(tables: tuple) -> tuple:
     """``tables``, one proposal table per camera, under the one rule of a
-    table, whoever built it: the layout of :func:`proposal_tables` with
-    ``DEPTH_BIN_COUNT`` depth bins, a ``center`` inside [0, 1]^2, a ``box``
-    >= 0, a ``score`` in [0, 1] and a ``depth_dist`` >= 0 that sums to 1
-    within 1e-9, every value finite.
+    table, whoever built it: the layout of :func:`proposal_tables`, a
+    ``center`` inside [0, 1]^2, a ``box`` >= 0, a ``score`` in [0, 1] and a
+    ``depth_dist`` >= 0 that sums to 1 within 1e-9, every value finite.
 
     Each comes back a write-protected ``np.recarray``: the table itself
     when its memory cannot change (see :func:`~statefuse.errors.readonly`),
     else a copy.  A table of another layout raises :class:`ValidationError`
-    naming ``proposals[c]``, the first bad value ``proposals[c][j].key``.
+    naming ``proposals[c]``.  The values of all the tables are checked in
+    one pass, field by field in the order above: the first bad one raises
+    naming ``proposals[c][j].key``.
     """
-    kept = []
     for c, table in enumerate(tables):
         if table.dtype != _TABLE:
             raise ValidationError(
                 f"proposals[{c}]: expected a proposal table with {DEPTH_BIN_COUNT} depth bins, "
                 f"got one of dtype {table.dtype}"
             )
-        table = readonly(table)
-        fields = np.asarray(table)  # a recarray's field access costs ~10x more
-        center, box, score, dist = (fields[k] for k in ("center", "box", "score", "depth_dist"))
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN and Inf fail every test
-            checks = (
-                ("center", (center >= 0.0) & (center <= 1.0),
-                 "proposal center must lie inside [0, 1]^2"),
-                ("box", (box >= 0.0) & (box < np.inf), "box extents must be non-negative"),
-                ("score", (score >= 0.0) & (score <= 1.0), "score must lie in [0, 1]"),
-                ("depth_dist",
-                 (dist >= 0.0) & (np.abs(dist.sum(axis=1, keepdims=True) - 1.0) <= 1e-9),
-                 "depth_dist must be non-negative and sum to 1"),
-            )
-        for key, ok, message in checks:
-            if not ok.all():
-                j = int(np.argmin(ok.reshape(len(table), -1).all(axis=1)))
-                if not np.isfinite(fields[key][j]).all():
-                    message = "contains NaN or Inf"
-                raise ValidationError(f"proposals[{c}][{j}].{key}: {message}")
-        kept.append(table if type(table) is np.recarray else table.view(np.recarray))
-    return tuple(kept)
+    kept = [readonly(table) for table in tables]
+    # plain arrays: a recarray's field access costs ~10x more
+    fields = np.concatenate([np.asarray(t) for t in kept]) if kept else _NO_PROPOSALS
+    center, box, score, dist = (fields[k] for k in ("center", "box", "score", "depth_dist"))
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and Inf fail every test
+        checks = (
+            ("center", (center >= 0.0) & (center <= 1.0),
+             "proposal center must lie inside [0, 1]^2"),
+            ("box", (box >= 0.0) & (box < np.inf), "box extents must be non-negative"),
+            ("score", (score >= 0.0) & (score <= 1.0), "score must lie in [0, 1]"),
+            ("depth_dist",
+             (dist >= 0.0) & (np.abs(dist.sum(axis=1, keepdims=True) - 1.0) <= 1e-9),
+             "depth_dist must be non-negative and sum to 1"),
+        )
+    for key, ok, message in checks:
+        if not ok.all():
+            j = int(np.argmin(ok.reshape(len(fields), -1).all(axis=1)))
+            if not np.isfinite(fields[key][j]).all():
+                message = "contains NaN or Inf"
+            bounds = [0, *accumulate(map(len, kept))]
+            c = bisect_right(bounds, j) - 1
+            raise ValidationError(f"proposals[{c}][{j - bounds[c]}].{key}: {message}")
+    return tuple(t if type(t) is np.recarray else t.view(np.recarray) for t in kept)
 
 
 @dataclass(frozen=True)

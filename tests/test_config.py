@@ -745,6 +745,13 @@ def test_an_array_argument_is_neither_copied_nor_write_protected():
     assert x.flags.writeable
 
 
+def test_an_array_of_literal_choices_is_refused_where_it_is_declared():
+    """Only a Bound of limits bounds an array's elements: a Literal one fails
+    when its annotation is read, not at the first call."""
+    with pytest.raises(TypeError, match="^an Array's elements take a Bound of limits"):
+        Array[typing.Literal[0, 1], "N"]
+
+
 # Public functions whose scalars another rule takes: the rule's own helpers,
 # and layer_norm, whose epsilon is a field of the layer record it normalizes for.
 SCALARS_CHECKED_ELSEWHERE = {"statefuse.errors", "layer_norm"}

@@ -250,7 +250,7 @@ def test_build_query_deterministic():
 
 
 GOOD = {"center": [0.5, 0.5], "box": [0.1, 0.2], "category": 2, "score": 0.75,
-        "depth_dist": [0.25, 0.75]}
+        "depth_dist": [0.25, 0.75] + [0.0] * 58}
 
 
 def test_proposal_tables_hold_read_only_records():
@@ -259,12 +259,12 @@ def test_proposal_tables_hold_read_only_records():
     assert [len(t) for t in tables] == [2, 0, 1]
     first = tables[0]
     assert isinstance(first, np.recarray) and not first.flags.writeable
-    assert first.center.shape == (2, 2) and first.depth_dist.shape == (2, 2)
+    assert first.center.shape == (2, 2) and first.depth_dist.shape == (2, 60)
     assert first.category.dtype == np.int64 and first.score.dtype == np.float64
     records = list(first)
     assert records[1].category == 2 and records[1].score == 0.75
     assert np.array_equal(records[1].center, [0.1, 0.9])
-    assert records[0].depth_dist @ np.array([2.0, 4.0]) == 3.5
+    assert records[0].depth_dist @ np.r_[2.0, 4.0, np.zeros(58)] == 3.5
     with pytest.raises(ValueError):
         first.score[0] = 0.5
     assert all(len(t) == 0 for t in proposal_tables([[], []]))
@@ -280,8 +280,9 @@ def test_proposal_tables_hold_read_only_records():
         (lambda r: r.update(center=[0.5]), r"\.center: expected shape \(2,\)"),
         (lambda r: r.update(center="x"), r"\.center: expected numbers, got 'x'"),
         (lambda r: r.update(score=None), r"\.score: expected numbers, got None"),
-        (lambda r: r.update(depth_dist=5), r"\.depth_dist: expected shape \(2,\), got \(\)"),
-        (lambda r: r.update(depth_dist=[0.5, 0.25, 0.25]), r"\.depth_dist: expected shape \(2,\)"),
+        (lambda r: r.update(depth_dist=5), r"\.depth_dist: expected shape \(60,\), got \(\)"),
+        (lambda r: r.update(depth_dist=[0.5, 0.25, 0.25]), r"\.depth_dist: expected shape \(60,\)"),
+        (lambda r: r.update(depth_dist=[1.0] + [0.0] * 29), r"\.depth_dist: .*, got \(30,\)$"),
     ],
 )
 def test_proposal_tables_name_the_bad_value(edit, message):
@@ -294,7 +295,7 @@ def test_proposal_tables_name_the_bad_value(edit, message):
 def test_proposal_tables_read_kinds_and_shapes_only():
     """Values answer to the frame that takes the table (see test_scene)."""
     row = {**GOOD, "center": [5.0, -3.0], "box": [-1.0, 0.1], "score": 7.0,
-           "depth_dist": [float("nan"), 2.0]}
+           "depth_dist": [float("nan"), 2.0] + [0.0] * 58}
     (table,) = proposal_tables([[row]])
     assert table.score.tolist() == [7.0] and table.center.tolist() == [[5.0, -3.0]]
 
@@ -306,7 +307,7 @@ def test_proposal_tables_refuse_non_arrays():
         proposal_tables([[], 5], "p")
     with pytest.raises(ValidationError, match=r"^p\[0\]\[1\]: a proposal must be an object"):
         proposal_tables([[GOOD, "x"]], "p")
-    with pytest.raises(ValidationError, match=r"^p\[0\]\[0\]\.depth_dist: .* non-empty 1-d"):
+    with pytest.raises(ValidationError, match=r"^p\[0\]\[0\]\.depth_dist: expected shape \(60,\)"):
         proposal_tables([[{**GOOD, "depth_dist": []}]], "p")
 
 

@@ -512,6 +512,18 @@ def test_a_scene_frame_refuses_a_bad_proposal_table(table, message):
     assert str(info.value) == message
 
 
+def test_a_scene_frame_names_a_bad_value_by_its_camera_and_row():
+    """The tables are checked in one pass; the first bad row is named by its
+    camera and its row in that camera's table, past an empty table."""
+    two = np.concatenate([np.asarray(FRAME.proposals[CAM])] * 2).view(np.recarray)
+    two.score[1] = 7.0
+    good = FRAME.proposals[CAM]
+    tables = (good, good[:0], two, good, edited("score", 7.0))
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(FRAME, proposals=tables)
+    assert str(info.value) == "proposals[2][1].score: score must lie in [0, 1]"
+
+
 def test_a_scene_frame_keeps_each_table_write_protected():
     """A writable table is copied once, as a recarray; a built frame's own
     tables are kept as they are."""
@@ -536,26 +548,28 @@ def every_row(key, value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (first_rows("center", [5.0, -3.0]), f"[0].center: {OUTSIDE}"),
-        (first_rows("box", [0.1, math.nan]), f"[0].box: {NOT_FINITE}"),
-        (first_rows("box", [0.1, math.inf]), f"[0].box: {NOT_FINITE}"),
-        (first_rows("box", [-0.1, 0.1]), f"[0].box: {NEGATIVE_BOX}"),
-        (first_rows("score", 1.5), "[0].score: score must lie in [0, 1]"),
-        (first_rows("depth_dist", [1.5, -0.5] + [0.0] * 58), f"[0].depth_dist: {BAD_DIST}"),
+        (first_rows("center", [5.0, -3.0]), ": proposals[{c}][0].center: " + OUTSIDE),
+        (first_rows("box", [0.1, math.nan]), ": proposals[{c}][0].box: " + NOT_FINITE),
+        (first_rows("box", [0.1, math.inf]), ": proposals[{c}][0].box: " + NOT_FINITE),
+        (first_rows("box", [-0.1, 0.1]), ": proposals[{c}][0].box: " + NEGATIVE_BOX),
+        (first_rows("score", 1.5), ": proposals[{c}][0].score: score must lie in [0, 1]"),
+        (first_rows("depth_dist", [1.5, -0.5] + [0.0] * 58),
+         ": proposals[{c}][0].depth_dist: " + BAD_DIST),
         (every_row("depth_dist", [1.0] + [0.0] * 29),
-         f": expected a proposal table with 60 depth bins, got one of dtype {_table_dtype(30)}"),
+         ".proposals[{c}][0].depth_dist: expected shape (60,), got (30,)"),
     ],
     ids=["center", "box-nan", "box-inf", "box-negative", "score", "depth_dist", "30-bins"],
 )
 def test_a_loaded_proposal_value_is_refused_by_its_frame(tmp_path, edit, message):
     """A value read from a file answers to the frame's rule, in the loader's
     form, and ``statefuse run`` exits 3 with that one line.  A file of
-    30-bin distributions once loaded, and was refused only by the run."""
+    30-bin distributions once loaded, and was refused only by the run; now
+    the reader refuses it at its JSON path."""
     doc = json.loads(scene_dumps(build_scene(SMALL)))
     cams = doc["frames"][0]["proposals"]
     edit(cams)
     c = next(c for c, rows in enumerate(cams) if rows)
-    want = f"frames[0]: proposals[{c}]{message}"
+    want = "frames[0]" + message.format(c=c)
     with pytest.raises(ValidationError) as info:
         scene_from_dict(doc)
     assert str(info.value) == want
